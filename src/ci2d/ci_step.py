@@ -34,7 +34,7 @@ from .mollifier import (TemporalKernel, check_padding, smoothstep,
 from .param_schedule import ToyParams
 from .spectral_field import (Grid2, SpectralField, TimeTrack, _embed, analyze,
                              cn_norm, derive, divergence, l1_norm, lp_norm,
-                             mean, multiply, multiply_mode, perp_grad)
+                             mean, multiply, perp_grad, shift_modes)
 from .stress_geometry import (RampProfile, default_ramp, gamma_squared_grid,
                               gamma_squared_grid_dt)
 
@@ -403,47 +403,58 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
 
     Multiplication by the single-mode flow/potential is an exact
     coefficient shift, which makes the stream-function identity and both
-    solenoidality statements hold mode-wise.
+    solenoidality statements hold mode-wise.  Per positive direction the
+    operands P, dP, perp_grad P and perp_grad dP share one shift per sign.
+    Also returns the analysed temporal spectra a^2 P(eta^2) per direction
+    ("moments", reused by the pressure corrector) and the largest energy
+    share a clipped shift dropped.
     """
+    n = grid.n
     lam = wp.lam
-    zero_v = SpectralField.zeros(grid, "vector", reality=False)
-    zero_s = SpectralField.zeros(grid, "scalar", reality=False)
-    w_p, dw_p, w_c, dw_c = zero_v, zero_v, zero_v, zero_v
-    stream, dstream = zero_s, zero_s
-    wt_carrier = SpectralField.zeros(grid, "vector")
-    dwt_carrier = SpectralField.zeros(grid, "vector")
+    w_p, dw_p, w_c, dw_c = (np.zeros((2, n, n), dtype=complex) for _ in range(4))
+    stream = np.zeros((1, n, n), dtype=complex)
+    carrier = np.zeros((4, n, n), dtype=complex)   # w_t and dw_t before projection
+    moments = {}
+    clipped = 0.0
     for k in positive_directions():
         a, da = a_slice[k]
         wav = waves[k]
         P = analyze(grid, a * wav["eta_vals"])
         dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
-        gP, gdP = perp_grad(P), perp_grad(dP)
+        m = max(P.storage, dP.storage)
+        stack = np.concatenate([_embed(c, m) for c in
+                                (P.coeffs, dP.coeffs, perp_grad(P).coeffs, perp_grad(dP).coeffs)])
+        band = max(P.band(), dP.band())
         xi = lattice_vector(k.five_k, lam // 5)
-        xin = (-xi[0], -xi[1])
-        for shift, sign in ((xi, 1.0), (xin, -1.0)):
-            amp_b = sign * 1j * k.k_perp
-            w_p = w_p + multiply_mode(P, shift, amp_b, clip=True)
-            dw_p = dw_p + multiply_mode(dP, shift, amp_b, clip=True)
-            w_c = w_c + multiply_mode(gP, shift, 1.0 / lam, clip=True)
-            dw_c = dw_c + multiply_mode(gdP, shift, 1.0 / lam, clip=True)
-            stream = stream + multiply_mode(P, shift, 1.0 / lam, clip=True)
-            dstream = dstream + multiply_mode(dP, shift, 1.0 / lam, clip=True)
+        for shift, sign in ((xi, 1.0), ((-xi[0], -xi[1]), -1.0)):
+            sh, _, frac = shift_modes(stack, shift, band, n)
+            sh = _embed(sh, n)
+            clipped = max(clipped, frac)
+            amp_b = (sign * 1j * k.k_perp)[:, None, None]
+            w_p += amp_b * sh[0]
+            dw_p += amp_b * sh[1]
+            w_c += sh[2:4] * (1.0 / lam)
+            dw_c += sh[4:6] * (1.0 / lam)
+            stream += sh[0:1] * (1.0 / lam)
         # temporal part: antipodal pairing doubles the positive half
-        m_vals = a * a * wav["p_eta2_vals"]
-        dm_vals = 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"]
-        m_f = analyze(grid, m_vals)
-        dm_f = analyze(grid, dm_vals)
-        kv = k.k
-        wt_carrier = wt_carrier + SpectralField(
-            grid, "vector", np.stack([m_f.coeffs[0] * kv[0], m_f.coeffs[0] * kv[1]]), True)
-        dwt_carrier = dwt_carrier + SpectralField(
-            grid, "vector", np.stack([dm_f.coeffs[0] * kv[0], dm_f.coeffs[0] * kv[1]]), True)
+        m_f = analyze(grid, a * a * wav["p_eta2_vals"])
+        dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
+        moments[k] = (m_f, dm_f)
+        kv = k.k[:, None, None]
+        carrier[:2] += _embed(m_f.coeffs, n) * kv
+        carrier[2:] += _embed(dm_f.coeffs, n) * kv
     fac = 2.0 / wp.mu
-    w_t = fac * helmholtz(project(wt_carrier, FreqBand.nonzero()))
-    dw_t = fac * helmholtz(project(dwt_carrier, FreqBand.nonzero()))
-    return {"w_p": w_p.as_real(1e-8), "w_c": w_c.as_real(1e-8), "w_t": w_t,
-            "dw_p": dw_p.as_real(1e-8), "dw_c": dw_c.as_real(1e-8), "dw_t": dw_t,
-            "stream": stream}
+    nonzero = FreqBand.nonzero()
+    w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2], True), nonzero))
+    dw_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[2:], True), nonzero))
+
+    def field(coeffs):
+        return SpectralField(grid, "vector", coeffs, False).as_real(1e-8)
+
+    return {"w_p": field(w_p), "w_c": field(w_c), "w_t": w_t,
+            "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": dw_t,
+            "stream": SpectralField(grid, "scalar", stream, False),
+            "moments": moments, "clipped": clipped}
 
 
 def perturbations(a_map: dict, wp: WaveParams):
@@ -480,48 +491,48 @@ def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
     return SpectralField(f.grid, "scalar", (f.coeffs[0] * mult)[None], f.reality, _trim=False)
 
 
-def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict) -> SpectralField:
+def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
+                 moments: dict):
     """Pressure corrector absorbing the gradient parts of the oscillation
     terms: the potential products over non-antipodal pairs plus the
-    kernel-square and temporal-transport pieces on the diagonal."""
+    kernel-square and temporal-transport pieces on the diagonal.
+
+    A pair of positive directions (k, k') stands for the four sign
+    combinations (+-k, +-k'); on the diagonal only (k, k) and (-k, -k)
+    enter, at weight 1/2, because antipodal pairs are skipped.  The
+    shifted and projected spectra of a pair are summed before one
+    synthesis.  Returns the corrector and the largest energy share a
+    clipped shift dropped.
+    """
     n = grid.n
-    lam = wp.lam
+    step = wp.lam // 5
     half_shell = FreqBand.at_least(wp.lam_sigma / 2.0)
     dirs = positive_directions()
-    all_dirs = dirs + [k.antipode for k in dirs]
     accum = np.zeros((n, n), dtype=complex)
-
-    def rep(k):
-        return k if k.positive else k.antipode
-
-    # pair terms (including the diagonal with weight 1/2)
-    for i, k in enumerate(all_dirs):
-        for j in range(i, len(all_dirs)):
-            kp = all_dirs[j]
-            if kp.five_k == k.antipode.five_k:
-                continue
-            weight = 0.5 if j == i else 1.0
-            fa = waves[rep(k)]["eta"]
-            fb = waves[rep(kp)]["eta"]
-            fast = multiply(fa, fb)
-            shift = (lam // 5 * (k.five_k[0] + kp.five_k[0]),
-                     lam // 5 * (k.five_k[1] + kp.five_k[1]))
-            fast = project(multiply_mode(fast, shift, 1.0, clip=True), half_shell)
-            a1, _ = a_slice[rep(k)]
-            a2, _ = a_slice[rep(kp)]
-            accum -= weight * (a1 * a2) * fast.values(n)[0]
+    clipped = 0.0
+    for i, k in enumerate(dirs):
+        for j in range(i, len(dirs)):
+            kp = dirs[j]
+            fast = multiply(waves[k]["eta"], waves[kp]["eta"])
+            band = fast.band()
+            signs = ((1, 1, 0.5), (-1, -1, 0.5)) if j == i else \
+                ((1, 1, 1.0), (1, -1, 1.0), (-1, 1, 1.0), (-1, -1, 1.0))
+            spec = np.zeros((1, n, n), dtype=complex)
+            for s1, s2, weight in signs:
+                shift = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
+                         step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
+                sh, _, frac = shift_modes(fast.coeffs, shift, band, n)
+                clipped = max(clipped, frac)
+                spec += weight * _embed(sh, n)
+            pair = project(SpectralField(grid, "scalar", spec, False, _trim=False), half_shell)
+            accum -= (a_slice[k][0] * a_slice[kp][0]) * pair.values(n)[0]
     p1 = analyze(grid, accum, reality=False)
     # diagonal transport part
     p2 = SpectralField.zeros(grid, "scalar")
     for k in dirs:
-        a, da = a_slice[k]
-        wav = waves[k]
-        m_vals = a * a * wav["p_eta2_vals"]
-        dm_vals = 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"]
-        m_f = analyze(grid, m_vals)
-        dm_f = analyze(grid, dm_vals)
+        m_f, dm_f = moments[k]
         p2 = p2 + m_f - (2.0 / wp.mu) * _inv_lap_div_const(dm_f, k.k)
-    return (p1 + p2).as_real(1e-8)
+    return (p1 + p2).as_real(1e-8), clipped
 
 
 def assemble_stress(moll: MollifiedState, pert_slices: dict, pstar: SpectralField,
@@ -624,6 +635,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
     v_new, dv_new, p_new, R_new = [], [], [], []
     w_norms = {"w_p": 0.0, "w_c": 0.0, "w_t": 0.0, "dw_p": 0.0}
     stream_err = 0.0
+    clipped = 0.0
     sol_err = 0.0
     osc_err = 0.0
     osc_scale = 0.0
@@ -647,7 +659,8 @@ def iterate_step(state: NSRState, toy: ToyParams,
                                      phi, dphi, toy.a_const, toy.eps_next, ramp)
         waves = {k: _wave_slice(k, wp, float(t), grid) for k in positive_directions()}
         pert = _perturbation_slice(grid, wp, a_slice, waves)
-        pstar = _pstar_slice(grid, wp, a_slice, waves)
+        pstar, pstar_clipped = _pstar_slice(grid, wp, a_slice, waves, pert.pop("moments"))
+        clipped = max(clipped, pert["clipped"], pstar_clipped)
         vi, dvi, pi, Ri = assemble_stress(moll, pert, pstar, i, state.theta, state.nu)
         if i == peak:
             # stress error groups at the strongest slice, one norm each
@@ -727,6 +740,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
         "w_p_l2": w_norms["w_p"],
         "v_new_mean_max": max(float(np.max(np.abs(mean(s)))) for s in v_new),
         "mollified_residual_rel": moll.norms["mollified_residual_rel"],
+        "clipped_energy_fraction": clipped,
     }
 
     s = float(wp.sigma)
@@ -764,6 +778,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
     diags.add("stream_identity", "3.33", stream_err, None)
     diags.add("solenoidality", "3.33+", sol_err, None)
     diags.add("oscillation_cancel", "3.34", osc_err, None)
+    diags.add("clipped_energy_fraction", "shift", clipped, None)
     return new_state, diags
 
 

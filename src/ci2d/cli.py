@@ -1,9 +1,11 @@
 """Batch front door: ci2d check | init | step | diagnose.
 
 Exit codes: 0 ok, 1 test failure, 2 numerical guard tripped,
-3 constraint violation.  CI2D_THREADS caps internal parallelism (the
-reference implementation runs sequentially; the cap is recorded in
-reports for reproducibility).
+3 constraint violation.
+
+`check` runs a fixed-size property suite; it reads the config only to
+validate the schedule (paper mode) or to guard that the configured
+waves fit the grid (toy mode).
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ from .errors import (AliasingRisk, ConfigError, ConstraintViolation,
 
 GUARD_ERRORS = (AliasingRisk, PaddingError, NonIntegerFrequency)
 CONSTRAINT_ERRORS = (ConstraintViolation, DivisibilityError, ConfigError, InvalidInput)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CI2D_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_check(cfg: dict, out_dir: str | None) -> int:
@@ -47,7 +42,6 @@ def cmd_check(cfg: dict, out_dir: str | None) -> int:
             raise AliasingRisk(
                 f"grid n={grid.n} cannot resolve the configured waves (band {band})")
     report = run_all(cfg)
-    report["threads"] = _threads()
     text = json.dumps(report, indent=1, sort_keys=True)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -81,7 +75,7 @@ def cmd_init(cfg: dict, out_dir: str | None) -> int:
                 {"toy": cfg["toy"], "initial": cfg["initial"], "seed": cfg["seed"],
                  "tolerances": cfg["tolerances"]})
     print(json.dumps({"state_dir": out_dir, "initial_residual": rep["max_rel"],
-                      "max_div": max_div, "threads": _threads()}, indent=1))
+                      "max_div": max_div}, indent=1))
     return 0
 
 
@@ -109,8 +103,7 @@ def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
         with open(os.path.join(tmp_dir, "step_report.json"), "w") as fh:
             json.dump({"residual": diags.residual_report["window_max_rel"],
                        "support": diags.support,
-                       "identities": diags.identities,
-                       "threads": _threads()}, fh, indent=1, sort_keys=True)
+                       "identities": diags.identities}, fh, indent=1, sort_keys=True)
         if os.path.exists(out_dir):
             shutil.rmtree(out_dir)
         os.replace(tmp_dir, out_dir)

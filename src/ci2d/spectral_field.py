@@ -355,9 +355,18 @@ def pointwise_magnitude(field: SpectralField, n: int | None = None) -> np.ndarra
 
 
 def lp_norm(field: SpectralField, p: float) -> float:
-    """Unnormalized L^p norm by grid quadrature; p = inf is the grid max."""
+    """Unnormalized L^p norm by grid quadrature; p = inf is the grid max.
+
+    p = 2 is summed in coefficient space: discrete Parseval makes that sum
+    equal to the rectangle rule on the n-grid for any coefficients.  A
+    symtensor's Frobenius magnitude counts t11 and t12 twice each.
+    """
     if not (p > 1.0):
         raise ConfigError(f"L^p norm needs p in (1, inf], got {p}")
+    if p == 2.0:
+        c = field.coeffs
+        w = 2.0 if field.rank == "symtensor" else 1.0
+        return float(2.0 * np.pi * np.sqrt(w * np.vdot(c, c).real))
     mag = pointwise_magnitude(field)
     if np.isinf(p):
         return float(mag.max())
@@ -437,6 +446,42 @@ def multiply(f: SpectralField, g: SpectralField, *,
     return SpectralField(f.grid, g.rank, coeffs, f.reality and g.reality)
 
 
+def _clipped_targets(x: int, n: int) -> np.ndarray:
+    """Indices along one axis of storage n whose target mode after a shift
+    by x lies past the grid band (the wrapped sources and the Nyquist bin)."""
+    ks = _wavenumbers(n)
+    return (np.flatnonzero(np.abs(ks + x) > n // 2 - 1) + x) % n
+
+
+def shift_modes(coeffs: np.ndarray, xi, band: int, n: int):
+    """Coefficients of exp(i xi . x) f for stacked FFT-layout components.
+
+    The shift is a roll on storage min(_fft_size(band + |xi|_inf), n).  On
+    storage n the sources whose target lies past the grid band wrap
+    around; those target rows and columns are zeroed.  Returns the
+    shifted array, the largest dropped magnitude and the largest share of
+    a component's energy sum |c|^2 that was dropped.
+    """
+    x1, x2 = int(xi[0]), int(xi[1])
+    m = min(max(_fft_size(band + max(abs(x1), abs(x2))), coeffs.shape[-1]), n)
+    out = np.roll(_embed(coeffs, m), (x1, x2), axis=(-2, -1))
+    if m < n:
+        return out, 0.0, 0.0
+    rows, cols = _clipped_targets(x1, n), _clipped_targets(x2, n)
+    strip_r = out[..., rows, :]
+    out[..., rows, :] = 0.0
+    strip_c = out[..., :, cols]
+    out[..., :, cols] = 0.0
+    lost = max(np.max(np.abs(strip_r), initial=0.0), np.max(np.abs(strip_c), initial=0.0))
+    if lost == 0.0:
+        return out, 0.0, 0.0
+    dropped = (np.sum(np.abs(strip_r) ** 2, axis=(-2, -1))
+               + np.sum(np.abs(strip_c) ** 2, axis=(-2, -1)))
+    total = np.sum(np.abs(coeffs) ** 2, axis=(-2, -1))
+    frac = float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
+    return out, float(lost), frac
+
+
 def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> SpectralField:
     """Exact product with a single-mode field amp * exp(i xi . x).
 
@@ -449,25 +494,10 @@ def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> Spect
     `amplitudes` is a scalar (rank-preserving) or a length-2 vector
     (promoting a scalar f to a vector result).
     """
-    x1, x2 = int(xi[0]), int(xi[1])
-    shift = max(abs(x1), abs(x2))
-    m = _fft_size(f.band() + shift)  # may exceed the grid size transiently
-    base = _embed(f.coeffs, m)
-    shifted = np.roll(base, (x1, x2), axis=(-2, -1))
-    bmax = f.grid.max_mode
-    if m > f.grid.n:
-        ks = _wavenumbers(m)
-        outside = (np.abs(ks)[:, None] > bmax) | (np.abs(ks)[None, :] > bmax)
-        top = np.max(np.abs(shifted))
-        lost = np.max(np.abs(shifted[..., outside])) if outside.any() else 0.0
-        if not clip and top > 0.0 and lost > BAND_RTOL * top:
-            raise AliasingRisk(
-                f"mode shift pushes weight {lost:.2e} past the grid band {bmax}")
-        keep = np.abs(ks) <= bmax
-        sel = ks[keep] % f.grid.n
-        small = np.zeros(shifted.shape[:-2] + (f.grid.n, f.grid.n), dtype=complex)
-        small[..., sel[:, None], sel[None, :]] = shifted[..., keep, :][..., :, keep]
-        shifted = small
+    shifted, lost, _ = shift_modes(f.coeffs, xi, f.band(), f.grid.n)
+    if not clip and lost > BAND_RTOL * np.max(np.abs(f.coeffs)):
+        raise AliasingRisk(
+            f"mode shift pushes weight {lost:.2e} past the grid band {f.grid.max_mode}")
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
     if amps.size == 1:
         out = shifted * amps[0]

@@ -27,6 +27,9 @@ from ci2d.stress_geometry import gamma_squared_grid
 
 warnings.filterwarnings("ignore", message=".*separation.*")
 
+# the shared n = 512 run dominates the suite's time; `-m "not slow"` skips it
+pytestmark = pytest.mark.slow
+
 
 def _verdict(num, ok, detail):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}")

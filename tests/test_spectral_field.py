@@ -6,6 +6,7 @@ from ci2d import (AliasingRisk, ConfigError, RankError, SpectralField,
                   lp_norm, make_grid, mean, multiply, perp_grad, random_field,
                   synthesize)
 from ci2d.building_blocks import dirichlet_kernel
+from ci2d.spectral_field import BAND_RTOL, multiply_mode, pointwise_magnitude
 
 
 def test_make_grid_accepts_powers_of_two():
@@ -44,9 +45,11 @@ def test_parseval_against_quadrature_oracle():
     brute = np.sqrt(np.sum(np.cos(x)[:, None] ** 2 * np.ones(64)) * g.cell_measure)
     assert abs(brute - 2 * np.pi ** 2 / (np.pi * np.sqrt(2))) < 1e-12
     assert abs(lp_norm(f, 2) - 2 * np.pi * np.sqrt(0.5)) < 1e-12
-    h = random_field(g, "scalar", 20, seed=1)
-    coef = 2 * np.pi * np.sqrt(np.sum(np.abs(h.coeffs) ** 2))
-    assert abs(lp_norm(h, 2) - coef) <= 1e-10 * coef
+    # lp_norm(., 2) sums coefficients; the oracle is the grid rectangle rule
+    for rank, seed in (("scalar", 1), ("symtensor", 11)):
+        h = random_field(g, rank, 20, seed=seed)
+        quad = np.sqrt(np.sum(pointwise_magnitude(h) ** 2) * g.cell_measure)
+        assert abs(lp_norm(h, 2) - quad) <= 1e-10 * quad
 
 
 def test_reality_invariant():
@@ -168,3 +171,87 @@ def test_timetrack_validation():
         TimeTrack(times, [f] * 4)
     with pytest.raises(ConfigError):
         TimeTrack(np.array([0.0, 0.1, 0.3]), [f] * 3)
+
+
+# -- multiply_mode against an explicit loop over the modes ---------------------
+
+def _shift_oracle(f, xi, amplitudes):
+    """Add xi to every stored mode; targets with |xi|_inf > max_mode drop out.
+
+    Returns {target: coefficients} and the largest dropped magnitude."""
+    amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
+    bmax = f.grid.max_mode
+    ks = np.fft.fftfreq(f.storage, 1.0 / f.storage).astype(int)
+    out, dropped = {}, 0.0
+    for i, k1 in enumerate(ks):
+        for j, k2 in enumerate(ks):
+            c = f.coeffs[:, i, j]
+            t = (int(k1) + xi[0], int(k2) + xi[1])
+            if max(abs(t[0]), abs(t[1])) > bmax:
+                dropped = max(dropped, float(np.max(np.abs(c))))
+                continue
+            out[t] = out.get(t, 0.0) + np.concatenate([c * a for a in amps])
+    return out, dropped
+
+
+def _assert_matches_oracle(got, f, xi, amplitudes):
+    want, _ = _shift_oracle(f, xi, amplitudes)
+    bmax = f.grid.max_mode
+    for t1 in range(-bmax, bmax + 1):
+        for t2 in range(-bmax, bmax + 1):
+            w = want.get((t1, t2), np.zeros(got.ncomp))
+            assert np.max(np.abs(got.coeff((t1, t2)) - w)) <= 1e-15, (t1, t2)
+    # nothing is left on the Nyquist row or column of the storage
+    h = got.storage // 2
+    if got.storage == f.grid.n:
+        assert not np.any(got.coeffs[:, h, :]) and not np.any(got.coeffs[:, :, h])
+
+
+@pytest.mark.parametrize("xi", [(2, 1), (-2, -1), (2, -1), (0, 0), (3, 0), (-3, -2),
+                                (0, -3), (6, -6), (-7, 5)])
+def test_multiply_mode_clip_matches_oracle(xi):
+    # band 5 on n = 16 (max_mode 7): (2, 1) fits, (3, 0) lands on the
+    # Nyquist row, (-3, -2) past it on the negative side, (6, -6) and
+    # (-7, 5) wrap whole strips
+    g = make_grid(16)
+    f = random_field(g, "scalar", 5, seed=21)
+    _assert_matches_oracle(multiply_mode(f, xi, 0.5 - 2.0j, clip=True), f, xi, 0.5 - 2.0j)
+
+
+@pytest.mark.parametrize("xi", [(2, 1), (-2, -1), (3, 0), (-3, -2), (6, -6)])
+def test_multiply_mode_guard_raises_exactly_when_weight_drops(xi):
+    g = make_grid(16)
+    f = random_field(g, "scalar", 5, seed=22)
+    _, dropped = _shift_oracle(f, xi, 1.0)
+    if dropped > BAND_RTOL * np.max(np.abs(f.coeffs)):
+        with pytest.raises(AliasingRisk):
+            multiply_mode(f, xi, 1.0)
+    else:
+        _assert_matches_oracle(multiply_mode(f, xi, 1.0), f, xi, 1.0)
+
+
+@pytest.mark.parametrize("small, raises", [(2 * BAND_RTOL, True), (0.5 * BAND_RTOL, False)])
+def test_multiply_mode_guard_threshold(small, raises):
+    # only the weak mode (6, 0) is pushed onto the Nyquist row by (2, 0)
+    g = make_grid(16)
+    f = SpectralField.from_modes(g, "scalar", {(0, 0): 1.0, (6, 0): small}, reality=False)
+    if raises:
+        with pytest.raises(AliasingRisk):
+            multiply_mode(f, (2, 0), 1.0)
+    else:
+        got = multiply_mode(f, (2, 0), 1.0)
+        _assert_matches_oracle(got, f, (2, 0), 1.0)
+        assert got.coeff((2, 0))[0] == 1.0
+    _assert_matches_oracle(multiply_mode(f, (2, 0), 1.0, clip=True), f, (2, 0), 1.0)
+
+
+def test_multiply_mode_vector_amplitude_promotes_rank():
+    g = make_grid(16)
+    f = random_field(g, "scalar", 5, seed=23)
+    amps = np.array([0.6j, -0.8j])
+    for xi in [(1, 2), (4, -3)]:
+        got = multiply_mode(f, xi, amps, clip=True)
+        assert got.rank == "vector"
+        _assert_matches_oracle(got, f, xi, amps)
+    with pytest.raises(RankError):
+        multiply_mode(random_field(g, "vector", 3, seed=24), (1, 0), amps)
