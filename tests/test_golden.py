@@ -6,8 +6,8 @@ module's `main()` from one `iterate_step` at n = 128 on 21 time nodes
 slice, the L2 and L-infinity norms and the band of v, dv, p and R, and a
 few coefficients of v and R at the node where R peaks.  A change that is
 meant to leave the step's output as it is must pass this test unchanged;
-regenerate the file (`python tests/test_golden.py`) only for a change
-that is meant to alter the output, and say so.
+regenerate the file (`PYTHONPATH=src python tests/test_golden.py`) only
+for a change that is meant to alter the output, and say so.
 """
 
 import json
