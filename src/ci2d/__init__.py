@@ -4,13 +4,13 @@ from .building_blocks import (Direction, WaveParams, dirichlet_kernel,
                               directions, eta, intermittent_flow, wave_b,
                               wave_psi)
 from .ci_step import (CutoffProfile, MollifiedState, NSRState, StepDiagnostics,
-                      assemble_stress, coefficients, init_state, iterate_step,
-                      mollify, nsr_residual, perturbations, temporal_cutoff)
+                      assemble_stress, init_state, iterate_step, mollify,
+                      nsr_residual, temporal_cutoff)
 from .errors import (AliasingRisk, CI2DError, ConfigError, ConstraintViolation,
                      DerivativeChannelMissing, DivisibilityError, InvalidInput,
                      NonIntegerFrequency, PaddingError, RankError)
-from .fourier_calculus import (FreqBand, TraceFree2x2, anti_divergence,
-                               frac_laplacian, helmholtz, inv_grad, project,
+from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
+                               helmholtz, inv_grad, project,
                                sym_tracefree_product, tf_square,
                                tracefree_product)
 from .param_schedule import (PaperSchedule, PowerOfA, ToyParams, theta_star,
@@ -18,7 +18,7 @@ from .param_schedule import (PaperSchedule, PowerOfA, ToyParams, theta_star,
 from .spectral_field import (Grid2, SpectralField, TimeTrack, analyze, cn_norm,
                              derive, divergence, l1_norm, lp_norm, make_grid,
                              mean, multiply, multiply_mode, perp_grad,
-                             random_field, synthesize)
+                             random_field)
 from .stress_geometry import (RampProfile, StressMatrix, decompose,
                               default_ramp, gamma, reconstruct)
 

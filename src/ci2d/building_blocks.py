@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AliasingRisk, DivisibilityError, NonIntegerFrequency
-from .spectral_field import Grid2, SpectralField, multiply, multiply_mode
+from .spectral_field import Grid2, SpectralField, multiply_mode
 
 _FIVE_K_POS = ((3, 4), (3, -4), (4, 3), (4, -3))
 
@@ -210,14 +210,6 @@ def eta(k: Direction, wp: WaveParams, t: float, grid: Grid2):
     f = SpectralField.from_modes(grid, "scalar", dict(zip(modes, coeffs)), reality=True)
     df = SpectralField.from_modes(grid, "scalar", dict(zip(modes, dcoeffs)), reality=True)
     return f, df
-
-
-def eta_squared(k: Direction, wp: WaveParams, t: float, grid: Grid2):
-    """(eta^2, d/dt eta^2); bands are small so the product is exact."""
-    f, df = eta(k, wp, t, grid)
-    sq = multiply(f, f)
-    dsq = 2.0 * multiply(f, df)
-    return sq, dsq
 
 
 def intermittent_flow(k: Direction, wp: WaveParams, t: float, grid: Grid2):

@@ -32,9 +32,10 @@ from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
 from .mollifier import (TemporalKernel, check_padding, smoothstep,
                         smoothstep_prime, spatial_mollify)
 from .param_schedule import ToyParams
-from .spectral_field import (Grid2, SpectralField, TimeTrack, _embed, analyze,
-                             cn_norm, derive, divergence, l1_norm, lp_norm,
-                             mean, multiply, perp_grad, shift_modes)
+from .spectral_field import (Grid2, SpectralField, TimeTrack, _embed,
+                             _quadrature_norm, analyze, derive, divergence,
+                             lp_norm, mean, multiply, perp_grad,
+                             pointwise_magnitude, shift_modes)
 from .stress_geometry import (RampProfile, default_ramp, gamma_squared_grid,
                               gamma_squared_grid_dt)
 
@@ -149,7 +150,6 @@ def init_state(u: TimeTrack, theta: float, nu: float, T: float,
 class MollifiedState:
     v: TimeTrack          # with derivative channel
     p: TimeTrack
-    R_ell: TimeTrack
     R_m: TimeTrack
     R_ls: TimeTrack       # with derivative channel
     ell: float
@@ -187,32 +187,21 @@ def mollify(state: NSRState, ell: float) -> MollifiedState:
     p_ell = [kern.apply_fields(ps, i) for i in range(n_t)]
     Rs = [smooth(s) for s in R.slices]
     dRs = [smooth(s) for s in R.dslices]
-    R_ell, dR_ell, R_m, dR_m, R_ls, dR_ls = [], [], [], [], [], []
+    R_m, dR_m, R_ls, dR_ls = [], [], [], []
     for i in range(n_t):
         Ri = kern.apply_fields(Rs, i)
         dRi = kern.apply_fields(dRs, i)
         mi = tf_square(v_ell[i], allow_interpolant=True) - kern.apply_fields(vxv, i)
         dmi = (sym_tracefree_product(dv_ell[i], v_ell[i], allow_interpolant=True)
                - kern.apply_fields(dvxv, i))
-        R_ell.append(Ri)
-        dR_ell.append(dRi)
         R_m.append(mi)
         dR_m.append(dmi)
         R_ls.append(Ri + mi)
         dR_ls.append(dRi + dmi)
 
     v_track = TimeTrack(times, v_ell, dv_ell)
-    r_peak = int(np.argmax([lp_norm(s, np.inf) for s in R_ls]))
-    norms = {
-        "v_diff_linf": max(lp_norm(a - b, np.inf)
-                           for a, b in zip(v_ell, v.slices)),
-        "v_diff_l2": max(lp_norm(a - b, 2) for a, b in zip(v_ell, v.slices)),
-        "R_ls_l1": max(l1_norm(s) for s in R_ls),
-        "R_ls_c0": max(lp_norm(s, np.inf) for s in R_ls),
-        "R_ls_c1_peak": cn_norm(R_ls[r_peak], 1),
-        "v_ell_c1_peak": max(cn_norm(f, 1) for f in
-                             (v_ell[r_peak], v_ell[len(v_ell) // 2])),
-    }
+    norms = {"v_diff_linf": max(lp_norm(a - b, np.inf)
+                                for a, b in zip(v_ell, v.slices))}
     balance = NSRState(v_track, TimeTrack(times, p_ell),
                        TimeTrack(times, R_ls, dR_ls), state.theta, state.nu,
                        state.q, state.T)
@@ -221,7 +210,6 @@ def mollify(state: NSRState, ell: float) -> MollifiedState:
     return MollifiedState(
         v=v_track,
         p=TimeTrack(times, p_ell),
-        R_ell=TimeTrack(times, R_ell, dR_ell),
         R_m=TimeTrack(times, R_m, dR_m),
         R_ls=TimeTrack(times, R_ls, dR_ls),
         ell=float(ell),
@@ -354,47 +342,19 @@ def _coefficient_slice(grid: Grid2, r11, r12, dr11, dr12, phi: float, dphi: floa
     return out
 
 
-def coefficients(R_ls: TimeTrack, cutoff: CutoffProfile, a_const: float,
-                 eps_next: float, ramp: RampProfile | None = None) -> dict:
-    """Smooth coefficient tracks a_k (antipodal directions coincide)."""
-    ramp = ramp or default_ramp()
-    if not R_ls.has_channel():
-        R_ls = fd6_channel(R_ls)
-    grid = R_ls.grid
-    n = grid.n
-    tracks = {}
-    per_dir_slices = {k: ([], []) for k in positive_directions()}
-    for i in range(len(R_ls)):
-        vals = R_ls.slices[i].values(n)
-        dvals = R_ls.dslices[i].values(n)
-        sl = _coefficient_slice(grid, vals[0], vals[1], dvals[0], dvals[1],
-                                float(cutoff.values[i]), float(cutoff.dvalues[i]),
-                                a_const, eps_next, ramp)
-        for k, (a, da) in sl.items():
-            per_dir_slices[k][0].append(analyze(grid, a))
-            per_dir_slices[k][1].append(analyze(grid, da))
-    for k, (sl, dsl) in per_dir_slices.items():
-        tr = TimeTrack(R_ls.times, sl, dsl)
-        tracks[k] = tr
-        tracks[k.antipode] = tr
-    return tracks
-
-
 # -- perturbations -------------------------------------------------------------
 
 def _wave_slice(k: Direction, wp: WaveParams, t: float, grid: Grid2):
     """Kernel fields and values for one positive direction at time t."""
     f, df = eta(k, wp, t, grid)
     eta2 = multiply(f, f)
-    deta2 = 2.0 * multiply(f, df)
-    p_eta2 = project(eta2, FreqBand.nonzero())
-    dp_eta2 = project(deta2, FreqBand.nonzero())
+    nonzero = FreqBand.nonzero()
     return {
-        "eta": f, "deta": df,
+        "eta": f,
         "eta_vals": f.values(grid.n), "deta_vals": df.values(grid.n),
         "eta2_mean": float(mean(eta2).real),
-        "p_eta2": p_eta2, "dp_eta2": dp_eta2,
-        "p_eta2_vals": p_eta2.values(grid.n), "dp_eta2_vals": dp_eta2.values(grid.n),
+        "p_eta2_vals": project(eta2, nonzero).values(grid.n),
+        "dp_eta2_vals": project(2.0 * multiply(f, df), nonzero).values(grid.n),
     }
 
 
@@ -424,10 +384,9 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
         m = max(P.storage, dP.storage)
         stack = np.concatenate([_embed(c, m) for c in
                                 (P.coeffs, dP.coeffs, perp_grad(P).coeffs, perp_grad(dP).coeffs)])
-        band = max(P.band(), dP.band())
         xi = lattice_vector(k.five_k, lam // 5)
         for shift, sign in ((xi, 1.0), ((-xi[0], -xi[1]), -1.0)):
-            sh, _, frac = shift_modes(stack, shift, band, n)
+            sh, _, frac = shift_modes(stack, shift, n)
             sh = _embed(sh, n)
             clipped = max(clipped, frac)
             amp_b = (sign * 1j * k.k_perp)[:, None, None]
@@ -455,25 +414,6 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
             "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": dw_t,
             "stream": SpectralField(grid, "scalar", stream, False),
             "moments": moments, "clipped": clipped}
-
-
-def perturbations(a_map: dict, wp: WaveParams):
-    """Principal, corrector, and temporal perturbation tracks."""
-    some = next(iter(a_map.values()))
-    grid, times = some.grid, some.times
-    outs = {name: [] for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t")}
-    for i, t in enumerate(times):
-        a_slice = {}
-        for k in positive_directions():
-            tr = a_map[k]
-            a_slice[k] = (tr.slices[i].values(grid.n), tr.dslices[i].values(grid.n))
-        waves = {k: _wave_slice(k, wp, float(t), grid) for k in positive_directions()}
-        sl = _perturbation_slice(grid, wp, a_slice, waves)
-        for name in outs:
-            outs[name].append(sl[name])
-    return (TimeTrack(times, outs["w_p"], outs["dw_p"]),
-            TimeTrack(times, outs["w_c"], outs["dw_c"]),
-            TimeTrack(times, outs["w_t"], outs["dw_t"]))
 
 
 # -- pressure corrector and stress assembly -----------------------------------
@@ -514,14 +454,13 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
         for j in range(i, len(dirs)):
             kp = dirs[j]
             fast = multiply(waves[k]["eta"], waves[kp]["eta"])
-            band = fast.band()
             signs = ((1, 1, 0.5), (-1, -1, 0.5)) if j == i else \
                 ((1, 1, 1.0), (1, -1, 1.0), (-1, 1, 1.0), (-1, -1, 1.0))
             spec = np.zeros((1, n, n), dtype=complex)
             for s1, s2, weight in signs:
                 shift = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
                          step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
-                sh, _, frac = shift_modes(fast.coeffs, shift, band, n)
+                sh, _, frac = shift_modes(fast.coeffs, shift, n)
                 clipped = max(clipped, frac)
                 spec += weight * _embed(sh, n)
             pair = project(SpectralField(grid, "scalar", spec, False, _trim=False), half_shell)
@@ -721,6 +660,15 @@ def iterate_step(state: NSRState, toy: ToyParams,
     _, rep = nsr_residual(new_state)
     diags.residual_report = rep
 
+    # one synthesis per new stress slice; its cached sup serves R_new_C0
+    # and the support mask below
+    r_lp = r_l1 = 0.0
+    for f in R_new:
+        mag = pointwise_magnitude(f)
+        r_lp = max(r_lp, _quadrature_norm(mag, p_rep, grid.cell_measure))
+        r_l1 = max(r_l1, _quadrature_norm(mag, 1.0, grid.cell_measure))
+    r_c0 = max(lp_norm(f, np.inf) for f in R_new)
+
     # support containments, slice-exact on the grid
     r_old = support_mask(state.R)
     r_ls = support_mask(moll.R_ls)
@@ -765,15 +713,11 @@ def iterate_step(state: NSRState, toy: ToyParams,
     diags.add("dt_w_p_L2", "3.45", w_norms["dw_p"], ell ** -4 * lam * s * mu * r)
     diags.add("v_increment_L_inf_L2", "2.5", l2_increment,
               np.sqrt(toy.a_const * toy.eps_next))
-    r_lp = max(lp_norm(f, p_rep) for f in R_new)
-    r_l1 = max(l1_norm(f) for f in R_new)
-    r_c1 = 0.0 if len(R_new) == 0 else max(
-        lp_norm(f, np.inf) for f in R_new)
     diags.add("R_new_L_3/2", "7.16", r_lp,
               ell ** -8 * (s * mu + s * r + r / mu + 1.0 / (lam * s)) * rpow
               + ell ** -4 * lam ** theta_star_value(state.theta) * r ** (1 - 2 / p_rep))
     diags.add("R_new_L1", "2.3b", r_l1, None)
-    diags.add("R_new_C0", "7.17", r_c1, None)
+    diags.add("R_new_C0", "7.17", r_c0, None)
     diags.add("residual_window_max_rel", "2.1", rep["window_max_rel"], None)
     diags.add("stream_identity", "3.33", stream_err, None)
     diags.add("solenoidality", "3.33+", sol_err, None)

@@ -2,7 +2,7 @@
 
 Sharp-cutoff frequency projectors (Euclidean shells), the Helmholtz-Leray
 projector, the fractional Laplacian, the order -1 smoother |grad|^-1, the
-anti-divergence operator, and the trace-free tensor product.
+anti-divergence operator, and the symmetric trace-free tensor product.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankError
-from .spectral_field import (SpectralField, _embed, _wavenumbers, lp_norm,
-                             multiply)
+from .spectral_field import SpectralField, _embed, _wavenumbers, multiply
 
 
 @dataclass(frozen=True)
@@ -140,77 +139,41 @@ def anti_divergence(field: SpectralField, return_mean: bool = False):
 
 # -- trace-free tensor product --------------------------------------------
 
-class TraceFree2x2:
-    """Full trace-free 2x2 field: entries (t11, t12; t21, -t11).
+def tracefree_product(f, g) -> np.ndarray:
+    """Trace-free part of the tensor product of two constant 2-vectors.
 
-    The general product of two distinct vector fields need not be
-    symmetric; the symmetric combinations the scheme uses collapse to a
-    symtensor via `as_symtensor`.
+    The full 2x2 display (t11, t12; t21, -t11); fields go through
+    `sym_tracefree_product`.
     """
-
-    __slots__ = ("t11", "t12", "t21")
-
-    def __init__(self, t11: SpectralField, t12: SpectralField, t21: SpectralField):
-        self.t11 = t11
-        self.t12 = t12
-        self.t21 = t21
-
-    def __add__(self, other: "TraceFree2x2") -> "TraceFree2x2":
-        return TraceFree2x2(self.t11 + other.t11, self.t12 + other.t12,
-                            self.t21 + other.t21)
-
-    def asymmetry(self) -> float:
-        return lp_norm(self.t12 - self.t21, np.inf)
-
-    def as_symtensor(self, rtol: float = 1e-10) -> SpectralField:
-        scale = max(lp_norm(self.t12, np.inf), lp_norm(self.t11, np.inf), 1e-300)
-        if self.asymmetry() > rtol * scale:
-            raise ConfigError("tensor is not symmetric; keep the full display")
-        m = max(self.t11.storage, self.t12.storage, self.t21.storage)
-        c11 = _embed(self.t11.coeffs[0], m)
-        c12 = 0.5 * (_embed(self.t12.coeffs[0], m) + _embed(self.t21.coeffs[0], m))
-        real = self.t11.reality and self.t12.reality and self.t21.reality
-        return SpectralField(self.t11.grid, "symtensor", np.stack([c11, c12]), real)
-
-
-def tracefree_product(f, g, *, allow_interpolant: bool = False):
-    """Trace-free part of the tensor product, per the component display.
-
-    Constant vectors yield a plain 2x2 array; vector fields yield a
-    TraceFree2x2 of pointwise products.
-    """
-    if isinstance(f, SpectralField) != isinstance(g, SpectralField):
-        raise RankError("operands must both be fields or both constant vectors")
-    if not isinstance(f, SpectralField):
-        f = np.asarray(f, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if f.shape != (2,) or g.shape != (2,):
-            raise RankError("constant operands must be 2-vectors")
-        return np.array([
-            [0.5 * f[0] * g[0] - 0.5 * f[1] * g[1], f[0] * g[1]],
-            [f[1] * g[0], 0.5 * f[1] * g[1] - 0.5 * f[0] * g[0]],
-        ])
-    if f.rank != "vector" or g.rank != "vector":
-        raise RankError("trace-free product needs vector fields")
-    p = lambda a, b: multiply(a, b, allow_interpolant=allow_interpolant)
-    f1, f2 = f.component(0), f.component(1)
-    g1, g2 = g.component(0), g.component(1)
-    t11 = 0.5 * p(f1, g1) - 0.5 * p(f2, g2)
-    t12 = p(f1, g2)
-    t21 = p(f2, g1)
-    return TraceFree2x2(t11, t12, t21)
+    if isinstance(f, SpectralField) or isinstance(g, SpectralField):
+        raise RankError("constant 2-vectors only; use sym_tracefree_product for fields")
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if f.shape != (2,) or g.shape != (2,):
+        raise RankError("constant operands must be 2-vectors")
+    return np.array([
+        [0.5 * f[0] * g[0] - 0.5 * f[1] * g[1], f[0] * g[1]],
+        [f[1] * g[0], 0.5 * f[1] * g[1] - 0.5 * f[0] * g[0]],
+    ])
 
 
 def sym_tracefree_product(f: SpectralField, g: SpectralField, *,
                           allow_interpolant: bool = False) -> SpectralField:
-    """The symmetric combination f x g + g x f (trace-free), as a symtensor."""
+    """The symmetric combination f x g + g x f (trace-free), as a symtensor.
+
+    For g is f the off-diagonal entry is one product, doubled.
+    """
     if f.rank != "vector" or g.rank != "vector":
         raise RankError("trace-free product needs vector fields")
     p = lambda a, b: multiply(a, b, allow_interpolant=allow_interpolant)
     f1, f2 = f.component(0), f.component(1)
-    g1, g2 = g.component(0), g.component(1)
-    t11 = p(f1, g1) - p(f2, g2)
-    t12 = p(f1, g2) + p(f2, g1)
+    if g is f:
+        t11 = p(f1, f1) - p(f2, f2)
+        t12 = 2.0 * p(f1, f2)
+    else:
+        g1, g2 = g.component(0), g.component(1)
+        t11 = p(f1, g1) - p(f2, g2)
+        t12 = p(f1, g2) + p(f2, g1)
     m = max(t11.storage, t12.storage)
     arr = np.stack([_embed(t11.coeffs[0], m), _embed(t12.coeffs[0], m)])
     return SpectralField(f.grid, "symtensor", arr, t11.reality and t12.reality)
@@ -218,12 +181,4 @@ def sym_tracefree_product(f: SpectralField, g: SpectralField, *,
 
 def tf_square(f: SpectralField, *, allow_interpolant: bool = False) -> SpectralField:
     """f x f trace-free (always symmetric), as a symtensor."""
-    if f.rank != "vector":
-        raise RankError("trace-free square needs a vector field")
-    p = lambda a, b: multiply(a, b, allow_interpolant=allow_interpolant)
-    f1, f2 = f.component(0), f.component(1)
-    t11 = 0.5 * p(f1, f1) - 0.5 * p(f2, f2)
-    t12 = p(f1, f2)
-    m = max(t11.storage, t12.storage)
-    arr = np.stack([_embed(t11.coeffs[0], m), _embed(t12.coeffs[0], m)])
-    return SpectralField(f.grid, "symtensor", arr, t11.reality and t12.reality)
+    return 0.5 * sym_tracefree_product(f, f, allow_interpolant=allow_interpolant)

@@ -99,11 +99,6 @@ class ScheduleReport:
     def failed(self) -> list:
         return [r[0] for r in self.rows if not r[2]]
 
-    def as_dict(self) -> dict:
-        return {"rows": [{"label": l, "description": d, "ok": ok, "margin": m}
-                         for (l, d, ok, m) in self.rows],
-                "failed": self.failed}
-
 
 @dataclass(frozen=True)
 class PaperSchedule:

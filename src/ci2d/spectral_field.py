@@ -90,7 +90,7 @@ def _embed(coeffs: np.ndarray, m_new: int) -> np.ndarray:
 class SpectralField:
     """A scalar / vector / symmetric-trace-free tensor trig polynomial."""
 
-    __slots__ = ("grid", "rank", "coeffs", "reality", "_band")
+    __slots__ = ("grid", "rank", "coeffs", "reality", "_band", "_sup")
 
     def __init__(self, grid: Grid2, rank: str, coeffs: np.ndarray,
                  reality: bool, _trim: bool = True):
@@ -108,6 +108,7 @@ class SpectralField:
         self.rank = rank
         self.reality = bool(reality)
         self._band = None
+        self._sup = None
         if _trim:
             coeffs = self._trimmed(coeffs)
         self.coeffs = coeffs
@@ -296,11 +297,6 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
     return SpectralField(grid, rank, coeffs, reality)
 
 
-def synthesize(field: SpectralField, n: int | None = None) -> np.ndarray:
-    """Physical-grid view of the field (inverse of analyze)."""
-    return field.values(n)
-
-
 def derive(field: SpectralField, multi_index) -> SpectralField:
     """Spectral derivative d^a/dx1^a d^b/dx2^b."""
     a, b = int(multi_index[0]), int(multi_index[1])
@@ -347,11 +343,24 @@ def divergence(field: SpectralField) -> SpectralField:
 
 
 def pointwise_magnitude(field: SpectralField, n: int | None = None) -> np.ndarray:
+    """Pointwise magnitude on the n-grid; on the field's own grid its max
+    is cached as the field's sup (fields are immutable)."""
     vals = field.values(n)
     if field.rank == "symtensor":
         # full 2x2 Frobenius magnitude from the two stored components
-        return np.sqrt(2.0 * np.abs(vals[0]) ** 2 + 2.0 * np.abs(vals[1]) ** 2)
-    return np.sqrt(np.sum(np.abs(vals) ** 2, axis=0))
+        mag = np.sqrt(2.0 * np.abs(vals[0]) ** 2 + 2.0 * np.abs(vals[1]) ** 2)
+    else:
+        mag = np.sqrt(np.sum(np.abs(vals) ** 2, axis=0))
+    if n is None or n == field.grid.n:
+        field._sup = float(mag.max())
+    return mag
+
+
+def _quadrature_norm(mag: np.ndarray, p: float, cell_measure: float) -> float:
+    """Rectangle-rule L^p size (p >= 1) of a pointwise magnitude array."""
+    if p == 1.0:
+        return float(np.sum(mag) * cell_measure)
+    return float((np.sum(mag ** p) * cell_measure) ** (1.0 / p))
 
 
 def lp_norm(field: SpectralField, p: float) -> float:
@@ -367,16 +376,16 @@ def lp_norm(field: SpectralField, p: float) -> float:
         c = field.coeffs
         w = 2.0 if field.rank == "symtensor" else 1.0
         return float(2.0 * np.pi * np.sqrt(w * np.vdot(c, c).real))
-    mag = pointwise_magnitude(field)
     if np.isinf(p):
-        return float(mag.max())
-    w = field.grid.cell_measure
-    return float((np.sum(mag ** p) * w) ** (1.0 / p))
+        if field._sup is None:
+            pointwise_magnitude(field)
+        return field._sup
+    return _quadrature_norm(pointwise_magnitude(field), p, field.grid.cell_measure)
 
 
 def l1_norm(field: SpectralField) -> float:
     """Quadrature L^1 size, used for reporting (lp_norm's contract is p > 1)."""
-    return float(np.sum(pointwise_magnitude(field)) * field.grid.cell_measure)
+    return _quadrature_norm(pointwise_magnitude(field), 1.0, field.grid.cell_measure)
 
 
 def cn_norm(field: SpectralField, order: int) -> float:
@@ -390,8 +399,8 @@ def cn_norm(field: SpectralField, order: int) -> float:
     if order < 0:
         raise ConfigError("derivative order must be nonnegative")
     from math import comb
-    best = 0.0
-    for j in range(order + 1):
+    best = lp_norm(field, np.inf)
+    for j in range(1, order + 1):
         acc = None
         for a in range(j + 1):
             d = pointwise_magnitude(derive(field, (a, j - a))) ** 2 * comb(j, a)
@@ -453,17 +462,19 @@ def _clipped_targets(x: int, n: int) -> np.ndarray:
     return (np.flatnonzero(np.abs(ks + x) > n // 2 - 1) + x) % n
 
 
-def shift_modes(coeffs: np.ndarray, xi, band: int, n: int):
+def shift_modes(coeffs: np.ndarray, xi, n: int):
     """Coefficients of exp(i xi . x) f for stacked FFT-layout components.
 
-    The shift is a roll on storage min(_fft_size(band + |xi|_inf), n).  On
-    storage n the sources whose target lies past the grid band wrap
-    around; those target rows and columns are zeroed.  Returns the
+    The shift is a roll on storage min(_fft_size(m/2 - 1 + |xi|_inf), n),
+    where m is the operand's storage, so every stored coefficient lands on
+    its own target.  On storage n the sources whose target lies past the
+    grid band wrap around; those target rows and columns are zeroed.
+    Returns the
     shifted array, the largest dropped magnitude and the largest share of
     a component's energy sum |c|^2 that was dropped.
     """
     x1, x2 = int(xi[0]), int(xi[1])
-    m = min(max(_fft_size(band + max(abs(x1), abs(x2))), coeffs.shape[-1]), n)
+    m = min(_fft_size(coeffs.shape[-1] // 2 - 1 + max(abs(x1), abs(x2))), n)
     out = np.roll(_embed(coeffs, m), (x1, x2), axis=(-2, -1))
     if m < n:
         return out, 0.0, 0.0
@@ -494,7 +505,7 @@ def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> Spect
     `amplitudes` is a scalar (rank-preserving) or a length-2 vector
     (promoting a scalar f to a vector result).
     """
-    shifted, lost, _ = shift_modes(f.coeffs, xi, f.band(), f.grid.n)
+    shifted, lost, _ = shift_modes(f.coeffs, xi, f.grid.n)
     if not clip and lost > BAND_RTOL * np.max(np.abs(f.coeffs)):
         raise AliasingRisk(
             f"mode shift pushes weight {lost:.2e} past the grid band {f.grid.max_mode}")
@@ -589,10 +600,3 @@ class TimeTrack:
             return np.array([lp_norm(s, 2.0) for s in self.slices])
         raise ConfigError(f"unknown norm kind {kind!r}")
 
-    def map(self, fn, map_channel: bool = True) -> "TimeTrack":
-        """Apply a linear field operation to values (and channel)."""
-        new = [fn(s) for s in self.slices]
-        dnew = None
-        if self.dslices is not None and map_channel:
-            dnew = [fn(s) for s in self.dslices]
-        return TimeTrack(self.times, new, dnew)

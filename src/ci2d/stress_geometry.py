@@ -67,11 +67,6 @@ class RampProfile:
         m1_u = np.sum(wts * ys * bump_vals, axis=1)
         self._c_spline = CubicSpline(u, cdf_u - 0.5)   # odd part of the cdf
         self._m_spline = CubicSpline(u, m1_u)          # even first moment
-        self._m_at_1 = float(m1_u[-1])
-        # interface tables on the wide grid (exact linear tails beyond |s|=1)
-        self.table_s = np.linspace(-64.0, 64.0, 4096)
-        self.table_value = self.value(self.table_s)
-        self.table_deriv = self.derivative(self.table_s)
 
     def value(self, s) -> np.ndarray:
         """ramp(s); satisfies ramp(s) - ramp(-s) = s exactly."""

@@ -14,16 +14,16 @@ import pytest
 
 import ci2d
 from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
-                  SpectralField, TimeTrack, anti_divergence, cn_norm,
-                  coefficients, dirichlet_kernel, directions, divergence, eta,
-                  helmholtz, init_state, intermittent_flow, inv_grad,
-                  iterate_step, lp_norm, make_grid, mean, mollify, multiply,
-                  multiply_mode, nsr_residual, perp_grad, perturbations,
-                  project, random_field, temporal_cutoff, tracefree_product,
-                  validate_schedule)
+                  SpectralField, TimeTrack, analyze, anti_divergence, cn_norm,
+                  dirichlet_kernel, directions, divergence, eta, helmholtz,
+                  init_state, intermittent_flow, inv_grad, iterate_step,
+                  lp_norm, make_grid, mean, mollify, multiply, multiply_mode,
+                  nsr_residual, perp_grad, project, random_field,
+                  temporal_cutoff, tracefree_product, validate_schedule)
 from ci2d.building_blocks import WaveParams, pair_shell, positive_directions
+from ci2d.ci_step import _coefficient_slice, _perturbation_slice, _wave_slice
 from ci2d.generators import shear_track, time_grid
-from ci2d.stress_geometry import gamma_squared_grid
+from ci2d.stress_geometry import default_ramp, gamma_squared_grid
 
 warnings.filterwarnings("ignore", message=".*separation.*")
 
@@ -126,9 +126,12 @@ def test_criterion_04_frequency_localization():
                 continue
             lo, hi = pair_shell(a, b, wp)
             assert wp.lam / 5 <= lo and hi <= 4 * wp.lam
-            t = tracefree_product(flows[a.five_k], flows[b.five_k])
+            # entries t11, t12, t21 of the full display of w_a x w_b
+            (f1, f2), (g1, g2) = ([u.component(j) for j in (0, 1)]
+                                  for u in (flows[a.five_k], flows[b.five_k]))
+            t11 = 0.5 * multiply(f1, g1) - 0.5 * multiply(f2, g2)
             total, outside = 0.0, 0.0
-            for comp, wgt in ((t.t11, 2.0), (t.t12, 1.0), (t.t21, 1.0)):
+            for comp, wgt in ((t11, 2.0), (multiply(f1, g2), 1.0), (multiply(f2, g1), 1.0)):
                 rad, mag2 = comp.mode_magnitudes()
                 total += wgt * mag2.sum()
                 outside += wgt * mag2[(rad < wp.lam / 5) | (rad > 4 * wp.lam)].sum()
@@ -204,45 +207,42 @@ def test_criterion_06_operator_lemmas():
              + ", ".join(f"{r:.3f}" for r in ratios))
 
 
-def _plateau_subtrack(run):
-    """Two-node tracks at a plateau time, for the public coefficient ops."""
-    cut = run["cut"]
-    moll = run["moll"]
-    times = run["times"]
+def _plateau_node(run):
+    """Middle plateau node: its time, coefficients {k: (a, da)} and
+    perturbation slice, built by the calls iterate_step makes."""
+    cut, R_ls, toy, grid = run["cut"], run["moll"].R_ls, run["toy"], run["grid"]
     idx = np.where(cut.plateau_mask())[0]
     i = int(idx[len(idx) // 2])
-    pair = [i, i + 1]
-    sub_times = times[pair]
-    R_sub = TimeTrack(sub_times, [moll.R_ls.slices[j] for j in pair],
-                      [moll.R_ls.dslices[j] for j in pair])
-    cut_sub = temporal_cutoff(R_sub, run["toy"].ell)
-    # keep the genuine switch values at those nodes
-    cut_sub.values[:] = cut.values[pair]
-    cut_sub.dvalues[:] = cut.dvalues[pair]
-    return i, R_sub, cut_sub
+    t = float(run["times"][i])
+    rv = R_ls.slices[i].values(grid.n)
+    drv = R_ls.dslices[i].values(grid.n)
+    a_slice = _coefficient_slice(grid, rv[0], rv[1], drv[0], drv[1],
+                                 float(cut.values[i]), float(cut.dvalues[i]),
+                                 toy.a_const, toy.eps_next, default_ramp())
+    waves = {k: _wave_slice(k, toy.wp, t, grid) for k in positive_directions()}
+    return i, t, a_slice, _perturbation_slice(grid, toy.wp, a_slice, waves)
 
 
 def test_criterion_07_stream_function_and_solenoidality(endtoend):
     run = endtoend
     toy = run["toy"]
     grid = run["grid"]
-    i, R_sub, cut_sub = _plateau_subtrack(run)
-    a_map = coefficients(R_sub, cut_sub, toy.a_const, toy.eps_next)
-    w_p, w_c, w_t = perturbations(a_map, toy.wp)
+    i, t, a_slice, pert = _plateau_node(run)
+    w_p, w_c, w_t = pert["w_p"], pert["w_c"], pert["w_t"]
     stream = SpectralField.zeros(grid, "scalar", reality=False)
     from ci2d.building_blocks import lattice_vector
     for k in directions():
-        e, _ = eta(k, toy.wp, float(R_sub.times[0]), grid)
-        prod = multiply(a_map[k].slices[0], e, allow_interpolant=True)
+        e, _ = eta(k, toy.wp, t, grid)
+        a = a_slice[k if k.positive else k.antipode][0]
         stream = stream + multiply_mode(
-            prod, lattice_vector(k.five_k, toy.wp.lam // 5), 1.0 / toy.wp.lam,
-            clip=True)
-    wp_norm = lp_norm(w_p.slices[0], 2)
-    stream_defect = lp_norm(w_p.slices[0] + w_c.slices[0] - perp_grad(stream), 2)
+            analyze(grid, a * e.values()), lattice_vector(k.five_k, toy.wp.lam // 5),
+            1.0 / toy.wp.lam, clip=True)
+    wp_norm = lp_norm(w_p, 2)
+    stream_defect = lp_norm(w_p + w_c - perp_grad(stream), 2)
     div_defect = max(
-        lp_norm(divergence(w_p.slices[0] + w_c.slices[0]), 2) / wp_norm,
-        lp_norm(divergence(w_t.slices[0]), 2) / max(lp_norm(w_t.slices[0], 2), 1e-300),
-        lp_norm(divergence(w_c.slices[0] + w_p.slices[0]), 2) / wp_norm)
+        lp_norm(divergence(w_p + w_c), 2) / wp_norm,
+        lp_norm(divergence(w_t), 2) / max(lp_norm(w_t, 2), 1e-300),
+        lp_norm(divergence(w_c + w_p), 2) / wp_norm)
     ok = stream_defect <= 1e-10 * wp_norm and div_defect <= 1e-10
     _verdict(7, ok, f"stream defect {stream_defect:.2e} vs |w_p| {wp_norm:.2f}; "
                     f"divergence defect {div_defect:.2e}")
@@ -252,17 +252,17 @@ def test_criterion_08_oscillation_cancellation(endtoend):
     run = endtoend
     toy = run["toy"]
     grid = run["grid"]
-    n = grid.n
-    i, R_sub, cut_sub = _plateau_subtrack(run)
-    a_map = coefficients(R_sub, cut_sub, toy.a_const, toy.eps_next)
-    rv = R_sub.slices[0].values(n)
+    i, t, a_slice, _ = _plateau_node(run)
+    rv = run["moll"].R_ls.slices[i].values(grid.n)
     acc11, acc12 = rv[0].copy(), rv[1].copy()
     for k in positive_directions():
-        w, _ = intermittent_flow(k, toy.wp, float(R_sub.times[0]), grid)
-        wm, _ = intermittent_flow(k.antipode, toy.wp, float(R_sub.times[0]), grid)
-        t = tracefree_product(w, wm)
-        m11, m12 = mean(t.t11).real, mean(t.t12).real
-        a = a_map[k].slices[0].values(n)[0]
+        w, _ = intermittent_flow(k, toy.wp, t, grid)
+        wm, _ = intermittent_flow(k.antipode, toy.wp, t, grid)
+        # means of the t11, t12 entries of w x wm
+        (w1, w2), (m1, m2) = ([u.component(j) for j in (0, 1)] for u in (w, wm))
+        m11 = 0.5 * mean(multiply(w1, m1)).real - 0.5 * mean(multiply(w2, m2)).real
+        m12 = mean(multiply(w1, m2)).real
+        a = a_slice[k][0]
         acc11 += 2.0 * a * a * m11
         acc12 += 2.0 * a * a * m12
     err = float(np.max(np.hypot(acc11, acc12)))

@@ -1,0 +1,40 @@
+"""The benchmark tracer's layer targets must resolve in ci2d.
+
+`bench/tracer.py` looks every `LAYER_TARGETS` entry up by name, so a
+deleted or renamed function would crash a traced benchmark run.  The
+tracer is executed from its source (no bytecode is written next to it),
+installed and uninstalled, and every patched reference must come back.
+"""
+
+import types
+from pathlib import Path
+
+import numpy as np
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    mod = types.ModuleType("ci2d_bench_tracer")
+    mod.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), mod.__dict__)
+    return mod
+
+
+def test_tracer_targets_resolve_and_restore():
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    fft2 = np.fft.fft2
+    try:
+        tracer.install()
+        patches = list(tracer._patches)
+        assert patches
+        wrapped = {attr.split(".")[-1] for _, attr, _ in tracer_mod.LAYER_TARGETS}
+        assert wrapped <= {attr for _, attr, _ in patches}
+        for owner, attr, original in patches:
+            assert vars(owner)[attr] is not original, (owner, attr)
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patches:
+        assert vars(owner)[attr] is original, (owner, attr)
+    assert np.fft.fft2 is fft2

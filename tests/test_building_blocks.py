@@ -112,12 +112,14 @@ def test_flow_shell_and_mean_tensor():
     rad, mag2 = w.mode_magnitudes()
     outside = mag2[(rad < wp.lam / 2) | (rad > 2 * wp.lam)].sum()
     assert outside <= 1e-12 * mag2.sum()
-    # mean of w x w(antipode) equals -(k x k), through eta^2 having mean 1
-    from ci2d import tracefree_product
+    # mean of w x w(antipode) equals -(k x k), through eta^2 having mean 1;
+    # the entries of the full display are formed with multiply
+    from ci2d import multiply, tracefree_product
     wm, _ = intermittent_flow(k.antipode, wp, 0.37, g)
-    t = tracefree_product(w, wm)
-    got = np.array([[mean(t.t11).real, mean(t.t12).real],
-                    [mean(t.t21).real, -mean(t.t11).real]])
+    (w1, w2), (m1, m2) = ([u.component(j) for j in (0, 1)] for u in (w, wm))
+    avg = lambda a, b: mean(multiply(a, b)).real
+    t11 = 0.5 * avg(w1, m1) - 0.5 * avg(w2, m2)
+    got = np.array([[t11, avg(w1, m2)], [avg(w2, m1), -t11]])
     assert np.max(np.abs(got + tracefree_product(k.k, k.k))) < 1e-12
 
 

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
-                  anti_divergence, coefficients, divergence, frac_laplacian,
-                  helmholtz, init_state, iterate_step, lp_norm, make_grid,
-                  mean, mollify, nsr_residual, perturbations, project,
-                  random_field, temporal_cutoff, tf_square, toy_params)
-from ci2d.ci_step import fd6_channel, support_mask
+                  anti_divergence, divergence, frac_laplacian, helmholtz,
+                  init_state, iterate_step, lp_norm, make_grid, mean, mollify,
+                  nsr_residual, project, random_field, temporal_cutoff,
+                  tf_square, toy_params)
+from ci2d.ci_step import (_coefficient_slice, _perturbation_slice, _wave_slice,
+                          fd6_channel, support_mask)
 from ci2d.errors import PaddingError
 from ci2d.fourier_calculus import FreqBand
 from ci2d.generators import bump_profile, time_grid, zero_track
 from ci2d.mollifier import bump2_hat
 from ci2d.building_blocks import positive_directions
+from ci2d.stress_geometry import default_ramp
 
 GRID = make_grid(128)
 TIMES = time_grid(1.0, 0.1, 17)
@@ -35,6 +37,20 @@ def small_toy(**kw):
     return toy_params(args["lam"], args["sigma_inv"], args["r"], args["mu"],
                       args["ell"], args["theta"], args["nu"],
                       a_const=args["a_const"], eps_next=args["eps_next"])
+
+
+def _node(R_ls, cut, toy, i):
+    """Coefficients {k: (a, da)} and perturbation slice at node i, built by
+    the calls iterate_step makes."""
+    grid = R_ls.grid
+    rv = R_ls.slices[i].values(grid.n)
+    drv = R_ls.dslices[i].values(grid.n)
+    a_slice = _coefficient_slice(grid, rv[0], rv[1], drv[0], drv[1],
+                                 float(cut.values[i]), float(cut.dvalues[i]),
+                                 toy.a_const, toy.eps_next, default_ramp())
+    waves = {k: _wave_slice(k, toy.wp, float(R_ls.times[i]), grid)
+             for k in positive_directions()}
+    return a_slice, _perturbation_slice(grid, toy.wp, a_slice, waves)
 
 
 # -- initialization -----------------------------------------------------------
@@ -190,24 +206,25 @@ def test_cutoff_slope_scales_with_ell():
 # -- coefficients --------------------------------------------------------------
 
 def test_coefficients_flat_stress_is_isotropic():
-    state = small_state(amplitude=0.0)
-    grid = state.grid
+    grid = GRID
     chi, dchi, _ = bump_profile(TIMES, 0.5, 0.25)
     z = SpectralField.zeros(grid, "symtensor")
     R_ls = TimeTrack(TIMES, [z] * TIMES.size, [z] * TIMES.size)
     cut_track = TimeTrack(TIMES, [float(c) * anti_divergence(
         random_field(grid, "vector", 2, seed=4)) for c in chi])
     cut = temporal_cutoff(fd6_channel(cut_track), 0.05)
-    a_map = coefficients(R_ls, cut, 5.0, 0.04)
-    ks = positive_directions()
     i = int(np.argmax(cut.values))
-    ref = a_map[ks[0]].slices[i]
-    from ci2d.stress_geometry import W11, W12, default_ramp
+    a_slice, _ = _node(R_ls, cut, small_toy(), i)
+    # one coefficient per positive direction; the step uses it for the
+    # antipode as well
+    ks = positive_directions()
+    assert list(a_slice) == ks
+    ref = a_slice[ks[0]][0]
+    from ci2d.stress_geometry import W11, W12
     expected = np.sqrt(5.0 * 0.04) * np.sqrt((W11 + W12) * default_ramp().value_at_zero())
-    assert lp_norm(ref, np.inf) == pytest.approx(expected, rel=1e-12)
+    assert np.max(np.abs(ref)) == pytest.approx(expected, rel=1e-12)
     for k in ks[1:]:
-        assert lp_norm(a_map[k].slices[i] - ref, np.inf) < 1e-12
-        assert a_map[k.antipode] is a_map[k]
+        assert np.max(np.abs(a_slice[k][0] - ref)) < 1e-12
 
 
 def test_coefficient_size_tracks_amplitude_constants():
@@ -219,52 +236,36 @@ def test_coefficient_size_tracks_amplitude_constants():
     toy = small_toy()
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R_ls, toy.ell)
-    a_map = coefficients(moll.R_ls, cut, toy.a_const, toy.eps_next)
     n = state.grid.n
+    cell = state.grid.cell_measure
     ae = toy.a_const * toy.eps_next
-    for k in positive_directions():
-        for i in range(len(moll.R_ls)):
-            lhs = lp_norm(a_map[k].slices[i], 2) ** 2
-            rv = moll.R_ls.slices[i].values(n)
-            budget = ae * (W11 + W12) * (
-                np.sum(np.hypot(rv[0], rv[1])) * state.grid.cell_measure / ae
-                + 2.0 * (2 * np.pi) ** 2)
+    for i in range(len(moll.R_ls)):
+        a_slice, _ = _node(moll.R_ls, cut, toy, i)
+        rv = moll.R_ls.slices[i].values(n)
+        budget = ae * (W11 + W12) * (
+            np.sum(np.hypot(rv[0], rv[1])) * cell / ae + 2.0 * (2 * np.pi) ** 2)
+        for k in positive_directions():
+            lhs = np.sum(a_slice[k][0] ** 2) * cell
             assert lhs <= budget * (1 + 1e-9)
 
 
 def test_coefficient_cancellation_on_plateau():
     # the cancellation is an algebraic identity of the weights; it holds
-    # to round-off for the operative coefficient values, while projecting
-    # them into the band-limited store costs only spectral-tail dust
+    # to round-off for the coefficient values the step uses
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R_ls, toy.ell)
-    a_map = coefficients(moll.R_ls, cut, toy.a_const, toy.eps_next)
     plateau = np.where(cut.plateau_mask())[0]
     i = int(plateau[len(plateau) // 2])
-    n = state.grid.n
-    rv = moll.R_ls.slices[i].values(n)
-    scale = np.max(np.abs(rv))
-    from ci2d.stress_geometry import gamma_squared_grid
-
-    def defect(avals_for):
-        acc11, acc12 = rv[0].copy(), rv[1].copy()
-        for k in positive_directions():
-            a = avals_for(k)
-            t11 = 0.5 * (k.k[0] ** 2 - k.k[1] ** 2)
-            t12 = k.k[0] * k.k[1]
-            acc11 -= 2.0 * a * a * t11
-            acc12 -= 2.0 * a * a * t12
-        return np.max(np.hypot(acc11, acc12))
-
-    inv = 1.0 / (toy.a_const * toy.eps_next)
-    operative = defect(lambda k: np.sqrt(
-        toy.a_const * toy.eps_next * gamma_squared_grid(k, rv[0] * inv, rv[1] * inv))
-        * cut.values[i])
-    assert operative <= 1e-8 * scale
-    projected = defect(lambda k: a_map[k].slices[i].values(n)[0])
-    assert projected <= 1e-6 * scale
+    a_slice, _ = _node(moll.R_ls, cut, toy, i)
+    rv = moll.R_ls.slices[i].values(state.grid.n)
+    acc11, acc12 = rv[0].copy(), rv[1].copy()
+    for k in positive_directions():
+        a = a_slice[k][0]
+        acc11 -= 2.0 * a * a * 0.5 * (k.k[0] ** 2 - k.k[1] ** 2)
+        acc12 -= 2.0 * a * a * k.k[0] * k.k[1]
+    assert np.max(np.hypot(acc11, acc12)) <= 1e-8 * np.max(np.abs(rv))
 
 
 # -- perturbations -------------------------------------------------------------
@@ -282,8 +283,7 @@ def _perturbation_setup(amplitude=0.05, lam=50, sigma_inv=10, n=256):
     toy = small_toy(lam=lam, sigma_inv=sigma_inv, mu=5)
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R_ls, toy.ell)
-    a_map = coefficients(moll.R_ls, cut, toy.a_const, toy.eps_next)
-    return state, toy, moll, cut, a_map
+    return state, toy, moll, cut
 
 
 def test_perturbations_vanish_without_cutoff():
@@ -291,43 +291,42 @@ def test_perturbations_vanish_without_cutoff():
     toy = small_toy()
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R_ls, toy.ell)
-    a_map = coefficients(moll.R_ls, cut, toy.a_const, toy.eps_next)
-    w_p, w_c, w_t = perturbations(a_map, toy.wp)
-    assert all(lp_norm(s, 2) == 0.0 for tr in (w_p, w_c, w_t) for s in tr.slices)
+    assert np.all(cut.values == 0.0) and np.all(cut.dvalues == 0.0)
+    for i in range(len(TIMES)):
+        _, pert = _node(moll.R_ls, cut, toy, i)
+        assert all(lp_norm(pert[name], 2) == 0.0 for name in ("w_p", "w_c", "w_t"))
 
 
 def test_stream_identity_and_solenoidality():
-    from ci2d import multiply, multiply_mode, perp_grad
+    from ci2d import analyze, multiply_mode, perp_grad
     from ci2d.building_blocks import eta, lattice_vector
-    state, toy, moll, cut, a_map = _perturbation_setup()
-    w_p, w_c, w_t = perturbations(a_map, toy.wp)
+    state, toy, moll, cut = _perturbation_setup()
     i = int(np.argmax(cut.values))
+    a_slice, pert = _node(moll.R_ls, cut, toy, i)
+    w_p, w_c, w_t = pert["w_p"], pert["w_c"], pert["w_t"]
     grid = state.grid
-    # rebuild the potential from the public pieces
+    # rebuild the potential from the public pieces, one mode shift per
+    # direction and sign
     stream = SpectralField.zeros(grid, "scalar", reality=False)
     for k in positive_directions():
+        e, _ = eta(k, toy.wp, float(TIMES[i]), grid)
+        prod = analyze(grid, a_slice[k][0] * e.values())
         for kk in (k, k.antipode):
-            e, _ = eta(kk, toy.wp, float(TIMES[i]), grid)
-            prod = multiply(a_map[kk].slices[i], e, allow_interpolant=True)
             psi_mode = lattice_vector(kk.five_k, toy.wp.lam // 5)
             stream = stream + multiply_mode(prod, psi_mode, 1.0 / toy.wp.lam, clip=True)
-    lhs = w_p.slices[i] + w_c.slices[i] - perp_grad(stream)
-    assert lp_norm(lhs, 2) <= 1e-10 * lp_norm(w_p.slices[i], 2)
-    for tr in (w_p, w_c):
-        pair = tr.slices[i] + (w_c.slices[i] if tr is w_p else w_p.slices[i])
-    assert lp_norm(divergence(w_p.slices[i] + w_c.slices[i]), 2) \
-        <= 1e-10 * lp_norm(w_p.slices[i], 2)
-    assert lp_norm(divergence(w_t.slices[i]), 2) <= 1e-10 * max(lp_norm(w_t.slices[i], 2), 1e-300)
-    assert np.isrealobj(w_p.slices[i].values())
+    lhs = w_p + w_c - perp_grad(stream)
+    assert lp_norm(lhs, 2) <= 1e-10 * lp_norm(w_p, 2)
+    assert lp_norm(divergence(w_p + w_c), 2) <= 1e-10 * lp_norm(w_p, 2)
+    assert lp_norm(divergence(w_t), 2) <= 1e-10 * max(lp_norm(w_t, 2), 1e-300)
+    assert np.isrealobj(w_p.values())
 
 
 def test_corrector_sizes_at_inductive_stress():
     # with the stress at its inductive size the principal wave dominates
-    state, toy, moll, cut, a_map = _perturbation_setup(amplitude=0.05)
-    w_p, w_c, w_t = perturbations(a_map, toy.wp)
-    i = int(np.argmax(cut.values))
-    assert lp_norm(w_c.slices[i], 2) < lp_norm(w_p.slices[i], 2)
-    assert lp_norm(w_t.slices[i], 2) < lp_norm(w_p.slices[i], 2)
+    state, toy, moll, cut = _perturbation_setup(amplitude=0.05)
+    _, pert = _node(moll.R_ls, cut, toy, int(np.argmax(cut.values)))
+    assert lp_norm(pert["w_c"], 2) < lp_norm(pert["w_p"], 2)
+    assert lp_norm(pert["w_t"], 2) < lp_norm(pert["w_p"], 2)
 
 
 def test_perturbation_scaling_probes_across_doubling():
@@ -335,28 +334,31 @@ def test_perturbation_scaling_probes_across_doubling():
     # band when the frequency doubles (at fixed lambda*sigma)
     ratios = {}
     for lam, sig in ((50, 10), (100, 20)):
-        state, toy, moll, cut, a_map = _perturbation_setup(lam=lam, sigma_inv=sig)
-        w_p, w_c, w_t = perturbations(a_map, toy.wp)
-        i = int(np.argmax(cut.values))
+        state, toy, moll, cut = _perturbation_setup(lam=lam, sigma_inv=sig)
+        _, pert = _node(moll.R_ls, cut, toy, int(np.argmax(cut.values)))
         s = 1.0 / sig
         ell = toy.ell
         preds = {
             "w_p": np.sqrt(toy.a_const * toy.eps_next) + ell ** -2 / np.sqrt(lam * s),
             "w_ct": ell ** -4 * (s + 1.0 / toy.wp.mu) * toy.wp.r,
         }
-        ratios.setdefault("w_p", []).append(lp_norm(w_p.slices[i], 2) / preds["w_p"])
+        ratios.setdefault("w_p", []).append(lp_norm(pert["w_p"], 2) / preds["w_p"])
         ratios.setdefault("w_ct", []).append(
-            (lp_norm(w_c.slices[i], 2) + lp_norm(w_t.slices[i], 2)) / preds["w_ct"])
+            (lp_norm(pert["w_c"], 2) + lp_norm(pert["w_t"], 2)) / preds["w_ct"])
     for key, (a, b) in ratios.items():
         assert 0.25 < b / a < 4.0, key
 
 
 def test_perturbation_support_inside_cutoff():
-    state, toy, moll, cut, a_map = _perturbation_setup()
-    w_p, w_c, w_t = perturbations(a_map, toy.wp)
-    for tr in (w_p, w_c, w_t):
-        norms = tr.slice_norms("l2")
-        assert np.all(norms[cut.values == 0.0] == 0.0)
+    # wherever the switch and its derivative vanish, the node path builds
+    # no perturbation
+    state, toy, moll, cut = _perturbation_setup()
+    off = np.where((cut.values == 0.0) & (cut.dvalues == 0.0))[0]
+    assert off.size and off.size < len(TIMES)
+    for i in off:
+        _, pert = _node(moll.R_ls, cut, toy, int(i))
+        for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"):
+            assert lp_norm(pert[name], 2) == 0.0, (i, name)
 
 
 # -- assembly and residual ------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from ci2d import (FreqBand, RankError, SpectralField, anti_divergence,
                   cn_norm, divergence, frac_laplacian, helmholtz, inv_grad,
                   lp_norm, make_grid, mean, multiply, project, random_field,
-                  tracefree_product)
+                  sym_tracefree_product, tf_square, tracefree_product)
 from ci2d.building_blocks import (WaveParams, directions, intermittent_flow,
                                   positive_directions)
 from ci2d.errors import ConfigError
@@ -127,14 +127,36 @@ def test_tracefree_product_fields_and_symmetry():
     g = make_grid(64)
     f = random_field(g, "vector", 10, seed=3)
     h = random_field(g, "vector", 10, seed=4)
-    t = tracefree_product(f, h)
-    sym = tracefree_product(f, h) + tracefree_product(h, f)
-    st = sym.as_symtensor()
+    (f1, f2), (h1, h2) = ([u.component(j) for j in (0, 1)] for u in (f, h))
+    st = sym_tracefree_product(f, h)
     assert st.rank == "symtensor"
-    with pytest.raises(ConfigError):
-        t.as_symtensor(rtol=1e-14)
+    # entries of f x h + h x f, trace-free: (f1 h1 - f2 h2, f1 h2 + f2 h1)
+    assert lp_norm(st.component(0) - (multiply(f1, h1) - multiply(f2, h2)), 2) \
+        <= 1e-14 * lp_norm(st, 2)
+    assert lp_norm(st.component(1) - (multiply(f1, h2) + multiply(f2, h1)), 2) \
+        <= 1e-14 * lp_norm(st, 2)
+    # f x h alone is not symmetric: its off-diagonal entries differ
+    asym = lp_norm(multiply(f1, h2) - multiply(f2, h1), np.inf)
+    assert asym > 1e-3 * lp_norm(st, np.inf)
     with pytest.raises(RankError):
         tracefree_product(f, (1.0, 0.0))
+    with pytest.raises(RankError):
+        sym_tracefree_product(f, f.component(0))
+
+
+def test_square_and_symmetric_product_identities():
+    g = make_grid(64)
+    f = random_field(g, "vector", 15, seed=41)
+    h = random_field(g, "vector", 15, seed=42)
+    sq = tf_square(f)
+    half = 0.5 * sym_tracefree_product(f, f)
+    assert np.max(np.abs(sq.coeffs - half.coeffs)) <= 1e-15 * np.max(np.abs(sq.coeffs))
+    fh, hf = sym_tracefree_product(f, h), sym_tracefree_product(h, f)
+    assert np.max(np.abs(fh.coeffs - hf.coeffs)) <= 1e-15 * np.max(np.abs(fh.coeffs))
+    # the square through the general branch (a distinct but equal operand)
+    twin = SpectralField(g, "vector", f.coeffs, True)
+    general = 0.5 * sym_tracefree_product(f, twin)
+    assert np.max(np.abs(sq.coeffs - general.coeffs)) <= 1e-15 * np.max(np.abs(sq.coeffs))
 
 
 def test_product_estimate_fitted_constant():

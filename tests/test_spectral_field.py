@@ -1,10 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ci2d import (AliasingRisk, ConfigError, RankError, SpectralField,
                   TimeTrack, analyze, cn_norm, derive, divergence, l1_norm,
-                  lp_norm, make_grid, mean, multiply, perp_grad, random_field,
-                  synthesize)
+                  lp_norm, make_grid, mean, multiply, perp_grad, random_field)
 from ci2d.building_blocks import dirichlet_kernel
 from ci2d.spectral_field import BAND_RTOL, multiply_mode, pointwise_magnitude
 
@@ -25,13 +26,13 @@ def test_single_mode_synthesis_is_cosine():
     g = make_grid(8)
     f = SpectralField.from_modes(g, "scalar", {(1, 0): 0.5, (-1, 0): 0.5})
     x = g.nodes()
-    assert np.max(np.abs(synthesize(f)[0] - np.cos(x)[:, None])) < 1e-14
+    assert np.max(np.abs(f.values()[0] - np.cos(x)[:, None])) < 1e-14
 
 
 def test_roundtrip_identity_below_nyquist():
     g = make_grid(64)
     f = random_field(g, "vector", 25, seed=0)
-    back = analyze(g, synthesize(f), "vector")
+    back = analyze(g, f.values(), "vector")
     diff = lp_norm(back - f, np.inf)
     assert diff < 1e-12
 
@@ -124,6 +125,19 @@ def test_cn_norm_grid_sup():
     cosx = SpectralField.from_modes(g, "scalar", {(1, 0): 0.5, (-1, 0): 0.5})
     assert abs(cn_norm(cosx, 1) - 1.0) < 1e-3
     assert abs(cn_norm(cosx, 0) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations((1, 1.5, np.inf))))
+def test_cached_sup_matches_fresh_magnitude(order):
+    # the sup a field caches from any grid norm is the fresh grid max
+    g = make_grid(64)
+    for rank, seed in (("vector", 31), ("symtensor", 32)):
+        f = random_field(g, rank, 20, seed=seed)
+        fresh = float(pointwise_magnitude(random_field(g, rank, 20, seed=seed)).max())
+        got = {p: l1_norm(f) if p == 1 else lp_norm(f, p) for p in order}
+        assert got[np.inf] == fresh
+        assert lp_norm(f, np.inf) == fresh
+        assert cn_norm(f, 0) == fresh
 
 
 def test_mean_is_zero_mode():
@@ -243,6 +257,18 @@ def test_multiply_mode_guard_threshold(small, raises):
         _assert_matches_oracle(got, f, (2, 0), 1.0)
         assert got.coeff((2, 0))[0] == 1.0
     _assert_matches_oracle(multiply_mode(f, (2, 0), 1.0, clip=True), f, (2, 0), 1.0)
+
+
+@pytest.mark.parametrize("clip", [False, True])
+def test_multiply_mode_moves_sub_threshold_modes(clip):
+    # the weak mode (20, 0) lies outside the measured band (1) but inside
+    # the storage (64); the shift takes it to (45, 0), not a wrapped (-19, 0)
+    g = make_grid(128)
+    f = SpectralField.from_modes(g, "scalar", {(1, 0): 1.0, (20, 0): 5e-14}, reality=False)
+    assert f.band() == 1 and f.storage == 64
+    got = multiply_mode(f, (25, 0), 1.0, clip=clip)
+    _assert_matches_oracle(got, f, (25, 0), 1.0)
+    assert got.coeff((45, 0))[0] == 5e-14 and got.coeff((-19, 0))[0] == 0.0
 
 
 def test_multiply_mode_vector_amplitude_promotes_rank():
