@@ -68,10 +68,12 @@ def _reality(cfg):
     f = random_field(g, "scalar", 20, seed=3)
     unflagged = SpectralField(g, "scalar", f.coeffs, reality=False)
     vals = unflagged.values()
+    scale = np.max(np.abs(vals))
     err = np.max(np.abs(vals.imag))
-    ok = err <= 1e-12 * np.max(np.abs(vals))
-    ok &= np.isrealobj(f.values())
-    return bool(ok), f"imag residue {err:.2e}"
+    real_vals = f.values()
+    gap = np.max(np.abs(real_vals - vals.real))
+    ok = err <= 1e-12 * scale and gap <= 1e-12 * scale and np.isrealobj(real_vals)
+    return bool(ok), f"imag residue {err:.2e}, real synthesis gap {gap:.2e}"
 
 
 @check("field.div_perp_grad_zero")

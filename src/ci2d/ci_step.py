@@ -32,8 +32,8 @@ from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
 from .mollifier import (TemporalKernel, check_padding, smoothstep,
                         smoothstep_prime, spatial_mollify)
 from .param_schedule import ToyParams
-from .spectral_field import (Grid2, SpectralField, TimeTrack, _embed,
-                             _quadrature_norm, analyze, derive, divergence,
+from .spectral_field import (Grid2, SpectralField, TimeTrack, _quadrature_norm,
+                             _resize, analyze, derive, divergence,
                              lp_norm, mean, multiply, perp_grad,
                              pointwise_magnitude, shift_modes)
 from .stress_geometry import (RampProfile, default_ramp, gamma_squared_grid,
@@ -94,7 +94,7 @@ def fd6_channel(track: TimeTrack) -> TimeTrack:
         acc = np.zeros((window[0].ncomp, m, m), dtype=complex)
         for c, s in zip(coefs, window):
             if c != 0.0:
-                acc += c * _embed(s.coeffs, m)
+                acc += c * _resize(s.coeffs, m)
         dsl.append(SpectralField(track.grid, track.rank, acc, track.slices[0].reality))
     return TimeTrack(track.times, track.slices, dsl)
 
@@ -350,7 +350,7 @@ def _wave_slice(k: Direction, wp: WaveParams, t: float, grid: Grid2):
     eta2 = multiply(f, f)
     nonzero = FreqBand.nonzero()
     return {
-        "eta": f,
+        "eta": f, "eta2": eta2,
         "eta_vals": f.values(grid.n), "deta_vals": df.values(grid.n),
         "eta2_mean": float(mean(eta2).real),
         "p_eta2_vals": project(eta2, nonzero).values(grid.n),
@@ -382,12 +382,12 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
         P = analyze(grid, a * wav["eta_vals"])
         dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
         m = max(P.storage, dP.storage)
-        stack = np.concatenate([_embed(c, m) for c in
+        stack = np.concatenate([_resize(c, m) for c in
                                 (P.coeffs, dP.coeffs, perp_grad(P).coeffs, perp_grad(dP).coeffs)])
         xi = lattice_vector(k.five_k, lam // 5)
         for shift, sign in ((xi, 1.0), ((-xi[0], -xi[1]), -1.0)):
             sh, _, frac = shift_modes(stack, shift, n)
-            sh = _embed(sh, n)
+            sh = _resize(sh, n)
             clipped = max(clipped, frac)
             amp_b = (sign * 1j * k.k_perp)[:, None, None]
             w_p += amp_b * sh[0]
@@ -400,8 +400,8 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
         dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
         moments[k] = (m_f, dm_f)
         kv = k.k[:, None, None]
-        carrier[:2] += _embed(m_f.coeffs, n) * kv
-        carrier[2:] += _embed(dm_f.coeffs, n) * kv
+        carrier[:2] += _resize(m_f.coeffs, n) * kv
+        carrier[2:] += _resize(dm_f.coeffs, n) * kv
     fac = 2.0 / wp.mu
     nonzero = FreqBand.nonzero()
     w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2], True), nonzero))
@@ -441,19 +441,21 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     combinations (+-k, +-k'); on the diagonal only (k, k) and (-k, -k)
     enter, at weight 1/2, because antipodal pairs are skipped.  The
     shifted and projected spectra of a pair are summed before one
-    synthesis.  Returns the corrector and the largest energy share a
-    clipped shift dropped.
+    synthesis; the sign combinations shift a real product by conjugate
+    vectors, so that sum is Hermitian and is synthesized as real.
+    Returns the corrector and the largest energy share a clipped shift
+    dropped.
     """
     n = grid.n
     step = wp.lam // 5
     half_shell = FreqBand.at_least(wp.lam_sigma / 2.0)
     dirs = positive_directions()
-    accum = np.zeros((n, n), dtype=complex)
+    accum = np.zeros((n, n))
     clipped = 0.0
     for i, k in enumerate(dirs):
         for j in range(i, len(dirs)):
             kp = dirs[j]
-            fast = multiply(waves[k]["eta"], waves[kp]["eta"])
+            fast = waves[k]["eta2"] if j == i else multiply(waves[k]["eta"], waves[kp]["eta"])
             signs = ((1, 1, 0.5), (-1, -1, 0.5)) if j == i else \
                 ((1, 1, 1.0), (1, -1, 1.0), (-1, 1, 1.0), (-1, -1, 1.0))
             spec = np.zeros((1, n, n), dtype=complex)
@@ -462,10 +464,10 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
                          step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
                 sh, _, frac = shift_modes(fast.coeffs, shift, n)
                 clipped = max(clipped, frac)
-                spec += weight * _embed(sh, n)
-            pair = project(SpectralField(grid, "scalar", spec, False, _trim=False), half_shell)
+                spec += weight * _resize(sh, n)
+            pair = project(SpectralField(grid, "scalar", spec, True, _trim=False), half_shell)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * pair.values(n)[0]
-    p1 = analyze(grid, accum, reality=False)
+    p1 = analyze(grid, accum)
     # diagonal transport part
     p2 = SpectralField.zeros(grid, "scalar")
     for k in dirs:

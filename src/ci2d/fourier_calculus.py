@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankError
-from .spectral_field import SpectralField, _embed, _wavenumbers, multiply
+from .spectral_field import SpectralField, _resize, _wavenumbers, multiply
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def sym_tracefree_product(f: SpectralField, g: SpectralField, *,
         t11 = p(f1, g1) - p(f2, g2)
         t12 = p(f1, g2) + p(f2, g1)
     m = max(t11.storage, t12.storage)
-    arr = np.stack([_embed(t11.coeffs[0], m), _embed(t12.coeffs[0], m)])
+    arr = np.stack([_resize(t11.coeffs[0], m), _resize(t12.coeffs[0], m)])
     return SpectralField(f.grid, "symtensor", arr, t11.reality and t12.reality)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import j0
 
 from .errors import PaddingError
-from .spectral_field import SpectralField, _embed, _wavenumbers
+from .spectral_field import SpectralField, _resize, _wavenumbers
 
 
 def bump1(s: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ class TemporalKernel:
         m = max(slices[j].storage for j in jj)
         acc = np.zeros((slices[jj[0]].ncomp, m, m), dtype=complex)
         for j, w in zip(jj, ww):
-            acc += w * _embed(slices[j].coeffs, m)
+            acc += w * _resize(slices[j].coeffs, m)
         s0 = slices[jj[0]]
         return SpectralField(s0.grid, s0.rank, acc, s0.reality)
 

@@ -16,7 +16,10 @@ Conventions fixed here and relied on everywhere else:
 
 Coefficient arrays may be stored on a smaller internal FFT size than the
 logical grid; zero-padding between sizes is exact, so this is purely a
-memory optimization.
+memory optimization.  Transforms run through scipy.fft.  A field flagged
+real is synthesized from its xi_2 >= 0 half spectrum alone, so any
+anti-Hermitian remainder that `as_real` tolerated is dropped; real samples
+are analyzed by a real transform and the xi_2 < 0 half is mirrored.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import AliasingRisk, ConfigError, RankError
 
@@ -68,22 +72,25 @@ def _fft_size(band: int) -> int:
 
 
 def _wavenumbers(m: int) -> np.ndarray:
-    return np.fft.fftfreq(m, 1.0 / m).astype(np.int64)
+    return sfft.fftfreq(m, 1.0 / m).astype(np.int64)
 
 
-def _embed(coeffs: np.ndarray, m_new: int) -> np.ndarray:
-    """Zero-pad (or validate same-size) FFT-layout coefficients to m_new."""
+def _resize(coeffs: np.ndarray, m_new: int, half: bool = False) -> np.ndarray:
+    """FFT-layout coefficients on storage m_new: zero-padded when larger,
+    cut to |xi_i| <= m_new/2 - 1 when smaller (the band must fit there).
+    half=True keeps the xi_2 >= 0 columns, a real inverse transform's input."""
     m = coeffs.shape[-1]
-    if m_new == m:
+    if m_new == m and not half:
         return coeffs
-    if m_new < m:
-        raise ValueError("embedding target smaller than source")
-    out = np.zeros(coeffs.shape[:-2] + (m_new, m_new), dtype=complex)
-    h = m // 2
+    h = min(m, m_new) // 2
+    lo = h if m <= m_new else h - 1       # negative modes kept per axis
+    out = np.zeros(coeffs.shape[:-2] + (m_new, m_new // 2 + 1 if half else m_new),
+                   dtype=complex)
     out[..., :h, :h] = coeffs[..., :h, :h]
-    out[..., :h, m_new - h:] = coeffs[..., :h, h:]
-    out[..., m_new - h:, :h] = coeffs[..., h:, :h]
-    out[..., m_new - h:, m_new - h:] = coeffs[..., h:, h:]
+    out[..., m_new - lo:, :h] = coeffs[..., m - lo:, :h]
+    if not half:
+        out[..., :h, m_new - lo:] = coeffs[..., :h, m - lo:]
+        out[..., m_new - lo:, m_new - lo:] = coeffs[..., m - lo:, m - lo:]
     return out
 
 
@@ -138,18 +145,9 @@ class SpectralField:
         return cls(grid, rank, arr, reality, _trim=False)
 
     def _trimmed(self, coeffs: np.ndarray) -> np.ndarray:
-        band = _measure_band(coeffs)
-        self._band = band
-        m_opt = min(_fft_size(band), self.grid.n)
-        m = coeffs.shape[-1]
-        if m_opt >= m:
-            return coeffs
-        ks = _wavenumbers(m)
-        keep = np.abs(ks) <= m_opt // 2 - 1
-        out = np.zeros(coeffs.shape[:-2] + (m_opt, m_opt), dtype=complex)
-        sel1 = ks[keep] % m_opt
-        out[..., sel1[:, None], sel1[None, :]] = coeffs[..., keep, :][..., :, keep]
-        return out
+        self._band = _measure_band(coeffs)
+        m_opt = min(_fft_size(self._band), self.grid.n)
+        return _resize(coeffs, m_opt) if m_opt < coeffs.shape[-1] else coeffs
 
     # -- basic queries -------------------------------------------------
 
@@ -190,24 +188,11 @@ class SpectralField:
     def values(self, n: int | None = None) -> np.ndarray:
         """Physical samples on the n-by-n grid (real array when reality)."""
         n = self.grid.n if n is None else n
-        if n < self.storage:
-            if self.band() > n // 2 - 1:
-                raise AliasingRisk("requested grid coarser than the stored band")
-            ks = _wavenumbers(self.storage)
-            keep = np.abs(ks) <= n // 2 - 1
-            sel = ks[keep] % n
-            small = np.zeros(self.coeffs.shape[:-2] + (n, n), dtype=complex)
-            small[..., sel[:, None], sel[None, :]] = \
-                self.coeffs[..., keep, :][..., :, keep]
-            vals = np.fft.ifft2(small, axes=(-2, -1)) * (n * n)
-            if self.reality:
-                return np.ascontiguousarray(vals.real)
-            return vals
-        big = _embed(self.coeffs, n)
-        vals = np.fft.ifft2(big, axes=(-2, -1)) * (n * n)
+        if n < self.storage and self.band() > n // 2 - 1:
+            raise AliasingRisk("requested grid coarser than the stored band")
         if self.reality:
-            return np.ascontiguousarray(vals.real)
-        return vals
+            return sfft.irfft2(_resize(self.coeffs, n, half=True), s=(n, n), norm="forward")
+        return sfft.ifft2(_resize(self.coeffs, n), norm="forward")
 
     # -- algebra ---------------------------------------------------------
 
@@ -221,14 +206,14 @@ class SpectralField:
         self._binary_check(other)
         m = max(self.storage, other.storage)
         return SpectralField(self.grid, self.rank,
-                             _embed(self.coeffs, m) + _embed(other.coeffs, m),
+                             _resize(self.coeffs, m) + _resize(other.coeffs, m),
                              self.reality and other.reality)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._binary_check(other)
         m = max(self.storage, other.storage)
         return SpectralField(self.grid, self.rank,
-                             _embed(self.coeffs, m) - _embed(other.coeffs, m),
+                             _resize(self.coeffs, m) - _resize(other.coeffs, m),
                              self.reality and other.reality)
 
     def __mul__(self, c) -> "SpectralField":
@@ -256,12 +241,9 @@ def _measure_band(coeffs: np.ndarray) -> int:
     cmax = mag.max()
     if cmax == 0.0:
         return 0
-    m = coeffs.shape[-1]
-    ks = np.abs(_wavenumbers(m))
+    ks = np.abs(_wavenumbers(coeffs.shape[-1]))
     mask = mag > BAND_RTOL * cmax
-    kx = ks[:, None] * np.ones(m, dtype=np.int64)[None, :]
-    ky = np.ones(m, dtype=np.int64)[:, None] * ks[None, :]
-    return int(np.maximum(kx, ky)[mask].max())
+    return int(max(ks[mask.any(axis=1)].max(), ks[mask.any(axis=0)].max()))
 
 
 def _is_conjugate_symmetric(coeffs: np.ndarray, rtol: float = 1e-10) -> bool:
@@ -274,6 +256,26 @@ def _is_conjugate_symmetric(coeffs: np.ndarray, rtol: float = 1e-10) -> bool:
 
 
 # -- spec operations -----------------------------------------------------
+
+def _analysis(samples: np.ndarray) -> np.ndarray:
+    """FFT-layout coefficients of samples on an m-by-m grid, with the
+    Nyquist row and column zeroed.  Real samples take a real transform and
+    the xi_2 < 0 columns are filled by conjugate mirroring."""
+    m = samples.shape[-1]
+    h = m // 2
+    if not np.isrealobj(samples):
+        coeffs = sfft.fft2(samples, norm="forward")
+    else:
+        half = sfft.rfft2(samples, norm="forward")
+        coeffs = np.empty(samples.shape, dtype=complex)
+        coeffs[..., :h] = half[..., :h]
+        # c(xi1, -xi2) = conj c(-xi1, xi2); row -xi1 is row (m - i) % m
+        np.conjugate(half[..., :1, h - 1:0:-1], out=coeffs[..., :1, h + 1:])
+        np.conjugate(half[..., :0:-1, h - 1:0:-1], out=coeffs[..., 1:, h + 1:])
+    coeffs[..., h, :] = 0.0
+    coeffs[..., :, h] = 0.0
+    return coeffs
+
 
 def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
             reality: bool | None = None) -> SpectralField:
@@ -291,10 +293,7 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
         raise ConfigError(f"samples shaped {values.shape} do not live on the {grid.n}^2 grid")
     if reality is None:
         reality = bool(np.isrealobj(values))
-    coeffs = np.fft.fft2(values, axes=(-2, -1)) / (n * n)
-    coeffs[..., n // 2, :] = 0.0
-    coeffs[..., :, n // 2] = 0.0
-    return SpectralField(grid, rank, coeffs, reality)
+    return SpectralField(grid, rank, _analysis(values), reality)
 
 
 def derive(field: SpectralField, multi_index) -> SpectralField:
@@ -446,13 +445,8 @@ def multiply(f: SpectralField, g: SpectralField, *,
         raise AliasingRisk(
             f"product band {bsum} exceeds grid Nyquist {n // 2 - 1}; "
             "refine the grid or use the interpolant product knowingly")
-    fv = f.values(m)
-    gv = g.values(m)
-    prod = fv[0][None] * gv
-    coeffs = np.fft.fft2(prod, axes=(-2, -1)) / (m * m)
-    coeffs[..., m // 2, :] = 0.0
-    coeffs[..., :, m // 2] = 0.0
-    return SpectralField(f.grid, g.rank, coeffs, f.reality and g.reality)
+    return SpectralField(f.grid, g.rank, _analysis(f.values(m)[0][None] * g.values(m)),
+                         f.reality and g.reality)
 
 
 def _clipped_targets(x: int, n: int) -> np.ndarray:
@@ -475,7 +469,7 @@ def shift_modes(coeffs: np.ndarray, xi, n: int):
     """
     x1, x2 = int(xi[0]), int(xi[1])
     m = min(_fft_size(coeffs.shape[-1] // 2 - 1 + max(abs(x1), abs(x2))), n)
-    out = np.roll(_embed(coeffs, m), (x1, x2), axis=(-2, -1))
+    out = np.roll(_resize(coeffs, m), (x1, x2), axis=(-2, -1))
     if m < n:
         return out, 0.0, 0.0
     rows, cols = _clipped_targets(x1, n), _clipped_targets(x2, n)

@@ -38,3 +38,23 @@ def test_tracer_targets_resolve_and_restore():
     for owner, attr, original in patches:
         assert vars(owner)[attr] is original, (owner, attr)
     assert np.fft.fft2 is fft2
+
+
+def test_tracer_counts_real_transforms():
+    # ci2d synthesizes real fields by scipy.fft.irfft2 and analyzes real
+    # samples by scipy.fft.rfft2; each call is one traced transform
+    from ci2d import analyze, make_grid, random_field
+    g = make_grid(32)
+    f = random_field(g, "vector", 10, seed=1)
+    samples = f.values()
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        before = tracer.counts["fft.transforms"]
+        vals = f.values()
+        assert tracer.counts["fft.transforms"] == before + 1
+        analyze(g, vals, "vector")
+        assert tracer.counts["fft.transforms"] == before + 2
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(vals, samples)

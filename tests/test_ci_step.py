@@ -321,6 +321,58 @@ def test_stream_identity_and_solenoidality():
     assert np.isrealobj(w_p.values())
 
 
+
+def _on_grid(coeffs, n):
+    """FFT-layout coefficients of storage m <= n placed on the n-grid."""
+    ks = np.fft.fftfreq(coeffs.shape[-1], 1.0 / coeffs.shape[-1]).astype(int) % n
+    out = np.zeros((n, n), dtype=complex)
+    out[np.ix_(ks, ks)] = coeffs
+    return out
+
+
+def test_pstar_real_pairs_match_complex_pair_syntheses():
+    # oracle: every pair spectrum goes through numpy's complex inverse FFT
+    # and the accumulated samples through its complex forward FFT
+    from ci2d import multiply, multiply_mode
+    from ci2d.ci_step import _inv_lap_div_const, _pstar_slice
+    state = small_state()
+    toy = small_toy()
+    moll = mollify(state, toy.ell)
+    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    node = int(np.argmax(cut.values))
+    a_slice, pert = _node(moll.R_ls, cut, toy, node)
+    grid, wp, n = state.grid, toy.wp, state.grid.n
+    waves = {k: _wave_slice(k, wp, float(TIMES[node]), grid) for k in positive_directions()}
+    pstar, _ = _pstar_slice(grid, wp, a_slice, waves, pert["moments"])
+
+    step = wp.lam // 5
+    dirs = list(positive_directions())
+    accum = np.zeros((n, n), dtype=complex)
+    for i, k in enumerate(dirs):
+        for j in range(i, len(dirs)):
+            kp = dirs[j]
+            fast = multiply(waves[k]["eta"], waves[kp]["eta"])
+            signs = [(1, 1, 0.5), (-1, -1, 0.5)] if j == i else \
+                [(s1, s2, 1.0) for s1 in (1, -1) for s2 in (1, -1)]
+            spec = np.zeros((n, n), dtype=complex)
+            for s1, s2, weight in signs:
+                xi = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
+                      step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
+                spec += weight * _on_grid(multiply_mode(fast, xi, 1.0, clip=True).coeffs[0], n)
+            pair = project(SpectralField(grid, "scalar", spec, False, _trim=False),
+                           FreqBand.at_least(wp.lam_sigma / 2.0))
+            vals = np.fft.ifft2(_on_grid(pair.coeffs[0], n)) * (n * n)
+            accum -= (a_slice[k][0] * a_slice[kp][0]) * vals
+    c = np.fft.fft2(accum) / (n * n)
+    c[n // 2, :] = 0.0
+    c[:, n // 2] = 0.0
+    oracle = SpectralField(grid, "scalar", c, False)
+    for k in dirs:
+        m_f, dm_f = pert["moments"][k]
+        oracle = oracle + m_f - (2.0 / wp.mu) * _inv_lap_div_const(dm_f, k.k)
+    assert lp_norm(pstar, 2) > 0.0
+    assert lp_norm(pstar - oracle, 2) <= 1e-13 * lp_norm(pstar, 2)
+
 def test_corrector_sizes_at_inductive_stress():
     # with the stress at its inductive size the principal wave dominates
     state, toy, moll, cut = _perturbation_setup(amplitude=0.05)

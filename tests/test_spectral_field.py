@@ -7,7 +7,8 @@ from ci2d import (AliasingRisk, ConfigError, RankError, SpectralField,
                   TimeTrack, analyze, cn_norm, derive, divergence, l1_norm,
                   lp_norm, make_grid, mean, multiply, perp_grad, random_field)
 from ci2d.building_blocks import dirichlet_kernel
-from ci2d.spectral_field import BAND_RTOL, multiply_mode, pointwise_magnitude
+from ci2d.spectral_field import (BAND_RTOL, _measure_band, multiply_mode,
+                                 pointwise_magnitude)
 
 
 def test_make_grid_accepts_powers_of_two():
@@ -59,6 +60,103 @@ def test_reality_invariant():
     vals = SpectralField(g, "scalar", f.coeffs, reality=False).values()
     assert np.max(np.abs(vals.imag)) <= 1e-12 * np.max(np.abs(vals))
 
+
+
+# -- real transforms against numpy's complex FFT --------------------------------
+
+def _on_grid(coeffs, n):
+    """Oracle placement: every stored mode with |xi_i| <= n/2 - 1 goes to
+    its slot in an n-by-n FFT layout."""
+    m = coeffs.shape[-1]
+    ks = np.fft.fftfreq(m, 1.0 / m).astype(int)
+    keep = np.flatnonzero(np.abs(ks) <= n // 2 - 1)
+    out = np.zeros(coeffs.shape[:-2] + (n, n), dtype=complex)
+    for i in keep:
+        for j in keep:
+            out[..., ks[i] % n, ks[j] % n] = coeffs[..., i, j]
+    return out
+
+
+def _complex_synthesis(coeffs, n):
+    return np.fft.ifft2(_on_grid(coeffs, n), axes=(-2, -1)) * (n * n)
+
+
+def _complex_analysis(samples):
+    n = samples.shape[-1]
+    c = np.fft.fft2(samples, axes=(-2, -1)) / (n * n)
+    c[..., n // 2, :] = 0.0
+    c[..., :, n // 2] = 0.0
+    return c
+
+
+def _assert_close(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("rank", ["scalar", "vector", "symtensor"])
+def test_real_synthesis_matches_complex_oracle(rank):
+    g = make_grid(64)
+    f = random_field(g, rank, 6, seed=40)
+    assert f.storage == 16
+    # the same field stored larger than the grid it is sampled on
+    wide = SpectralField(g, rank, _on_grid(f.coeffs, 64), True, _trim=False)
+    for field, n in ((f, 64), (f, 16), (wide, 16), (wide, 64)):
+        vals = field.values(n)
+        want = _complex_synthesis(field.coeffs, n)
+        assert np.isrealobj(vals) and vals.shape == want.shape
+        assert np.max(np.abs(want.imag)) <= 1e-14 * np.max(np.abs(want))
+        _assert_close(vals, want.real, 1e-14)
+
+
+def test_real_analysis_matches_complex_oracle():
+    g = make_grid(64)
+    rng = np.random.default_rng(41)
+    # full-band samples (storage n) and band-limited ones (trimmed storage)
+    for samples in (rng.standard_normal((2, 64, 64)),
+                    random_field(g, "vector", 9, seed=42).values()):
+        got = analyze(g, samples, "vector")
+        assert got.reality
+        _assert_close(_on_grid(got.coeffs, 64), _complex_analysis(samples), 1e-14)
+
+
+@pytest.mark.parametrize("rank", ["scalar", "vector"])
+def test_real_multiply_matches_complex_oracle(rank):
+    g = make_grid(64)
+    f = random_field(g, "scalar", 12, seed=43)
+    h = random_field(g, rank, 15, seed=44)
+    prod = multiply(f, h)
+    assert prod.reality and prod.rank == rank
+    want = _complex_analysis(_complex_synthesis(f.coeffs, 64)[0][None]
+                             * _complex_synthesis(h.coeffs, 64))
+    _assert_close(_on_grid(prod.coeffs, 64), want, 1e-14)
+
+
+def _band_oracle(coeffs):
+    """The band as the largest |xi|_inf over two full index grids."""
+    mag = np.max(np.abs(coeffs), axis=0)
+    cmax = mag.max()
+    if cmax == 0.0:
+        return 0
+    m = coeffs.shape[-1]
+    ks = np.abs(np.fft.fftfreq(m, 1.0 / m).astype(np.int64))
+    kx = ks[:, None] * np.ones(m, dtype=np.int64)[None, :]
+    ky = np.ones(m, dtype=np.int64)[:, None] * ks[None, :]
+    return int(np.maximum(kx, ky)[mag > BAND_RTOL * cmax].max())
+
+
+@pytest.mark.parametrize("m, ncomp, seed", [(8, 1, 0), (16, 2, 1), (64, 1, 2), (128, 2, 3)])
+def test_measure_band_matches_index_grid_oracle(m, ncomp, seed):
+    rng = np.random.default_rng(seed)
+    assert _measure_band(np.zeros((ncomp, m, m), dtype=complex)) == 0
+    for _ in range(20):
+        c = (rng.standard_normal((ncomp, m, m)) + 1j * rng.standard_normal((ncomp, m, m)))
+        # a random band plus a tail straddling the threshold
+        band = int(rng.integers(0, m // 2))
+        ks = np.abs(np.fft.fftfreq(m, 1.0 / m))
+        outside = np.maximum(ks[:, None], ks[None, :]) > band
+        tail = rng.uniform(0.0, 1.05, size=(ncomp, int(outside.sum())))
+        c[:, outside] = BAND_RTOL * np.abs(c).max() * tail
+        assert _measure_band(c) == _band_oracle(c)
 
 def test_derivative_examples():
     g = make_grid(16)
@@ -160,6 +258,12 @@ def test_band_measurement_and_trim():
     f = SpectralField.from_modes(g, "scalar", {(40, 3): 1.0, (0, 1): 1e-20}, reality=False)
     assert f.band() == 40
     assert f.storage <= 128
+    # a sub-threshold mode on the trimmed storage's Nyquist row is dropped
+    c = np.zeros((1, 64, 64), dtype=complex)
+    c[0, 3, 0], c[0, -4, 0] = 1.0, 1e-20
+    f = SpectralField(g, "scalar", c, reality=False)
+    assert f.band() == 3 and f.storage == 8
+    assert not np.any(f.coeffs[:, 4, :]) and not np.any(f.coeffs[:, :, 4])
 
 
 def test_multiply_exact_and_guard():
