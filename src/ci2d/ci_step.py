@@ -26,18 +26,18 @@ import numpy as np
 from .building_blocks import (Direction, WaveParams, eta, lattice_vector,
                               positive_directions)
 from .errors import DerivativeChannelMissing, InvalidInput
-from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
-                               helmholtz, project, sym_tracefree_product,
-                               tf_square)
+from .fourier_calculus import (FreqBand, _lattice, anti_divergence,
+                               frac_laplacian, helmholtz, project,
+                               sym_tracefree_product, tf_square)
 from .mollifier import (TemporalKernel, check_padding, smoothstep,
                         smoothstep_prime, spatial_mollify)
 from .param_schedule import ToyParams
-from .spectral_field import (Grid2, SpectralField, TimeTrack, _quadrature_norm,
+from .spectral_field import (Grid2, SpectralField, TimeTrack, _analysis,
+                             _conj_mirror, _product_size, _quadrature_norm,
                              _resize, analyze, derive, divergence,
                              lp_norm, mean, multiply, perp_grad,
                              pointwise_magnitude, shift_modes)
-from .stress_geometry import (RampProfile, default_ramp, gamma_squared_grid,
-                              gamma_squared_grid_dt)
+from .stress_geometry import W11, W12, RampProfile, default_ramp
 
 SUPPORT_RTOL = 1e-13
 
@@ -272,7 +272,7 @@ class CutoffProfile:
 
 
 def support_mask(track: TimeTrack, rtol: float = SUPPORT_RTOL) -> np.ndarray:
-    norms = track.slice_norms("c0")
+    norms = np.array([lp_norm(s, np.inf) for s in track.slices])
     top = norms.max()
     if top == 0.0:
         return np.zeros(len(track), dtype=bool)
@@ -325,16 +325,20 @@ def _coefficient_slice(grid: Grid2, r11, r12, dr11, dr12, phi: float, dphi: floa
     """Per-direction coefficient values (and d/dt) on the grid.
 
     Returns {positive direction: (a, da)} as value arrays; antipodes share
-    the same coefficient by the even symmetry of the weights.
+    the same coefficient by the even symmetry of the weights.  The ramp
+    runs once at +-g11, +-g12; g^2 and d/dt g^2 follow `gamma_squared_grid(_dt)`.
     """
     scale = np.sqrt(a_const * eps_next)
     inv = 1.0 / (a_const * eps_next)
     g11, g12 = r11 * inv, r12 * inv
     dg11, dg12 = dr11 * inv, dr12 * inv
+    ramp11, ramp12 = ramp.signed(g11), ramp.signed(g12)
     out = {}
     for k in positive_directions():
-        g2 = gamma_squared_grid(k, g11, g12, ramp)
-        dg2 = gamma_squared_grid_dt(k, g11, g12, dg11, dg12, ramp)
+        s1, s2 = k.gamma_signs
+        (v11, d11), (v12, d12) = ramp11[s1], ramp12[s2]
+        g2 = W11 * v11 + W12 * v12
+        dg2 = W11 * d11 * s1 * dg11 + W12 * d12 * s2 * dg12
         g = np.sqrt(g2)
         a = scale * g * phi
         da = scale * (g * dphi + phi * dg2 / (2.0 * g))
@@ -364,7 +368,9 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
     Multiplication by the single-mode flow/potential is an exact
     coefficient shift, which makes the stream-function identity and both
     solenoidality statements hold mode-wise.  Per positive direction the
-    operands P, dP, perp_grad P and perp_grad dP share one shift per sign.
+    operands P, dP, perp_grad P and perp_grad dP share one shift by +xi.
+    They are real, so each accumulator's -xi half is its conjugate mirror
+    c(xi) -> conj c(-xi), added once after the loop.
     Also returns the analysed temporal spectra a^2 P(eta^2) per direction
     ("moments", reused by the pressure corrector) and the largest energy
     share a clipped shift dropped.
@@ -384,17 +390,16 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
         m = max(P.storage, dP.storage)
         stack = np.concatenate([_resize(c, m) for c in
                                 (P.coeffs, dP.coeffs, perp_grad(P).coeffs, perp_grad(dP).coeffs)])
-        xi = lattice_vector(k.five_k, lam // 5)
-        for shift, sign in ((xi, 1.0), ((-xi[0], -xi[1]), -1.0)):
-            sh, _, frac = shift_modes(stack, shift, n)
-            sh = _resize(sh, n)
-            clipped = max(clipped, frac)
-            amp_b = (sign * 1j * k.k_perp)[:, None, None]
-            w_p += amp_b * sh[0]
-            dw_p += amp_b * sh[1]
-            w_c += sh[2:4] * (1.0 / lam)
-            dw_c += sh[4:6] * (1.0 / lam)
-            stream += sh[0:1] * (1.0 / lam)
+        sh, _, frac = shift_modes(stack, lattice_vector(k.five_k, lam // 5), n)
+        sh = _resize(sh, n)
+        clipped = max(clipped, frac)
+        amp_b = (1j * k.k_perp)[:, None, None]
+        w_p += amp_b * sh[0]
+        dw_p += amp_b * sh[1]
+        w_c += sh[2:4] * (1.0 / lam)
+        dw_c += sh[4:6] * (1.0 / lam)
+        stream += sh[0:1] * (1.0 / lam)
+        del sh, stack   # else held through the next direction's shift
         # temporal part: antipodal pairing doubles the positive half
         m_f = analyze(grid, a * a * wav["p_eta2_vals"])
         dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
@@ -402,6 +407,8 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
         kv = k.k[:, None, None]
         carrier[:2] += _resize(m_f.coeffs, n) * kv
         carrier[2:] += _resize(dm_f.coeffs, n) * kv
+    for acc in (w_p, dw_p, w_c, dw_c, stream):
+        acc += _conj_mirror(acc)
     fac = 2.0 / wp.mu
     nonzero = FreqBand.nonzero()
     w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2], True), nonzero))
@@ -420,11 +427,7 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
 
 def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
     """Delta^-1 div (kvec * f) for scalar f and a constant vector kvec."""
-    from .spectral_field import _wavenumbers
-    m = f.storage
-    ks = _wavenumbers(m).astype(float)
-    kx, ky = np.meshgrid(ks, ks, indexing="ij")
-    k2 = kx ** 2 + ky ** 2
+    kx, ky, k2 = _lattice(f.storage)
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     mult = -1j * (kvec[0] * kx + kvec[1] * ky) / k2safe
     mult[0, 0] = 0.0
@@ -442,7 +445,8 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     enter, at weight 1/2, because antipodal pairs are skipped.  The
     shifted and projected spectra of a pair are summed before one
     synthesis; the sign combinations shift a real product by conjugate
-    vectors, so that sum is Hermitian and is synthesized as real.
+    vectors, so that sum is Hermitian and is synthesized as real.  Each
+    kernel is synthesized once for all the off-diagonal products.
     Returns the corrector and the largest energy share a clipped shift
     dropped.
     """
@@ -452,10 +456,16 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     dirs = positive_directions()
     accum = np.zeros((n, n))
     clipped = 0.0
+    # one product grid serves every pair: it resolves the widest kernel's
+    # square, which _wave_slice has formed exactly
+    widest = max((waves[k]["eta"] for k in dirs), key=SpectralField.band)
+    m = _product_size(widest, widest, False)
+    kernel = {k: waves[k]["eta"].values(m)[0] for k in dirs}
     for i, k in enumerate(dirs):
         for j in range(i, len(dirs)):
             kp = dirs[j]
-            fast = waves[k]["eta2"] if j == i else multiply(waves[k]["eta"], waves[kp]["eta"])
+            fast = waves[k]["eta2"] if j == i else SpectralField(
+                grid, "scalar", _analysis(kernel[k] * kernel[kp]), True)
             signs = ((1, 1, 0.5), (-1, -1, 0.5)) if j == i else \
                 ((1, 1, 1.0), (1, -1, 1.0), (-1, 1, 1.0), (-1, -1, 1.0))
             spec = np.zeros((1, n, n), dtype=complex)

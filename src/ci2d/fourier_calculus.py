@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankError
-from .spectral_field import SpectralField, _resize, _wavenumbers, multiply
+from .spectral_field import (SpectralField, _analysis, _product_size,
+                             _wavenumbers)
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,10 @@ class FreqBand:
         return FreqBand(0.0, np.inf, "nonzero")
 
 
-def _abs2_lattice(m: int) -> np.ndarray:
-    ks = _wavenumbers(m)
-    return (ks[:, None].astype(float)) ** 2 + (ks[None, :].astype(float)) ** 2
+def _lattice(m: int):
+    """Wave numbers xi1 (column), xi2 (row) and |xi|^2 on storage m."""
+    ks = _wavenumbers(m).astype(float)
+    return ks[:, None], ks[None, :], ks[:, None] ** 2 + ks[None, :] ** 2
 
 
 def project(field: SpectralField, band: FreqBand) -> SpectralField:
@@ -54,7 +56,7 @@ def project(field: SpectralField, band: FreqBand) -> SpectralField:
         out = field.coeffs.copy()
         out[..., 0, 0] = 0.0
         return SpectralField(field.grid, field.rank, out, field.reality, _trim=False)
-    k2 = _abs2_lattice(m)
+    k2 = _lattice(m)[2]
     if band.kind == "at_least":
         mask = k2 >= band.lo ** 2
     else:
@@ -67,10 +69,7 @@ def helmholtz(field: SpectralField) -> SpectralField:
     """Leray projection onto divergence-free fields; the mean is kept."""
     if field.rank != "vector":
         raise RankError("helmholtz projector needs a vector field")
-    m = field.storage
-    ks = _wavenumbers(m).astype(float)
-    kx, ky = np.meshgrid(ks, ks, indexing="ij")
-    k2 = kx ** 2 + ky ** 2
+    kx, ky, k2 = _lattice(field.storage)
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     dot = kx * field.coeffs[0] + ky * field.coeffs[1]
     c1 = field.coeffs[0] - kx * dot / k2safe
@@ -89,7 +88,7 @@ def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
     """
     if not (0.0 <= theta <= 1.0):
         raise ConfigError(f"theta must lie in [0, 1], got {theta}")
-    k2 = _abs2_lattice(field.storage)
+    k2 = _lattice(field.storage)[2]
     if theta == 0.0:
         mult = np.ones_like(k2)
     else:
@@ -100,7 +99,7 @@ def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
 
 def inv_grad(field: SpectralField) -> SpectralField:
     """|grad|^-1: divide nonzero modes by |xi|; the mean is dropped."""
-    k2 = _abs2_lattice(field.storage)
+    k2 = _lattice(field.storage)[2]
     mult = np.zeros_like(k2)
     nz = k2 > 0
     mult[nz] = 1.0 / np.sqrt(k2[nz])
@@ -117,10 +116,7 @@ def anti_divergence(field: SpectralField, return_mean: bool = False):
     """
     if field.rank != "vector":
         raise RankError("anti-divergence needs a vector field")
-    m = field.storage
-    ks = _wavenumbers(m).astype(float)
-    kx, ky = np.meshgrid(ks, ks, indexing="ij")
-    k2 = kx ** 2 + ky ** 2
+    kx, ky, k2 = _lattice(field.storage)
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     f1, f2 = field.coeffs[0], field.coeffs[1]
     t11 = -1j * (kx * f1 - ky * f2) / k2safe
@@ -161,22 +157,17 @@ def sym_tracefree_product(f: SpectralField, g: SpectralField, *,
                           allow_interpolant: bool = False) -> SpectralField:
     """The symmetric combination f x g + g x f (trace-free), as a symtensor.
 
-    For g is f the off-diagonal entry is one product, doubled.
+    Each operand is synthesized once (once in all for g is f) on the
+    product grid of `multiply`; t11 = f1 g1 - f2 g2 and t12 = f1 g2 + f2 g1
+    are formed there pointwise and analyzed together.
     """
     if f.rank != "vector" or g.rank != "vector":
         raise RankError("trace-free product needs vector fields")
-    p = lambda a, b: multiply(a, b, allow_interpolant=allow_interpolant)
-    f1, f2 = f.component(0), f.component(1)
-    if g is f:
-        t11 = p(f1, f1) - p(f2, f2)
-        t12 = 2.0 * p(f1, f2)
-    else:
-        g1, g2 = g.component(0), g.component(1)
-        t11 = p(f1, g1) - p(f2, g2)
-        t12 = p(f1, g2) + p(f2, g1)
-    m = max(t11.storage, t12.storage)
-    arr = np.stack([_resize(t11.coeffs[0], m), _resize(t12.coeffs[0], m)])
-    return SpectralField(f.grid, "symtensor", arr, t11.reality and t12.reality)
+    m = _product_size(f, g, allow_interpolant)
+    a = f.values(m)
+    b = a if g is f else g.values(m)
+    t = np.stack([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
+    return SpectralField(f.grid, "symtensor", _analysis(t), f.reality and g.reality)
 
 
 def tf_square(f: SpectralField, *, allow_interpolant: bool = False) -> SpectralField:

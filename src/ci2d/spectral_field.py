@@ -246,13 +246,18 @@ def _measure_band(coeffs: np.ndarray) -> int:
     return int(max(ks[mask.any(axis=1)].max(), ks[mask.any(axis=0)].max()))
 
 
+def _conj_mirror(coeffs: np.ndarray) -> np.ndarray:
+    """conj c(-xi) for stacked FFT-layout components: a new array.
+    Index i maps to (m - i) % m on each axis, so xi = 0 stays in place."""
+    out = np.roll(np.flip(coeffs, axis=(-2, -1)), 1, axis=(-2, -1))
+    return np.conjugate(out, out=out)
+
+
 def _is_conjugate_symmetric(coeffs: np.ndarray, rtol: float = 1e-10) -> bool:
-    m = coeffs.shape[-1]
-    flipped = np.conj(coeffs[..., (m - np.arange(m)) % m, :][..., :, (m - np.arange(m)) % m])
     scale = np.max(np.abs(coeffs))
     if scale == 0.0:
         return True
-    return float(np.max(np.abs(coeffs - flipped))) <= rtol * scale
+    return float(np.max(np.abs(coeffs - _conj_mirror(coeffs)))) <= rtol * scale
 
 
 # -- spec operations -----------------------------------------------------
@@ -429,24 +434,30 @@ def multiply(f: SpectralField, g: SpectralField, *,
     interpolant product on the master grid, which is only legitimate for
     grid-defined compositions; callers must opt in via allow_interpolant.
     """
-    if f.grid.n != g.grid.n:
-        raise ConfigError("fields live on different grids")
     if f.rank != "scalar" and g.rank != "scalar":
         raise RankError("multiply needs at least one scalar operand")
     if f.rank != "scalar":
         f, g = g, f
+    m = _product_size(f, g, allow_interpolant)
+    return SpectralField(f.grid, g.rank, _analysis(f.values(m)[0][None] * g.values(m)),
+                         f.reality and g.reality)
+
+
+def _product_size(f: SpectralField, g: SpectralField, allow_interpolant: bool) -> int:
+    """Grid size on which pointwise products of f and g are formed: the
+    smallest that resolves the sum of their bands, else the master grid
+    for an interpolant product the caller opted into."""
+    if f.grid.n != g.grid.n:
+        raise ConfigError("fields live on different grids")
     bsum = f.band() + g.band()
     n = f.grid.n
     if bsum <= n // 2 - 1:
-        m = min(_fft_size(bsum), n)
-    elif allow_interpolant:
-        m = n
-    else:
-        raise AliasingRisk(
-            f"product band {bsum} exceeds grid Nyquist {n // 2 - 1}; "
-            "refine the grid or use the interpolant product knowingly")
-    return SpectralField(f.grid, g.rank, _analysis(f.values(m)[0][None] * g.values(m)),
-                         f.reality and g.reality)
+        return min(_fft_size(bsum), n)
+    if allow_interpolant:
+        return n
+    raise AliasingRisk(
+        f"product band {bsum} exceeds grid Nyquist {n // 2 - 1}; "
+        "refine the grid or use the interpolant product knowingly")
 
 
 def _clipped_targets(x: int, n: int) -> np.ndarray:
@@ -482,7 +493,7 @@ def shift_modes(coeffs: np.ndarray, xi, n: int):
         return out, 0.0, 0.0
     dropped = (np.sum(np.abs(strip_r) ** 2, axis=(-2, -1))
                + np.sum(np.abs(strip_c) ** 2, axis=(-2, -1)))
-    total = np.sum(np.abs(coeffs) ** 2, axis=(-2, -1))
+    total = np.array([np.vdot(c, c).real for c in coeffs])
     frac = float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
     return out, float(lost), frac
 
@@ -529,8 +540,7 @@ def random_field(grid: Grid2, rank: str, band: int, seed: int,
     amp = (rng.standard_normal((nc, m, m)) + 1j * rng.standard_normal((nc, m, m)))
     amp *= inside / (1.0 + np.hypot(kx, ky)) ** decay
     # enforce conjugate symmetry: c(-xi) = conj(c(xi))
-    rev = (m - np.arange(m)) % m
-    amp = 0.5 * (amp + np.conj(amp[..., rev, :][..., :, rev]))
+    amp = 0.5 * (amp + _conj_mirror(amp))
     if mean_zero:
         amp[..., 0, 0] = 0.0
     else:
@@ -586,11 +596,4 @@ class TimeTrack:
 
     def has_channel(self) -> bool:
         return self.dslices is not None
-
-    def slice_norms(self, kind: str = "c0") -> np.ndarray:
-        if kind == "c0":
-            return np.array([lp_norm(s, np.inf) for s in self.slices])
-        if kind == "l2":
-            return np.array([lp_norm(s, 2.0) for s in self.slices])
-        raise ConfigError(f"unknown norm kind {kind!r}")
 

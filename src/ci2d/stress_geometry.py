@@ -68,23 +68,32 @@ class RampProfile:
         self._c_spline = CubicSpline(u, cdf_u - 0.5)   # odd part of the cdf
         self._m_spline = CubicSpline(u, m1_u)          # even first moment
 
+    def signed(self, s, signs=(1, -1)) -> dict:
+        """{sign: (ramp(sign * s), ramp'(sign * s))} over an array s; the
+        splines (even in s) run once per entry for all signs."""
+        s = np.asarray(s, dtype=float)
+        inside = np.abs(s) < 1.0
+        ui = np.abs(s[inside])
+        c = self._c_spline(ui)
+        uc, m = ui * c, self._m_spline(ui)
+        out = {}
+        for sign in signs:
+            ss = sign * s
+            val = np.where(ss >= 1.0, ss + 1.0, np.ones_like(ss))
+            val[inside] = 1.0 + 0.5 * ss[inside] + uc - m
+            der = np.where(ss >= 1.0, 1.0, 0.0)
+            der[inside] = 0.5 + np.sign(ss[inside]) * c
+            out[sign] = (val, der)
+        return out
+
     def value(self, s) -> np.ndarray:
         """ramp(s); satisfies ramp(s) - ramp(-s) = s exactly."""
-        s = np.asarray(s, dtype=float)
-        u = np.abs(s)
-        out = np.where(s >= 1.0, s + 1.0, np.ones_like(s))
-        inside = u < 1.0
-        ui = u[inside]
-        out[inside] = 1.0 + 0.5 * s[inside] + ui * self._c_spline(ui) - self._m_spline(ui)
+        out = self.signed(s, (1,))[1][0]
         return out if out.ndim else float(out)
 
     def derivative(self, s) -> np.ndarray:
         """ramp'(s), i.e. the bump's cumulative distribution."""
-        s = np.asarray(s, dtype=float)
-        out = np.where(s >= 1.0, 1.0, 0.0)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        out[inside] = 0.5 + np.sign(si) * self._c_spline(np.abs(si))
+        out = self.signed(s, (1,))[1][1]
         return out if out.ndim else float(out)
 
     def value_at_zero(self) -> float:

@@ -58,3 +58,22 @@ def test_tracer_counts_real_transforms():
     finally:
         tracer.uninstall()
     assert np.array_equal(vals, samples)
+
+
+def test_tracer_counts_fused_product_transforms():
+    # the trace-free product synthesizes each vector operand once and
+    # analyzes both tensor entries in one transform
+    from ci2d import make_grid, random_field, sym_tracefree_product, tf_square
+    g = make_grid(64)
+    f = random_field(g, "vector", 12, seed=2)
+    h = random_field(g, "vector", 9, seed=3)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        before = tracer.counts["fft.transforms"]
+        tf_square(f)
+        assert tracer.counts["fft.transforms"] == before + 2
+        sym_tracefree_product(f, h)
+        assert tracer.counts["fft.transforms"] == before + 5
+    finally:
+        tracer.uninstall()

@@ -227,6 +227,30 @@ def test_coefficients_flat_stress_is_isotropic():
         assert np.max(np.abs(a_slice[k][0] - ref)) < 1e-12
 
 
+def test_coefficient_slice_matches_per_direction_weights_bitwise():
+    # the ramp runs once per stress entry for all directions; the weights
+    # must be those of gamma_squared_grid and gamma_squared_grid_dt, bit
+    # for bit, inside the ramp's window and on its linear pieces
+    from ci2d.stress_geometry import gamma_squared_grid, gamma_squared_grid_dt
+    rng = np.random.default_rng(11)
+    a_const, eps_next, phi, dphi = 5.0, 0.04, 0.7, -2.5
+    ae = a_const * eps_next
+    r11, r12 = (ae * rng.uniform(-3.0, 3.0, (32, 32)) for _ in range(2))
+    r11[0, :5] = ae * np.array([-1.0, 1.0, 0.0, -0.5, 0.5])
+    dr11, dr12 = rng.standard_normal((2, 32, 32))
+    ramp = default_ramp()
+    a_slice = _coefficient_slice(GRID, r11, r12, dr11, dr12, phi, dphi,
+                                 a_const, eps_next, ramp)
+    inv = 1.0 / ae
+    for k in positive_directions():
+        g2 = gamma_squared_grid(k, r11 * inv, r12 * inv, ramp)
+        dg2 = gamma_squared_grid_dt(k, r11 * inv, r12 * inv, dr11 * inv, dr12 * inv, ramp)
+        g = np.sqrt(g2)
+        a, da = a_slice[k]
+        assert np.array_equal(a, np.sqrt(ae) * g * phi)
+        assert np.array_equal(da, np.sqrt(ae) * (g * dphi + phi * dg2 / (2.0 * g)))
+
+
 def test_coefficient_size_tracks_amplitude_constants():
     # measured form of the size bound: the squared weights are affine in
     # the normalized stress, so the slice L2 norm of a_k is controlled by
@@ -320,6 +344,70 @@ def test_stream_identity_and_solenoidality():
     assert lp_norm(divergence(w_t), 2) <= 1e-10 * max(lp_norm(w_t, 2), 1e-300)
     assert np.isrealobj(w_p.values())
 
+
+
+def _perturbation_oracle(grid, wp, a_slice, waves):
+    """The perturbation slice with both shifts (+xi and -xi) of every
+    direction made explicitly, and the largest clipped energy share."""
+    from ci2d import analyze, perp_grad
+    from ci2d.building_blocks import lattice_vector
+    from ci2d.spectral_field import _resize, shift_modes
+    n, lam = grid.n, wp.lam
+    acc = {name: np.zeros((2, n, n), dtype=complex) for name in ("w_p", "dw_p", "w_c", "dw_c")}
+    stream = np.zeros((1, n, n), dtype=complex)
+    carrier = np.zeros((4, n, n), dtype=complex)
+    clipped = 0.0
+    for k in positive_directions():
+        a, da = a_slice[k]
+        wav = waves[k]
+        P = analyze(grid, a * wav["eta_vals"])
+        dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
+        ops = (P.coeffs, dP.coeffs, perp_grad(P).coeffs, perp_grad(dP).coeffs)
+        m = max(c.shape[-1] for c in ops)
+        stack = np.concatenate([_resize(c, m) for c in ops])
+        xi = lattice_vector(k.five_k, lam // 5)
+        for shift, sign in ((xi, 1.0), ((-xi[0], -xi[1]), -1.0)):
+            sh, _, frac = shift_modes(stack, shift, n)
+            sh = _resize(sh, n)
+            clipped = max(clipped, frac)
+            amp = (sign * 1j * k.k_perp)[:, None, None]
+            acc["w_p"] += amp * sh[0]
+            acc["dw_p"] += amp * sh[1]
+            acc["w_c"] += sh[2:4] / lam
+            acc["dw_c"] += sh[4:6] / lam
+            stream += sh[0:1] / lam
+        m_f = analyze(grid, a * a * wav["p_eta2_vals"])
+        dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
+        carrier[:2] += _resize(m_f.coeffs, n) * k.k[:, None, None]
+        carrier[2:] += _resize(dm_f.coeffs, n) * k.k[:, None, None]
+    out = {name: SpectralField(grid, "vector", c, False) for name, c in acc.items()}
+    for name, c in (("w_t", carrier[:2]), ("dw_t", carrier[2:])):
+        out[name] = (2.0 / wp.mu) * helmholtz(project(
+            SpectralField(grid, "vector", c, True), FreqBand.nonzero()))
+    out["stream"] = SpectralField(grid, "scalar", stream, False)
+    return out, clipped
+
+
+def test_perturbation_slice_mirror_matches_both_explicit_shifts():
+    from ci2d.spectral_field import _resize
+    state = small_state()
+    toy = small_toy()
+    moll = mollify(state, toy.ell)
+    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    node = int(np.argmax(cut.values))
+    a_slice, pert = _node(moll.R_ls, cut, toy, node)
+    waves = {k: _wave_slice(k, toy.wp, float(TIMES[node]), GRID) for k in positive_directions()}
+    oracle, clipped = _perturbation_oracle(GRID, toy.wp, a_slice, waves)
+    for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t", "stream"):
+        got, ref = pert[name], oracle[name]
+        m = max(got.storage, ref.storage)
+        gap = np.max(np.abs(_resize(got.coeffs, m) - _resize(ref.coeffs, m)))
+        assert 0.0 < np.max(np.abs(ref.coeffs))
+        assert gap <= 1e-14 * np.max(np.abs(ref.coeffs)), name
+    # the -xi strips hold the mirrored coefficients of the +xi strips, so
+    # the two dropped shares agree to the round-off of the operands' symmetry
+    assert clipped > 0.0
+    assert pert["clipped"] == pytest.approx(clipped, rel=1e-14, abs=0.0)
 
 
 def _on_grid(coeffs, n):

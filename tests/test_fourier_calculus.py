@@ -159,6 +159,72 @@ def test_square_and_symmetric_product_identities():
     assert np.max(np.abs(sq.coeffs - general.coeffs)) <= 1e-15 * np.max(np.abs(sq.coeffs))
 
 
+def _tf_product_oracle(f, h, allow_interpolant=False):
+    """(t11, t12) of f x h + h x f from one scalar product per entry pair."""
+    from ci2d.spectral_field import _resize
+    p = lambda a, b: multiply(a, b, allow_interpolant=allow_interpolant)
+    (f1, f2), (h1, h2) = ([u.component(j) for j in (0, 1)] for u in (f, h))
+    t11 = p(f1, h1) - p(f2, h2)
+    t12 = p(f1, h2) + p(f2, h1)
+    m = max(t11.storage, t12.storage)
+    return np.stack([_resize(t11.coeffs[0], m), _resize(t12.coeffs[0], m)])
+
+
+def _assert_matches_oracle(got, oracle, rtol=1e-14):
+    from ci2d.spectral_field import _resize
+    m = max(got.storage, oracle.shape[-1])
+    a, b = _resize(got.coeffs, m), _resize(oracle, m)
+    assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+def _vector_of_bands(g, bands, seed):
+    """Real vector field whose two components have the given bands."""
+    from ci2d.spectral_field import _resize
+    comps = [random_field(g, "scalar", b, seed=seed + j) for j, b in enumerate(bands)]
+    m = max(c.storage for c in comps)
+    return SpectralField(g, "vector", np.stack([_resize(c.coeffs[0], m) for c in comps]), True)
+
+
+def test_fused_product_matches_scalar_products_in_the_interpolant_regime():
+    # full-band operands: every entry product aliases on the master grid
+    g = make_grid(64)
+    f = random_field(g, "vector", g.max_mode, seed=51, decay=0.0)
+    h = random_field(g, "vector", g.max_mode, seed=52, decay=0.0)
+    _assert_matches_oracle(sym_tracefree_product(f, h, allow_interpolant=True),
+                           _tf_product_oracle(f, h, True))
+    _assert_matches_oracle(sym_tracefree_product(f, f, allow_interpolant=True),
+                           _tf_product_oracle(f, f, True))
+    _assert_matches_oracle(tf_square(f, allow_interpolant=True) * 2.0,
+                           _tf_product_oracle(f, f, True))
+
+
+def test_fused_product_matches_scalar_products_for_unequal_bands():
+    # the oracle forms each entry product on the grid of its own bands
+    g = make_grid(128)
+    f = _vector_of_bands(g, (3, 21), seed=60)
+    h = _vector_of_bands(g, (17, 5), seed=70)
+    assert f.band() == 21 and h.band() == 17
+    _assert_matches_oracle(sym_tracefree_product(f, h), _tf_product_oracle(f, h))
+    _assert_matches_oracle(sym_tracefree_product(h, f), _tf_product_oracle(h, f))
+    _assert_matches_oracle(sym_tracefree_product(f, f), _tf_product_oracle(f, f))
+
+
+def test_fused_product_raises_where_an_entry_product_overflows():
+    from ci2d.errors import AliasingRisk
+    g = make_grid(64)
+    f = _vector_of_bands(g, (20, 5), seed=80)
+    h = _vector_of_bands(g, (5, 15), seed=90)   # f1 h2 reaches 35 > 31
+    for a, b in ((f, h), (f, f)):
+        with pytest.raises(AliasingRisk):
+            _tf_product_oracle(a, b)
+        with pytest.raises(AliasingRisk):
+            sym_tracefree_product(a, b)
+    with pytest.raises(AliasingRisk):
+        tf_square(f)
+    _assert_matches_oracle(sym_tracefree_product(f, h, allow_interpolant=True),
+                           _tf_product_oracle(f, h, True))
+
+
 def test_product_estimate_fitted_constant():
     # a periodic fast factor decorrelates from a smooth slow factor up to
     # a kappa^(-1/2) penalty on the slow derivative
