@@ -31,7 +31,7 @@ from .fourier_calculus import (FreqBand, _lattice, anti_divergence,
                                sym_tracefree_product, tf_square)
 from .mollifier import (TemporalKernel, check_padding, smoothstep,
                         smoothstep_prime, spatial_mollify)
-from .param_schedule import ToyParams
+from .param_schedule import ToyParams, theta_star
 from .spectral_field import (Grid2, SpectralField, TimeTrack, _analysis,
                              _conj_mirror, _product_size, _quadrature_norm,
                              _resize, analyze, derive, divergence,
@@ -573,6 +573,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
     corrector, and the new stress are built per time node and released.
     """
     ramp = ramp or default_ramp()
+    lam_ts = toy.wp.lam ** theta_star(state.theta)   # raises unless 0 <= theta < 1
     wp = toy.wp
     grid = state.grid
     n = grid.n
@@ -712,8 +713,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
                   ell ** -8 * s * mu * rpow)
         diags.add("stress_group_lin_dissipation", "7.16b",
                   groups["lin_dissipation_cross"],
-                  ell ** -4 * lam ** theta_star_value(state.theta)
-                  * r ** (1 - 2 / p_rep))
+                  ell ** -4 * lam_ts * r ** (1 - 2 / p_rep))
         diags.add("stress_group_corrector", "7.16c", groups["corrector"],
                   ell ** -8 * (r / mu) * rpow)
         diags.add("stress_group_oscillation", "7.16d", groups["oscillation"],
@@ -727,7 +727,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
               np.sqrt(toy.a_const * toy.eps_next))
     diags.add("R_new_L_3/2", "7.16", r_lp,
               ell ** -8 * (s * mu + s * r + r / mu + 1.0 / (lam * s)) * rpow
-              + ell ** -4 * lam ** theta_star_value(state.theta) * r ** (1 - 2 / p_rep))
+              + ell ** -4 * lam_ts * r ** (1 - 2 / p_rep))
     diags.add("R_new_L1", "2.3b", r_l1, None)
     diags.add("R_new_C0", "7.17", r_c0, None)
     diags.add("residual_window_max_rel", "2.1", rep["window_max_rel"], None)
@@ -736,7 +736,3 @@ def iterate_step(state: NSRState, toy: ToyParams,
     diags.add("oscillation_cancel", "3.34", osc_err, None)
     diags.add("clipped_energy_fraction", "shift", clipped, None)
     return new_state, diags
-
-
-def theta_star_value(theta: float) -> float:
-    return 2.0 * theta - 1.0 if theta > 0.5 else 0.0

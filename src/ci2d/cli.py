@@ -41,7 +41,7 @@ def cmd_check(cfg: dict, out_dir: str | None) -> int:
         if band > grid.max_mode:
             raise AliasingRisk(
                 f"grid n={grid.n} cannot resolve the configured waves (band {band})")
-    report = run_all(cfg)
+    report = run_all()
     text = json.dumps(report, indent=1, sort_keys=True)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -72,7 +72,7 @@ def cmd_init(cfg: dict, out_dir: str | None) -> int:
     from .spectral_field import divergence, lp_norm
     max_div = max(lp_norm(divergence(s), 2) for s in state.v.slices)
     write_state(out_dir, state, float(tc["t_pad"]), cfg["mode"],
-                {"toy": cfg["toy"], "initial": cfg["initial"], "seed": cfg["seed"],
+                {"toy": cfg["toy"], "initial": cfg["initial"],
                  "tolerances": cfg["tolerances"]})
     print(json.dumps({"state_dir": out_dir, "initial_residual": rep["max_rel"],
                       "max_div": max_div}, indent=1))

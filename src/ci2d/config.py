@@ -21,16 +21,7 @@ DEFAULT_CONFIG = {
               "beta": "1/1000000000", "q": 0},
     "initial": {"generator": "shear", "m": 1, "seed": 7},
     "out": "ci2d_out",
-    "seed": 0,
-    "tolerances": {
-        "residual": 1e-4,
-        "stream_identity": 1e-10,
-        "solenoidality": 1e-10,
-        "oscillation": 1e-8,
-        "reality": 1e-12,
-        "support_rtol": 1e-13,
-        "init_residual": 1e-6,
-    },
+    "tolerances": {"residual": 1e-4, "init_residual": 1e-6},
 }
 
 

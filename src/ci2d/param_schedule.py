@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .building_blocks import WaveParams
-from .errors import ConfigError, ConstraintViolation, DivisibilityError
+from .errors import ConfigError, ConstraintViolation
 
 
 def _as_fraction(x) -> Fraction:
@@ -237,10 +237,7 @@ def toy_params(lam: int, sigma_inv: int, r: int, mu: int, ell: float,
                eps_next: float = 1.0) -> ToyParams:
     """Validate desk-scale parameters; divisibility errors are fatal,
     scale-separation issues only warn."""
-    try:
-        wp = WaveParams(lam, sigma_inv, r, mu)
-    except DivisibilityError:
-        raise
+    wp = WaveParams(lam, sigma_inv, r, mu)
     tp = ToyParams(wp, float(ell), float(theta), float(nu),
                    float(a_const), float(eps_next))
     for note in wp.separation_warnings():

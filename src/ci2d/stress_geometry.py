@@ -131,17 +131,21 @@ def gamma_squared_grid_dt(k: Direction, r11, r12, dr11, dr12,
             + W12 * ramp.derivative(s2 * r12) * s2 * dr12)
 
 
-def decompose(stress: StressMatrix, ramp: RampProfile | None = None) -> dict:
-    """Squared weights per direction with sum_k w_k (k x k) = stress."""
+def decompose(r11, r12, ramp: RampProfile | None = None) -> dict:
+    """Squared weights {k: w_k} over arrays of stress entries, with
+    sum_k w_k (k x k) = [[r11, r12], [r12, -r11]] entrywise; the ramp's
+    splines run once per entry for both argument signs."""
     ramp = ramp or default_ramp()
-    return {k: float(gamma_squared_grid(k, np.array([stress.r11]),
-                                        np.array([stress.r12]), ramp)[0])
+    v11, v12 = ramp.signed(r11), ramp.signed(r12)
+    return {k: W11 * v11[k.gamma_signs[0]][0] + W12 * v12[k.gamma_signs[1]][0]
             for k in directions()}
 
 
-def reconstruct(weights: dict) -> StressMatrix:
-    """Evaluate sum_k w_k (k x k) from a direction->weight map."""
-    acc = np.zeros((2, 2))
+def reconstruct(weights: dict) -> tuple:
+    """Entries (r11, r12) of sum_k w_k (k x k) from a direction->weight map."""
+    r11 = r12 = 0.0
     for k, w in weights.items():
-        acc += w * tracefree_product(k.k, k.k)
-    return StressMatrix(acc[0, 0], acc[0, 1])
+        kk = tracefree_product(k.k, k.k)
+        r11 = r11 + w * kk[0, 0]
+        r12 = r12 + w * kk[0, 1]
+    return r11, r12

@@ -19,11 +19,11 @@ from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
                   init_state, intermittent_flow, inv_grad, iterate_step,
                   lp_norm, make_grid, mean, mollify, multiply, multiply_mode,
                   nsr_residual, perp_grad, project, random_field,
-                  temporal_cutoff, tracefree_product, validate_schedule)
+                  temporal_cutoff, validate_schedule)
 from ci2d.building_blocks import WaveParams, pair_shell, positive_directions
 from ci2d.ci_step import _coefficient_slice, _perturbation_slice, _wave_slice
 from ci2d.generators import shear_track, time_grid
-from ci2d.stress_geometry import default_ramp, gamma_squared_grid
+from ci2d.stress_geometry import decompose, default_ramp, reconstruct
 
 warnings.filterwarnings("ignore", message=".*separation.*")
 
@@ -62,13 +62,7 @@ def test_criterion_01_geometric_lemma():
     r11 = rng.uniform(-100.0, 100.0, n)
     r12 = rng.uniform(-100.0, 100.0, n)
     t0 = time.time()
-    acc11 = np.zeros(n)
-    acc12 = np.zeros(n)
-    for k in directions():
-        w2 = gamma_squared_grid(k, r11, r12)
-        kk = tracefree_product(k.k, k.k)
-        acc11 += w2 * kk[0, 0]
-        acc12 += w2 * kk[0, 1]
+    acc11, acc12 = reconstruct(decompose(r11, r12))
     elapsed = time.time() - t0
     err = max(np.max(np.abs(acc11 - r11)), np.max(np.abs(acc12 - r12)))
     _verdict(1, err <= 1e-10 and elapsed < 5.0,

@@ -4,24 +4,16 @@ import pytest
 from ci2d import (AliasingRisk, DivisibilityError, NonIntegerFrequency,
                   SpectralField, dirichlet_kernel, directions, eta,
                   intermittent_flow, lp_norm, make_grid, mean, multiply,
-                  perp_grad, wave_b, wave_psi)
+                  wave_b, wave_psi)
 from ci2d.building_blocks import (WaveParams, eta_band, flow_shell,
                                   pair_shell, positive_directions)
-from ci2d.spectral_field import cn_norm, derive, divergence
+from ci2d.spectral_field import derive
 
 
 def test_direction_list():
-    ds = directions()
-    assert len(ds) == 8
-    fives = {d.five_k for d in ds}
-    assert (3, 4) in fives and (-3, -4) in fives
-    assert all(a * a + b * b == 25 for (a, b) in fives)
-    pos = {d.five_k for d in ds if d.positive}
+    # the set's size, norms and pair gap are the `blocks.direction_set` property
+    pos = {d.five_k for d in directions() if d.positive}
     assert pos == {(3, 4), (3, -4), (4, 3), (4, -3)}
-    # brute force over all 64 pairs: the non-antipodal minimum is sqrt(2)/5
-    sums = [np.linalg.norm(a.k + b.k) for a in ds for b in ds
-            if (a.five_k[0] + b.five_k[0], a.five_k[1] + b.five_k[1]) != (0, 0)]
-    assert min(sums) == pytest.approx(np.sqrt(2) / 5, abs=1e-15)
 
 
 def test_wave_amplitude_and_frequency():
@@ -30,17 +22,8 @@ def test_wave_amplitude_and_frequency():
     b = wave_b(k, 5, g)
     amp = b.coeff((3, 4))
     assert np.allclose(amp, 1j * np.array([-4, 3]) / 5.0)
-    psi = wave_psi(k, 5, g)
-    assert psi.coeff((3, 4))[0] == pytest.approx(0.2)
-    assert np.max(np.abs(perp_grad(psi).coeffs - b.coeffs)) < 1e-15
-    assert lp_norm(divergence(b), 2) < 1e-13
-    assert abs(cn_norm(b, 0) - 1.0) < 1e-12
-    assert abs(cn_norm(psi, 0) - 0.2) < 1e-12
-    for N in (1, 2):
-        assert cn_norm(b, N) == pytest.approx(5.0 ** N, rel=1e-9)
-        assert cn_norm(psi, N) == pytest.approx(5.0 ** (N - 1), rel=1e-9)
-    # conjugation swaps the direction
-    assert np.max(np.abs(np.conj(b.values()) - wave_b(k.antipode, 5, g).values())) < 1e-13
+    assert wave_psi(k, 5, g).coeff((3, 4))[0] == pytest.approx(0.2)
+    # the flow/potential identities and norms are the `blocks.wave_pair` property
     with pytest.raises(NonIntegerFrequency):
         wave_b(k, 7, g)
 
