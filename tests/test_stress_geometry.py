@@ -36,6 +36,23 @@ def test_gamma_at_zero_equal_across_directions():
     assert np.allclose(vals, expected, atol=1e-12)
 
 
+def test_gamma_antipodal_equality_and_positivity():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        stress = StressMatrix(*rng.uniform(-100, 100, 2))
+        for k in positive_directions():
+            gk = gamma(k, stress)
+            assert gk == gamma(k.antipode, stress)
+            assert gk * gk >= 25 / 14 + 25 / 48 - 1e-9
+            assert gk * gk <= (W11 + W12) * (stress.sup + 2) * (1 + 1e-9)
+
+
+def test_gamma_monotone_in_first_entry():
+    k3 = [d for d in positive_directions() if d.five_k == (4, 3)][0]
+    vals = [gamma(k3, StressMatrix(r11, 0.3)) for r11 in np.linspace(-2, 2, 41)]
+    assert np.all(np.diff(vals) >= -1e-12)
+
+
 def test_decompose_identity_examples():
     r11, r12 = reconstruct(decompose(0.0, 0.0))
     assert abs(r11) < 1e-12 and abs(r12) < 1e-12
