@@ -3,7 +3,7 @@
 from .building_blocks import (Direction, WaveParams, dirichlet_kernel,
                               directions, eta, intermittent_flow, wave_b,
                               wave_psi)
-from .ci_step import (CutoffProfile, MollifiedState, NSRState, StepDiagnostics,
+from .ci_step import (CutoffProfile, NSRState, StepDiagnostics,
                       assemble_stress, init_state, iterate_step, mollify,
                       nsr_residual, temporal_cutoff)
 from .errors import (AliasingRisk, CI2DError, ConfigError, ConstraintViolation,
@@ -19,7 +19,7 @@ from .spectral_field import (Grid2, SpectralField, TimeTrack, analyze, cn_norm,
                              derive, divergence, l1_norm, lp_norm, make_grid,
                              mean, multiply, multiply_mode, perp_grad,
                              random_field)
-from .stress_geometry import (RampProfile, StressMatrix, decompose,
-                              default_ramp, gamma, reconstruct)
+from .stress_geometry import (RampProfile, decompose, default_ramp, gamma,
+                              reconstruct)
 
 __version__ = "0.1.0"

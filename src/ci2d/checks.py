@@ -45,10 +45,14 @@ def check(name):
 @check("field.roundtrip_identity")
 def _roundtrip():
     g = make_grid(64)
-    f = random_field(g, "vector", 20, seed=1)
-    back = analyze(g, f.values(), "vector")
-    err = np.max(np.abs(back.coeffs - np.asarray(f.coeffs)))
-    return err < 1e-12, f"max coefficient error {err:.2e}"
+    coeff_err = grid_err = 0.0
+    for seed, band in ((1, 20), (0, 25)):
+        f = random_field(g, "vector", band, seed=seed)
+        back = analyze(g, f.values(), "vector")
+        coeff_err = max(coeff_err, np.max(np.abs(back.coeffs - np.asarray(f.coeffs))))
+        grid_err = max(grid_err, lp_norm(back - f, np.inf))
+    return coeff_err < 1e-12 and grid_err < 1e-12, \
+        f"max coefficient error {coeff_err:.2e}, grid sup error {grid_err:.2e}"
 
 
 @check("field.parseval")
@@ -66,15 +70,18 @@ def _parseval():
 @check("field.reality_flag")
 def _reality():
     g = make_grid(64)
-    f = random_field(g, "scalar", 20, seed=3)
-    unflagged = SpectralField(g, "scalar", f.coeffs, reality=False)
-    vals = unflagged.values()
-    scale = np.max(np.abs(vals))
-    err = np.max(np.abs(vals.imag))
-    real_vals = f.values()
-    gap = np.max(np.abs(real_vals - vals.real))
-    ok = err <= 1e-12 * scale and gap <= 1e-12 * scale and np.isrealobj(real_vals)
-    return bool(ok), f"imag residue {err:.2e}, real synthesis gap {gap:.2e}"
+    ok = True
+    err = gap = 0.0   # relative to the samples' sup
+    for seed, band in ((3, 20), (2, 24)):
+        f = random_field(g, "scalar", band, seed=seed)
+        vals = SpectralField(g, "scalar", f.coeffs, reality=False).values()
+        scale = np.max(np.abs(vals))
+        real_vals = f.values()
+        err = max(err, np.max(np.abs(vals.imag)) / scale)
+        gap = max(gap, np.max(np.abs(real_vals - vals.real)) / scale)
+        ok &= np.isrealobj(real_vals)
+    ok &= err <= 1e-12 and gap <= 1e-12
+    return bool(ok), f"relative imag residue {err:.2e}, real synthesis gap {gap:.2e}"
 
 
 @check("field.div_perp_grad_zero")
@@ -421,6 +428,7 @@ def _gate():
         (dict(witness, B=100), "++.1"),
         (dict(witness, beta=F(1, 100)), "++.2"),
         (dict(witness, A=5 ** 8 + 5), "++.3"),
+        (dict(witness, A=6 ** 8), "++.3"),
         (dict(witness, theta=F(9, 10), alpha=F(1, 4)), "7.16+"),
         (dict(witness, beta=F(7, 2561)), "ell_lambda8"),
     ]
@@ -434,7 +442,7 @@ def _gate():
     p = sched.p_holder
     ok &= 1 < p < 2 and (1 - 6 * sched.alpha) * (2 - 2 / p) == sched.alpha
     ok &= sched.r.exponent * (2 - 2 / p) == sched.alpha * sched.lam(1).exponent
-    return bool(ok), "witness accepted, five mutations labeled"
+    return bool(ok), "witness accepted, six mutations labeled"
 
 
 @check("schedule.toy_divisibility")
@@ -467,7 +475,7 @@ def _small_setup():
 @check("step.init_residual")
 def _initres():
     state, _ = _small_setup()
-    _, rep = ci_step.nsr_residual(state)
+    rep = ci_step.nsr_residual(state)
     g = state.grid
     zero = ci_step.init_state(zero_track(g, state.times), 0.4, 1.0, 1.0)
     ok = rep["max_rel"] < 1e-6
@@ -497,14 +505,14 @@ def _negctrl():
     state, _ = _small_setup()
     bad = random_field(state.grid, "vector", 10, seed=17)
     bad = helmholtz(project(bad, FreqBand.nonzero()))
-    _, rep0 = ci_step.nsr_residual(state)
+    rep0 = ci_step.nsr_residual(state)
     scale = (1.0 + rep0["scale"]) / max(lp_norm(bad, 2), 1e-300)
     bad = scale * bad
     slices = [s + bad for s in state.v.slices]
     broken = ci_step.NSRState(
         TimeTrack(state.times, slices, state.v.dslices),
         state.p, state.R, state.theta, state.nu, state.q, state.T)
-    _, rep = ci_step.nsr_residual(broken)
+    rep = ci_step.nsr_residual(broken)
     return rep["max_rel"] >= 0.1, f"perturbed residual {rep['max_rel']:.3f}"
 
 
@@ -522,7 +530,7 @@ def _mollconst():
         moll = ci_step.mollify(ci_step.init_state(u, 0.0, 1.0, 1.0), 0.05)
         drift = max(lp_norm(a - b, np.inf)
                     for a, b in zip(moll.v.slices, moll.v.slices[1:]))
-        got = moll.norms["v_diff_linf"]
+        got = moll.meta["v_diff_linf"]
         ok &= drift < 1e-13 and abs(got - predicted) < 1e-12
     return bool(ok), f"multiplier damping {got:.3e} vs {predicted:.3e}"
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .building_blocks import (Direction, WaveParams, eta, lattice_vector,
                               positive_directions)
-from .errors import DerivativeChannelMissing, InvalidInput
+from .errors import ConfigError, DerivativeChannelMissing, InvalidInput
 from .fourier_calculus import (FreqBand, _lattice, anti_divergence,
                                frac_laplacian, helmholtz, project,
                                sym_tracefree_product, tf_square)
@@ -37,7 +37,7 @@ from .spectral_field import (Grid2, SpectralField, TimeTrack, _analysis,
                              _resize, analyze, derive, divergence,
                              lp_norm, mean, multiply, perp_grad,
                              pointwise_magnitude, shift_modes)
-from .stress_geometry import W11, W12, RampProfile, default_ramp
+from .stress_geometry import W11, W12, default_ramp
 
 SUPPORT_RTOL = 1e-13
 
@@ -114,18 +114,19 @@ def _channelled(track: TimeTrack) -> TimeTrack:
 
 # -- initialization ---------------------------------------------------------
 
-def init_state(u: TimeTrack, theta: float, nu: float, T: float,
-               div_tol: float = 1e-8) -> NSRState:
+def init_state(u: TimeTrack, theta: float, nu: float, T: float) -> NSRState:
     """Wrap a smooth divergence-free mean-zero track as an exact state.
 
     The stress absorbs the linear terms through the anti-divergence and
     the trace-free self-product; with the trace-free pressure convention
-    the pressure starts at zero.
+    the pressure starts at zero.  Divergence and mean must vanish to 1e-8
+    of max(1, ||u||_L2) on every slice.
     """
     for j, s in enumerate(u.slices):
-        if lp_norm(divergence(s), 2) > div_tol * max(1.0, lp_norm(s, 2)):
+        tol = 1e-8 * max(1.0, lp_norm(s, 2))
+        if lp_norm(divergence(s), 2) > tol:
             raise InvalidInput(f"input slice {j} is not divergence-free")
-        if np.max(np.abs(mean(s))) > div_tol * max(1.0, lp_norm(s, 2)):
+        if np.max(np.abs(mean(s))) > tol:
             raise InvalidInput(f"input slice {j} has nonzero mean")
     u = _channelled(u)
     du2 = fd6_channel(TimeTrack(u.times, u.dslices)).dslices  # d^2/dt^2 for the stress channel
@@ -146,24 +147,16 @@ def init_state(u: TimeTrack, theta: float, nu: float, T: float,
 
 # -- mollification ----------------------------------------------------------
 
-@dataclass
-class MollifiedState:
-    v: TimeTrack          # with derivative channel
-    p: TimeTrack
-    R_m: TimeTrack
-    R_ls: TimeTrack       # with derivative channel
-    ell: float
-    norms: dict
-
-
-def mollify(state: NSRState, ell: float) -> MollifiedState:
+def mollify(state: NSRState, ell: float) -> NSRState:
     """Space-time mollification plus the product commutator stress.
 
     Spatial smoothing is the Fourier multiplier of the periodized bump;
     temporal smoothing is the normalized discrete kernel applied to the
-    value and derivative channels alike.  The returned low-frequency
-    stress R_ls = R_ell + R_m makes the mollified triple balance exactly
-    up to the mollified input residual.
+    value and derivative channels alike.  The returned triple
+    (v_ell, p_ell, R_ls) has the low-frequency stress R_ls = R_ell + R_m,
+    with derivative channels on v and R, so it balances exactly up to the
+    mollified input residual.  Its meta holds `v_diff_linf` (largest
+    sup-norm change of v) and `mollified_residual_rel` (its own residual).
     """
     times = state.times
     check_padding(times, state.T, ell)
@@ -187,34 +180,22 @@ def mollify(state: NSRState, ell: float) -> MollifiedState:
     p_ell = [kern.apply_fields(ps, i) for i in range(n_t)]
     Rs = [smooth(s) for s in R.slices]
     dRs = [smooth(s) for s in R.dslices]
-    R_m, dR_m, R_ls, dR_ls = [], [], [], []
+    R_ls, dR_ls = [], []
     for i in range(n_t):
-        Ri = kern.apply_fields(Rs, i)
-        dRi = kern.apply_fields(dRs, i)
+        # commutator stress R_m = v_ell x v_ell - (v x v)_ell and its d/dt
         mi = tf_square(v_ell[i], allow_interpolant=True) - kern.apply_fields(vxv, i)
         dmi = (sym_tracefree_product(dv_ell[i], v_ell[i], allow_interpolant=True)
                - kern.apply_fields(dvxv, i))
-        R_m.append(mi)
-        dR_m.append(dmi)
-        R_ls.append(Ri + mi)
-        dR_ls.append(dRi + dmi)
+        R_ls.append(kern.apply_fields(Rs, i) + mi)
+        dR_ls.append(kern.apply_fields(dRs, i) + dmi)
 
-    v_track = TimeTrack(times, v_ell, dv_ell)
-    norms = {"v_diff_linf": max(lp_norm(a - b, np.inf)
-                                for a, b in zip(v_ell, v.slices))}
-    balance = NSRState(v_track, TimeTrack(times, p_ell),
-                       TimeTrack(times, R_ls, dR_ls), state.theta, state.nu,
-                       state.q, state.T)
-    _, bal_rep = nsr_residual(balance)
-    norms["mollified_residual_rel"] = bal_rep["max_rel"]
-    return MollifiedState(
-        v=v_track,
-        p=TimeTrack(times, p_ell),
-        R_m=TimeTrack(times, R_m, dR_m),
-        R_ls=TimeTrack(times, R_ls, dR_ls),
-        ell=float(ell),
-        norms=norms,
-    )
+    moll = NSRState(TimeTrack(times, v_ell, dv_ell), TimeTrack(times, p_ell),
+                    TimeTrack(times, R_ls, dR_ls), state.theta, state.nu,
+                    state.q, state.T,
+                    meta={"v_diff_linf": max(lp_norm(a - b, np.inf)
+                                             for a, b in zip(v_ell, v.slices))})
+    moll.meta["mollified_residual_rel"] = nsr_residual(moll)["max_rel"]
+    return moll
 
 
 # -- temporal cutoff ---------------------------------------------------------
@@ -254,11 +235,8 @@ class CutoffProfile:
     """Smooth time switch: 1 on the detected stress support, 0 outside
     its ell-neighborhood, with an analytic derivative channel."""
 
-    times: np.ndarray
     values: np.ndarray
     dvalues: np.ndarray
-    intervals: list
-    ell: float
 
     def plateau_mask(self) -> np.ndarray:
         return self.values >= 1.0
@@ -266,17 +244,14 @@ class CutoffProfile:
     def support_mask(self) -> np.ndarray:
         return self.values > 0.0
 
-    def evaluate(self, t):
-        """Switch value and derivative at arbitrary times."""
-        return _switch_eval(self.intervals, self.ell, t)
 
-
-def support_mask(track: TimeTrack, rtol: float = SUPPORT_RTOL) -> np.ndarray:
+def support_mask(track: TimeTrack) -> np.ndarray:
+    """Nodes whose sup norm exceeds SUPPORT_RTOL of the track's largest."""
     norms = np.array([lp_norm(s, np.inf) for s in track.slices])
     top = norms.max()
     if top == 0.0:
         return np.zeros(len(track), dtype=bool)
-    return norms > rtol * top
+    return norms > SUPPORT_RTOL * top
 
 
 def mask_intervals(times: np.ndarray, mask: np.ndarray) -> list:
@@ -303,25 +278,21 @@ def neighborhood_mask(times: np.ndarray, mask: np.ndarray, eps: float) -> np.nda
     return dist <= eps * (1.0 + 1e-12) + 1e-15
 
 
-def temporal_cutoff(R_ls: TimeTrack, ell: float,
-                    support_rtol: float = SUPPORT_RTOL) -> CutoffProfile:
+def temporal_cutoff(R_ls: TimeTrack, ell: float) -> CutoffProfile:
     """Mollified-indicator switch around the detected stress support.
 
     Equal to 1 on the ell/2-neighborhood of the support (in particular on
     the support itself) and supported inside the ell-neighborhood; ramps
     are width-ell/2 smooth steps, one factor per support interval.
     """
-    times = R_ls.times
-    mask = support_mask(R_ls, support_rtol)
-    intervals = mask_intervals(times, mask)
-    values, dvalues = _switch_eval(intervals, float(ell), times)
-    return CutoffProfile(times, values, dvalues, intervals, float(ell))
+    intervals = mask_intervals(R_ls.times, support_mask(R_ls))
+    return CutoffProfile(*_switch_eval(intervals, float(ell), R_ls.times))
 
 
 # -- coefficients -------------------------------------------------------------
 
-def _coefficient_slice(grid: Grid2, r11, r12, dr11, dr12, phi: float, dphi: float,
-                       a_const: float, eps_next: float, ramp: RampProfile):
+def _coefficient_slice(r11, r12, dr11, dr12, phi: float, dphi: float,
+                       a_const: float, eps_next: float):
     """Per-direction coefficient values (and d/dt) on the grid.
 
     Returns {positive direction: (a, da)} as value arrays; antipodes share
@@ -332,6 +303,7 @@ def _coefficient_slice(grid: Grid2, r11, r12, dr11, dr12, phi: float, dphi: floa
     inv = 1.0 / (a_const * eps_next)
     g11, g12 = r11 * inv, r12 * inv
     dg11, dg12 = dr11 * inv, dr12 * inv
+    ramp = default_ramp()
     ramp11, ramp12 = ramp.signed(g11), ramp.signed(g12)
     out = {}
     for k in positive_directions():
@@ -415,7 +387,7 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
     dw_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[2:], True), nonzero))
 
     def field(coeffs):
-        return SpectralField(grid, "vector", coeffs, False).as_real(1e-8)
+        return SpectralField(grid, "vector", coeffs, False).as_real()
 
     return {"w_p": field(w_p), "w_c": field(w_c), "w_t": w_t,
             "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": dw_t,
@@ -483,10 +455,10 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     for k in dirs:
         m_f, dm_f = moments[k]
         p2 = p2 + m_f - (2.0 / wp.mu) * _inv_lap_div_const(dm_f, k.k)
-    return (p1 + p2).as_real(1e-8), clipped
+    return (p1 + p2).as_real(), clipped
 
 
-def assemble_stress(moll: MollifiedState, pert_slices: dict, pstar: SpectralField,
+def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField,
                     i: int, theta: float, nu: float):
     """New stress and pressure at node i from the assembled forcing.
 
@@ -498,12 +470,12 @@ def assemble_stress(moll: MollifiedState, pert_slices: dict, pstar: SpectralFiel
     v_l = moll.v.slices[i]
     w = pert_slices["w_p"] + pert_slices["w_c"] + pert_slices["w_t"]
     dw = pert_slices["dw_p"] + pert_slices["dw_c"] + pert_slices["dw_t"]
-    v_new = (v_l + w).as_real(1e-8)
+    v_new = (v_l + w).as_real()
     dv_new = moll.v.dslices[i] + dw
     t_new = tf_square(v_new, allow_interpolant=True)
     t_old = tf_square(v_l, allow_interpolant=True)
     forcing = (dw + nu * frac_laplacian(w, theta)
-               + divergence(t_new - t_old) + divergence(moll.R_ls.slices[i]))
+               + divergence(t_new - t_old) + divergence(moll.R.slices[i]))
     R_new = anti_divergence(forcing - gradient(pstar))
     p_new = moll.p.slices[i] - pstar
     return v_new, dv_new, p_new, R_new
@@ -511,17 +483,18 @@ def assemble_stress(moll: MollifiedState, pert_slices: dict, pstar: SpectralFiel
 
 # -- residual verifier ---------------------------------------------------------
 
-def nsr_residual(state: NSRState, use_channel: bool = True):
+def nsr_residual(state: NSRState) -> dict:
     """Forced momentum-balance residual per slice, from the state alone.
 
     residual = d/dt v + div(v x v) + grad p + nu (-Lap)^theta v - div R,
     with the trace-free product and the matching pressure convention
-    (the classical pressure is p - |v|^2/2).  Returns the residual track
-    and a report with per-slice norms and the relative size
+    (the classical pressure is p - |v|^2/2).  d/dt v is the track's
+    channel, or `fd6_channel` where it has none.  Returns a report with
+    per-slice norms and the relative size
     max ||res||_L2 / (1 + max slice term scale).
     """
-    v = state.v if (state.v.has_channel() and use_channel) else fd6_channel(state.v)
-    res_slices, res_norms, scales = [], [], []
+    v = _channelled(state.v)
+    res_norms, scales = [], []
     for i in range(len(v)):
         vi, dvi = v.slices[i], v.dslices[i]
         terms = [dvi,
@@ -532,21 +505,19 @@ def nsr_residual(state: NSRState, use_channel: bool = True):
         res = terms[0]
         for t in terms[1:]:
             res = res + t
-        res_slices.append(res)
         res_norms.append(lp_norm(res, 2))
         scales.append(sum(lp_norm(t, 2) for t in terms))
     res_norms = np.array(res_norms)
     scales = np.array(scales)
     denom = 1.0 + scales.max()
     window = (v.times >= -1e-12) & (v.times <= state.T + 1e-12)
-    report = {
+    return {
         "per_slice_l2": res_norms,
         "scale": float(scales.max()),
         "max_rel": float(res_norms.max() / denom),
         "window_max_rel": float(res_norms[window].max() / denom) if window.any() else 0.0,
         "pressure_note": "trace-free convention; classical pressure is p - |v|^2/2",
     }
-    return TimeTrack(v.times, res_slices), report
 
 
 # -- full step -----------------------------------------------------------------
@@ -564,15 +535,17 @@ class StepDiagnostics:
                           "predicted_scaling": predicted, "margin": margin})
 
 
-def iterate_step(state: NSRState, toy: ToyParams,
-                 ramp: RampProfile | None = None):
+def iterate_step(state: NSRState, toy: ToyParams):
     """One full stress-reduction step at desk-scale parameters.
 
     Returns the new state and the measured diagnostics.  The loop is
     slice-streamed: wave data, coefficients, perturbations, the pressure
     corrector, and the new stress are built per time node and released.
+    The toy's theta and nu must be the state's.
     """
-    ramp = ramp or default_ramp()
+    if (toy.theta, toy.nu) != (state.theta, state.nu):
+        raise ConfigError(f"toy (theta, nu) = ({toy.theta}, {toy.nu}) differs from the "
+                          f"state's ({state.theta}, {state.nu})")
     lam_ts = toy.wp.lam ** theta_star(state.theta)   # raises unless 0 <= theta < 1
     wp = toy.wp
     grid = state.grid
@@ -581,7 +554,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
     diags = StepDiagnostics()
 
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
     plateau = cut.plateau_mask()
 
     v_new, dv_new, p_new, R_new = [], [], [], []
@@ -603,12 +576,12 @@ def iterate_step(state: NSRState, toy: ToyParams,
             v_new.append(moll.v.slices[i])
             dv_new.append(moll.v.dslices[i])
             p_new.append(moll.p.slices[i])
-            R_new.append(anti_divergence(divergence(moll.R_ls.slices[i])))
+            R_new.append(anti_divergence(divergence(moll.R.slices[i])))
             continue
-        rv = moll.R_ls.slices[i].values(n)
-        drv = moll.R_ls.dslices[i].values(n)
-        a_slice = _coefficient_slice(grid, rv[0], rv[1], drv[0], drv[1],
-                                     phi, dphi, toy.a_const, toy.eps_next, ramp)
+        rv = moll.R.slices[i].values(n)
+        drv = moll.R.dslices[i].values(n)
+        a_slice = _coefficient_slice(rv[0], rv[1], drv[0], drv[1],
+                                     phi, dphi, toy.a_const, toy.eps_next)
         waves = {k: _wave_slice(k, wp, float(t), grid) for k in positive_directions()}
         pert = _perturbation_slice(grid, wp, a_slice, waves)
         pstar, pstar_clipped = _pstar_slice(grid, wp, a_slice, waves, pert.pop("moments"))
@@ -630,7 +603,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
             # the symmetrized corrector double-counts the plain sum
             groups["corrector"] = 0.5 * lp_norm(corr, p_rep)
             osc_force = (divergence(tf_square(pert["w_p"], allow_interpolant=True)
-                                    + moll.R_ls.slices[i]) + pert["dw_t"])
+                                    + moll.R.slices[i]) + pert["dw_t"])
             groups["oscillation"] = lp_norm(
                 anti_divergence(osc_force - gradient(pstar)), p_rep)
         v_new.append(vi)
@@ -670,7 +643,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
         meta=dict(state.meta, parent_q=state.q),
     )
 
-    _, rep = nsr_residual(new_state)
+    rep = nsr_residual(new_state)
     diags.residual_report = rep
 
     # one synthesis per new stress slice; its cached sup serves R_new_C0
@@ -684,7 +657,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
 
     # support containments, slice-exact on the grid
     r_old = support_mask(state.R)
-    r_ls = support_mask(moll.R_ls)
+    r_ls = support_mask(moll.R)
     r_new_mask = support_mask(new_state.R)
     phi_mask = cut.support_mask()
     diags.support = {
@@ -700,7 +673,7 @@ def iterate_step(state: NSRState, toy: ToyParams,
         "oscillation_scale": osc_scale,
         "w_p_l2": w_norms["w_p"],
         "v_new_mean_max": max(float(np.max(np.abs(mean(s)))) for s in v_new),
-        "mollified_residual_rel": moll.norms["mollified_residual_rel"],
+        "mollified_residual_rel": moll.meta["mollified_residual_rel"],
         "clipped_energy_fraction": clipped,
     }
 

@@ -65,7 +65,7 @@ def cmd_init(cfg: dict, out_dir: str | None) -> int:
     gen = init_cfg.pop("generator")
     u = build_initial(gen, grid, times, float(tc["T"]), init_cfg)
     state = init_state(u, float(cfg["theta"]), float(cfg["nu"]), float(tc["T"]))
-    _, rep = nsr_residual(state)
+    rep = nsr_residual(state)
     tol = float(cfg["tolerances"]["init_residual"])
     if rep["max_rel"] > tol:
         raise InvalidInput(f"initial residual {rep['max_rel']:.3e} exceeds {tol}")

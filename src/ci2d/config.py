@@ -68,8 +68,7 @@ def toy_from_config(cfg: dict) -> ToyParams:
 def schedule_from_config(cfg: dict) -> PaperSchedule:
     pc = cfg["paper"]
     return PaperSchedule(
-        theta=Fraction(str(cfg["theta"])) if not isinstance(cfg["theta"], str)
-        else Fraction(cfg["theta"]),
+        theta=Fraction(str(cfg["theta"])),
         alpha=Fraction(str(pc["alpha"])),
         B=int(pc["B"]),
         beta=Fraction(str(pc["beta"])),

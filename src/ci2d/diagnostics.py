@@ -37,9 +37,9 @@ def energy_spectrum(field: SpectralField) -> tuple:
     return np.arange(nmax + 1), 0.5 * (2 * np.pi) ** 2 * energy
 
 
-def write_spectrum_csv(path: str, state: NSRState, slice_index: int | None = None) -> None:
-    i = len(state.v.slices) // 2 if slice_index is None else slice_index
-    shells, energy = energy_spectrum(state.v.slices[i])
+def write_spectrum_csv(path: str, state: NSRState) -> None:
+    """Shell spectrum of v at the middle time node."""
+    shells, energy = energy_spectrum(state.v.slices[len(state.v.slices) // 2])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["shell", "energy"])
@@ -59,7 +59,7 @@ def state_report(state: NSRState) -> dict:
             "R_L1": l1_norm(R), "R_L2": lp_norm(R, 2), "R_Linf": lp_norm(R, np.inf),
             "R_C1": cn_norm(R, 1),
         })
-    _, res = nsr_residual(state)
+    res = nsr_residual(state)
     return {
         "slices": rows,
         "R_LinfL1": max(r["R_L1"] for r in rows),

@@ -107,12 +107,11 @@ def inv_grad(field: SpectralField) -> SpectralField:
                          field.reality, _trim=False)
 
 
-def anti_divergence(field: SpectralField, return_mean: bool = False):
+def anti_divergence(field: SpectralField) -> SpectralField:
     """Symmetric trace-free potential R f with div(R f) = f - avg f.
 
     Solves Delta g = f - avg f and returns grad g + (grad g)^T minus
-    (div g) Id, assembled directly in coefficient space.  The subtracted
-    mean is returned as metadata when requested.
+    (div g) Id, assembled directly in coefficient space.
     """
     if field.rank != "vector":
         raise RankError("anti-divergence needs a vector field")
@@ -123,14 +122,8 @@ def anti_divergence(field: SpectralField, return_mean: bool = False):
     t12 = -1j * (ky * f1 + kx * f2) / k2safe
     t11[0, 0] = 0.0
     t12[0, 0] = 0.0
-    out = SpectralField(field.grid, "symtensor", np.stack([t11, t12]),
-                        field.reality, _trim=False)
-    if return_mean:
-        dropped = field.coeff((0, 0))
-        if field.reality:
-            dropped = dropped.real
-        return out, dropped
-    return out
+    return SpectralField(field.grid, "symtensor", np.stack([t11, t12]),
+                         field.reality, _trim=False)
 
 
 # -- trace-free tensor product --------------------------------------------

@@ -27,9 +27,11 @@ def bump1(s: np.ndarray) -> np.ndarray:
     return out / 0.4439938161680794  # integral of exp(-1/(1-s^2)) over (-1,1)
 
 
-@lru_cache(maxsize=None)
-def _radial_transform_table(gl_order: int = 128):
-    x, w = np.polynomial.legendre.leggauss(gl_order)
+@lru_cache(maxsize=1)
+def _radial_transform_table():
+    """Gauss-Legendre (order 128) nodes, weights, profile and mass of the
+    radial bump on (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(128)
     rho = 0.5 * (x + 1.0)          # map to (0, 1)
     wts = 0.5 * w
     prof = np.exp(-1.0 / (1.0 - rho ** 2))

@@ -20,21 +20,14 @@ from .building_blocks import WaveParams
 from .errors import ConfigError, ConstraintViolation
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
-def theta_star(theta) -> float:
-    """Dissipation-strength surrogate: 2 theta - 1 above 1/2, else 0."""
-    th = _as_fraction(theta)
+def theta_star(theta):
+    """Dissipation-strength surrogate: 2 theta - 1 above 1/2, else 0;
+    exact for a Fraction theta, a float otherwise."""
+    th = Fraction(theta)
     if not (0 <= th < 1):
         raise ConfigError(f"theta must lie in [0, 1), got {theta}")
     ts = 2 * th - 1 if th > Fraction(1, 2) else Fraction(0)
-    return ts if isinstance(theta, (Fraction, str)) else float(ts)
+    return ts if isinstance(theta, Fraction) else float(ts)
 
 
 def iroot(x: int, n: int) -> int:
@@ -62,27 +55,12 @@ class PowerOfA:
         if self.base != other.base:
             raise ConfigError("comparing powers of different bases")
 
-    def __le__(self, other):
-        self._cmp_check(other)
-        return self.exponent <= other.exponent
-
     def __lt__(self, other):
         self._cmp_check(other)
         return self.exponent < other.exponent
 
-    def __mul__(self, other: "PowerOfA") -> "PowerOfA":
-        self._cmp_check(other)
-        return PowerOfA(self.base, self.exponent + other.exponent)
-
     def __pow__(self, e) -> "PowerOfA":
-        return PowerOfA(self.base, self.exponent * _as_fraction(e))
-
-    def as_int(self) -> int:
-        """Materialize when the exponent is a modest nonnegative integer."""
-        e = self.exponent
-        if e.denominator != 1 or e < 0 or e > 64:
-            raise ConfigError(f"refusing to materialize {self}")
-        return self.base ** int(e)
+        return PowerOfA(self.base, self.exponent * Fraction(e))
 
     def __repr__(self):
         return f"{self.base}^({self.exponent})"
@@ -112,9 +90,9 @@ class PaperSchedule:
     q: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _as_fraction(self.theta))
-        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
-        object.__setattr__(self, "beta", _as_fraction(self.beta))
+        object.__setattr__(self, "theta", Fraction(self.theta))
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "beta", Fraction(self.beta))
         if not (0 <= self.theta < 1):
             raise ConfigError("theta must lie in [0, 1)")
         if self.q < 0 or self.B < 1 or self.A < 2:
@@ -125,7 +103,7 @@ class PaperSchedule:
         return theta_star(self.theta)
 
     def _pow(self, e) -> PowerOfA:
-        return PowerOfA(self.A, _as_fraction(e))
+        return PowerOfA(self.A, Fraction(e))
 
     def lam(self, q: int | None = None) -> PowerOfA:
         q = self.q if q is None else q
@@ -154,11 +132,6 @@ class PaperSchedule:
     @property
     def p_holder(self) -> Fraction:
         return (2 - 12 * self.alpha) / (2 - 13 * self.alpha)
-
-    def as_config(self) -> dict:
-        """Round-trippable JSON form (the CLI config's exact-mode section)."""
-        return {"A": self.A, "B": self.B, "alpha": str(self.alpha),
-                "beta": str(self.beta), "q": self.q}
 
 
 def _root_in_5n(A: int, alpha: Fraction) -> bool:
@@ -214,7 +187,8 @@ def validate_schedule(s: PaperSchedule) -> ScheduleReport:
 
 @dataclass(frozen=True)
 class ToyParams:
-    """Desk-scale wave parameters plus the step's scalar knobs."""
+    """Desk-scale wave parameters plus the step's scalar knobs; theta and
+    nu must equal those of the state `iterate_step` is given."""
 
     wp: WaveParams
     ell: float

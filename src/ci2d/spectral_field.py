@@ -229,9 +229,10 @@ class SpectralField:
     def component(self, i: int) -> "SpectralField":
         return SpectralField(self.grid, "scalar", self.coeffs[i:i + 1], self.reality, _trim=False)
 
-    def as_real(self, rtol: float = 1e-10) -> "SpectralField":
-        """Assert conjugate symmetry and set the reality flag."""
-        if not _is_conjugate_symmetric(self.coeffs, rtol):
+    def as_real(self) -> "SpectralField":
+        """Assert conjugate symmetry to 1e-8 of the largest coefficient
+        and set the reality flag."""
+        if not _is_conjugate_symmetric(self.coeffs, 1e-8):
             raise ConfigError("field is not conjugate-symmetric; cannot flag as real")
         return SpectralField(self.grid, self.rank, self.coeffs, True, _trim=False)
 

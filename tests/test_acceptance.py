@@ -23,7 +23,7 @@ from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
 from ci2d.building_blocks import WaveParams, pair_shell, positive_directions
 from ci2d.ci_step import _coefficient_slice, _perturbation_slice, _wave_slice
 from ci2d.generators import shear_track, time_grid
-from ci2d.stress_geometry import decompose, default_ramp, reconstruct
+from ci2d.stress_geometry import decompose, reconstruct
 
 warnings.filterwarnings("ignore", message=".*separation.*")
 
@@ -50,7 +50,7 @@ def endtoend():
     new_state, diags = iterate_step(state, toy)
     elapsed = time.time() - t0
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
     return {"state": state, "new_state": new_state, "diags": diags,
             "elapsed": elapsed, "moll": moll, "cut": cut, "toy": toy,
             "grid": grid, "times": times}
@@ -204,15 +204,15 @@ def test_criterion_06_operator_lemmas():
 def _plateau_node(run):
     """Middle plateau node: its time, coefficients {k: (a, da)} and
     perturbation slice, built by the calls iterate_step makes."""
-    cut, R_ls, toy, grid = run["cut"], run["moll"].R_ls, run["toy"], run["grid"]
+    cut, R_ls, toy, grid = run["cut"], run["moll"].R, run["toy"], run["grid"]
     idx = np.where(cut.plateau_mask())[0]
     i = int(idx[len(idx) // 2])
     t = float(run["times"][i])
     rv = R_ls.slices[i].values(grid.n)
     drv = R_ls.dslices[i].values(grid.n)
-    a_slice = _coefficient_slice(grid, rv[0], rv[1], drv[0], drv[1],
+    a_slice = _coefficient_slice(rv[0], rv[1], drv[0], drv[1],
                                  float(cut.values[i]), float(cut.dvalues[i]),
-                                 toy.a_const, toy.eps_next, default_ramp())
+                                 toy.a_const, toy.eps_next)
     waves = {k: _wave_slice(k, toy.wp, t, grid) for k in positive_directions()}
     return i, t, a_slice, _perturbation_slice(grid, toy.wp, a_slice, waves)
 
@@ -247,7 +247,7 @@ def test_criterion_08_oscillation_cancellation(endtoend):
     toy = run["toy"]
     grid = run["grid"]
     i, t, a_slice, _ = _plateau_node(run)
-    rv = run["moll"].R_ls.slices[i].values(grid.n)
+    rv = run["moll"].R.slices[i].values(grid.n)
     acc11, acc12 = rv[0].copy(), rv[1].copy()
     for k in positive_directions():
         w, _ = intermittent_flow(k, toy.wp, t, grid)
@@ -302,13 +302,13 @@ def test_criterion_10_parameter_gate():
 
 def test_criterion_11_negative_control(endtoend):
     state = endtoend["state"]
-    _, rep0 = nsr_residual(state)
+    rep0 = nsr_residual(state)
     bad = helmholtz(project(random_field(state.grid, "vector", 12, seed=33),
                             FreqBand.nonzero()))
     bad = ((1.0 + rep0["scale"]) / lp_norm(bad, 2)) * bad
     broken = NSRState(TimeTrack(state.times, [s + bad for s in state.v.slices],
                                 state.v.dslices),
                       state.p, state.R, state.theta, state.nu, state.q, state.T)
-    _, rep = nsr_residual(broken)
+    rep = nsr_residual(broken)
     _verdict(11, rep["max_rel"] >= 0.1,
              f"perturbed relative residual {rep['max_rel']:.3f}")

@@ -6,13 +6,14 @@ from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
                   init_state, iterate_step, lp_norm, make_grid, mean, mollify,
                   nsr_residual, project, random_field, temporal_cutoff,
                   tf_square, toy_params)
-from ci2d.ci_step import (_coefficient_slice, _perturbation_slice, _wave_slice,
-                          fd6_channel, support_mask)
+from ci2d.ci_step import (_coefficient_slice, _perturbation_slice, _switch_eval,
+                          _wave_slice, fd6_channel, mask_intervals, support_mask)
 from ci2d.errors import ConfigError, PaddingError
 from ci2d.fourier_calculus import FreqBand
 from ci2d.generators import bump_profile, time_grid, zero_track
 from ci2d.building_blocks import positive_directions
-from ci2d.stress_geometry import default_ramp
+from ci2d.stress_geometry import (W11, W12, default_ramp, gamma_squared_grid,
+                                  gamma_squared_grid_dt)
 
 GRID = make_grid(128)
 TIMES = time_grid(1.0, 0.1, 17)
@@ -32,10 +33,7 @@ def small_state(amplitude=1.0, theta=0.4, nu=1.0):
 def small_toy(**kw):
     args = dict(lam=25, sigma_inv=5, r=2, mu=3, ell=0.05, theta=0.4, nu=1.0,
                 a_const=5.0, eps_next=0.04)
-    args.update(kw)
-    return toy_params(args["lam"], args["sigma_inv"], args["r"], args["mu"],
-                      args["ell"], args["theta"], args["nu"],
-                      a_const=args["a_const"], eps_next=args["eps_next"])
+    return toy_params(**{**args, **kw})
 
 
 def _node(R_ls, cut, toy, i):
@@ -44,9 +42,9 @@ def _node(R_ls, cut, toy, i):
     grid = R_ls.grid
     rv = R_ls.slices[i].values(grid.n)
     drv = R_ls.dslices[i].values(grid.n)
-    a_slice = _coefficient_slice(grid, rv[0], rv[1], drv[0], drv[1],
+    a_slice = _coefficient_slice(rv[0], rv[1], drv[0], drv[1],
                                  float(cut.values[i]), float(cut.dvalues[i]),
-                                 toy.a_const, toy.eps_next, default_ramp())
+                                 toy.a_const, toy.eps_next)
     waves = {k: _wave_slice(k, toy.wp, float(R_ls.times[i]), grid)
              for k in positive_directions()}
     return a_slice, _perturbation_slice(grid, toy.wp, a_slice, waves)
@@ -62,8 +60,7 @@ def test_init_zero_track():
 
 def test_init_shear_residual_and_support():
     state = small_state()
-    _, rep = nsr_residual(state)
-    assert rep["max_rel"] <= 1e-6
+    assert nsr_residual(state)["max_rel"] <= 1e-6
     # stress support stays inside the generator's temporal support
     vmask = support_mask(state.v)
     rmask = support_mask(state.R)
@@ -111,16 +108,17 @@ def test_mollify_single_mode_damping_oracle():
     u = TimeTrack(TIMES, [base] * TIMES.size, [0.0 * base] * TIMES.size)
     state = init_state(u, 0.0, 1.0, 1.0)
     moll = mollify(state, ell)
-    got = moll.norms["v_diff_linf"]
+    got = moll.meta["v_diff_linf"]
     assert got == pytest.approx(oracle, abs=1e-8)
     # damping grows with ell
-    worse = mollify(state, 0.1).norms["v_diff_linf"]
+    worse = mollify(state, 0.1).meta["v_diff_linf"]
     assert worse > got
 
 
 def test_mollify_commutator_vanishes_for_space_time_constants():
     # constant-in-(x, t) velocity: both mollifications are exact on it and
-    # the product commutator vanishes identically
+    # the product commutator vanishes identically; with R = 0 the
+    # mollified stress is that commutator alone
     c = SpectralField.from_modes(GRID, "vector", {(0, 0): np.array([2.0, -1.0])})
     zs = SpectralField.zeros(GRID, "scalar")
     zt = SpectralField.zeros(GRID, "symtensor")
@@ -130,18 +128,13 @@ def test_mollify_commutator_vanishes_for_space_time_constants():
         R=TimeTrack(TIMES, [zt] * TIMES.size, [zt] * TIMES.size),
         theta=0.4, nu=1.0, q=0, T=1.0)
     moll = mollify(state, 0.05)
-    assert max(lp_norm(s, np.inf) for s in moll.R_m.slices) <= 1e-13
+    assert max(lp_norm(s, np.inf) for s in moll.R.slices) <= 1e-13
     assert max(lp_norm(a - b, np.inf)
                for a, b in zip(moll.v.slices, state.v.slices)) <= 1e-13
 
 
 def test_mollified_triple_balances():
-    state = small_state()
-    moll = mollify(state, 0.05)
-    mstate = NSRState(moll.v, moll.p, moll.R_ls, state.theta, state.nu,
-                      state.q, state.T)
-    _, rep = nsr_residual(mstate)
-    assert rep["max_rel"] <= 1e-12
+    assert nsr_residual(mollify(small_state(), 0.05))["max_rel"] <= 1e-12
 
 
 def test_mollify_requires_padding():
@@ -155,7 +148,7 @@ def test_mollify_requires_padding():
 def test_cutoff_zero_stress_gives_zero_switch():
     state = init_state(zero_track(GRID, TIMES), 0.4, 1.0, 1.0)
     moll = mollify(state, 0.05)
-    cut = temporal_cutoff(moll.R_ls, 0.05)
+    cut = temporal_cutoff(moll.R, 0.05)
     assert np.all(cut.values == 0.0)
     new_state, diags = iterate_step(state, small_toy())
     assert all(lp_norm(a - b, 2) == 0.0
@@ -188,10 +181,10 @@ def test_cutoff_slope_scales_with_ell():
     track = TimeTrack(times, [float(c) * base for c in chi],
                       [float(c) * base for c in dchi])
     slopes = {}
+    intervals = mask_intervals(times, support_mask(track))
     for ell in (0.05, 0.1):
-        cut = temporal_cutoff(track, ell)
         fine = np.linspace(times[0], times[-1], 20001)
-        vals, dvals = cut.evaluate(fine)
+        vals, dvals = _switch_eval(intervals, ell, fine)
         fd = np.gradient(vals, fine)
         slopes[ell] = np.max(np.abs(fd))
         assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -218,7 +211,6 @@ def test_coefficients_flat_stress_is_isotropic():
     ks = positive_directions()
     assert list(a_slice) == ks
     ref = a_slice[ks[0]][0]
-    from ci2d.stress_geometry import W11, W12
     expected = np.sqrt(5.0 * 0.04) * np.sqrt((W11 + W12) * default_ramp().value_at_zero())
     assert np.max(np.abs(ref)) == pytest.approx(expected, rel=1e-12)
     for k in ks[1:]:
@@ -229,20 +221,17 @@ def test_coefficient_slice_matches_per_direction_weights_bitwise():
     # the ramp runs once per stress entry for all directions; the weights
     # must be those of gamma_squared_grid and gamma_squared_grid_dt, bit
     # for bit, inside the ramp's window and on its linear pieces
-    from ci2d.stress_geometry import gamma_squared_grid, gamma_squared_grid_dt
     rng = np.random.default_rng(11)
     a_const, eps_next, phi, dphi = 5.0, 0.04, 0.7, -2.5
     ae = a_const * eps_next
     r11, r12 = (ae * rng.uniform(-3.0, 3.0, (32, 32)) for _ in range(2))
     r11[0, :5] = ae * np.array([-1.0, 1.0, 0.0, -0.5, 0.5])
     dr11, dr12 = rng.standard_normal((2, 32, 32))
-    ramp = default_ramp()
-    a_slice = _coefficient_slice(GRID, r11, r12, dr11, dr12, phi, dphi,
-                                 a_const, eps_next, ramp)
+    a_slice = _coefficient_slice(r11, r12, dr11, dr12, phi, dphi, a_const, eps_next)
     inv = 1.0 / ae
     for k in positive_directions():
-        g2 = gamma_squared_grid(k, r11 * inv, r12 * inv, ramp)
-        dg2 = gamma_squared_grid_dt(k, r11 * inv, r12 * inv, dr11 * inv, dr12 * inv, ramp)
+        g2 = gamma_squared_grid(k, r11 * inv, r12 * inv)
+        dg2 = gamma_squared_grid_dt(k, r11 * inv, r12 * inv, dr11 * inv, dr12 * inv)
         g = np.sqrt(g2)
         a, da = a_slice[k]
         assert np.array_equal(a, np.sqrt(ae) * g * phi)
@@ -253,17 +242,16 @@ def test_coefficient_size_tracks_amplitude_constants():
     # measured form of the size bound: the squared weights are affine in
     # the normalized stress, so the slice L2 norm of a_k is controlled by
     # sqrt(A eps) times the stress budget
-    from ci2d.stress_geometry import W11, W12
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
     n = state.grid.n
     cell = state.grid.cell_measure
     ae = toy.a_const * toy.eps_next
-    for i in range(len(moll.R_ls)):
-        a_slice, _ = _node(moll.R_ls, cut, toy, i)
-        rv = moll.R_ls.slices[i].values(n)
+    for i in range(len(moll.R)):
+        a_slice, _ = _node(moll.R, cut, toy, i)
+        rv = moll.R.slices[i].values(n)
         budget = ae * (W11 + W12) * (
             np.sum(np.hypot(rv[0], rv[1])) * cell / ae + 2.0 * (2 * np.pi) ** 2)
         for k in positive_directions():
@@ -277,11 +265,11 @@ def test_coefficient_cancellation_on_plateau():
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
     plateau = np.where(cut.plateau_mask())[0]
     i = int(plateau[len(plateau) // 2])
-    a_slice, _ = _node(moll.R_ls, cut, toy, i)
-    rv = moll.R_ls.slices[i].values(state.grid.n)
+    a_slice, _ = _node(moll.R, cut, toy, i)
+    rv = moll.R.slices[i].values(state.grid.n)
     acc11, acc12 = rv[0].copy(), rv[1].copy()
     for k in positive_directions():
         a = a_slice[k][0]
@@ -304,7 +292,7 @@ def _perturbation_setup(amplitude=0.05, lam=50, sigma_inv=10, n=256):
     state = init_state(u, theta=0.4, nu=1.0, T=1.0)
     toy = small_toy(lam=lam, sigma_inv=sigma_inv, mu=5)
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
     return state, toy, moll, cut
 
 
@@ -312,10 +300,10 @@ def test_perturbations_vanish_without_cutoff():
     state = small_state(amplitude=0.0)
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
     assert np.all(cut.values == 0.0) and np.all(cut.dvalues == 0.0)
     for i in range(len(TIMES)):
-        _, pert = _node(moll.R_ls, cut, toy, i)
+        _, pert = _node(moll.R, cut, toy, i)
         assert all(lp_norm(pert[name], 2) == 0.0 for name in ("w_p", "w_c", "w_t"))
 
 
@@ -324,7 +312,7 @@ def test_stream_identity_and_solenoidality():
     from ci2d.building_blocks import eta, lattice_vector
     state, toy, moll, cut = _perturbation_setup()
     i = int(np.argmax(cut.values))
-    a_slice, pert = _node(moll.R_ls, cut, toy, i)
+    a_slice, pert = _node(moll.R, cut, toy, i)
     w_p, w_c, w_t = pert["w_p"], pert["w_c"], pert["w_t"]
     grid = state.grid
     # rebuild the potential from the public pieces, one mode shift per
@@ -391,9 +379,9 @@ def test_perturbation_slice_mirror_matches_both_explicit_shifts():
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    a_slice, pert = _node(moll.R_ls, cut, toy, node)
+    a_slice, pert = _node(moll.R, cut, toy, node)
     waves = {k: _wave_slice(k, toy.wp, float(TIMES[node]), GRID) for k in positive_directions()}
     oracle, clipped = _perturbation_oracle(GRID, toy.wp, a_slice, waves)
     for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t", "stream"):
@@ -424,9 +412,9 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R_ls, toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    a_slice, pert = _node(moll.R_ls, cut, toy, node)
+    a_slice, pert = _node(moll.R, cut, toy, node)
     grid, wp, n = state.grid, toy.wp, state.grid.n
     waves = {k: _wave_slice(k, wp, float(TIMES[node]), grid) for k in positive_directions()}
     pstar, _ = _pstar_slice(grid, wp, a_slice, waves, pert["moments"])
@@ -462,7 +450,7 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
 def test_corrector_sizes_at_inductive_stress():
     # with the stress at its inductive size the principal wave dominates
     state, toy, moll, cut = _perturbation_setup(amplitude=0.05)
-    _, pert = _node(moll.R_ls, cut, toy, int(np.argmax(cut.values)))
+    _, pert = _node(moll.R, cut, toy, int(np.argmax(cut.values)))
     assert lp_norm(pert["w_c"], 2) < lp_norm(pert["w_p"], 2)
     assert lp_norm(pert["w_t"], 2) < lp_norm(pert["w_p"], 2)
 
@@ -473,7 +461,7 @@ def test_perturbation_scaling_probes_across_doubling():
     ratios = {}
     for lam, sig in ((50, 10), (100, 20)):
         state, toy, moll, cut = _perturbation_setup(lam=lam, sigma_inv=sig)
-        _, pert = _node(moll.R_ls, cut, toy, int(np.argmax(cut.values)))
+        _, pert = _node(moll.R, cut, toy, int(np.argmax(cut.values)))
         s = 1.0 / sig
         ell = toy.ell
         preds = {
@@ -494,7 +482,7 @@ def test_perturbation_support_inside_cutoff():
     off = np.where((cut.values == 0.0) & (cut.dvalues == 0.0))[0]
     assert off.size and off.size < len(TIMES)
     for i in off:
-        _, pert = _node(moll.R_ls, cut, toy, int(i))
+        _, pert = _node(moll.R, cut, toy, int(i))
         for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"):
             assert lp_norm(pert[name], 2) == 0.0, (i, name)
 
@@ -512,8 +500,15 @@ def test_zero_cutoff_step_keeps_mollified_residual():
 
 def test_step_rejects_theta_of_one():
     # theta* (and so the predicted 7.16b and 7.16 columns) is defined on [0, 1)
-    with pytest.raises(ConfigError):
-        iterate_step(small_state(theta=1.0), small_toy())
+    with pytest.raises(ConfigError, match="theta must lie"):
+        iterate_step(small_state(theta=1.0), small_toy(theta=1.0))
+
+
+def test_step_rejects_toy_theta_or_nu_unlike_the_state():
+    state = small_state()
+    for kw in ({"theta": 0.9}, {"nu": 2.0}):
+        with pytest.raises(ConfigError, match="differs from the state"):
+            iterate_step(state, small_toy(**kw))
 
 
 def test_step_diagnostics_rows_have_refs():
@@ -538,26 +533,27 @@ def test_nsr_residual_exact_steady_solution():
         p=TimeTrack(times, [SpectralField.zeros(grid, "scalar")] * times.size),
         R=TimeTrack(times, stress),
         theta=1.0, nu=1.0, q=0, T=1.0)
-    _, rep = nsr_residual(state)
-    assert rep["max_rel"] <= 1e-10
-    # the difference fallback agrees on a steady state
-    _, rep_fd = nsr_residual(state, use_channel=False)
-    assert rep_fd["max_rel"] <= 1e-10
+    assert nsr_residual(state)["max_rel"] <= 1e-10
+    # the difference fallback agrees on a steady state: a track without
+    # a channel goes through fd6_channel
+    no_channel = NSRState(TimeTrack(times, [v] * times.size), state.p, state.R,
+                          state.theta, state.nu, state.q, state.T)
+    assert nsr_residual(no_channel)["max_rel"] <= 1e-10
     zero = init_state(zero_track(grid, times), 1.0, 1.0, 1.0)
-    _, zrep = nsr_residual(zero)
+    zrep = nsr_residual(zero)
     assert zrep["max_rel"] == 0.0
 
 
 def test_nsr_residual_negative_control():
     state = small_state()
-    _, rep0 = nsr_residual(state)
+    rep0 = nsr_residual(state)
     bad = helmholtz(project(random_field(state.grid, "vector", 10, seed=11),
                             FreqBand.nonzero()))
     bad = ((1.0 + rep0["scale"]) / lp_norm(bad, 2)) * bad
     broken = NSRState(TimeTrack(state.times, [s + bad for s in state.v.slices],
                                 state.v.dslices),
                       state.p, state.R, state.theta, state.nu, state.q, state.T)
-    _, rep = nsr_residual(broken)
+    rep = nsr_residual(broken)
     assert rep["max_rel"] >= 0.1
 
 

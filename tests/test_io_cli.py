@@ -123,15 +123,6 @@ def test_cli_state_determinism(tmp_path):
             assert f1.read() == f2.read()
 
 
-def test_cli_check_default_config_counts(capsys):
-    from ci2d.checks import REGISTRY
-    assert main(["check"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["n_failed"] == 0
-    assert report["n_passed"] == len(REGISTRY)
-    assert [p["name"] for p in report["properties"]] == [name for name, _ in REGISTRY]
-
-
 def test_init_support_stays_inside_generator_window(tmp_path):
     cfg_path, cfg = _small_cfg(tmp_path)
     assert main(["init", "--config", cfg_path]) == 0
@@ -156,6 +147,17 @@ def test_cli_guard_exit_codes(tmp_path):
     # step without a state directory: constraint violation family
     cfg_path, _ = _small_cfg(tmp_path)
     assert main(["step", "--config", cfg_path]) == 3
+
+
+def test_cli_step_rejects_theta_unlike_init(tmp_path):
+    # the toy's theta comes from the step config, the state's from init's
+    cfg_path, cfg = _small_cfg(tmp_path)
+    assert main(["init", "--config", cfg_path]) == 0
+    step_cfg, _ = _small_cfg(tmp_path, theta=0.6)
+    out_dir = str(tmp_path / "state1")
+    assert main(["step", "--config", step_cfg, "--state", cfg["out"],
+                 "--out", out_dir]) == 3
+    assert not os.path.exists(out_dir) and not os.path.exists(out_dir + ".partial")
 
 
 def test_write_state_requires_consistent_grid(tmp_path):
