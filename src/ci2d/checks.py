@@ -60,7 +60,7 @@ def _parseval():
     # lp_norm(., 2) sums coefficients; the oracle is the grid rectangle rule
     g = make_grid(64)
     rel = 0.0
-    for rank, seed in (("scalar", 2), ("symtensor", 12)):
+    for rank, seed in (("scalar", 2), ("symtensor", 12), ("scalar", 1), ("symtensor", 11)):
         f = random_field(g, rank, 20, seed=seed)
         quad = np.sqrt(np.sum(pointwise_magnitude(f) ** 2) * g.cell_measure)
         rel = max(rel, abs(lp_norm(f, 2) - quad) / quad)
@@ -123,40 +123,43 @@ def _proj():
 
 @check("op.helmholtz_projector")
 def _helm():
-    g = make_grid(64)
-    f = random_field(g, "vector", 25, seed=6, mean_zero=False)
-    pf = helmholtz(f)
-    dd = lp_norm(divergence(pf), 2)
-    idem = lp_norm(helmholtz(pf) - pf, 2)
-    keep = np.max(np.abs(np.asarray(mean(pf)) - np.asarray(mean(f))))
-    ok = dd <= 1e-12 * lp_norm(f, 2) and idem <= 1e-12 * lp_norm(f, 2) and keep < 1e-14
+    dd = idem = keep = 0.0   # div and idempotence relative to the input
+    for n, band, seed, mean_zero in ((64, 25, 6, False), (32, 10, 1, True)):
+        f = random_field(make_grid(n), "vector", band, seed=seed, mean_zero=mean_zero)
+        pf = helmholtz(f)
+        dd = max(dd, lp_norm(divergence(pf), 2) / lp_norm(f, 2))
+        idem = max(idem, lp_norm(helmholtz(pf) - pf, 2) / lp_norm(f, 2))
+        keep = max(keep, np.max(np.abs(np.asarray(mean(pf)) - np.asarray(mean(f)))))
+    ok = dd <= 1e-12 and idem <= 1e-12 and keep < 1e-14
     return ok, f"div {dd:.2e}, idempotence {idem:.2e}"
 
 
 @check("op.multiplier_composition")
 def _fraccomp():
-    g = make_grid(64)
-    f = random_field(g, "scalar", 20, seed=7)
+    f = random_field(make_grid(64), "scalar", 20, seed=7)
     twice = frac_laplacian(frac_laplacian(f, 0.5), 0.5)
     once = frac_laplacian(f, 1.0)
     rel = lp_norm(twice - once, 2) / lp_norm(once, 2)
-    gg = inv_grad(inv_grad(f))
-    hh = frac_laplacian(project(f, FreqBand.nonzero()), 1.0)
     # |grad|^-2 is the inverse of (-Lap) on mean-free fields
-    cyc = lp_norm(frac_laplacian(gg, 1.0) - project(f, FreqBand.nonzero()), 2)
-    return rel < 1e-12 and cyc < 1e-10 * lp_norm(f, 2), f"compose {rel:.2e}, inverse {cyc:.2e}"
+    cyc = 0.0
+    for h in (f, random_field(make_grid(32), "scalar", 10, seed=2)):
+        back = frac_laplacian(inv_grad(inv_grad(h)), 1.0)
+        cyc = max(cyc, lp_norm(back - project(h, FreqBand.nonzero()), 2) / lp_norm(h, 2))
+    return rel < 1e-12 and cyc < 1e-10, f"compose {rel:.2e}, inverse {cyc:.2e}"
 
 
 @check("op.anti_divergence_inverse")
 def _antidiv():
-    g = make_grid(128)
     worst = 0.0
-    for s in range(20):
-        f = random_field(g, "vector", 40, seed=100 + s)
-        rf = anti_divergence(f)
-        worst = max(worst, lp_norm(divergence(rf) - f, 2) / lp_norm(f, 2))
-        worst = max(worst, abs(mean(rf)[0]), abs(mean(rf)[1]))
-    return worst < 1e-10, f"worst relative defect {worst:.2e}"
+    zero_means = True
+    for n, band, seeds in ((128, 40, range(100, 120)), (64, 20, range(10))):
+        for s in seeds:
+            f = random_field(make_grid(n), "vector", band, seed=s)
+            rf = anti_divergence(f)
+            worst = max(worst, lp_norm(divergence(rf) - f, 2) / lp_norm(f, 2))
+            zero_means &= not np.any(mean(f)) and not np.any(mean(rf))
+    return worst < 1e-10 and zero_means, \
+        f"worst relative defect {worst:.2e}, means exactly zero: {zero_means}"
 
 
 @check("op.product_estimate_constant")
@@ -274,6 +277,8 @@ def _etachecks():
         f, df = eta(k, wp, 0.37, g)
         sq = multiply(f, f)
         ok &= abs(mean(sq).real - 1.0) < 1e-10
+        # rectangle-rule oracle for the mean square
+        ok &= abs(np.sum(f.values()[0] ** 2) * g.cell_measure / (2 * np.pi) ** 2 - 1.0) < 1e-10
         sgn = 1.0 if k.positive else -1.0
         kdot = (float(k.k[0]) * derive(f, (1, 0)).coeffs
                 + float(k.k[1]) * derive(f, (0, 1)).coeffs)
@@ -293,12 +298,13 @@ def _flowshell():
     g = make_grid(256)
     wp = WaveParams(50, 10, 2, 5)
     lo, hi = flow_shell(wp)
-    ok = wp.lam / 2 <= lo and hi <= 2 * wp.lam
+    ok = wp.lam / 2 <= lo <= hi <= 2 * wp.lam
     k = positive_directions()[0]
-    w, _ = intermittent_flow(k, wp, 0.1, g)
-    rad, mag2 = w.mode_magnitudes()
-    outside = mag2[(rad < wp.lam / 2) | (rad > 2 * wp.lam)].sum()
-    ok &= outside / mag2.sum() <= 1e-12
+    for t in (0.1, 0.37):
+        w, _ = intermittent_flow(k, wp, t, g)
+        rad, mag2 = w.mode_magnitudes()
+        outside = mag2[(rad < wp.lam / 2) | (rad > 2 * wp.lam)].sum()
+        ok &= outside / mag2.sum() <= 1e-12
     return bool(ok), f"shell [{lo:.1f}, {hi:.1f}] inside [{wp.lam/2}, {2*wp.lam}]"
 
 
@@ -306,16 +312,16 @@ def _flowshell():
 def _flowmean():
     g = make_grid(256)
     wp = WaveParams(50, 10, 2, 5)
-    k = positive_directions()[1]
-    w, _ = intermittent_flow(k, wp, 0.2, g)
-    wm, _ = intermittent_flow(k.antipode, wp, 0.2, g)
-    # entries of the full (not symmetrized) display of w x wm
-    (w1, w2), (m1, m2) = ([u.component(j) for j in (0, 1)] for u in (w, wm))
     avg = lambda a, b: mean(multiply(a, b)).real
-    t11 = 0.5 * avg(w1, m1) - 0.5 * avg(w2, m2)
-    got = np.array([[t11, avg(w1, m2)], [avg(w2, m1), -t11]])
-    want = -tracefree_product(k.k, k.k)
-    err = np.max(np.abs(got - want))
+    err = 0.0
+    for k, t in ((positive_directions()[1], 0.2), (positive_directions()[0], 0.37)):
+        w, _ = intermittent_flow(k, wp, t, g)
+        wm, _ = intermittent_flow(k.antipode, wp, t, g)
+        # entries of the full (not symmetrized) display of w x wm
+        (w1, w2), (m1, m2) = ([u.component(j) for j in (0, 1)] for u in (w, wm))
+        t11 = 0.5 * avg(w1, m1) - 0.5 * avg(w2, m2)
+        got = np.array([[t11, avg(w1, m2)], [avg(w2, m1), -t11]])
+        err = max(err, np.max(np.abs(got + tracefree_product(k.k, k.k))))
     return err < 1e-12, f"mean tensor error {err:.2e}"
 
 
@@ -335,17 +341,18 @@ def _flowlp():
 def _sumreal():
     g = make_grid(128)
     wp = WaveParams(50, 10, 2, 5)
-    rng = np.random.default_rng(31)
-    amps = {}
-    for k in positive_directions():
-        amps[k.five_k] = rng.standard_normal() + 1j * rng.standard_normal()
-    acc = SpectralField.zeros(g, "vector", reality=False)
-    for k in directions():
-        a = amps[k.five_k] if k.positive else np.conj(amps[k.antipode.five_k])
-        w, _ = intermittent_flow(k, wp, 0.4, g)
-        acc = acc + a * w
-    vals = acc.values()
-    resid = np.max(np.abs(vals.imag)) / max(np.max(np.abs(vals.real)), 1e-300)
+    flows = {k: intermittent_flow(k, wp, 0.4, g)[0] for k in directions()}
+    resid = 0.0
+    for seed in (31, 3):
+        rng = np.random.default_rng(seed)
+        amps = {k.five_k: rng.standard_normal() + 1j * rng.standard_normal()
+                for k in positive_directions()}
+        acc = SpectralField.zeros(g, "vector", reality=False)
+        for k in directions():
+            a = amps[k.five_k] if k.positive else np.conj(amps[k.antipode.five_k])
+            acc = acc + a * flows[k]
+        vals = acc.values()
+        resid = max(resid, np.max(np.abs(vals.imag)) / max(np.max(np.abs(vals.real)), 1e-300))
     return resid < 1e-12, f"imaginary residue {resid:.2e}"
 
 
@@ -496,6 +503,9 @@ def _stepids():
     ok &= diags.residual_report["window_max_rel"] <= 1e-4
     ok &= new_state.q == state.q + 1
     ok &= all(np.max(np.abs(mean(s))) <= 1e-13 for s in new_state.v.slices)
+    ok &= {"w_p_L_inf_L2", "R_new_L1", "residual_window_max_rel"} <= {
+        r["quantity"] for r in diags.rows}
+    ok &= all(r["ref"] for r in diags.rows)
     return bool(ok), (f"stream {idn['stream_identity_l2']:.2e}, "
                       f"residual {diags.residual_report['window_max_rel']:.2e}")
 
@@ -503,17 +513,18 @@ def _stepids():
 @check("step.negative_control")
 def _negctrl():
     state, _ = _small_setup()
-    bad = random_field(state.grid, "vector", 10, seed=17)
-    bad = helmholtz(project(bad, FreqBand.nonzero()))
     rep0 = ci_step.nsr_residual(state)
-    scale = (1.0 + rep0["scale"]) / max(lp_norm(bad, 2), 1e-300)
-    bad = scale * bad
-    slices = [s + bad for s in state.v.slices]
-    broken = ci_step.NSRState(
-        TimeTrack(state.times, slices, state.v.dslices),
-        state.p, state.R, state.theta, state.nu, state.q, state.T)
-    rep = ci_step.nsr_residual(broken)
-    return rep["max_rel"] >= 0.1, f"perturbed residual {rep['max_rel']:.3f}"
+    least = np.inf
+    for seed in (17, 11):
+        bad = random_field(state.grid, "vector", 10, seed=seed)
+        bad = helmholtz(project(bad, FreqBand.nonzero()))
+        bad = ((1.0 + rep0["scale"]) / max(lp_norm(bad, 2), 1e-300)) * bad
+        slices = [s + bad for s in state.v.slices]
+        broken = ci_step.NSRState(
+            TimeTrack(state.times, slices, state.v.dslices),
+            state.p, state.R, state.theta, state.nu, state.q, state.T)
+        least = min(least, ci_step.nsr_residual(broken)["max_rel"])
+    return least >= 0.1, f"least perturbed residual {least:.3f}"
 
 
 @check("step.mollify_exactness")

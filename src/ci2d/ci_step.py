@@ -141,8 +141,7 @@ def init_state(u: TimeTrack, theta: float, nu: float, T: float) -> NSRState:
     v = TimeTrack(u.times, u.slices, u.dslices)
     p = TimeTrack(u.times, p_slices)
     R = TimeTrack(u.times, R_slices, dR_slices)
-    return NSRState(v, p, R, float(theta), float(nu), q=0, T=float(T),
-                    meta={"pressure_convention": "tracefree"})
+    return NSRState(v, p, R, float(theta), float(nu), q=0, T=float(T))
 
 
 # -- mollification ----------------------------------------------------------
@@ -640,7 +639,6 @@ def iterate_step(state: NSRState, toy: ToyParams):
         p=TimeTrack(times, p_new),
         R=TimeTrack(times, R_new),
         theta=state.theta, nu=state.nu, q=state.q + 1, T=state.T,
-        meta=dict(state.meta, parent_q=state.q),
     )
 
     rep = nsr_residual(new_state)

@@ -17,10 +17,10 @@ import shutil
 import sys
 
 from .errors import (AliasingRisk, ConfigError, ConstraintViolation,
-                     DivisibilityError, InvalidInput, NonIntegerFrequency,
-                     PaddingError)
+                     DerivativeChannelMissing, DivisibilityError, InvalidInput,
+                     NonIntegerFrequency, PaddingError)
 
-GUARD_ERRORS = (AliasingRisk, PaddingError, NonIntegerFrequency)
+GUARD_ERRORS = (AliasingRisk, PaddingError, NonIntegerFrequency, DerivativeChannelMissing)
 CONSTRAINT_ERRORS = (ConstraintViolation, DivisibilityError, ConfigError, InvalidInput)
 
 

@@ -19,7 +19,7 @@ def time_grid(T: float, t_pad: float, n_t: int) -> np.ndarray:
 
 
 def bump_profile(t: np.ndarray, center: float, halfwidth: float):
-    """Smooth compactly supported profile with two analytic derivatives.
+    """Smooth compactly supported profile and its analytic time derivative.
 
     chi(s) = exp(1 - 1/(1 - s^2)) on |s| < 1, zero outside, normalized to
     peak value 1; s = (t - center)/halfwidth.
@@ -27,17 +27,14 @@ def bump_profile(t: np.ndarray, center: float, halfwidth: float):
     s = (np.asarray(t, dtype=float) - center) / halfwidth
     chi = np.zeros_like(s)
     d1 = np.zeros_like(s)
-    d2 = np.zeros_like(s)
     inside = np.abs(s) < 1.0 - 1e-12
     si = s[inside]
     q = 1.0 - si ** 2
     val = np.exp(1.0 - 1.0 / q)
     g = -2.0 * si / q ** 2                      # d/ds log(chi)
-    gp = -2.0 * (1.0 + 3.0 * si ** 2) / q ** 3  # d^2/ds^2 log(chi)
     chi[inside] = val
     d1[inside] = val * g / halfwidth
-    d2[inside] = val * (g * g + gp) / halfwidth ** 2
-    return chi, d1, d2
+    return chi, d1
 
 
 def shear_track(grid: Grid2, times: np.ndarray, m: int = 1,
@@ -46,7 +43,7 @@ def shear_track(grid: Grid2, times: np.ndarray, m: int = 1,
     if support is None:
         support = (T / 4.0, 3.0 * T / 4.0)
     lo, hi = support
-    chi, dchi, _ = bump_profile(times, 0.5 * (lo + hi), 0.5 * (hi - lo))
+    chi, dchi = bump_profile(times, 0.5 * (lo + hi), 0.5 * (hi - lo))
     base = SpectralField.from_modes(
         grid, "vector",
         {(0, m): np.array([-0.5j, 0.0]), (0, -m): np.array([0.5j, 0.0])},
@@ -63,7 +60,7 @@ def stream_track(grid: Grid2, times: np.ndarray, seed: int = 7, band: int = 4,
     if support is None:
         support = (T / 4.0, 3.0 * T / 4.0)
     lo, hi = support
-    chi, dchi, _ = bump_profile(times, 0.5 * (lo + hi), 0.5 * (hi - lo))
+    chi, dchi = bump_profile(times, 0.5 * (lo + hi), 0.5 * (hi - lo))
     psi = random_field(grid, "scalar", band, seed, decay=decay)
     base = perp_grad(psi)
     scale = amplitude / max(1e-300, np.max(np.abs(base.values())))

@@ -347,17 +347,16 @@ def divergence(field: SpectralField) -> SpectralField:
     raise RankError("divergence needs a vector or symtensor field")
 
 
-def pointwise_magnitude(field: SpectralField, n: int | None = None) -> np.ndarray:
-    """Pointwise magnitude on the n-grid; on the field's own grid its max
-    is cached as the field's sup (fields are immutable)."""
-    vals = field.values(n)
+def pointwise_magnitude(field: SpectralField) -> np.ndarray:
+    """Pointwise magnitude on the field's grid; its max is cached as the
+    field's sup (fields are immutable)."""
+    vals = field.values()
     if field.rank == "symtensor":
         # full 2x2 Frobenius magnitude from the two stored components
         mag = np.sqrt(2.0 * np.abs(vals[0]) ** 2 + 2.0 * np.abs(vals[1]) ** 2)
     else:
         mag = np.sqrt(np.sum(np.abs(vals) ** 2, axis=0))
-    if n is None or n == field.grid.n:
-        field._sup = float(mag.max())
+    field._sup = float(mag.max())
     return mag
 
 

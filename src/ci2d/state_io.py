@@ -26,19 +26,18 @@ import numpy as np
 
 from .ci_step import NSRState
 from .errors import ConfigError
-from .spectral_field import SpectralField, TimeTrack, analyze, make_grid
+from .spectral_field import _RANK_NCOMP, SpectralField, TimeTrack, analyze, make_grid
 
 MAGIC = b"CI2DFLD1"
 
 
-def write_field(path: str, field: SpectralField, time: float = 0.0,
-                units: str = "1") -> None:
+def write_field(path: str, field: SpectralField, time: float = 0.0) -> None:
     header = {
         "n": field.grid.n,
         "rank": field.rank,
         "reality": bool(field.reality),
         "time": float(time),
-        "units": units,
+        "units": "1",
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     vals = field.values()
@@ -57,24 +56,28 @@ def write_field(path: str, field: SpectralField, time: float = 0.0,
 
 
 def read_field(path: str):
-    """Returns (SpectralField, header dict)."""
+    """Returns (SpectralField, header dict); a malformed dump raises ConfigError."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ConfigError(f"{path}: not a CI2D field dump")
-        (length,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(length).decode("utf-8"))
+        try:
+            (length,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(length).decode("utf-8"))
+            n, rank, reality = int(header["n"]), header["rank"], bool(header["reality"])
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: header does not decode ({exc})") from None
         raw = fh.read()
-    n = int(header["n"])
-    rank = header["rank"]
-    reality = bool(header["reality"])
-    ncomp = 1 if rank == "scalar" else 2
+    if rank not in _RANK_NCOMP:
+        raise ConfigError(f"{path}: unknown rank {rank!r}")
     grid = make_grid(n)
-    if reality:
-        vals = np.frombuffer(raw, dtype="<f8").reshape(ncomp, n, n)
-    else:
-        flat = np.frombuffer(raw, dtype="<f8").reshape(ncomp, n, n, 2)
-        vals = flat[..., 0] + 1j * flat[..., 1]
+    shape = (_RANK_NCOMP[rank], n, n) + (() if reality else (2,))
+    need = 8 * int(np.prod(shape))
+    if len(raw) != need:
+        raise ConfigError(f"{path}: payload has {len(raw)} bytes, its header needs {need}")
+    vals = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if not reality:
+        vals = vals[..., 0] + 1j * vals[..., 1]
     return analyze(grid, vals, rank, reality), header
 
 
@@ -110,8 +113,11 @@ def write_state(dirpath: str, state: NSRState, t_pad: float, mode: str,
 
 
 def read_state(dirpath: str) -> tuple:
-    """Returns (NSRState, manifest)."""
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
+    """Returns (NSRState, manifest); a directory without a manifest raises ConfigError."""
+    path = os.path.join(dirpath, "manifest.json")
+    if not os.path.isfile(path):
+        raise ConfigError(f"{dirpath}: no manifest.json, not a state directory")
+    with open(path) as fh:
         manifest = json.load(fh)
     from .generators import time_grid
     times = time_grid(manifest["T"], manifest["t_pad"], manifest["n_t"])
@@ -138,6 +144,5 @@ def read_state(dirpath: str) -> tuple:
         nu=float(manifest["nu"]),
         q=int(manifest["q"]),
         T=float(manifest["T"]),
-        meta={"loaded_from": dirpath},
     )
     return state, manifest

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ def test_field_dump_roundtrip_real(tmp_path):
     g = make_grid(32)
     f = random_field(g, "vector", 10, seed=0)
     path = tmp_path / "f.ci2d"
-    write_field(str(path), f, time=0.25, units="1")
+    write_field(str(path), f, time=0.25)
     back, header = read_field(str(path))
     assert header["n"] == 32 and header["rank"] == "vector"
     assert header["reality"] is True and header["time"] == 0.25
@@ -22,7 +23,7 @@ def test_field_dump_roundtrip_real(tmp_path):
     assert raw[:8] == MAGIC
     length = int.from_bytes(raw[8:12], "little")
     meta = json.loads(raw[12:12 + length])
-    assert set(meta) == {"n", "rank", "reality", "time", "units"}
+    assert meta["units"] == "1" and set(meta) == {"n", "rank", "reality", "time", "units"}
     # payload: 2 components of 32*32 float64
     assert len(raw) == 12 + length + 2 * 32 * 32 * 8
 
@@ -139,6 +140,9 @@ def test_cli_guard_exit_codes(tmp_path):
     cfg_path, _ = _small_cfg(tmp_path, grid={"n": 16},
                              toy={"lambda": 50, "sigma_inv": 10, "r": 2, "mu": 5})
     assert main(["check", "--config", cfg_path]) == 2
+    # 3 nodes (5 with padding) are too few for the 7-node difference channel
+    cfg_path, _ = _small_cfg(tmp_path, time={"n_t": 3})
+    assert main(["init", "--config", cfg_path]) == 2
     # malformed schedule in paper mode: constraint violation, exit 3
     cfg_path, _ = _small_cfg(tmp_path, mode="paper",
                              paper={"A": 390625, "B": 100, "alpha": "1/8",
@@ -147,6 +151,24 @@ def test_cli_guard_exit_codes(tmp_path):
     # step without a state directory: constraint violation family
     cfg_path, _ = _small_cfg(tmp_path)
     assert main(["step", "--config", cfg_path]) == 3
+
+
+def test_cli_malformed_state_exits_3(tmp_path):
+    cfg_path, cfg = _small_cfg(tmp_path)
+    assert main(["init", "--config", cfg_path]) == 0
+    path = os.path.join(cfg["out"], "v_0000.ci2d")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    length = int.from_bytes(raw[8:12], "little")
+    payload = raw[12 + length:]
+    matrix = json.dumps(dict(json.loads(raw[12:12 + length]), rank="matrix")).encode()
+    for bad in (raw[:-8],                                    # payload cut short
+                MAGIC + struct.pack("<I", len(matrix)) + matrix + payload,
+                raw[:12] + b"\xff" * length + payload):      # header not UTF-8
+        with open(path, "wb") as fh:
+            fh.write(bad)
+        assert main(["diagnose", "--state", cfg["out"]]) == 3
+    assert main(["diagnose", "--state", str(tmp_path / "missing")]) == 3
 
 
 def test_cli_step_rejects_theta_unlike_init(tmp_path):
