@@ -19,7 +19,6 @@ from .spectral_field import (Grid2, SpectralField, TimeTrack, analyze, cn_norm,
                              derive, divergence, l1_norm, lp_norm, make_grid,
                              mean, multiply, multiply_mode, perp_grad,
                              random_field)
-from .stress_geometry import (RampProfile, decompose, default_ramp, gamma,
-                              reconstruct)
+from .stress_geometry import RampProfile, decompose, default_ramp, reconstruct
 
 __version__ = "0.1.0"

@@ -181,18 +181,9 @@ def _eta_modes(k: Direction, wp: WaveParams, t: float):
 
 
 def eta_band(wp: WaveParams) -> int:
-    """Exact max |xi|_inf over the kernel modes (direction independent)."""
-    best = 0
-    ls5 = wp.lam_sigma // 5
-    for fk in _FIVE_K_POS:
-        fkp = (-fk[1], fk[0])
-        r = wp.r
-        for a in (-r, r):
-            for b in (-r, r):
-                xi1 = ls5 * (a * fk[0] + b * fkp[0])
-                xi2 = ls5 * (a * fk[1] + b * fkp[1])
-                best = max(best, abs(xi1), abs(xi2))
-    return best
+    """Exact max |xi|_inf over the kernel modes of every direction."""
+    return max(int(np.max(np.abs(_eta_modes(k, wp, 0.0)[0])))
+               for k in positive_directions())
 
 
 def eta(k: Direction, wp: WaveParams, t: float, grid: Grid2):

@@ -37,7 +37,7 @@ from .spectral_field import (Grid2, SpectralField, TimeTrack, _analysis,
                              _resize, analyze, derive, divergence,
                              lp_norm, mean, multiply, perp_grad,
                              pointwise_magnitude, shift_modes)
-from .stress_geometry import W11, W12, default_ramp
+from .stress_geometry import decompose, reconstruct
 
 SUPPORT_RTOL = 1e-13
 
@@ -295,42 +295,32 @@ def _coefficient_slice(r11, r12, dr11, dr12, phi: float, dphi: float,
     """Per-direction coefficient values (and d/dt) on the grid.
 
     Returns {positive direction: (a, da)} as value arrays; antipodes share
-    the same coefficient by the even symmetry of the weights.  The ramp
-    runs once at +-g11, +-g12; g^2 and d/dt g^2 follow `gamma_squared_grid(_dt)`.
+    the same coefficient by the even symmetry of the weights.  g^2 and
+    d/dt g^2 come from `decompose` at the normalized stress.
     """
     scale = np.sqrt(a_const * eps_next)
     inv = 1.0 / (a_const * eps_next)
-    g11, g12 = r11 * inv, r12 * inv
-    dg11, dg12 = dr11 * inv, dr12 * inv
-    ramp = default_ramp()
-    ramp11, ramp12 = ramp.signed(g11), ramp.signed(g12)
+    weights = decompose(r11 * inv, r12 * inv, dr11 * inv, dr12 * inv)
     out = {}
     for k in positive_directions():
-        s1, s2 = k.gamma_signs
-        (v11, d11), (v12, d12) = ramp11[s1], ramp12[s2]
-        g2 = W11 * v11 + W12 * v12
-        dg2 = W11 * d11 * s1 * dg11 + W12 * d12 * s2 * dg12
+        g2, dg2 = weights[k]
         g = np.sqrt(g2)
-        a = scale * g * phi
-        da = scale * (g * dphi + phi * dg2 / (2.0 * g))
-        out[k] = (a, da)
+        out[k] = (scale * g * phi, scale * (g * dphi + phi * dg2 / (2.0 * g)))
     return out
 
 
 # -- perturbations -------------------------------------------------------------
 
 def _wave_slice(k: Direction, wp: WaveParams, t: float, grid: Grid2):
-    """Kernel fields and values for one positive direction at time t."""
+    """Kernel fields and values for one positive direction at time t.  eta^2
+    is formed exactly (`multiply` raises unless it fits the grid), so the
+    samples of eta^2 and d/dt eta^2 are products of the kernel's samples."""
     f, df = eta(k, wp, t, grid)
     eta2 = multiply(f, f)
-    nonzero = FreqBand.nonzero()
-    return {
-        "eta": f, "eta2": eta2,
-        "eta_vals": f.values(grid.n), "deta_vals": df.values(grid.n),
-        "eta2_mean": float(mean(eta2).real),
-        "p_eta2_vals": project(eta2, nonzero).values(grid.n),
-        "dp_eta2_vals": project(2.0 * multiply(f, df), nonzero).values(grid.n),
-    }
+    vals, dvals = f.values(grid.n), df.values(grid.n)
+    m2, dsq = float(mean(eta2).real), 2.0 * vals * dvals
+    return {"eta": f, "eta2": eta2, "eta_vals": vals, "deta_vals": dvals, "eta2_mean": m2,
+            "p_eta2_vals": vals * vals - m2, "dp_eta2_vals": dsq - dsq.mean()}
 
 
 def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict):
@@ -622,16 +612,9 @@ def iterate_step(state: NSRState, toy: ToyParams):
                       lp_norm(divergence(pert["w_t"]), 2))
         l2_increment = max(l2_increment, lp_norm(vi - moll.v.slices[i], 2))
         if plateau[i]:
-            acc11 = rv[0].copy()
-            acc12 = rv[1].copy()
-            for k in positive_directions():
-                a, _ = a_slice[k]
-                t11 = 0.5 * (k.k[0] ** 2 - k.k[1] ** 2)
-                t12 = k.k[0] * k.k[1]
-                m2 = waves[k]["eta2_mean"]
-                acc11 -= 2.0 * a * a * t11 * m2
-                acc12 -= 2.0 * a * a * t12 * m2
-            osc_err = max(osc_err, float(np.max(np.hypot(acc11, acc12))))
+            c11, c12 = reconstruct({k: 2.0 * a * a * waves[k]["eta2_mean"]
+                                    for k, (a, _) in a_slice.items()})
+            osc_err = max(osc_err, float(np.max(np.hypot(rv[0] - c11, rv[1] - c12))))
             osc_scale = max(osc_scale, float(np.max(np.hypot(rv[0], rv[1]))))
 
     new_state = NSRState(

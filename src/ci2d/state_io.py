@@ -112,16 +112,28 @@ def write_state(dirpath: str, state: NSRState, t_pad: float, mode: str,
             write_field(os.path.join(dirpath, _slice_name("dR", i)), state.R.dslices[i], t)
 
 
+_MANIFEST_TYPES = {"T": float, "t_pad": float, "n": int, "n_t": int, "theta": float,
+                   "nu": float, "q": int}
+
+
 def read_state(dirpath: str) -> tuple:
-    """Returns (NSRState, manifest); a directory without a manifest raises ConfigError."""
+    """Returns (NSRState, manifest); a missing or malformed manifest, or a
+    dump whose grid or rank does not fit it, raises ConfigError."""
     path = os.path.join(dirpath, "manifest.json")
     if not os.path.isfile(path):
         raise ConfigError(f"{dirpath}: no manifest.json, not a state directory")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: manifest does not parse ({exc})") from None
+    fields = manifest if isinstance(manifest, dict) else {}
+    for key, kind in _MANIFEST_TYPES.items():
+        if type(fields.get(key)) not in (kind, int):   # a float key may hold an int
+            raise ConfigError(f"{path}: manifest has no {kind.__name__} {key!r}")
     from .generators import time_grid
     times = time_grid(manifest["T"], manifest["t_pad"], manifest["n_t"])
-    def load(prefix, required=True):
+    def load(prefix, rank, required=True):
         slices = []
         for i in range(times.size):
             path = os.path.join(dirpath, _slice_name(prefix, i))
@@ -129,13 +141,17 @@ def read_state(dirpath: str) -> tuple:
                 if required:
                     raise ConfigError(f"state directory missing {path}")
                 return None
-            slices.append(read_field(path)[0])
+            f = read_field(path)[0]
+            if (f.grid.n, f.rank) != (manifest["n"], rank):
+                raise ConfigError(f"{path}: a {f.rank} on n = {f.grid.n}, where the manifest "
+                                  f"needs a {rank} on n = {manifest['n']}")
+            slices.append(f)
         return slices
-    v = load("v")
-    p = load("p")
-    R = load("R")
-    dv = load("dv", required=False)
-    dR = load("dR", required=False)
+    v = load("v", "vector")
+    p = load("p", "scalar")
+    R = load("R", "symtensor")
+    dv = load("dv", "vector", required=False)
+    dR = load("dR", "symtensor", required=False)
     state = NSRState(
         v=TimeTrack(times, v, dv),
         p=TimeTrack(times, p),

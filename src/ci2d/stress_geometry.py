@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .building_blocks import Direction, directions
+from .building_blocks import directions, positive_directions
 from .fourier_calculus import tracefree_product
 from .mollifier import bump1
 
@@ -83,39 +83,29 @@ def default_ramp() -> RampProfile:
     return RampProfile()
 
 
-def gamma(k: Direction, r11: float, r12: float) -> float:
-    """Strictly positive weight of direction k for the stress
-    [[r11, r12], [r12, -r11]]."""
-    ramp = default_ramp()
-    s1, s2 = k.gamma_signs
-    val = (W11 * ramp.value(np.array([s1 * r11]))
-           + W12 * ramp.value(np.array([s2 * r12])))[0]
-    return float(np.sqrt(val))
-
-
-def gamma_squared_grid(k: Direction, r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
-    """Vectorized squared weight over arrays of stress entries."""
-    ramp = default_ramp()
-    s1, s2 = k.gamma_signs
-    return W11 * ramp.value(s1 * r11) + W12 * ramp.value(s2 * r12)
-
-
-def gamma_squared_grid_dt(k: Direction, r11, r12, dr11, dr12) -> np.ndarray:
-    """Chain-rule time derivative of the squared weight."""
-    ramp = default_ramp()
-    s1, s2 = k.gamma_signs
-    return (W11 * ramp.derivative(s1 * r11) * s1 * dr11
-            + W12 * ramp.derivative(s2 * r12) * s2 * dr12)
-
-
-def decompose(r11, r12) -> dict:
-    """Squared weights {k: w_k} over arrays of stress entries, with
-    sum_k w_k (k x k) = [[r11, r12], [r12, -r11]] entrywise; the ramp's
-    splines run once per entry for both argument signs."""
+def decompose(r11, r12, dr11=None, dr12=None) -> dict:
+    """Squared weights {k: g^2} over arrays of stress entries, with
+    sum_k g^2 (k x k) = [[r11, r12], [r12, -r11]] entrywise; given the
+    entries' time derivatives, {k: (g^2, d/dt g^2)} by the chain rule.
+    The ramp's splines run once per entry for both argument signs, and
+    each antipode shares its positive direction's arrays."""
     ramp = default_ramp()
     v11, v12 = ramp.signed(r11), ramp.signed(r12)
-    return {k: W11 * v11[k.gamma_signs[0]][0] + W12 * v12[k.gamma_signs[1]][0]
-            for k in directions()}
+    out = {}
+    for k in positive_directions():
+        s1, s2 = k.gamma_signs
+        (a11, d11), (a12, d12) = v11[s1], v12[s2]
+        g2 = W11 * a11 + W12 * a12
+        out[k] = g2 if dr11 is None else (g2, W11 * d11 * s1 * dr11 + W12 * d12 * s2 * dr12)
+    return {k: out[k if k.positive else k.antipode] for k in directions()}
+
+
+# One-line views of `decompose`, kept under the names that the benchmark
+# tracer (bench/tracer.py) times as `stress_geometry.gamma`; they go when
+# the tracer times `decompose` itself.
+def gamma(k, r11, r12): return float(np.sqrt(decompose(r11, r12)[k]))
+def gamma_squared_grid(k, r11, r12): return decompose(r11, r12)[k]
+def gamma_squared_grid_dt(k, r11, r12, dr11, dr12): return decompose(r11, r12, dr11, dr12)[k][1]
 
 
 def reconstruct(weights: dict) -> tuple:

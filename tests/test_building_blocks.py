@@ -45,14 +45,14 @@ def test_dirichlet_kernel_peak_by_direct_summation():
         d = dirichlet_kernel(r, g)
         # oracle: sum of (2r+1)^2 unit phases at x = 0, weighted 1/(2r+1)
         assert d.values()[0, 0, 0] == pytest.approx((2 * r + 1), rel=1e-12)
-    assert dirichlet_kernel(1, g).values()[0, 0, 0] == pytest.approx(3.0)
     with pytest.raises(AliasingRisk):
         dirichlet_kernel(40, make_grid(64))
 
 
 def test_eta_band_guard():
     wp = WaveParams(50, 10, 2, 5)
-    assert eta_band(wp) <= 2 * 50 // 10 * 2 * 7 // 5 + 14
+    # the corner modes r (k +- k_perp) reach |xi|_inf = 7 r lambda sigma / 5
+    assert eta_band(wp) == 7 * wp.r * wp.lam_sigma // 5
     with pytest.raises(AliasingRisk):
         eta(positive_directions()[0], wp, 0.0, make_grid(16))
 

@@ -4,7 +4,7 @@ import pytest
 from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
                   anti_divergence, divergence, frac_laplacian, helmholtz,
                   init_state, iterate_step, lp_norm, make_grid, mean, mollify,
-                  nsr_residual, project, random_field, temporal_cutoff,
+                  multiply, nsr_residual, project, random_field, temporal_cutoff,
                   tf_square, toy_params)
 from ci2d.ci_step import (_coefficient_slice, _perturbation_slice, _switch_eval,
                           _wave_slice, fd6_channel, mask_intervals, support_mask)
@@ -12,17 +12,16 @@ from ci2d.errors import ConfigError, PaddingError
 from ci2d.fourier_calculus import FreqBand
 from ci2d.generators import bump_profile, time_grid, zero_track
 from ci2d.building_blocks import positive_directions
-from ci2d.stress_geometry import (W11, W12, default_ramp, gamma_squared_grid,
-                                  gamma_squared_grid_dt)
+from ci2d.stress_geometry import W11, W12, default_ramp
 
 GRID = make_grid(128)
 TIMES = time_grid(1.0, 0.1, 17)
 
 
-def small_state(amplitude=1.0, theta=0.4, nu=1.0):
+def small_state(amplitude=1.0, theta=0.4, nu=1.0, grid=GRID):
     chi, dchi = bump_profile(TIMES, 0.5, 0.25)
     base = SpectralField.from_modes(
-        GRID, "vector",
+        grid, "vector",
         {(0, 1): np.array([-0.5j * amplitude, 0]),
          (0, -1): np.array([0.5j * amplitude, 0])}, reality=True)
     u = TimeTrack(TIMES, [float(c) * base for c in chi],
@@ -61,9 +60,7 @@ def test_init_zero_track():
 def test_init_shear_residual_and_support():
     state = small_state()
     # stress support stays inside the generator's temporal support
-    vmask = support_mask(state.v)
-    rmask = support_mask(state.R)
-    assert np.all(~rmask | vmask)
+    assert np.all(~support_mask(state.R) | support_mask(state.v))
     assert all(abs(mean(s)).max() == 0.0 for s in state.v.slices)
 
 
@@ -127,9 +124,8 @@ def test_mollified_triple_balances():
 
 
 def test_mollify_requires_padding():
-    state = small_state()
     with pytest.raises(PaddingError):
-        mollify(state, 0.5)
+        mollify(small_state(), 0.5)
 
 
 # -- temporal cutoff ----------------------------------------------------------
@@ -144,16 +140,19 @@ def test_cutoff_zero_stress_gives_zero_switch():
                for a, b in zip(new_state.v.slices, moll.v.slices))
 
 
+def _bump_stress(t_pad, center, halfwidth, seed):
+    """41 nodes on [0, 1] of a random n = 32 stress times a bump in time."""
+    times = time_grid(1.0, t_pad, 41)
+    chi, dchi = bump_profile(times, center, halfwidth)
+    base = anti_divergence(random_field(make_grid(32), "vector", 4, seed=seed))
+    return times, TimeTrack(times, [float(c) * base for c in chi],
+                            [float(c) * base for c in dchi])
+
+
 def test_cutoff_neighborhood_containment():
     # stress supported in [0.3, 0.5] with ell = 0.05 keeps the switch
     # inside [0.25, 0.55] and at one on the support
-    grid = make_grid(32)
-    times = time_grid(1.0, 0.1, 41)
-    chi, dchi = bump_profile(times, 0.4, 0.1)
-    base = anti_divergence(random_field(grid, "vector", 4, seed=2))
-    slices = [float(c) * base for c in chi]
-    dslices = [float(c) * base for c in dchi]
-    track = TimeTrack(times, slices, dslices)
+    times, track = _bump_stress(0.1, 0.4, 0.1, seed=2)
     cut = temporal_cutoff(track, 0.05)
     sup = support_mask(track)
     assert np.all(cut.values[sup] == 1.0)
@@ -163,12 +162,7 @@ def test_cutoff_neighborhood_containment():
 
 
 def test_cutoff_slope_scales_with_ell():
-    grid = make_grid(32)
-    times = time_grid(1.0, 0.2, 41)
-    chi, dchi = bump_profile(times, 0.5, 0.12)
-    base = anti_divergence(random_field(grid, "vector", 4, seed=3))
-    track = TimeTrack(times, [float(c) * base for c in chi],
-                      [float(c) * base for c in dchi])
+    times, track = _bump_stress(0.2, 0.5, 0.12, seed=3)
     slopes = {}
     intervals = mask_intervals(times, support_mask(track))
     for ell in (0.05, 0.1):
@@ -186,12 +180,11 @@ def test_cutoff_slope_scales_with_ell():
 # -- coefficients --------------------------------------------------------------
 
 def test_coefficients_flat_stress_is_isotropic():
-    grid = GRID
-    chi, dchi = bump_profile(TIMES, 0.5, 0.25)
-    z = SpectralField.zeros(grid, "symtensor")
+    chi, _ = bump_profile(TIMES, 0.5, 0.25)
+    z = SpectralField.zeros(GRID, "symtensor")
     R_ls = TimeTrack(TIMES, [z] * TIMES.size, [z] * TIMES.size)
     cut_track = TimeTrack(TIMES, [float(c) * anti_divergence(
-        random_field(grid, "vector", 2, seed=4)) for c in chi])
+        random_field(GRID, "vector", 2, seed=4)) for c in chi])
     cut = temporal_cutoff(fd6_channel(cut_track), 0.05)
     i = int(np.argmax(cut.values))
     a_slice, _ = _node(R_ls, cut, small_toy(), i)
@@ -208,8 +201,8 @@ def test_coefficients_flat_stress_is_isotropic():
 
 def test_coefficient_slice_matches_per_direction_weights_bitwise():
     # the ramp runs once per stress entry for all directions; the weights
-    # must be those of gamma_squared_grid and gamma_squared_grid_dt, bit
-    # for bit, inside the ramp's window and on its linear pieces
+    # must be the explicit formula and its chain rule, bit for bit, inside
+    # the ramp's window and on its linear pieces
     rng = np.random.default_rng(11)
     a_const, eps_next, phi, dphi = 5.0, 0.04, 0.7, -2.5
     ae = a_const * eps_next
@@ -218,9 +211,13 @@ def test_coefficient_slice_matches_per_direction_weights_bitwise():
     dr11, dr12 = rng.standard_normal((2, 32, 32))
     a_slice = _coefficient_slice(r11, r12, dr11, dr12, phi, dphi, a_const, eps_next)
     inv = 1.0 / ae
+    g11, g12, dg11, dg12 = r11 * inv, r12 * inv, dr11 * inv, dr12 * inv
+    ramp = default_ramp()
     for k in positive_directions():
-        g2 = gamma_squared_grid(k, r11 * inv, r12 * inv)
-        dg2 = gamma_squared_grid_dt(k, r11 * inv, r12 * inv, dr11 * inv, dr12 * inv)
+        s1, s2 = k.gamma_signs
+        g2 = W11 * ramp.value(s1 * g11) + W12 * ramp.value(s2 * g12)
+        dg2 = (W11 * ramp.derivative(s1 * g11) * s1 * dg11
+               + W12 * ramp.derivative(s2 * g12) * s2 * dg12)
         g = np.sqrt(g2)
         a, da = a_slice[k]
         assert np.array_equal(a, np.sqrt(ae) * g * phi)
@@ -269,16 +266,22 @@ def test_coefficient_cancellation_on_plateau():
 
 # -- perturbations -------------------------------------------------------------
 
+@pytest.mark.parametrize("n, wave", [(128, (25, 5, 2, 3)), (256, (50, 10, 2, 5))])
+def test_wave_slice_square_samples_match_projected_products(n, wave):
+    # oracle: eta^2 and 2 eta d/dt eta as spectral products, projected off
+    # the mean and synthesized on the grid
+    from ci2d.building_blocks import WaveParams, eta
+    grid, wp = make_grid(n), WaveParams(*wave)
+    for k in positive_directions():
+        f, df = eta(k, wp, 0.37, grid)
+        waves = _wave_slice(k, wp, 0.37, grid)
+        for name, sq in (("p_eta2_vals", multiply(f, f)), ("dp_eta2_vals", 2.0 * multiply(f, df))):
+            ref = project(sq, FreqBand.nonzero()).values(n)
+            assert np.max(np.abs(waves[name] - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
 def _perturbation_setup(amplitude=0.05, lam=50, sigma_inv=10, n=256):
-    grid = make_grid(n)
-    chi, dchi = bump_profile(TIMES, 0.5, 0.25)
-    base = SpectralField.from_modes(
-        grid, "vector",
-        {(0, 1): np.array([-0.5j * amplitude, 0]),
-         (0, -1): np.array([0.5j * amplitude, 0])}, reality=True)
-    u = TimeTrack(TIMES, [float(c) * base for c in chi],
-                  [float(c) * base for c in dchi])
-    state = init_state(u, theta=0.4, nu=1.0, T=1.0)
+    state = small_state(amplitude, grid=make_grid(n))
     toy = small_toy(lam=lam, sigma_inv=sigma_inv, mu=5)
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
@@ -318,7 +321,6 @@ def test_stream_identity_and_solenoidality():
     assert lp_norm(divergence(w_p + w_c), 2) <= 1e-10 * lp_norm(w_p, 2)
     assert lp_norm(divergence(w_t), 2) <= 1e-10 * max(lp_norm(w_t, 2), 1e-300)
     assert np.isrealobj(w_p.values())
-
 
 
 def _perturbation_oracle(grid, wp, a_slice, waves):
@@ -396,7 +398,7 @@ def _on_grid(coeffs, n):
 def test_pstar_real_pairs_match_complex_pair_syntheses():
     # oracle: every pair spectrum goes through numpy's complex inverse FFT
     # and the accumulated samples through its complex forward FFT
-    from ci2d import multiply, multiply_mode
+    from ci2d import multiply_mode
     from ci2d.ci_step import _inv_lap_div_const, _pstar_slice
     state = small_state()
     toy = small_toy()
@@ -521,8 +523,7 @@ def test_nsr_residual_exact_steady_solution():
                           state.theta, state.nu, state.q, state.T)
     assert nsr_residual(no_channel)["max_rel"] <= 1e-10
     zero = init_state(zero_track(grid, times), 1.0, 1.0, 1.0)
-    zrep = nsr_residual(zero)
-    assert zrep["max_rel"] == 0.0
+    assert nsr_residual(zero)["max_rel"] == 0.0
 
 
 def test_fd6_channel_matches_analytic():

@@ -1,6 +1,8 @@
 import json
 import os
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,19 +158,42 @@ def test_cli_guard_exit_codes(tmp_path):
 def test_cli_malformed_state_exits_3(tmp_path):
     cfg_path, cfg = _small_cfg(tmp_path)
     assert main(["init", "--config", cfg_path]) == 0
-    path = os.path.join(cfg["out"], "v_0000.ci2d")
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    dump = Path(cfg["out"], "v_0000.ci2d")
+    raw = dump.read_bytes()
     length = int.from_bytes(raw[8:12], "little")
     payload = raw[12 + length:]
     matrix = json.dumps(dict(json.loads(raw[12:12 + length]), rank="matrix")).encode()
     for bad in (raw[:-8],                                    # payload cut short
                 MAGIC + struct.pack("<I", len(matrix)) + matrix + payload,
                 raw[:12] + b"\xff" * length + payload):      # header not UTF-8
-        with open(path, "wb") as fh:
-            fh.write(bad)
+        dump.write_bytes(bad)
+        assert main(["diagnose", "--state", cfg["out"]]) == 3
+    dump.write_bytes(raw)
+    manifest = Path(cfg["out"], "manifest.json")
+    text = manifest.read_text()
+    keys = json.loads(text)
+    for bad in (text[:text.index(",")],                      # cut after its first key
+                json.dumps({k: v for k, v in keys.items() if k != "nu"}),
+                json.dumps(dict(keys, n_t=str(keys["n_t"])))):
+        manifest.write_text(bad)
         assert main(["diagnose", "--state", cfg["out"]]) == 3
     assert main(["diagnose", "--state", str(tmp_path / "missing")]) == 3
+
+
+def test_cli_dumps_must_match_manifest_exits_3(tmp_path):
+    cfg_path, cfg = _small_cfg(tmp_path)
+    assert main(["init", "--config", cfg_path]) == 0
+    state = Path(cfg["out"])
+    text = (state / "manifest.json").read_text()
+    # a manifest that claims a grid its dumps do not have
+    (state / "manifest.json").write_text(json.dumps(dict(json.loads(text), n=128)))
+    assert main(["diagnose", "--state", cfg["out"]]) == 3
+    (state / "manifest.json").write_text(text)
+    assert main(["diagnose", "--state", cfg["out"]]) == 0
+    # scalar pressure dumps in the vector tracks
+    for dump in [*state.glob("v_*"), *state.glob("dv_*")]:
+        shutil.copyfile(state / ("p_" + dump.name.split("_")[1]), dump)
+    assert main(["diagnose", "--state", cfg["out"]]) == 3
 
 
 def test_cli_step_rejects_theta_unlike_init(tmp_path):

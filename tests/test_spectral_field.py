@@ -41,7 +41,6 @@ def test_parseval_against_quadrature_oracle():
     assert abs(lp_norm(f, 2) - 2 * np.pi * np.sqrt(0.5)) < 1e-12
 
 
-
 # -- real transforms against numpy's complex FFT --------------------------------
 
 def _on_grid(coeffs, n):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ci2d import (decompose, default_ramp, directions, gamma, make_grid, mean,
+from ci2d import (decompose, default_ramp, directions, make_grid, mean,
                   multiply, reconstruct, toy_params)
-from ci2d.building_blocks import intermittent_flow, positive_directions
-from ci2d.stress_geometry import W11, W12, gamma_squared_grid
+from ci2d.building_blocks import intermittent_flow
+from ci2d.stress_geometry import W11, W12
 
 RAMP = default_ramp()
 
@@ -30,26 +30,9 @@ def test_ramp_value_at_zero_quadrature_oracle():
 
 
 def test_gamma_at_zero_equal_across_directions():
-    vals = [gamma(k, 0.0, 0.0) for k in directions()]
+    vals = [np.sqrt(w) for w in decompose(0.0, 0.0).values()]
     expected = np.sqrt((W11 + W12) * RAMP.value_at_zero())
     assert np.allclose(vals, expected, atol=1e-12)
-
-
-def test_gamma_antipodal_equality_and_positivity():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        r11, r12 = rng.uniform(-100, 100, 2)
-        for k in positive_directions():
-            gk = gamma(k, r11, r12)
-            assert gk == gamma(k.antipode, r11, r12)
-            assert gk * gk >= 25 / 14 + 25 / 48 - 1e-9
-            assert gk * gk <= (W11 + W12) * (max(abs(r11), abs(r12)) + 2) * (1 + 1e-9)
-
-
-def test_gamma_monotone_in_first_entry():
-    k3 = [d for d in positive_directions() if d.five_k == (4, 3)][0]
-    vals = [gamma(k3, r11, 0.3) for r11 in np.linspace(-2, 2, 41)]
-    assert np.all(np.diff(vals) >= -1e-12)
 
 
 def test_decompose_identity_examples():
@@ -78,14 +61,3 @@ def test_weights_cancel_against_flow_means():
     for i, (r11, r12) in enumerate(stress):
         acc = sum(w2[i] * means[k.five_k] for k, w2 in weights.items())
         assert np.max(np.abs(acc + np.array([[r11, r12], [r12, -r11]]))) < 1e-10
-
-
-def test_gamma_grid_vectorization_agrees():
-    rng = np.random.default_rng(9)
-    r11 = rng.uniform(-50, 50, 100)
-    r12 = rng.uniform(-50, 50, 100)
-    for k in positive_directions():
-        vec = gamma_squared_grid(k, r11, r12)
-        for i in (0, 17, 99):
-            assert vec[i] == pytest.approx(
-                gamma(k, r11[i], r12[i]) ** 2, rel=1e-14)
