@@ -390,14 +390,17 @@ def _weights():
     r12 = np.concatenate([stress[:, 1], np.full(sweep.size, 0.3)])
     w = decompose(r11, r12)
     sup = np.maximum(np.abs(r11), np.abs(r12))
+    ramp = default_ramp()
     ok = True
-    for k in positive_directions():
-        ok &= np.array_equal(w[k], w[k.antipode])
+    for k in directions():
+        # each direction, antipodes included, against the formula at its own signs
+        s1, s2 = k.gamma_signs
+        ok &= np.array_equal(w[k], W11 * ramp.value(s1 * r11) + W12 * ramp.value(s2 * r12))
         ok &= np.all(w[k] >= W11 + W12 - 1e-9)
         ok &= np.all(w[k] <= (W11 + W12) * (sup + 2) * (1 + 1e-9))
     g = np.sqrt(w[positive_directions()[2]][len(stress):])   # k = (4, 3) / 5
     ok &= np.all(np.diff(g[:41]) >= -1e-12) and g[42] >= g[41]
-    return bool(ok), "positivity, symmetry, growth, monotonicity"
+    return bool(ok), "formula per direction, positivity, growth, monotonicity"
 
 
 @check("geometry.decomposition_identity")

@@ -34,9 +34,9 @@ from .mollifier import (TemporalKernel, check_padding, smoothstep,
 from .param_schedule import ToyParams, theta_star
 from .spectral_field import (Grid2, SpectralField, TimeTrack, _analysis,
                              _conj_mirror, _product_size, _quadrature_norm,
-                             _resize, analyze, derive, divergence,
-                             lp_norm, mean, multiply, perp_grad,
-                             pointwise_magnitude, shift_modes)
+                             _resize, analyze, combine, derive, divergence,
+                             lp_norm, mean, perp_grad, pointwise_magnitude,
+                             shift_modes)
 from .stress_geometry import decompose, reconstruct
 
 SUPPORT_RTOL = 1e-13
@@ -69,7 +69,7 @@ class NSRState:
 def gradient(f: SpectralField) -> SpectralField:
     c1 = derive(f, (1, 0)).coeffs[0]
     c2 = derive(f, (0, 1)).coeffs[0]
-    return SpectralField(f.grid, "vector", np.stack([c1, c2]), f.reality, _trim=False)
+    return SpectralField(f.grid, "vector", np.stack([c1, c2]), f.reality)
 
 
 def fd6_channel(track: TimeTrack) -> TimeTrack:
@@ -85,17 +85,8 @@ def fd6_channel(track: TimeTrack) -> TimeTrack:
     dsl = []
     for i in range(n):
         j0 = min(max(i - 3, 0), n - 7)
-        window = track.slices[j0:j0 + 7]
-        m = max(s.storage for s in window)
-        if i - j0 == 3:
-            coefs = stencil
-        else:
-            coefs = _shifted_diff_weights(i - j0) / dt
-        acc = np.zeros((window[0].ncomp, m, m), dtype=complex)
-        for c, s in zip(coefs, window):
-            if c != 0.0:
-                acc += c * _resize(s.coeffs, m)
-        dsl.append(SpectralField(track.grid, track.rank, acc, track.slices[0].reality))
+        coefs = stencil if i - j0 == 3 else _shifted_diff_weights(i - j0) / dt
+        dsl.append(combine(track.slices[j0:j0 + 7], coefs))
     return TimeTrack(track.times, track.slices, dsl)
 
 
@@ -163,30 +154,19 @@ def mollify(state: NSRState, ell: float) -> NSRState:
     v = _channelled(state.v)
     R = _channelled(state.R)
 
-    def smooth(f):
-        return spatial_mollify(f, ell)
+    def smooth(fields):
+        spatial = [spatial_mollify(f, ell) for f in fields]
+        return [kern.apply_fields(spatial, i) for i in range(len(times))]
 
-    vs = [smooth(s) for s in v.slices]
-    dvs = [smooth(s) for s in v.dslices]
-    vxv = [smooth(tf_square(s, allow_interpolant=True)) for s in v.slices]
-    dvxv = [smooth(sym_tracefree_product(ds, s, allow_interpolant=True))
-            for s, ds in zip(v.slices, v.dslices)]
-
-    n_t = len(times)
-    v_ell = [kern.apply_fields(vs, i) for i in range(n_t)]
-    dv_ell = [kern.apply_fields(dvs, i) for i in range(n_t)]
-    ps = [smooth(s) for s in state.p.slices]
-    p_ell = [kern.apply_fields(ps, i) for i in range(n_t)]
-    Rs = [smooth(s) for s in R.slices]
-    dRs = [smooth(s) for s in R.dslices]
-    R_ls, dR_ls = [], []
-    for i in range(n_t):
-        # commutator stress R_m = v_ell x v_ell - (v x v)_ell and its d/dt
-        mi = tf_square(v_ell[i], allow_interpolant=True) - kern.apply_fields(vxv, i)
-        dmi = (sym_tracefree_product(dv_ell[i], v_ell[i], allow_interpolant=True)
-               - kern.apply_fields(dvxv, i))
-        R_ls.append(kern.apply_fields(Rs, i) + mi)
-        dR_ls.append(kern.apply_fields(dRs, i) + dmi)
+    v_ell, dv_ell, p_ell = smooth(v.slices), smooth(v.dslices), smooth(state.p.slices)
+    # commutator stress R_m = v_ell x v_ell - (v x v)_ell and its d/dt
+    vxv = smooth(tf_square(s, allow_interpolant=True) for s in v.slices)
+    dvxv = smooth(sym_tracefree_product(ds, s, allow_interpolant=True)
+                  for s, ds in zip(v.slices, v.dslices))
+    R_ls = [r + (tf_square(a, allow_interpolant=True) - b)
+            for r, a, b in zip(smooth(R.slices), v_ell, vxv)]
+    dR_ls = [r + (sym_tracefree_product(da, a, allow_interpolant=True) - b)
+             for r, a, da, b in zip(smooth(R.dslices), v_ell, dv_ell, dvxv)]
 
     moll = NSRState(TimeTrack(times, v_ell, dv_ell), TimeTrack(times, p_ell),
                     TimeTrack(times, R_ls, dR_ls), state.theta, state.nu,
@@ -312,15 +292,16 @@ def _coefficient_slice(r11, r12, dr11, dr12, phi: float, dphi: float,
 # -- perturbations -------------------------------------------------------------
 
 def _wave_slice(k: Direction, wp: WaveParams, t: float, grid: Grid2):
-    """Kernel fields and values for one positive direction at time t.  eta^2
-    is formed exactly (`multiply` raises unless it fits the grid), so the
-    samples of eta^2 and d/dt eta^2 are products of the kernel's samples."""
+    """Kernel field and samples for one positive direction at time t.  The
+    samples of eta^2 and d/dt eta^2, and the mean of eta^2, are taken from
+    the kernel's samples: exact while eta^2 fits the grid, which
+    `_pstar_slice` guards when it forms the kernel products."""
     f, df = eta(k, wp, t, grid)
-    eta2 = multiply(f, f)
     vals, dvals = f.values(grid.n), df.values(grid.n)
-    m2, dsq = float(mean(eta2).real), 2.0 * vals * dvals
-    return {"eta": f, "eta2": eta2, "eta_vals": vals, "deta_vals": dvals, "eta2_mean": m2,
-            "p_eta2_vals": vals * vals - m2, "dp_eta2_vals": dsq - dsq.mean()}
+    sq, dsq = vals * vals, 2.0 * vals * dvals
+    m2 = float(sq.mean())
+    return {"eta": f, "eta_vals": vals, "deta_vals": dvals, "eta2_mean": m2,
+            "p_eta2_vals": sq - m2, "dp_eta2_vals": dsq - dsq.mean()}
 
 
 def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict):
@@ -331,7 +312,8 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
     solenoidality statements hold mode-wise.  Per positive direction the
     operands P, dP, perp_grad P and perp_grad dP share one shift by +xi.
     They are real, so each accumulator's -xi half is its conjugate mirror
-    c(xi) -> conj c(-xi), added once after the loop.
+    c(xi) -> conj c(-xi), added once after the loop; the mirrored sums are
+    exactly Hermitian and are flagged real.
     Also returns the analysed temporal spectra a^2 P(eta^2) per direction
     ("moments", reused by the pressure corrector) and the largest energy
     share a clipped shift dropped.
@@ -375,12 +357,12 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
     w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2], True), nonzero))
     dw_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[2:], True), nonzero))
 
-    def field(coeffs):
-        return SpectralField(grid, "vector", coeffs, False).as_real()
+    def field(coeffs, rank="vector"):
+        return SpectralField(grid, rank, coeffs, True)
 
     return {"w_p": field(w_p), "w_c": field(w_c), "w_t": w_t,
             "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": dw_t,
-            "stream": SpectralField(grid, "scalar", stream, False),
+            "stream": field(stream, "scalar"),
             "moments": moments, "clipped": clipped}
 
 
@@ -392,7 +374,7 @@ def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     mult = -1j * (kvec[0] * kx + kvec[1] * ky) / k2safe
     mult[0, 0] = 0.0
-    return SpectralField(f.grid, "scalar", (f.coeffs[0] * mult)[None], f.reality, _trim=False)
+    return SpectralField(f.grid, "scalar", (f.coeffs[0] * mult)[None], f.reality)
 
 
 def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
@@ -407,7 +389,8 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     shifted and projected spectra of a pair are summed before one
     synthesis; the sign combinations shift a real product by conjugate
     vectors, so that sum is Hermitian and is synthesized as real.  Each
-    kernel is synthesized once for all the off-diagonal products.
+    kernel is synthesized once; every pair product, the diagonal included,
+    is analyzed from the kernels' samples on one product grid.
     Returns the corrector and the largest energy share a clipped shift
     dropped.
     """
@@ -418,33 +401,30 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     accum = np.zeros((n, n))
     clipped = 0.0
     # one product grid serves every pair: it resolves the widest kernel's
-    # square, which _wave_slice has formed exactly
+    # square, and raises unless that fits the grid
     widest = max((waves[k]["eta"] for k in dirs), key=SpectralField.band)
     m = _product_size(widest, widest, False)
-    kernel = {k: waves[k]["eta"].values(m)[0] for k in dirs}
+    kernel = {k: waves[k]["eta"].values(m) for k in dirs}
     for i, k in enumerate(dirs):
         for j in range(i, len(dirs)):
             kp = dirs[j]
-            fast = waves[k]["eta2"] if j == i else SpectralField(
-                grid, "scalar", _analysis(kernel[k] * kernel[kp]), True)
+            fast = _analysis(kernel[k] * kernel[kp])
             signs = ((1, 1, 0.5), (-1, -1, 0.5)) if j == i else \
                 ((1, 1, 1.0), (1, -1, 1.0), (-1, 1, 1.0), (-1, -1, 1.0))
             spec = np.zeros((1, n, n), dtype=complex)
             for s1, s2, weight in signs:
                 shift = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
                          step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
-                sh, _, frac = shift_modes(fast.coeffs, shift, n)
+                sh, _, frac = shift_modes(fast, shift, n)
                 clipped = max(clipped, frac)
                 spec += weight * _resize(sh, n)
-            pair = project(SpectralField(grid, "scalar", spec, True, _trim=False), half_shell)
+            pair = project(SpectralField(grid, "scalar", spec, True), half_shell)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * pair.values(n)[0]
     p1 = analyze(grid, accum)
     # diagonal transport part
-    p2 = SpectralField.zeros(grid, "scalar")
-    for k in dirs:
-        m_f, dm_f = moments[k]
-        p2 = p2 + m_f - (2.0 / wp.mu) * _inv_lap_div_const(dm_f, k.k)
-    return (p1 + p2).as_real(), clipped
+    terms = [(moments[k][0], _inv_lap_div_const(moments[k][1], k.k)) for k in dirs]
+    p2 = combine([f for pair in terms for f in pair], [1.0, -2.0 / wp.mu] * len(dirs))
+    return p1 + p2, clipped
 
 
 def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField,
@@ -459,7 +439,7 @@ def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField,
     v_l = moll.v.slices[i]
     w = pert_slices["w_p"] + pert_slices["w_c"] + pert_slices["w_t"]
     dw = pert_slices["dw_p"] + pert_slices["dw_c"] + pert_slices["dw_t"]
-    v_new = (v_l + w).as_real()
+    v_new = v_l + w
     dv_new = moll.v.dslices[i] + dw
     t_new = tf_square(v_new, allow_interpolant=True)
     t_old = tf_square(v_l, allow_interpolant=True)
@@ -491,10 +471,7 @@ def nsr_residual(state: NSRState) -> dict:
                  gradient(state.p.slices[i]),
                  state.nu * frac_laplacian(vi, state.theta),
                  -1.0 * divergence(state.R.slices[i])]
-        res = terms[0]
-        for t in terms[1:]:
-            res = res + t
-        res_norms.append(lp_norm(res, 2))
+        res_norms.append(lp_norm(combine(terms, np.ones(len(terms))), 2))
         scales.append(sum(lp_norm(t, 2) for t in terms))
     res_norms = np.array(res_norms)
     scales = np.array(scales)
@@ -601,10 +578,8 @@ def iterate_step(state: NSRState, toy: ToyParams):
         R_new.append(Ri)
         w_support[i] = True
         # identity and size diagnostics
-        w_norms["w_p"] = max(w_norms["w_p"], lp_norm(pert["w_p"], 2))
-        w_norms["w_c"] = max(w_norms["w_c"], lp_norm(pert["w_c"], 2))
-        w_norms["w_t"] = max(w_norms["w_t"], lp_norm(pert["w_t"], 2))
-        w_norms["dw_p"] = max(w_norms["dw_p"], lp_norm(pert["dw_p"], 2))
+        for name in w_norms:
+            w_norms[name] = max(w_norms[name], lp_norm(pert[name], 2))
         stream_err = max(stream_err, lp_norm(
             pert["w_p"] + pert["w_c"] - perp_grad(pert["stream"]), 2))
         sol_err = max(sol_err,

@@ -51,18 +51,14 @@ def _lattice(m: int):
 
 def project(field: SpectralField, band: FreqBand) -> SpectralField:
     """Keep the coefficients whose Euclidean |xi| lies in the window."""
-    m = field.storage
+    k2 = _lattice(field.storage)[2]
     if band.kind == "nonzero":
-        out = field.coeffs.copy()
-        out[..., 0, 0] = 0.0
-        return SpectralField(field.grid, field.rank, out, field.reality, _trim=False)
-    k2 = _lattice(m)[2]
-    if band.kind == "at_least":
+        mask = k2 > 0.0
+    elif band.kind == "at_least":
         mask = k2 >= band.lo ** 2
     else:
         mask = (k2 >= band.lo ** 2) & (k2 <= band.hi ** 2)
-    return SpectralField(field.grid, field.rank, field.coeffs * mask,
-                         field.reality, _trim=False)
+    return SpectralField(field.grid, field.rank, field.coeffs * mask, field.reality)
 
 
 def helmholtz(field: SpectralField) -> SpectralField:
@@ -76,8 +72,7 @@ def helmholtz(field: SpectralField) -> SpectralField:
     c2 = field.coeffs[1] - ky * dot / k2safe
     c1[0, 0] = field.coeffs[0][0, 0]
     c2[0, 0] = field.coeffs[1][0, 0]
-    return SpectralField(field.grid, "vector", np.stack([c1, c2]),
-                         field.reality, _trim=False)
+    return SpectralField(field.grid, "vector", np.stack([c1, c2]), field.reality)
 
 
 def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
@@ -93,8 +88,7 @@ def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
         mult = np.ones_like(k2)
     else:
         mult = k2 ** theta
-    return SpectralField(field.grid, field.rank, field.coeffs * mult,
-                         field.reality, _trim=False)
+    return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
 
 
 def inv_grad(field: SpectralField) -> SpectralField:
@@ -103,8 +97,7 @@ def inv_grad(field: SpectralField) -> SpectralField:
     mult = np.zeros_like(k2)
     nz = k2 > 0
     mult[nz] = 1.0 / np.sqrt(k2[nz])
-    return SpectralField(field.grid, field.rank, field.coeffs * mult,
-                         field.reality, _trim=False)
+    return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
 
 
 def anti_divergence(field: SpectralField) -> SpectralField:
@@ -122,8 +115,7 @@ def anti_divergence(field: SpectralField) -> SpectralField:
     t12 = -1j * (ky * f1 + kx * f2) / k2safe
     t11[0, 0] = 0.0
     t12[0, 0] = 0.0
-    return SpectralField(field.grid, "symtensor", np.stack([t11, t12]),
-                         field.reality, _trim=False)
+    return SpectralField(field.grid, "symtensor", np.stack([t11, t12]), field.reality)
 
 
 # -- trace-free tensor product --------------------------------------------

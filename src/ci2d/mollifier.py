@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import j0
 
 from .errors import PaddingError
-from .spectral_field import SpectralField, _resize, _wavenumbers
+from .spectral_field import SpectralField, _wavenumbers, combine
 
 
 def bump1(s: np.ndarray) -> np.ndarray:
@@ -59,8 +59,7 @@ def _spatial_multiplier(m: int, ell: float) -> np.ndarray:
 
 def spatial_mollify(field: SpectralField, ell: float) -> SpectralField:
     mult = _spatial_multiplier(field.storage, float(ell))
-    return SpectralField(field.grid, field.rank, field.coeffs * mult,
-                         field.reality, _trim=False)
+    return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
 
 
 class TemporalKernel:
@@ -92,12 +91,8 @@ class TemporalKernel:
 
     def apply_fields(self, slices: list, i: int) -> SpectralField:
         jj, ww = self.row(i)
-        m = max(slices[j].storage for j in jj)
-        acc = np.zeros((slices[jj[0]].ncomp, m, m), dtype=complex)
-        for j, w in zip(jj, ww):
-            acc += w * _resize(slices[j].coeffs, m)
-        s0 = slices[jj[0]]
-        return SpectralField(s0.grid, s0.rank, acc, s0.reality)
+        return combine([slices[j] for j in jj], ww)
+
 
 def check_padding(times: np.ndarray, horizon: float, ell: float):
     pad_lo = -float(times[0])

@@ -16,10 +16,12 @@ Conventions fixed here and relied on everywhere else:
 
 Coefficient arrays may be stored on a smaller internal FFT size than the
 logical grid; zero-padding between sizes is exact, so this is purely a
-memory optimization.  Transforms run through scipy.fft.  A field flagged
-real is synthesized from its xi_2 >= 0 half spectrum alone, so any
-anti-Hermitian remainder that `as_real` tolerated is dropped; real samples
-are analyzed by a real transform and the xi_2 < 0 half is mirrored.
+memory optimization.  A field keeps the storage and reality flag its
+maker gives it: `analyze` fits storage to the samples' measured band,
+products keep their product grid, linear maps and sums (`combine`) the
+widest operand's storage.  Transforms run through scipy.fft.  A field
+flagged real is synthesized from its xi_2 >= 0 half spectrum alone; real
+samples are analyzed by a real transform and the xi_2 < 0 half mirrored.
 """
 
 from __future__ import annotations
@@ -99,8 +101,7 @@ class SpectralField:
 
     __slots__ = ("grid", "rank", "coeffs", "reality", "_band", "_sup")
 
-    def __init__(self, grid: Grid2, rank: str, coeffs: np.ndarray,
-                 reality: bool, _trim: bool = True):
+    def __init__(self, grid: Grid2, rank: str, coeffs: np.ndarray, reality: bool):
         if rank not in _RANK_NCOMP:
             raise RankError(f"unknown rank {rank!r}")
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -116,8 +117,6 @@ class SpectralField:
         self.reality = bool(reality)
         self._band = None
         self._sup = None
-        if _trim:
-            coeffs = self._trimmed(coeffs)
         self.coeffs = coeffs
         self.coeffs.flags.writeable = False
 
@@ -126,7 +125,7 @@ class SpectralField:
     @classmethod
     def zeros(cls, grid: Grid2, rank: str, reality: bool = True) -> "SpectralField":
         nc = _RANK_NCOMP[rank]
-        return cls(grid, rank, np.zeros((nc, 8, 8), dtype=complex), reality, _trim=False)
+        return cls(grid, rank, np.zeros((nc, 8, 8), dtype=complex), reality)
 
     @classmethod
     def from_modes(cls, grid: Grid2, rank: str, modes: dict, reality: bool | None = None) -> "SpectralField":
@@ -140,14 +139,9 @@ class SpectralField:
         for (x1, x2), amp in modes.items():
             amp = np.atleast_1d(np.asarray(amp, dtype=complex))
             arr[:, x1 % m, x2 % m] += amp
-        if reality is None:
-            reality = _is_conjugate_symmetric(arr)
-        return cls(grid, rank, arr, reality, _trim=False)
-
-    def _trimmed(self, coeffs: np.ndarray) -> np.ndarray:
-        self._band = _measure_band(coeffs)
-        m_opt = min(_fft_size(self._band), self.grid.n)
-        return _resize(coeffs, m_opt) if m_opt < coeffs.shape[-1] else coeffs
+        if reality is None:   # conjugate symmetric to 1e-10 of the largest amplitude
+            reality = bool(np.max(np.abs(arr - _conj_mirror(arr))) <= 1e-10 * np.max(np.abs(arr)))
+        return cls(grid, rank, arr, reality)
 
     # -- basic queries -------------------------------------------------
 
@@ -219,7 +213,7 @@ class SpectralField:
     def __mul__(self, c) -> "SpectralField":
         c = complex(c)
         real = self.reality and c.imag == 0.0
-        return SpectralField(self.grid, self.rank, self.coeffs * c, real, _trim=False)
+        return SpectralField(self.grid, self.rank, self.coeffs * c, real)
 
     __rmul__ = __mul__
 
@@ -227,14 +221,7 @@ class SpectralField:
         return self * (-1.0)
 
     def component(self, i: int) -> "SpectralField":
-        return SpectralField(self.grid, "scalar", self.coeffs[i:i + 1], self.reality, _trim=False)
-
-    def as_real(self) -> "SpectralField":
-        """Assert conjugate symmetry to 1e-8 of the largest coefficient
-        and set the reality flag."""
-        if not _is_conjugate_symmetric(self.coeffs, 1e-8):
-            raise ConfigError("field is not conjugate-symmetric; cannot flag as real")
-        return SpectralField(self.grid, self.rank, self.coeffs, True, _trim=False)
+        return SpectralField(self.grid, "scalar", self.coeffs[i:i + 1], self.reality)
 
 
 def _measure_band(coeffs: np.ndarray) -> int:
@@ -252,13 +239,6 @@ def _conj_mirror(coeffs: np.ndarray) -> np.ndarray:
     Index i maps to (m - i) % m on each axis, so xi = 0 stays in place."""
     out = np.roll(np.flip(coeffs, axis=(-2, -1)), 1, axis=(-2, -1))
     return np.conjugate(out, out=out)
-
-
-def _is_conjugate_symmetric(coeffs: np.ndarray, rtol: float = 1e-10) -> bool:
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        return True
-    return float(np.max(np.abs(coeffs - _conj_mirror(coeffs)))) <= rtol * scale
 
 
 # -- spec operations -----------------------------------------------------
@@ -288,6 +268,7 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
     """Fourier-analyze physical samples on the grid into a SpectralField.
 
     The Nyquist row/column is zeroed: fields never carry |xi_i| >= n/2.
+    Storage is fitted to the measured band, which the field caches.
     """
     values = np.asarray(values)
     if values.ndim == 2:
@@ -299,7 +280,22 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
         raise ConfigError(f"samples shaped {values.shape} do not live on the {grid.n}^2 grid")
     if reality is None:
         reality = bool(np.isrealobj(values))
-    return SpectralField(grid, rank, _analysis(values), reality)
+    coeffs = _analysis(values)
+    band = _measure_band(coeffs)
+    field = SpectralField(grid, rank, _resize(coeffs, min(_fft_size(band), n)), reality)
+    field._band = band
+    return field
+
+
+def combine(fields, weights) -> SpectralField:
+    """sum_j w_j f_j for real weights, on the widest operand's storage;
+    real when every operand is."""
+    m = max(f.storage for f in fields)
+    acc = np.zeros((fields[0].ncomp, m, m), dtype=complex)
+    for f, w in zip(fields, weights):
+        if w != 0.0:
+            acc += w * _resize(f.coeffs, m)
+    return SpectralField(fields[0].grid, fields[0].rank, acc, all(f.reality for f in fields))
 
 
 def derive(field: SpectralField, multi_index) -> SpectralField:
@@ -314,8 +310,7 @@ def derive(field: SpectralField, multi_index) -> SpectralField:
         mult = mult * (1j * ks[:, None]) ** a
     if b:
         mult = mult * (1j * ks[None, :]) ** b
-    return SpectralField(field.grid, field.rank, field.coeffs * mult,
-                         field.reality, _trim=False)
+    return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
 
 
 def perp_grad(f: SpectralField) -> SpectralField:
@@ -326,7 +321,7 @@ def perp_grad(f: SpectralField) -> SpectralField:
     ks = _wavenumbers(m)
     c1 = -1j * ks[None, :] * f.coeffs[0]
     c2 = 1j * ks[:, None] * f.coeffs[0]
-    return SpectralField(f.grid, "vector", np.stack([c1, c2]), f.reality, _trim=False)
+    return SpectralField(f.grid, "vector", np.stack([c1, c2]), f.reality)
 
 
 def divergence(field: SpectralField) -> SpectralField:
@@ -337,13 +332,12 @@ def divergence(field: SpectralField) -> SpectralField:
     d2 = 1j * ks[None, :]
     if field.rank == "vector":
         c = d1 * field.coeffs[0] + d2 * field.coeffs[1]
-        return SpectralField(field.grid, "scalar", c[None], field.reality, _trim=False)
+        return SpectralField(field.grid, "scalar", c[None], field.reality)
     if field.rank == "symtensor":
         t11, t12 = field.coeffs[0], field.coeffs[1]
         r1 = d1 * t11 + d2 * t12
         r2 = d1 * t12 - d2 * t11
-        return SpectralField(field.grid, "vector", np.stack([r1, r2]),
-                             field.reality, _trim=False)
+        return SpectralField(field.grid, "vector", np.stack([r1, r2]), field.reality)
     raise RankError("divergence needs a vector or symtensor field")
 
 
@@ -523,7 +517,7 @@ def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> Spect
             raise RankError("vector amplitude needs a scalar field")
         out = np.concatenate([shifted * a for a in amps])
         rank = "vector" if amps.size == 2 else f.rank
-    return SpectralField(f.grid, rank, out, False, _trim=False)
+    return SpectralField(f.grid, rank, out, False)
 
 
 def random_field(grid: Grid2, rank: str, band: int, seed: int,

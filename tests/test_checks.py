@@ -36,3 +36,18 @@ def test_cli_check_default_config_counts(check_run):
     assert code == 0 and report["n_failed"] == 0
     assert report["n_passed"] == len(REGISTRY)
     assert [p["name"] for p in report["properties"]] == NAMES
+
+
+def test_weights_property_catches_a_swapped_antipode(monkeypatch):
+    # negative control: two antipodes handed each other's weights
+    import ci2d.checks as checks
+    decompose = checks.decompose
+
+    def swapped(*args):
+        w = decompose(*args)
+        a, b = [k for k in w if not k.positive][:2]
+        w[a], w[b] = w[b], w[a]
+        return w
+
+    monkeypatch.setattr(checks, "decompose", swapped)
+    assert not dict(REGISTRY)["geometry.weights_positive_bounded"]()[0]

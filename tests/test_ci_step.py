@@ -8,7 +8,7 @@ from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
                   tf_square, toy_params)
 from ci2d.ci_step import (_coefficient_slice, _perturbation_slice, _switch_eval,
                           _wave_slice, fd6_channel, mask_intervals, support_mask)
-from ci2d.errors import ConfigError, PaddingError
+from ci2d.errors import AliasingRisk, ConfigError, PaddingError
 from ci2d.fourier_calculus import FreqBand
 from ci2d.generators import bump_profile, time_grid, zero_track
 from ci2d.building_blocks import positive_directions
@@ -424,7 +424,7 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
                 xi = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
                       step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
                 spec += weight * _on_grid(multiply_mode(fast, xi, 1.0, clip=True).coeffs[0], n)
-            pair = project(SpectralField(grid, "scalar", spec, False, _trim=False),
+            pair = project(SpectralField(grid, "scalar", spec, False),
                            FreqBand.at_least(wp.lam_sigma / 2.0))
             vals = np.fft.ifft2(_on_grid(pair.coeffs[0], n)) * (n * n)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * vals
@@ -487,6 +487,13 @@ def test_zero_cutoff_step_keeps_mollified_residual():
     # with no perturbation the new residual is the mollified one
     moll_res = diags.identities["mollified_residual_rel"]
     assert diags.residual_report["max_rel"] <= moll_res + 1e-14
+
+
+def test_step_guards_the_kernel_square_band():
+    # the kernel band is 14 at (25, 5, 2, 3); its square's 28 exceeds n = 32's Nyquist 15
+    state = small_state(grid=make_grid(32))
+    with pytest.raises(AliasingRisk, match="product band 28"):
+        iterate_step(state, small_toy())
 
 
 def test_step_rejects_theta_of_one():

@@ -155,6 +155,17 @@ def test_cli_guard_exit_codes(tmp_path):
     assert main(["step", "--config", cfg_path]) == 3
 
 
+def test_cli_malformed_config_exits_3(tmp_path):
+    path = tmp_path / "config.json"
+    assert main(["check", "--config", str(tmp_path / "missing.json")]) == 3
+    for text in ('{"theta": 0.4, "time": {',                 # cut off
+                 "[1, 2]",                                  # not an object
+                 json.dumps({"time": {"n_t": "9"}}),
+                 json.dumps({"grid": {"n": "x"}})):
+        path.write_text(text)
+        assert main(["check", "--config", str(path)]) == 3, text
+
+
 def test_cli_malformed_state_exits_3(tmp_path):
     cfg_path, cfg = _small_cfg(tmp_path)
     assert main(["init", "--config", cfg_path]) == 0

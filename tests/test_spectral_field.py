@@ -7,8 +7,8 @@ from ci2d import (AliasingRisk, ConfigError, RankError, SpectralField,
                   TimeTrack, analyze, cn_norm, derive, divergence, l1_norm,
                   lp_norm, make_grid, mean, multiply, perp_grad, random_field)
 from ci2d.building_blocks import dirichlet_kernel
-from ci2d.spectral_field import (BAND_RTOL, _measure_band, multiply_mode,
-                                 pointwise_magnitude)
+from ci2d.spectral_field import (BAND_RTOL, _measure_band, combine,
+                                 multiply_mode, pointwise_magnitude)
 
 
 def test_make_grid_accepts_powers_of_two():
@@ -78,7 +78,7 @@ def test_real_synthesis_matches_complex_oracle(rank):
     f = random_field(g, rank, 6, seed=40)
     assert f.storage == 16
     # the same field stored larger than the grid it is sampled on
-    wide = SpectralField(g, rank, _on_grid(f.coeffs, 64), True, _trim=False)
+    wide = SpectralField(g, rank, _on_grid(f.coeffs, 64), True)
     for field, n in ((f, 64), (f, 16), (wide, 16), (wide, 64)):
         vals = field.values(n)
         want = _complex_synthesis(field.coeffs, n)
@@ -237,12 +237,30 @@ def test_band_measurement_and_trim():
     f = SpectralField.from_modes(g, "scalar", {(40, 3): 1.0, (0, 1): 1e-20}, reality=False)
     assert f.band() == 40
     assert f.storage <= 128
-    # a sub-threshold mode on the trimmed storage's Nyquist row is dropped
+    # a constructed field keeps its storage; analysis fits storage to the
+    # band, dropping a sub-threshold mode on the cut storage's Nyquist row
     c = np.zeros((1, 64, 64), dtype=complex)
-    c[0, 3, 0], c[0, -4, 0] = 1.0, 1e-20
+    c[0, 3, 0], c[0, -4, 0] = 1.0, 1e-14
     f = SpectralField(g, "scalar", c, reality=False)
-    assert f.band() == 3 and f.storage == 8
-    assert not np.any(f.coeffs[:, 4, :]) and not np.any(f.coeffs[:, :, 4])
+    assert f.band() == 3 and f.storage == 64
+    h = analyze(g, f.values())
+    assert h.band() == 3 and h.storage == 8
+    assert not np.any(h.coeffs[:, 4, :]) and not np.any(h.coeffs[:, :, 4])
+
+
+def test_band_measured_only_by_analysis_and_band(monkeypatch):
+    import ci2d.spectral_field as sf
+    calls = []
+    measure = sf._measure_band
+    monkeypatch.setattr(sf, "_measure_band", lambda c: calls.append(c.shape) or measure(c))
+    g = make_grid(256)
+    f, h = random_field(g, "vector", 100, seed=50), random_field(g, "vector", 120, seed=51)
+    s = combine([f, h, f - h], [0.5, 2.0, -1.0]) + derive(f, (1, 2))
+    assert s.storage == 256 and calls == []
+    assert s.band() == 120 and len(calls) == 1
+    assert s.band() == 120 and len(calls) == 1
+    back = analyze(g, s.values(), "vector")
+    assert back.band() == 120 and len(calls) == 2
 
 
 def test_multiply_exact_and_guard():
