@@ -24,9 +24,9 @@ from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
 from .generators import shear_track, time_grid, zero_track
 from .mollifier import bump2_hat
 from .param_schedule import PaperSchedule, theta_star, toy_params, validate_schedule
-from .spectral_field import (SpectralField, TimeTrack, analyze, cn_norm,
-                             derive, divergence, lp_norm, make_grid, mean,
-                             multiply, perp_grad, pointwise_magnitude,
+from .spectral_field import (SpectralField, TimeTrack, _resize, analyze,
+                             cn_norm, derive, divergence, lp_norm, make_grid,
+                             mean, multiply, perp_grad, pointwise_magnitude,
                              random_field)
 from .stress_geometry import W11, W12, decompose, default_ramp, reconstruct
 
@@ -74,7 +74,8 @@ def _reality():
     err = gap = 0.0   # relative to the samples' sup
     for seed, band in ((3, 20), (2, 24)):
         f = random_field(g, "scalar", band, seed=seed)
-        vals = SpectralField(g, "scalar", f.coeffs, reality=False).values()
+        vals = SpectralField(g, "scalar", _resize(f.coeffs, f.storage, half=False),
+                             reality=False).values()
         scale = np.max(np.abs(vals))
         real_vals = f.values()
         err = max(err, np.max(np.abs(vals.imag)) / scale)

@@ -32,11 +32,11 @@ from .fourier_calculus import (FreqBand, _lattice, anti_divergence,
 from .mollifier import (TemporalKernel, check_padding, smoothstep,
                         smoothstep_prime, spatial_mollify)
 from .param_schedule import ToyParams, theta_star
-from .spectral_field import (Grid2, SpectralField, TimeTrack, _analysis,
-                             _conj_mirror, _product_size, _quadrature_norm,
-                             _resize, analyze, combine, derive, divergence,
-                             lp_norm, mean, perp_grad, pointwise_magnitude,
-                             shift_modes)
+from .spectral_field import (Grid2, SpectralField, TimeTrack, _add_shifted,
+                             _analysis, _product_size, _quadrature_norm,
+                             _resize, _shift_loss, analyze, combine, derive,
+                             divergence, lp_norm, mean, perp_grad,
+                             pointwise_magnitude)
 from .stress_geometry import decompose, reconstruct
 
 SUPPORT_RTOL = 1e-13
@@ -310,19 +310,21 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
     Multiplication by the single-mode flow/potential is an exact
     coefficient shift, which makes the stream-function identity and both
     solenoidality statements hold mode-wise.  Per positive direction the
-    operands P, dP, perp_grad P and perp_grad dP share one shift by +xi.
-    They are real, so each accumulator's -xi half is its conjugate mirror
-    c(xi) -> conj c(-xi), added once after the loop; the mirrored sums are
-    exactly Hermitian and are flagged real.
+    operands P, dP, perp_grad P and perp_grad dP are real, so the
+    antipode's term is the conjugate mirror of the direction's own: the
+    same operand shifted by -xi under the conjugate amplitude.  Both
+    shifts are added block by block into xi_2 >= 0 half-plane
+    accumulators, whose sums are Hermitian and are flagged real.
     Also returns the analysed temporal spectra a^2 P(eta^2) per direction
     ("moments", reused by the pressure corrector) and the largest energy
-    share a clipped shift dropped.
+    share the +xi shift drops past the grid band.
     """
     n = grid.n
     lam = wp.lam
-    w_p, dw_p, w_c, dw_c = (np.zeros((2, n, n), dtype=complex) for _ in range(4))
-    stream = np.zeros((1, n, n), dtype=complex)
-    carrier = np.zeros((4, n, n), dtype=complex)   # w_t and dw_t before projection
+    half = (n, n // 2 + 1)
+    w_p, dw_p, w_c, dw_c = (np.zeros((2,) + half, dtype=complex) for _ in range(4))
+    stream = np.zeros((1,) + half, dtype=complex)
+    carrier = np.zeros((4,) + half, dtype=complex)   # w_t and dw_t before projection
     moments = {}
     clipped = 0.0
     for k in positive_directions():
@@ -330,19 +332,18 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
         wav = waves[k]
         P = analyze(grid, a * wav["eta_vals"])
         dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
-        m = max(P.storage, dP.storage)
-        stack = np.concatenate([_resize(c, m) for c in
-                                (P.coeffs, dP.coeffs, perp_grad(P).coeffs, perp_grad(dP).coeffs)])
-        sh, _, frac = shift_modes(stack, lattice_vector(k.five_k, lam // 5), n)
-        sh = _resize(sh, n)
-        clipped = max(clipped, frac)
+        xi = lattice_vector(k.five_k, lam // 5)
         amp_b = (1j * k.k_perp)[:, None, None]
-        w_p += amp_b * sh[0]
-        dw_p += amp_b * sh[1]
-        w_c += sh[2:4] * (1.0 / lam)
-        dw_c += sh[4:6] * (1.0 / lam)
-        stream += sh[0:1] * (1.0 / lam)
-        del sh, stack   # else held through the next direction's shift
+        for f, targets in ((P, ((w_p, amp_b), (stream, 1.0 / lam))),
+                           (dP, ((dw_p, amp_b),)),
+                           (perp_grad(P), ((w_c, 1.0 / lam),)),
+                           (perp_grad(dP), ((dw_c, 1.0 / lam),))):
+            src = _resize(f.coeffs, f.storage, half=False)
+            clipped = max(clipped, _shift_loss(src, xi, n)[1])
+            for acc, amp in targets:
+                _add_shifted(acc, src, xi, amp)
+                _add_shifted(acc, src, (-xi[0], -xi[1]), np.conj(amp))
+            del src   # else held through the next operand's mirror
         # temporal part: antipodal pairing doubles the positive half
         m_f = analyze(grid, a * a * wav["p_eta2_vals"])
         dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
@@ -350,8 +351,6 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
         kv = k.k[:, None, None]
         carrier[:2] += _resize(m_f.coeffs, n) * kv
         carrier[2:] += _resize(dm_f.coeffs, n) * kv
-    for acc in (w_p, dw_p, w_c, dw_c, stream):
-        acc += _conj_mirror(acc)
     fac = 2.0 / wp.mu
     nonzero = FreqBand.nonzero()
     w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2], True), nonzero))
@@ -370,7 +369,7 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
 
 def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
     """Delta^-1 div (kvec * f) for scalar f and a constant vector kvec."""
-    kx, ky, k2 = _lattice(f.storage)
+    kx, ky, k2 = _lattice(f)
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     mult = -1j * (kvec[0] * kx + kvec[1] * ky) / k2safe
     mult[0, 0] = 0.0
@@ -388,7 +387,8 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     enter, at weight 1/2, because antipodal pairs are skipped.  The
     shifted and projected spectra of a pair are summed before one
     synthesis; the sign combinations shift a real product by conjugate
-    vectors, so that sum is Hermitian and is synthesized as real.  Each
+    vectors, so that sum is Hermitian: its shifts are added block by
+    block into a xi_2 >= 0 half plane and synthesized as real.  Each
     kernel is synthesized once; every pair product, the diagonal included,
     is analyzed from the kernels' samples on one product grid.
     Returns the corrector and the largest energy share a clipped shift
@@ -408,16 +408,15 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     for i, k in enumerate(dirs):
         for j in range(i, len(dirs)):
             kp = dirs[j]
-            fast = _analysis(kernel[k] * kernel[kp])
+            fast = _resize(_analysis(kernel[k] * kernel[kp]), m, half=False)
             signs = ((1, 1, 0.5), (-1, -1, 0.5)) if j == i else \
                 ((1, 1, 1.0), (1, -1, 1.0), (-1, 1, 1.0), (-1, -1, 1.0))
-            spec = np.zeros((1, n, n), dtype=complex)
+            spec = np.zeros((1, n, n // 2 + 1), dtype=complex)
             for s1, s2, weight in signs:
                 shift = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
                          step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
-                sh, _, frac = shift_modes(fast, shift, n)
-                clipped = max(clipped, frac)
-                spec += weight * _resize(sh, n)
+                clipped = max(clipped, _shift_loss(fast, shift, n)[1])
+                _add_shifted(spec, fast, shift, weight)
             pair = project(SpectralField(grid, "scalar", spec, True), half_shell)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * pair.values(n)[0]
     p1 = analyze(grid, accum)

@@ -66,8 +66,22 @@ def _check_kinds(cfg: dict, default: dict, where: str = "") -> None:
                               f"{'an integer' if type(ref) is int else 'a number'}, got {val!r}")
 
 
+# The generator keys that `generators.build_initial` reads, each with a value
+# of its kind (integer or number).  Their defaults live with the generators,
+# so only a key that is present is checked.
+_INITIAL_KINDS = {"seed": 0, "m": 0, "band": 0, "decay": 0.0, "amplitude": 0.0}
+
+
 def validate_config(cfg: dict) -> None:
     _check_kinds(cfg, DEFAULT_CONFIG)
+    init = cfg["initial"]
+    _check_kinds(init, {k: v for k, v in _INITIAL_KINDS.items() if k in init}, "initial.")
+    support = init.get("support")
+    if support is not None and not (
+            isinstance(support, list) and len(support) == 2
+            and all(type(x) in (int, float) for x in support) and support[0] < support[1]):
+        raise ConfigError(f"config value initial.support must be null or [lo, hi] "
+                          f"with lo < hi, got {support!r}")
     if cfg["mode"] not in ("toy", "paper"):
         raise ConfigError(f"mode must be toy or paper, got {cfg['mode']!r}")
     if not (0.0 <= cfg["theta"] < 1.0):

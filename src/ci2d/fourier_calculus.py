@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankError
-from .spectral_field import (SpectralField, _analysis, _product_size,
-                             _wavenumbers)
+from .spectral_field import SpectralField, _analysis, _axes, _product_size
 
 
 @dataclass(frozen=True)
@@ -43,15 +42,16 @@ class FreqBand:
         return FreqBand(0.0, np.inf, "nonzero")
 
 
-def _lattice(m: int):
-    """Wave numbers xi1 (column), xi2 (row) and |xi|^2 on storage m."""
-    ks = _wavenumbers(m).astype(float)
-    return ks[:, None], ks[None, :], ks[:, None] ** 2 + ks[None, :] ** 2
+def _lattice(field: SpectralField):
+    """Wave numbers xi1 (column), xi2 (row) and |xi|^2 of the field's
+    storage layout (full plane or half spectrum)."""
+    k1, k2 = (k.astype(float) for k in _axes(field.coeffs))
+    return k1, k2, k1 ** 2 + k2 ** 2
 
 
 def project(field: SpectralField, band: FreqBand) -> SpectralField:
     """Keep the coefficients whose Euclidean |xi| lies in the window."""
-    k2 = _lattice(field.storage)[2]
+    k2 = _lattice(field)[2]
     if band.kind == "nonzero":
         mask = k2 > 0.0
     elif band.kind == "at_least":
@@ -65,7 +65,7 @@ def helmholtz(field: SpectralField) -> SpectralField:
     """Leray projection onto divergence-free fields; the mean is kept."""
     if field.rank != "vector":
         raise RankError("helmholtz projector needs a vector field")
-    kx, ky, k2 = _lattice(field.storage)
+    kx, ky, k2 = _lattice(field)
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     dot = kx * field.coeffs[0] + ky * field.coeffs[1]
     c1 = field.coeffs[0] - kx * dot / k2safe
@@ -83,7 +83,7 @@ def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
     """
     if not (0.0 <= theta <= 1.0):
         raise ConfigError(f"theta must lie in [0, 1], got {theta}")
-    k2 = _lattice(field.storage)[2]
+    k2 = _lattice(field)[2]
     if theta == 0.0:
         mult = np.ones_like(k2)
     else:
@@ -93,7 +93,7 @@ def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
 
 def inv_grad(field: SpectralField) -> SpectralField:
     """|grad|^-1: divide nonzero modes by |xi|; the mean is dropped."""
-    k2 = _lattice(field.storage)[2]
+    k2 = _lattice(field)[2]
     mult = np.zeros_like(k2)
     nz = k2 > 0
     mult[nz] = 1.0 / np.sqrt(k2[nz])
@@ -108,7 +108,7 @@ def anti_divergence(field: SpectralField) -> SpectralField:
     """
     if field.rank != "vector":
         raise RankError("anti-divergence needs a vector field")
-    kx, ky, k2 = _lattice(field.storage)
+    kx, ky, k2 = _lattice(field)
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     f1, f2 = field.coeffs[0], field.coeffs[1]
     t11 = -1j * (kx * f1 - ky * f2) / k2safe

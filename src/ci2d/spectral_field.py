@@ -16,12 +16,17 @@ Conventions fixed here and relied on everywhere else:
 
 Coefficient arrays may be stored on a smaller internal FFT size than the
 logical grid; zero-padding between sizes is exact, so this is purely a
-memory optimization.  A field keeps the storage and reality flag its
-maker gives it: `analyze` fits storage to the samples' measured band,
-products keep their product grid, linear maps and sums (`combine`) the
-widest operand's storage.  Transforms run through scipy.fft.  A field
-flagged real is synthesized from its xi_2 >= 0 half spectrum alone; real
-samples are analyzed by a real transform and the xi_2 < 0 half mirrored.
+memory optimization.  A field flagged real is stored as its xi_2 >= 0
+half spectrum in rfft2 layout, shape (ncomp, m, m//2 + 1): its xi_2 < 0
+half is the conjugate mirror c(xi) = conj c(-xi) and is never held.  A
+complex field (a single-mode shift, say) keeps the full m-by-m plane.
+`_resize` is the one layout helper (pad, cut, half <-> full) and
+`_analysis` the one analysis helper.  A field keeps the storage and
+reality flag its maker gives it: `analyze` fits storage to the samples'
+measured band, products keep their product grid, linear maps and sums
+(`combine`) the widest operand's storage.  Transforms run through
+scipy.fft: real fields by rfft2 / irfft2.  Mode shifts add each
+contiguous block of the source at its offset in the target.
 """
 
 from __future__ import annotations
@@ -77,12 +82,16 @@ def _wavenumbers(m: int) -> np.ndarray:
     return sfft.fftfreq(m, 1.0 / m).astype(np.int64)
 
 
-def _resize(coeffs: np.ndarray, m_new: int, half: bool = False) -> np.ndarray:
+def _resize(coeffs: np.ndarray, m_new: int, half: bool | None = None) -> np.ndarray:
     """FFT-layout coefficients on storage m_new: zero-padded when larger,
     cut to |xi_i| <= m_new/2 - 1 when smaller (the band must fit there).
-    half=True keeps the xi_2 >= 0 columns, a real inverse transform's input."""
-    m = coeffs.shape[-1]
-    if m_new == m and not half:
+    The input may be a full plane or a xi_2 >= 0 half (rfft2 layout);
+    half=True gives the half, half=False the full plane (a half input is
+    conjugate mirrored), None the input's layout."""
+    m = coeffs.shape[-2]
+    was_half = coeffs.shape[-1] != m
+    half = was_half if half is None else half
+    if m_new == m and half == was_half:
         return coeffs
     h = min(m, m_new) // 2
     lo = h if m <= m_new else h - 1       # negative modes kept per axis
@@ -90,10 +99,23 @@ def _resize(coeffs: np.ndarray, m_new: int, half: bool = False) -> np.ndarray:
                    dtype=complex)
     out[..., :h, :h] = coeffs[..., :h, :h]
     out[..., m_new - lo:, :h] = coeffs[..., m - lo:, :h]
-    if not half:
+    if half:
+        return out
+    if not was_half:
         out[..., :h, m_new - lo:] = coeffs[..., :h, m - lo:]
         out[..., m_new - lo:, m_new - lo:] = coeffs[..., m - lo:, m - lo:]
+        return out
+    # c(xi1, -xi2) = conj c(-xi1, xi2); row -xi1 is row (m_new - i) % m_new
+    np.conjugate(out[..., :1, h - 1:0:-1], out=out[..., :1, m_new - h + 1:])
+    np.conjugate(out[..., :0:-1, h - 1:0:-1], out=out[..., 1:, m_new - h + 1:])
     return out
+
+
+def _axes(coeffs: np.ndarray):
+    """Integer wave numbers xi1 (column) and xi2 (row) of a coefficient
+    array's storage, on the half columns for a half spectrum."""
+    ks = _wavenumbers(coeffs.shape[-2])
+    return ks[:, None], ks[None, :coeffs.shape[-1]]
 
 
 class SpectralField:
@@ -107,9 +129,13 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim == 2:
             coeffs = coeffs[None]
-        if coeffs.shape[0] != _RANK_NCOMP[rank] or coeffs.shape[-1] != coeffs.shape[-2]:
+        if coeffs.ndim != 3 or coeffs.shape[0] != _RANK_NCOMP[rank]:
             raise ConfigError(f"coefficient array shape {coeffs.shape} does not match rank {rank!r}")
-        m = coeffs.shape[-1]
+        m = coeffs.shape[-2]
+        if coeffs.shape[-1] != (m // 2 + 1 if reality else m):
+            raise ConfigError(f"coefficient array shape {coeffs.shape} is not the "
+                              f"{'half' if reality else 'full'} layout of a "
+                              f"{'real' if reality else 'complex'} field")
         if m > grid.n:
             raise AliasingRisk(f"storage size {m} exceeds grid {grid.n}")
         self.grid = grid
@@ -125,7 +151,7 @@ class SpectralField:
     @classmethod
     def zeros(cls, grid: Grid2, rank: str, reality: bool = True) -> "SpectralField":
         nc = _RANK_NCOMP[rank]
-        return cls(grid, rank, np.zeros((nc, 8, 8), dtype=complex), reality)
+        return cls(grid, rank, np.zeros((nc, 8, 5 if reality else 8), dtype=complex), reality)
 
     @classmethod
     def from_modes(cls, grid: Grid2, rank: str, modes: dict, reality: bool | None = None) -> "SpectralField":
@@ -139,9 +165,13 @@ class SpectralField:
         for (x1, x2), amp in modes.items():
             amp = np.atleast_1d(np.asarray(amp, dtype=complex))
             arr[:, x1 % m, x2 % m] += amp
-        if reality is None:   # conjugate symmetric to 1e-10 of the largest amplitude
-            reality = bool(np.max(np.abs(arr - _conj_mirror(arr))) <= 1e-10 * np.max(np.abs(arr)))
-        return cls(grid, rank, arr, reality)
+        # conjugate symmetric to 1e-10 of the largest amplitude
+        symmetric = bool(np.max(np.abs(arr - _conj_mirror(arr))) <= 1e-10 * np.max(np.abs(arr)))
+        if reality and not symmetric:
+            raise ConfigError("modes flagged real are not conjugate symmetric")
+        if reality is None:
+            reality = symmetric
+        return cls(grid, rank, _resize(arr, m, half=True) if reality else arr, reality)
 
     # -- basic queries -------------------------------------------------
 
@@ -151,7 +181,7 @@ class SpectralField:
 
     @property
     def storage(self) -> int:
-        return self.coeffs.shape[-1]
+        return self.coeffs.shape[-2]
 
     def band(self) -> int:
         """Largest |xi|_inf carrying relative weight above BAND_RTOL."""
@@ -160,21 +190,25 @@ class SpectralField:
         return self._band
 
     def coeff(self, xi) -> np.ndarray:
-        """Coefficient(s) at wave vector xi = (xi1, xi2)."""
+        """Coefficient(s) at wave vector xi = (xi1, xi2); on a half
+        spectrum xi_2 < 0 reads conj c(-xi)."""
         x1, x2 = int(xi[0]), int(xi[1])
         m = self.storage
         if max(abs(x1), abs(x2)) > m // 2 - 1:
             if max(abs(x1), abs(x2)) > self.grid.max_mode:
                 raise ConfigError(f"mode {xi} outside the grid band")
             return np.zeros(self.ncomp, dtype=complex)
+        if self.reality and x2 < 0:
+            return np.conjugate(self.coeffs[:, -x1 % m, -x2])
         return self.coeffs[:, x1 % m, x2 % m].copy()
 
     def mode_magnitudes(self):
-        """(|xi| array, summed |coeff|^2 array) over the storage lattice."""
-        m = self.storage
-        ks = _wavenumbers(m)
-        kx, ky = np.meshgrid(ks, ks, indexing="ij")
+        """(|xi| array, summed |coeff|^2 array) over the storage lattice;
+        on a half spectrum each xi_2 > 0 column also counts its mirror."""
+        kx, ky = _axes(self.coeffs)
         mag2 = np.sum(np.abs(self.coeffs) ** 2, axis=0)
+        if self.reality:
+            mag2[:, 1:-1] *= 2.0
         return np.hypot(kx, ky), mag2
 
     # -- transforms ----------------------------------------------------
@@ -185,7 +219,7 @@ class SpectralField:
         if n < self.storage and self.band() > n // 2 - 1:
             raise AliasingRisk("requested grid coarser than the stored band")
         if self.reality:
-            return sfft.irfft2(_resize(self.coeffs, n, half=True), s=(n, n), norm="forward")
+            return sfft.irfft2(_resize(self.coeffs, n), s=(n, n), norm="forward")
         return sfft.ifft2(_resize(self.coeffs, n), norm="forward")
 
     # -- algebra ---------------------------------------------------------
@@ -198,22 +232,17 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._binary_check(other)
-        m = max(self.storage, other.storage)
-        return SpectralField(self.grid, self.rank,
-                             _resize(self.coeffs, m) + _resize(other.coeffs, m),
-                             self.reality and other.reality)
+        return combine([self, other], [1.0, 1.0])
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._binary_check(other)
-        m = max(self.storage, other.storage)
-        return SpectralField(self.grid, self.rank,
-                             _resize(self.coeffs, m) - _resize(other.coeffs, m),
-                             self.reality and other.reality)
+        return combine([self, other], [1.0, -1.0])
 
     def __mul__(self, c) -> "SpectralField":
         c = complex(c)
         real = self.reality and c.imag == 0.0
-        return SpectralField(self.grid, self.rank, self.coeffs * c, real)
+        return SpectralField(self.grid, self.rank,
+                             _resize(self.coeffs, self.storage, half=real) * c, real)
 
     __rmul__ = __mul__
 
@@ -229,9 +258,9 @@ def _measure_band(coeffs: np.ndarray) -> int:
     cmax = mag.max()
     if cmax == 0.0:
         return 0
-    ks = np.abs(_wavenumbers(coeffs.shape[-1]))
+    k1, k2 = (np.abs(k.ravel()) for k in _axes(coeffs))
     mask = mag > BAND_RTOL * cmax
-    return int(max(ks[mask.any(axis=1)].max(), ks[mask.any(axis=0)].max()))
+    return int(max(k1[mask.any(axis=1)].max(), k2[mask.any(axis=0)].max()))
 
 
 def _conj_mirror(coeffs: np.ndarray) -> np.ndarray:
@@ -245,19 +274,13 @@ def _conj_mirror(coeffs: np.ndarray) -> np.ndarray:
 
 def _analysis(samples: np.ndarray) -> np.ndarray:
     """FFT-layout coefficients of samples on an m-by-m grid, with the
-    Nyquist row and column zeroed.  Real samples take a real transform and
-    the xi_2 < 0 columns are filled by conjugate mirroring."""
-    m = samples.shape[-1]
-    h = m // 2
-    if not np.isrealobj(samples):
-        coeffs = sfft.fft2(samples, norm="forward")
+    Nyquist row and column zeroed: the xi_2 >= 0 half spectrum (rfft2) of
+    real samples, the full plane of complex ones."""
+    h = samples.shape[-1] // 2
+    if np.isrealobj(samples):
+        coeffs = sfft.rfft2(samples, norm="forward")
     else:
-        half = sfft.rfft2(samples, norm="forward")
-        coeffs = np.empty(samples.shape, dtype=complex)
-        coeffs[..., :h] = half[..., :h]
-        # c(xi1, -xi2) = conj c(-xi1, xi2); row -xi1 is row (m - i) % m
-        np.conjugate(half[..., :1, h - 1:0:-1], out=coeffs[..., :1, h + 1:])
-        np.conjugate(half[..., :0:-1, h - 1:0:-1], out=coeffs[..., 1:, h + 1:])
+        coeffs = sfft.fft2(samples, norm="forward")
     coeffs[..., h, :] = 0.0
     coeffs[..., :, h] = 0.0
     return coeffs
@@ -282,20 +305,23 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
         reality = bool(np.isrealobj(values))
     coeffs = _analysis(values)
     band = _measure_band(coeffs)
-    field = SpectralField(grid, rank, _resize(coeffs, min(_fft_size(band), n)), reality)
+    field = SpectralField(grid, rank, _resize(coeffs, min(_fft_size(band), n), half=reality),
+                          reality)
     field._band = band
     return field
 
 
 def combine(fields, weights) -> SpectralField:
     """sum_j w_j f_j for real weights, on the widest operand's storage;
-    real when every operand is."""
+    real (a half spectrum) when every operand is."""
     m = max(f.storage for f in fields)
-    acc = np.zeros((fields[0].ncomp, m, m), dtype=complex)
+    real = all(f.reality for f in fields)
+    acc = np.zeros((fields[0].ncomp, m, m // 2 + 1 if real else m), dtype=complex)
     for f, w in zip(fields, weights):
         if w != 0.0:
-            acc += w * _resize(f.coeffs, m)
-    return SpectralField(fields[0].grid, fields[0].rank, acc, all(f.reality for f in fields))
+            c = _resize(f.coeffs, m, half=real)
+            acc += c if w == 1.0 else w * c
+    return SpectralField(fields[0].grid, fields[0].rank, acc, real)
 
 
 def derive(field: SpectralField, multi_index) -> SpectralField:
@@ -303,13 +329,12 @@ def derive(field: SpectralField, multi_index) -> SpectralField:
     a, b = int(multi_index[0]), int(multi_index[1])
     if a < 0 or b < 0:
         raise ConfigError("derivative orders must be nonnegative")
-    m = field.storage
-    ks = _wavenumbers(m)
-    mult = np.ones((m, m), dtype=complex)
+    k1, k2 = _axes(field.coeffs)
+    mult = np.ones((k1.size, k2.size), dtype=complex)
     if a:
-        mult = mult * (1j * ks[:, None]) ** a
+        mult = mult * (1j * k1) ** a
     if b:
-        mult = mult * (1j * ks[None, :]) ** b
+        mult = mult * (1j * k2) ** b
     return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
 
 
@@ -317,19 +342,17 @@ def perp_grad(f: SpectralField) -> SpectralField:
     """Rotated gradient (-d2 f, d1 f); always divergence-free."""
     if f.rank != "scalar":
         raise RankError("perp_grad needs a scalar field")
-    m = f.storage
-    ks = _wavenumbers(m)
-    c1 = -1j * ks[None, :] * f.coeffs[0]
-    c2 = 1j * ks[:, None] * f.coeffs[0]
+    k1, k2 = _axes(f.coeffs)
+    c1 = -1j * k2 * f.coeffs[0]
+    c2 = 1j * k1 * f.coeffs[0]
     return SpectralField(f.grid, "vector", np.stack([c1, c2]), f.reality)
 
 
 def divergence(field: SpectralField) -> SpectralField:
     """Row-wise spectral divergence of a vector or symtensor field."""
-    m = field.storage
-    ks = _wavenumbers(m)
-    d1 = 1j * ks[:, None]
-    d2 = 1j * ks[None, :]
+    k1, k2 = _axes(field.coeffs)
+    d1 = 1j * k1
+    d2 = 1j * k2
     if field.rank == "vector":
         c = d1 * field.coeffs[0] + d2 * field.coeffs[1]
         return SpectralField(field.grid, "scalar", c[None], field.reality)
@@ -366,14 +389,19 @@ def lp_norm(field: SpectralField, p: float) -> float:
 
     p = 2 is summed in coefficient space: discrete Parseval makes that sum
     equal to the rectangle rule on the n-grid for any coefficients.  A
+    half spectrum counts each xi_2 > 0 column twice, for its mirror.  A
     symtensor's Frobenius magnitude counts t11 and t12 twice each.
     """
     if not (p > 1.0):
         raise ConfigError(f"L^p norm needs p in (1, inf], got {p}")
     if p == 2.0:
         c = field.coeffs
+        s = np.vdot(c, c).real
+        if field.reality:
+            edges = c[..., ::c.shape[-1] - 1]      # xi_2 = 0 and the Nyquist column
+            s = 2.0 * s - np.vdot(edges, edges).real
         w = 2.0 if field.rank == "symtensor" else 1.0
-        return float(2.0 * np.pi * np.sqrt(w * np.vdot(c, c).real))
+        return float(2.0 * np.pi * np.sqrt(w * s))
     if np.isinf(p):
         if field._sup is None:
             pointwise_magnitude(field)
@@ -454,42 +482,52 @@ def _product_size(f: SpectralField, g: SpectralField, allow_interpolant: bool) -
         "refine the grid or use the interpolant product knowingly")
 
 
-def _clipped_targets(x: int, n: int) -> np.ndarray:
-    """Indices along one axis of storage n whose target mode after a shift
-    by x lies past the grid band (the wrapped sources and the Nyquist bin)."""
-    ks = _wavenumbers(n)
-    return (np.flatnonzero(np.abs(ks + x) > n // 2 - 1) + x) % n
+def _shift_runs(x: int, m: int, n: int, t_lo: int) -> list:
+    """(source, target) index slices along one axis for a shift by x from
+    FFT storage m to storage n, over the targets t = s + x with
+    t_lo <= t <= n/2 - 1.  Within a run neither s nor t changes sign, so
+    both sides are contiguous in FFT layout."""
+    s_lo, s_hi = max(1 - m // 2, t_lo - x), min(m // 2 - 1, n // 2 - 1 - x)
+    if s_lo > s_hi:
+        return []
+    cuts = sorted({s_lo, s_hi + 1} | {c for c in (0, -x) if s_lo < c <= s_hi})
+    return [(slice(a % m, a % m + b - a), slice((a + x) % n, (a + x) % n + b - a))
+            for a, b in zip(cuts, cuts[1:])]
 
 
-def shift_modes(coeffs: np.ndarray, xi, n: int):
-    """Coefficients of exp(i xi . x) f for stacked FFT-layout components.
+def _add_shifted(acc: np.ndarray, src: np.ndarray, xi, amp=1.0) -> None:
+    """acc += amp exp(i xi . x) src, block by block in place.
 
-    The shift is a roll on storage min(_fft_size(m/2 - 1 + |xi|_inf), n),
-    where m is the operand's storage, so every stored coefficient lands on
-    its own target.  On storage n the sources whose target lies past the
-    grid band wrap around; those target rows and columns are zeroed.
-    Returns the
-    shifted array, the largest dropped magnitude and the largest share of
-    a component's energy sum |c|^2 that was dropped.
+    src is a full-plane FFT-layout array on its own storage; acc a full
+    plane or a xi_2 >= 0 half on storage n.  Sources whose target lies
+    past acc's band (or, for a half, at xi_2 < 0) add nothing.
     """
-    x1, x2 = int(xi[0]), int(xi[1])
-    m = min(_fft_size(coeffs.shape[-1] // 2 - 1 + max(abs(x1), abs(x2))), n)
-    out = np.roll(_resize(coeffs, m), (x1, x2), axis=(-2, -1))
-    if m < n:
-        return out, 0.0, 0.0
-    rows, cols = _clipped_targets(x1, n), _clipped_targets(x2, n)
-    strip_r = out[..., rows, :]
-    out[..., rows, :] = 0.0
-    strip_c = out[..., :, cols]
-    out[..., :, cols] = 0.0
+    m, n = src.shape[-2], acc.shape[-2]
+    rows = _shift_runs(int(xi[0]), m, n, 1 - n // 2)
+    cols = _shift_runs(int(xi[1]), m, n, 0 if acc.shape[-1] != n else 1 - n // 2)
+    for rs, rt in rows:
+        for cs, ct in cols:
+            acc[..., rt, ct] += amp * src[..., rs, cs]
+
+
+def _shift_loss(src: np.ndarray, xi, n: int):
+    """What a shift by xi pushes past the band of storage n: the largest
+    magnitude and the largest share of a component's energy sum |c|^2,
+    for a full-plane FFT-layout src."""
+    ks = _wavenumbers(src.shape[-2])
+    out1 = np.abs(ks + int(xi[0])) > n // 2 - 1
+    out2 = np.abs(ks + int(xi[1])) > n // 2 - 1
+    if not (out1.any() or out2.any()):
+        return 0.0, 0.0
+    strip_r = src[..., out1, :]
+    strip_c = src[..., :, out2][..., ~out1, :]
     lost = max(np.max(np.abs(strip_r), initial=0.0), np.max(np.abs(strip_c), initial=0.0))
     if lost == 0.0:
-        return out, 0.0, 0.0
+        return 0.0, 0.0
     dropped = (np.sum(np.abs(strip_r) ** 2, axis=(-2, -1))
                + np.sum(np.abs(strip_c) ** 2, axis=(-2, -1)))
-    total = np.array([np.vdot(c, c).real for c in coeffs])
-    frac = float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
-    return out, float(lost), frac
+    total = np.array([np.vdot(c, c).real for c in src])
+    return float(lost), float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
 
 
 def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> SpectralField:
@@ -502,22 +540,21 @@ def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> Spect
     affected).  The discard mask depends on the target mode alone, so
     identities among consistently clipped objects stay mode-exact.
     `amplitudes` is a scalar (rank-preserving) or a length-2 vector
-    (promoting a scalar f to a vector result).
+    (promoting a scalar f to a vector result).  The product is complex,
+    on storage min(_fft_size(m/2 - 1 + |xi|_inf), n) for f's storage m.
     """
-    shifted, lost, _ = shift_modes(f.coeffs, xi, f.grid.n)
+    src = _resize(f.coeffs, f.storage, half=False)
+    lost, _ = _shift_loss(src, xi, f.grid.n)
     if not clip and lost > BAND_RTOL * np.max(np.abs(f.coeffs)):
         raise AliasingRisk(
             f"mode shift pushes weight {lost:.2e} past the grid band {f.grid.max_mode}")
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
-    if amps.size == 1:
-        out = shifted * amps[0]
-        rank = f.rank
-    else:
-        if f.rank != "scalar":
-            raise RankError("vector amplitude needs a scalar field")
-        out = np.concatenate([shifted * a for a in amps])
-        rank = "vector" if amps.size == 2 else f.rank
-    return SpectralField(f.grid, rank, out, False)
+    if amps.size > 1 and f.rank != "scalar":
+        raise RankError("vector amplitude needs a scalar field")
+    m = min(_fft_size(f.storage // 2 - 1 + max(abs(int(xi[0])), abs(int(xi[1])))), f.grid.n)
+    out = np.zeros((max(amps.size, f.ncomp), m, m), dtype=complex)
+    _add_shifted(out, src, xi, amps[:, None, None])
+    return SpectralField(f.grid, "vector" if amps.size == 2 else f.rank, out, False)
 
 
 def random_field(grid: Grid2, rank: str, band: int, seed: int,
@@ -533,8 +570,8 @@ def random_field(grid: Grid2, rank: str, band: int, seed: int,
     inside = np.maximum(np.abs(kx), np.abs(ky)) <= band
     amp = (rng.standard_normal((nc, m, m)) + 1j * rng.standard_normal((nc, m, m)))
     amp *= inside / (1.0 + np.hypot(kx, ky)) ** decay
-    # enforce conjugate symmetry: c(-xi) = conj(c(xi))
-    amp = 0.5 * (amp + _conj_mirror(amp))
+    # enforce conjugate symmetry c(-xi) = conj(c(xi)), then keep the half
+    amp = _resize(0.5 * (amp + _conj_mirror(amp)), m, half=True)
     if mean_zero:
         amp[..., 0, 0] = 0.0
     else:

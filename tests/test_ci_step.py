@@ -323,12 +323,40 @@ def test_stream_identity_and_solenoidality():
     assert np.isrealobj(w_p.values())
 
 
-def _perturbation_oracle(grid, wp, a_slice, waves):
-    """The perturbation slice with both shifts (+xi and -xi) of every
-    direction made explicitly, and the largest clipped energy share."""
+def _roll_shift(coeffs, xi, n):
+    """exp(i xi . x) f for stacked full-plane FFT-layout components, as a
+    roll on storage min(_fft_size(m/2 - 1 + |xi|_inf), n), where every
+    stored coefficient lands on its own target.  On storage n the sources
+    whose target lies past the grid band wrap around, and those target
+    rows and columns are zeroed.  Returns the shifted array and the
+    largest share of a component's energy sum |c|^2 that was dropped."""
+    from ci2d.spectral_field import _fft_size, _resize
+    x1, x2 = int(xi[0]), int(xi[1])
+    m = min(_fft_size(coeffs.shape[-1] // 2 - 1 + max(abs(x1), abs(x2))), n)
+    out = np.roll(_resize(coeffs, m), (x1, x2), axis=(-2, -1))
+    if m < n:
+        return out, 0.0
+    ks = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    rows, cols = ((np.flatnonzero(np.abs(ks + x) > n // 2 - 1) + x) % n for x in (x1, x2))
+    strip_r = out[..., rows, :]
+    out[..., rows, :] = 0.0
+    strip_c = out[..., :, cols]
+    out[..., :, cols] = 0.0
+    dropped = (np.sum(np.abs(strip_r) ** 2, axis=(-2, -1))
+               + np.sum(np.abs(strip_c) ** 2, axis=(-2, -1)))
+    total = np.array([np.vdot(c, c).real for c in coeffs])
+    return out, float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
+
+
+def _perturbation_oracle(grid, wp, a_slice, waves, mirror=False):
+    """The perturbation slice from full-plane roll shifts: both shifts (+xi
+    and -xi) of every direction made explicitly or, with mirror=True, the
+    +xi shift alone and each sum's conjugate mirror c(xi) -> conj c(-xi)
+    added once after the loop.  Returns the seven fields (full planes) and
+    the largest energy share a shift dropped."""
     from ci2d import analyze, perp_grad
     from ci2d.building_blocks import lattice_vector
-    from ci2d.spectral_field import _resize, shift_modes
+    from ci2d.spectral_field import _conj_mirror, _resize
     n, lam = grid.n, wp.lam
     acc = {name: np.zeros((2, n, n), dtype=complex) for name in ("w_p", "dw_p", "w_c", "dw_c")}
     stream = np.zeros((1, n, n), dtype=complex)
@@ -339,12 +367,13 @@ def _perturbation_oracle(grid, wp, a_slice, waves):
         wav = waves[k]
         P = analyze(grid, a * wav["eta_vals"])
         dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
-        ops = (P.coeffs, dP.coeffs, perp_grad(P).coeffs, perp_grad(dP).coeffs)
-        m = max(c.shape[-1] for c in ops)
-        stack = np.concatenate([_resize(c, m) for c in ops])
+        m = max(P.storage, dP.storage)
+        stack = np.concatenate([_resize(f.coeffs, m, half=False)
+                                for f in (P, dP, perp_grad(P), perp_grad(dP))])
         xi = lattice_vector(k.five_k, lam // 5)
-        for shift, sign in ((xi, 1.0), ((-xi[0], -xi[1]), -1.0)):
-            sh, _, frac = shift_modes(stack, shift, n)
+        shifts = ((xi, 1.0),) if mirror else ((xi, 1.0), ((-xi[0], -xi[1]), -1.0))
+        for shift, sign in shifts:
+            sh, frac = _roll_shift(stack, shift, n)
             sh = _resize(sh, n)
             clipped = max(clipped, frac)
             amp = (sign * 1j * k.k_perp)[:, None, None]
@@ -355,18 +384,32 @@ def _perturbation_oracle(grid, wp, a_slice, waves):
             stream += sh[0:1] / lam
         m_f = analyze(grid, a * a * wav["p_eta2_vals"])
         dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
-        carrier[:2] += _resize(m_f.coeffs, n) * k.k[:, None, None]
-        carrier[2:] += _resize(dm_f.coeffs, n) * k.k[:, None, None]
+        carrier[:2] += _resize(m_f.coeffs, n, half=False) * k.k[:, None, None]
+        carrier[2:] += _resize(dm_f.coeffs, n, half=False) * k.k[:, None, None]
+    if mirror:
+        for c in (*acc.values(), stream):
+            c += _conj_mirror(c)
     out = {name: SpectralField(grid, "vector", c, False) for name, c in acc.items()}
     for name, c in (("w_t", carrier[:2]), ("dw_t", carrier[2:])):
         out[name] = (2.0 / wp.mu) * helmholtz(project(
-            SpectralField(grid, "vector", c, True), FreqBand.nonzero()))
+            SpectralField(grid, "vector", c[..., :n // 2 + 1], True), FreqBand.nonzero()))
     out["stream"] = SpectralField(grid, "scalar", stream, False)
     return out, clipped
 
 
-def test_perturbation_slice_mirror_matches_both_explicit_shifts():
+def _assert_matches_perturbation_oracle(pert, oracle, clipped):
     from ci2d.spectral_field import _resize
+    for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t", "stream"):
+        got, ref = pert[name], oracle[name]
+        m = max(got.storage, ref.storage)
+        a, b = (_resize(f.coeffs, m, half=False) for f in (got, ref))
+        gap = np.max(np.abs(a - b))
+        assert 0.0 < np.max(np.abs(ref.coeffs))
+        assert gap <= 1e-14 * np.max(np.abs(ref.coeffs)), name
+    assert pert["clipped"] == pytest.approx(clipped, rel=1e-14, abs=0.0)
+
+
+def test_perturbation_slice_mirror_matches_both_explicit_shifts():
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
@@ -375,16 +418,27 @@ def test_perturbation_slice_mirror_matches_both_explicit_shifts():
     a_slice, pert = _node(moll.R, cut, toy, node)
     waves = {k: _wave_slice(k, toy.wp, float(TIMES[node]), GRID) for k in positive_directions()}
     oracle, clipped = _perturbation_oracle(GRID, toy.wp, a_slice, waves)
-    for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t", "stream"):
-        got, ref = pert[name], oracle[name]
-        m = max(got.storage, ref.storage)
-        gap = np.max(np.abs(_resize(got.coeffs, m) - _resize(ref.coeffs, m)))
-        assert 0.0 < np.max(np.abs(ref.coeffs))
-        assert gap <= 1e-14 * np.max(np.abs(ref.coeffs)), name
     # the -xi strips hold the mirrored coefficients of the +xi strips, so
     # the two dropped shares agree to the round-off of the operands' symmetry
     assert clipped > 0.0
-    assert pert["clipped"] == pytest.approx(clipped, rel=1e-14, abs=0.0)
+    _assert_matches_perturbation_oracle(pert, oracle, clipped)
+
+
+@pytest.mark.parametrize("n, wave", [(128, (25, 5, 2, 3)), (256, (50, 10, 2, 5))])
+def test_perturbation_slice_matches_roll_and_mirror_oracle(n, wave):
+    # the block-added half planes against full-plane rolls of the +xi
+    # shift with the accumulators' conjugate mirrors added afterwards
+    lam, sigma_inv, r, mu = wave
+    grid = make_grid(n)
+    toy = small_toy(lam=lam, sigma_inv=sigma_inv, r=r, mu=mu)
+    moll = mollify(small_state(grid=grid), toy.ell)
+    cut = temporal_cutoff(moll.R, toy.ell)
+    node = int(np.argmax(cut.values))
+    a_slice, pert = _node(moll.R, cut, toy, node)
+    waves = {k: _wave_slice(k, toy.wp, float(TIMES[node]), grid) for k in positive_directions()}
+    oracle, clipped = _perturbation_oracle(grid, toy.wp, a_slice, waves, mirror=True)
+    assert clipped > 0.0
+    _assert_matches_perturbation_oracle(pert, oracle, clipped)
 
 
 def _on_grid(coeffs, n):

@@ -166,6 +166,21 @@ def test_cli_malformed_config_exits_3(tmp_path):
         assert main(["check", "--config", str(path)]) == 3, text
 
 
+@pytest.mark.parametrize("initial", [
+    {"generator": "stream", "band": "x"},
+    {"generator": "shear", "support": [0.5]},
+    {"generator": "shear", "support": [0.75, 0.25]},
+    {"generator": "shear", "support": "early"},
+    {"generator": "shear", "m": 1.5},
+    {"generator": "stream", "seed": "7"},
+    {"generator": "stream", "decay": "fast"},
+    {"generator": "stream", "amplitude": [1.0]},
+])
+def test_cli_mistyped_initial_key_exits_3(tmp_path, initial):
+    cfg_path, _ = _small_cfg(tmp_path, grid={"n": 16}, initial=initial)
+    assert main(["init", "--config", cfg_path]) == 3
+
+
 def test_cli_malformed_state_exits_3(tmp_path):
     cfg_path, cfg = _small_cfg(tmp_path)
     assert main(["init", "--config", cfg_path]) == 0

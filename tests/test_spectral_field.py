@@ -43,9 +43,24 @@ def test_parseval_against_quadrature_oracle():
 
 # -- real transforms against numpy's complex FFT --------------------------------
 
+def _full(coeffs):
+    """Oracle mirror: the full FFT-layout plane of stored coefficients; a
+    half spectrum (rfft2 layout) gets c(xi1, -xi2) = conj c(-xi1, xi2)."""
+    m = coeffs.shape[-2]
+    if coeffs.shape[-1] == m:
+        return coeffs
+    h = m // 2
+    out = np.zeros(coeffs.shape[:-2] + (m, m), dtype=complex)
+    out[..., :h] = coeffs[..., :h]
+    rows, cols = (-np.arange(m)) % m, m - np.arange(1, h)
+    out[..., rows[:, None], cols[None, :]] = np.conj(coeffs[..., :, 1:h])
+    return out
+
+
 def _on_grid(coeffs, n):
     """Oracle placement: every stored mode with |xi_i| <= n/2 - 1 goes to
     its slot in an n-by-n FFT layout."""
+    coeffs = _full(coeffs)
     m = coeffs.shape[-1]
     ks = np.fft.fftfreq(m, 1.0 / m).astype(int)
     keep = np.flatnonzero(np.abs(ks) <= n // 2 - 1)
@@ -78,7 +93,7 @@ def test_real_synthesis_matches_complex_oracle(rank):
     f = random_field(g, rank, 6, seed=40)
     assert f.storage == 16
     # the same field stored larger than the grid it is sampled on
-    wide = SpectralField(g, rank, _on_grid(f.coeffs, 64), True)
+    wide = SpectralField(g, rank, _on_grid(f.coeffs, 64)[..., :33], True)
     for field, n in ((f, 64), (f, 16), (wide, 16), (wide, 64)):
         vals = field.values(n)
         want = _complex_synthesis(field.coeffs, n)
@@ -108,6 +123,91 @@ def test_real_multiply_matches_complex_oracle(rank):
     want = _complex_analysis(_complex_synthesis(f.coeffs, 64)[0][None]
                              * _complex_synthesis(h.coeffs, 64))
     _assert_close(_on_grid(prod.coeffs, 64), want, 1e-14)
+
+
+def test_resize_half_to_full_matches_mirror_oracle():
+    from ci2d.spectral_field import _resize
+    g = make_grid(64)
+    f = random_field(g, "vector", 9, seed=45)
+    assert f.coeffs.shape == (2, 32, 17)
+    for m in (32, 64):
+        _assert_close(_resize(f.coeffs, m, half=False), _on_grid(f.coeffs, m), 0.0)
+        assert np.array_equal(_resize(_resize(f.coeffs, m, half=False), 32, half=True), f.coeffs)
+
+
+def test_coeff_reads_the_mirror_at_negative_xi2():
+    g = make_grid(32)
+    f = random_field(g, "symtensor", 3, seed=46)
+    full = _full(f.coeffs)
+    m = f.storage
+    assert m == 8
+    for x1 in range(-g.max_mode, g.max_mode + 1):
+        for x2 in range(-g.max_mode, g.max_mode + 1):
+            want = full[:, x1 % m, x2 % m] if max(abs(x1), abs(x2)) < m // 2 else 0.0
+            assert np.array_equal(f.coeff((x1, x2)), want * np.ones(2)), (x1, x2)
+
+
+@pytest.mark.parametrize("rank, seed", [("scalar", 47), ("vector", 48), ("symtensor", 49)])
+def test_half_spectrum_parseval_matches_grid_sum(rank, seed):
+    # full-band (storage n) and band-limited (trimmed storage) fields
+    g = make_grid(64)
+    for f in (random_field(g, rank, g.max_mode, seed=seed, decay=0.0),
+              random_field(g, rank, 10, seed=seed, mean_zero=False)):
+        quad = np.sqrt(np.sum(pointwise_magnitude(f) ** 2) * g.cell_measure)
+        assert abs(lp_norm(f, 2) - quad) <= 1e-12 * quad
+
+
+def test_energy_spectrum_matches_full_plane_oracle():
+    from ci2d.diagnostics import energy_spectrum
+    g = make_grid(64)
+    f = random_field(g, "vector", 20, seed=55, mean_zero=False)
+    full = _full(f.coeffs)
+    ks = np.fft.fftfreq(f.storage, 1.0 / f.storage)
+    shells = np.rint(np.hypot(ks[:, None], ks[None, :])).astype(int)
+    want = np.zeros(shells.max() + 1)
+    np.add.at(want, shells.ravel(), np.sum(np.abs(full) ** 2, axis=0).ravel())
+    want *= 0.5 * (2 * np.pi) ** 2
+    got_shells, got = energy_spectrum(f)
+    assert np.array_equal(got_shells, np.arange(want.size))
+    _assert_close(got, want, 1e-14)
+
+
+def test_real_plus_complex_is_a_full_plane_sum():
+    g = make_grid(64)
+    f = random_field(g, "vector", 20, seed=56)
+    h = multiply_mode(random_field(g, "scalar", 5, seed=57), (3, -2), np.array([1.0, 2.0j]))
+    assert f.reality and not h.reality and f.storage != h.storage
+    want = _on_grid(f.coeffs, 64) + 2.0 * _on_grid(h.coeffs, 64)
+    for got in (combine([f, h], [1.0, 2.0]), f + 2.0 * h, 2.0 * h + f):
+        assert not got.reality and got.coeffs.shape == (2, 64, 64)
+        _assert_close(_on_grid(got.coeffs, 64), want, 1e-15)
+    want = _on_grid(f.coeffs, 64) - _on_grid(h.coeffs, 64)
+    _assert_close(_on_grid((f - h).coeffs, 64), want, 1e-15)
+
+
+def test_field_layout_must_match_reality_flag():
+    g = make_grid(16)
+    SpectralField(g, "vector", np.zeros((2, 8, 5)), True)
+    SpectralField(g, "vector", np.zeros((2, 8, 8)), False)
+    for shape, real in (((2, 8, 8), True), ((2, 8, 5), False), ((2, 8, 4), True), ((2, 8), True)):
+        with pytest.raises(ConfigError):
+            SpectralField(g, "vector", np.zeros(shape), real)
+    f = random_field(g, "scalar", 5, seed=58)
+    assert f.coeffs.shape == (1, 16, 9)
+    assert (2j * f).coeffs.shape == (1, 16, 16) and not (2j * f).reality
+
+
+@pytest.mark.parametrize("modes", [{(1, 2): 1.0}, {(1, -2): 1.0},
+                                   {(1, 2): 1.0, (-1, -2): 1.0 + 1e-9}])
+def test_real_flag_needs_conjugate_symmetric_modes(modes):
+    g = make_grid(16)
+    with pytest.raises(ConfigError, match="conjugate symmetric"):
+        SpectralField.from_modes(g, "scalar", modes, reality=True)
+    assert not SpectralField.from_modes(g, "scalar", modes).reality
+    # within 1e-10 of the largest amplitude the modes count as symmetric
+    near = SpectralField.from_modes(g, "scalar", {(1, 2): 1.0, (-1, -2): 1.0 + 1e-11},
+                                    reality=True)
+    assert near.reality and near.coeff((1, 2))[0] == 1.0
 
 
 def _band_oracle(coeffs):
@@ -297,10 +397,11 @@ def _shift_oracle(f, xi, amplitudes):
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
     bmax = f.grid.max_mode
     ks = np.fft.fftfreq(f.storage, 1.0 / f.storage).astype(int)
+    full = _full(f.coeffs)
     out, dropped = {}, 0.0
     for i, k1 in enumerate(ks):
         for j, k2 in enumerate(ks):
-            c = f.coeffs[:, i, j]
+            c = full[:, i, j]
             t = (int(k1) + xi[0], int(k2) + xi[1])
             if max(abs(t[0]), abs(t[1])) > bmax:
                 dropped = max(dropped, float(np.max(np.abs(c))))
