@@ -1,16 +1,16 @@
 """One iteration of the stress-reduction scheme.
 
-The pipeline is: mollify the state, detect the temporal support of the
-low-frequency stress, build smooth coefficients from the geometric
-decomposition, add the principal / corrector / temporal perturbations,
-and re-assemble the stress and pressure so the forced momentum balance
-holds exactly.
+The pipeline is: mollify the state and detect the temporal support of
+the low-frequency stress; then, one time node at a time (`_step_node`),
+build smooth coefficients from the geometric decomposition, add the
+principal / corrector / temporal perturbations, and re-assemble the
+stress and pressure so the forced momentum balance holds exactly.
 
 Time is handled as a first-order jet: every track carries its values and,
 where available, an analytic derivative channel, and all linear
 operations (including temporal mollification) map both channels the same
-way.  The residual verifier consumes only the assembled state, so it is
-blind to the intermediate algebra.
+way.  The residual verifier (`_slice_residual`) reads only a node's
+assembled v, dv, p and R, so it is blind to the intermediate algebra.
 
 Pressure convention: states store the pressure of the trace-free
 momentum form.  The classical pressure of the full-tensor form is
@@ -226,27 +226,21 @@ class CutoffProfile:
 
 def support_mask(track: TimeTrack) -> np.ndarray:
     """Nodes whose sup norm exceeds SUPPORT_RTOL of the track's largest."""
-    norms = np.array([lp_norm(s, np.inf) for s in track.slices])
-    top = norms.max()
+    return _sup_support(np.array([lp_norm(s, np.inf) for s in track.slices]))
+
+
+def _sup_support(sups: np.ndarray) -> np.ndarray:
+    """`support_mask` from one sup norm per node."""
+    top = sups.max()
     if top == 0.0:
-        return np.zeros(len(track), dtype=bool)
-    return norms > SUPPORT_RTOL * top
+        return np.zeros(sups.size, dtype=bool)
+    return sups > SUPPORT_RTOL * top
 
 
 def mask_intervals(times: np.ndarray, mask: np.ndarray) -> list:
-    out = []
-    i = 0
-    n = mask.size
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            out.append((float(times[i]), float(times[j])))
-            i = j + 1
-        else:
-            i += 1
-    return out
+    """(first, last) time of each run of True nodes in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(int), [0]))))
+    return [(float(times[a]), float(times[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def neighborhood_mask(times: np.ndarray, mask: np.ndarray, eps: float) -> np.ndarray:
@@ -451,31 +445,27 @@ def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField,
 
 # -- residual verifier ---------------------------------------------------------
 
-def nsr_residual(state: NSRState) -> dict:
-    """Forced momentum-balance residual per slice, from the state alone.
+def _slice_residual(v: SpectralField, dv: SpectralField, p: SpectralField,
+                    R: SpectralField, theta: float, nu: float) -> tuple:
+    """L2 norm of one node's residual d/dt v + div(v x v) + grad p
+    + nu (-Lap)^theta v - div R (trace-free product and pressure: the
+    classical pressure is p - |v|^2/2), and the sum of the terms' L2 norms."""
+    terms = [dv,
+             divergence(tf_square(v, allow_interpolant=True)),
+             gradient(p),
+             nu * frac_laplacian(v, theta),
+             -1.0 * divergence(R)]
+    return (lp_norm(combine(terms, np.ones(len(terms))), 2),
+            sum(lp_norm(t, 2) for t in terms))
 
-    residual = d/dt v + div(v x v) + grad p + nu (-Lap)^theta v - div R,
-    with the trace-free product and the matching pressure convention
-    (the classical pressure is p - |v|^2/2).  d/dt v is the track's
-    channel, or `fd6_channel` where it has none.  Returns a report with
-    per-slice norms and the relative size
-    max ||res||_L2 / (1 + max slice term scale).
-    """
-    v = _channelled(state.v)
-    res_norms, scales = [], []
-    for i in range(len(v)):
-        vi, dvi = v.slices[i], v.dslices[i]
-        terms = [dvi,
-                 divergence(tf_square(vi, allow_interpolant=True)),
-                 gradient(state.p.slices[i]),
-                 state.nu * frac_laplacian(vi, state.theta),
-                 -1.0 * divergence(state.R.slices[i])]
-        res_norms.append(lp_norm(combine(terms, np.ones(len(terms))), 2))
-        scales.append(sum(lp_norm(t, 2) for t in terms))
+
+def _residual_report(res_norms, scales, times: np.ndarray, T: float) -> dict:
+    """Per-slice residual norms and the relative size
+    max ||res||_L2 / (1 + max term scale), over all nodes and over [0, T]."""
     res_norms = np.array(res_norms)
     scales = np.array(scales)
     denom = 1.0 + scales.max()
-    window = (v.times >= -1e-12) & (v.times <= state.T + 1e-12)
+    window = (times >= -1e-12) & (times <= T + 1e-12)
     return {
         "per_slice_l2": res_norms,
         "scale": float(scales.max()),
@@ -483,6 +473,90 @@ def nsr_residual(state: NSRState) -> dict:
         "window_max_rel": float(res_norms[window].max() / denom) if window.any() else 0.0,
         "pressure_note": "trace-free convention; classical pressure is p - |v|^2/2",
     }
+
+
+def nsr_residual(state: NSRState) -> dict:
+    """Forced momentum-balance residual report, from the state alone; d/dt v
+    is the track's channel, or `fd6_channel` where it has none."""
+    v = _channelled(state.v)
+    per_node = [_slice_residual(v.slices[i], v.dslices[i], state.p.slices[i],
+                                state.R.slices[i], state.theta, state.nu)
+                for i in range(len(v))]
+    return _residual_report(*zip(*per_node), v.times, state.T)
+
+
+# -- one time node ---------------------------------------------------------------
+
+P_REP = 1.5   # Lebesgue exponent of the stress estimates (7.16)
+
+
+def _node_perturbation(R_ls: TimeTrack, cut: CutoffProfile, toy: ToyParams, i: int):
+    """Stress samples, coefficients {k: (a, da)}, wave data and
+    perturbation slice of node i."""
+    grid = R_ls.grid
+    rv = R_ls.slices[i].values(grid.n)
+    drv = R_ls.dslices[i].values(grid.n)
+    a_slice = _coefficient_slice(rv[0], rv[1], drv[0], drv[1],
+                                 float(cut.values[i]), float(cut.dvalues[i]),
+                                 toy.a_const, toy.eps_next)
+    waves = {k: _wave_slice(k, toy.wp, float(R_ls.times[i]), grid)
+             for k in positive_directions()}
+    return rv, a_slice, waves, _perturbation_slice(grid, toy.wp, a_slice, waves)
+
+
+def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
+               peak: bool = False):
+    """New (v, dv, p, R) at node i and a dict of the node's scalars.
+
+    Where the switch and its derivative vanish, v, dv and p are the
+    mollified ones, R is anti_divergence(divergence(R_ls)) and the dict
+    holds no perturbation sizes.  Everything else the node builds is
+    released on return.
+    """
+    grid = moll.grid
+    phi, dphi = float(cut.values[i]), float(cut.dvalues[i])
+    rep = {}
+    if phi == 0.0 and dphi == 0.0:
+        v, dv, p = moll.v.slices[i], moll.v.dslices[i], moll.p.slices[i]
+        R = anti_divergence(divergence(moll.R.slices[i]))
+    else:
+        rv, a_slice, waves, pert = _node_perturbation(moll.R, cut, toy, i)
+        pstar, pstar_clipped = _pstar_slice(grid, toy.wp, a_slice, waves, pert.pop("moments"))
+        v, dv, p, R = assemble_stress(moll, pert, pstar, i, moll.theta, moll.nu)
+        if peak:   # stress error groups 7.16a-d, one norm each
+            w = pert["w_p"] + pert["w_c"] + pert["w_t"]
+            rep["lin_time"] = lp_norm(anti_divergence(pert["dw_p"] + pert["dw_c"]), P_REP)
+            rep["lin_dissipation"] = lp_norm(
+                anti_divergence(moll.nu * frac_laplacian(w, moll.theta))
+                + sym_tracefree_product(moll.v.slices[i], w, allow_interpolant=True), P_REP)
+            corr = (sym_tracefree_product(pert["w_c"] + pert["w_t"], w, allow_interpolant=True)
+                    + sym_tracefree_product(pert["w_p"], pert["w_c"] + pert["w_t"],
+                                            allow_interpolant=True))
+            # the symmetrized corrector double-counts the plain sum
+            rep["corrector"] = 0.5 * lp_norm(corr, P_REP)
+            osc_force = (divergence(tf_square(pert["w_p"], allow_interpolant=True)
+                                    + moll.R.slices[i]) + pert["dw_t"])
+            rep["oscillation"] = lp_norm(anti_divergence(osc_force - gradient(pstar)), P_REP)
+        for name in ("w_p", "w_c", "w_t", "dw_p"):
+            rep[name] = lp_norm(pert[name], 2)
+        rep["stream"] = lp_norm(pert["w_p"] + pert["w_c"] - perp_grad(pert["stream"]), 2)
+        rep["solenoidality"] = max(lp_norm(divergence(pert["w_p"] + pert["w_c"]), 2),
+                                   lp_norm(divergence(pert["w_t"]), 2))
+        rep["v_increment"] = lp_norm(v - moll.v.slices[i], 2)
+        rep["clipped"] = max(pert["clipped"], pstar_clipped)
+        if cut.plateau_mask()[i]:
+            c11, c12 = reconstruct({k: 2.0 * a * a * waves[k]["eta2_mean"]
+                                    for k, (a, _) in a_slice.items()})
+            rep["oscillation_c0"] = float(np.max(np.hypot(rv[0] - c11, rv[1] - c12)))
+            rep["oscillation_scale"] = float(np.max(np.hypot(rv[0], rv[1])))
+    rep["res_l2"], rep["res_scale"] = _slice_residual(v, dv, p, R, moll.theta, moll.nu)
+    # one synthesis of R: its cached sup serves `R_sup`
+    mag = pointwise_magnitude(R)
+    rep["R_lp"] = _quadrature_norm(mag, P_REP, grid.cell_measure)
+    rep["R_l1"] = _quadrature_norm(mag, 1.0, grid.cell_measure)
+    rep["R_sup"] = lp_norm(R, np.inf)
+    rep["v_mean"] = float(np.max(np.abs(mean(v))))
+    return (v, dv, p, R), rep
 
 
 # -- full step -----------------------------------------------------------------
@@ -503,164 +577,80 @@ class StepDiagnostics:
 def iterate_step(state: NSRState, toy: ToyParams):
     """One full stress-reduction step at desk-scale parameters.
 
-    Returns the new state and the measured diagnostics.  The loop is
-    slice-streamed: wave data, coefficients, perturbations, the pressure
-    corrector, and the new stress are built per time node and released.
+    Returns the new state and the measured diagnostics.  After mollify and
+    the temporal cutoff, `_step_node` makes each time node's new slices
+    and scalars; the diagnostics are max reductions over those scalars.
     The toy's theta and nu must be the state's.
     """
     if (toy.theta, toy.nu) != (state.theta, state.nu):
         raise ConfigError(f"toy (theta, nu) = ({toy.theta}, {toy.nu}) differs from the "
                           f"state's ({state.theta}, {state.nu})")
     lam_ts = toy.wp.lam ** theta_star(state.theta)   # raises unless 0 <= theta < 1
-    wp = toy.wp
-    grid = state.grid
-    n = grid.n
     times = state.times
-    diags = StepDiagnostics()
 
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
-    plateau = cut.plateau_mask()
-
-    v_new, dv_new, p_new, R_new = [], [], [], []
-    w_norms = {"w_p": 0.0, "w_c": 0.0, "w_t": 0.0, "dw_p": 0.0}
-    stream_err = 0.0
-    clipped = 0.0
-    sol_err = 0.0
-    osc_err = 0.0
-    osc_scale = 0.0
-    w_support = np.zeros(len(times), dtype=bool)
-    l2_increment = 0.0
     peak = int(np.argmax(cut.values))
-    p_rep = 1.5
-    groups = {}
+    nodes = [_step_node(moll, cut, toy, i, peak=i == peak) for i in range(len(times))]
+    v_new, dv_new, p_new, R_new = (list(track) for track in zip(*(new for new, _ in nodes)))
+    reports = [rep for _, rep in nodes]
+    new_state = NSRState(TimeTrack(times, v_new, dv_new), TimeTrack(times, p_new),
+                         TimeTrack(times, R_new), state.theta, state.nu, state.q + 1, state.T)
 
-    for i, t in enumerate(times):
-        phi, dphi = float(cut.values[i]), float(cut.dvalues[i])
-        if phi == 0.0 and dphi == 0.0:
-            v_new.append(moll.v.slices[i])
-            dv_new.append(moll.v.dslices[i])
-            p_new.append(moll.p.slices[i])
-            R_new.append(anti_divergence(divergence(moll.R.slices[i])))
-            continue
-        rv = moll.R.slices[i].values(n)
-        drv = moll.R.dslices[i].values(n)
-        a_slice = _coefficient_slice(rv[0], rv[1], drv[0], drv[1],
-                                     phi, dphi, toy.a_const, toy.eps_next)
-        waves = {k: _wave_slice(k, wp, float(t), grid) for k in positive_directions()}
-        pert = _perturbation_slice(grid, wp, a_slice, waves)
-        pstar, pstar_clipped = _pstar_slice(grid, wp, a_slice, waves, pert.pop("moments"))
-        clipped = max(clipped, pert["clipped"], pstar_clipped)
-        vi, dvi, pi, Ri = assemble_stress(moll, pert, pstar, i, state.theta, state.nu)
-        if i == peak:
-            # stress error groups at the strongest slice, one norm each
-            w = pert["w_p"] + pert["w_c"] + pert["w_t"]
-            groups["lin_time"] = lp_norm(
-                anti_divergence(pert["dw_p"] + pert["dw_c"]), p_rep)
-            groups["lin_dissipation_cross"] = lp_norm(
-                anti_divergence(state.nu * frac_laplacian(w, state.theta))
-                + sym_tracefree_product(moll.v.slices[i], w, allow_interpolant=True),
-                p_rep)
-            corr = (sym_tracefree_product(pert["w_c"] + pert["w_t"], w,
-                                          allow_interpolant=True)
-                    + sym_tracefree_product(pert["w_p"], pert["w_c"] + pert["w_t"],
-                                            allow_interpolant=True))
-            # the symmetrized corrector double-counts the plain sum
-            groups["corrector"] = 0.5 * lp_norm(corr, p_rep)
-            osc_force = (divergence(tf_square(pert["w_p"], allow_interpolant=True)
-                                    + moll.R.slices[i]) + pert["dw_t"])
-            groups["oscillation"] = lp_norm(
-                anti_divergence(osc_force - gradient(pstar)), p_rep)
-        v_new.append(vi)
-        dv_new.append(dvi)
-        p_new.append(pi)
-        R_new.append(Ri)
-        w_support[i] = True
-        # identity and size diagnostics
-        for name in w_norms:
-            w_norms[name] = max(w_norms[name], lp_norm(pert[name], 2))
-        stream_err = max(stream_err, lp_norm(
-            pert["w_p"] + pert["w_c"] - perp_grad(pert["stream"]), 2))
-        sol_err = max(sol_err,
-                      lp_norm(divergence(pert["w_p"] + pert["w_c"]), 2),
-                      lp_norm(divergence(pert["w_t"]), 2))
-        l2_increment = max(l2_increment, lp_norm(vi - moll.v.slices[i], 2))
-        if plateau[i]:
-            c11, c12 = reconstruct({k: 2.0 * a * a * waves[k]["eta2_mean"]
-                                    for k, (a, _) in a_slice.items()})
-            osc_err = max(osc_err, float(np.max(np.hypot(rv[0] - c11, rv[1] - c12))))
-            osc_scale = max(osc_scale, float(np.max(np.hypot(rv[0], rv[1]))))
+    def top(key):
+        return max((rep[key] for rep in reports if key in rep), default=0.0)
 
-    new_state = NSRState(
-        v=TimeTrack(times, v_new, dv_new),
-        p=TimeTrack(times, p_new),
-        R=TimeTrack(times, R_new),
-        theta=state.theta, nu=state.nu, q=state.q + 1, T=state.T,
-    )
-
-    rep = nsr_residual(new_state)
-    diags.residual_report = rep
-
-    # one synthesis per new stress slice; its cached sup serves R_new_C0
-    # and the support mask below
-    r_lp = r_l1 = 0.0
-    for f in R_new:
-        mag = pointwise_magnitude(f)
-        r_lp = max(r_lp, _quadrature_norm(mag, p_rep, grid.cell_measure))
-        r_l1 = max(r_l1, _quadrature_norm(mag, 1.0, grid.cell_measure))
-    r_c0 = max(lp_norm(f, np.inf) for f in R_new)
-
+    res = _residual_report([rep["res_l2"] for rep in reports],
+                           [rep["res_scale"] for rep in reports], times, state.T)
     # support containments, slice-exact on the grid
+    w_support = np.array(["w_p" in rep for rep in reports])
     r_old = support_mask(state.R)
     r_ls = support_mask(moll.R)
-    r_new_mask = support_mask(new_state.R)
+    r_new = _sup_support(np.array([rep["R_sup"] for rep in reports]))
     phi_mask = cut.support_mask()
-    diags.support = {
+    diags = StepDiagnostics(residual_report=res, support={
         "w_in_phi": bool(np.all(~w_support | phi_mask)),
         "phi_in_Nell_Rls": bool(np.all(~phi_mask | neighborhood_mask(times, r_ls, toy.ell))),
         "Rls_in_Nell_Rq": bool(np.all(~r_ls | neighborhood_mask(times, r_old, toy.ell))),
-        "Rnew_in_N2ell_Rq": bool(np.all(~r_new_mask | neighborhood_mask(times, r_old, 2 * toy.ell))),
-    }
-    diags.identities = {
-        "stream_identity_l2": stream_err,
-        "solenoidality_l2": sol_err,
-        "oscillation_c0": osc_err,
-        "oscillation_scale": osc_scale,
-        "w_p_l2": w_norms["w_p"],
-        "v_new_mean_max": max(float(np.max(np.abs(mean(s)))) for s in v_new),
+        "Rnew_in_N2ell_Rq": bool(np.all(~r_new | neighborhood_mask(times, r_old, 2 * toy.ell))),
+    }, identities={
+        "stream_identity_l2": top("stream"),
+        "solenoidality_l2": top("solenoidality"),
+        "oscillation_c0": top("oscillation_c0"),
+        "oscillation_scale": top("oscillation_scale"),
+        "w_p_l2": top("w_p"),
+        "v_new_mean_max": top("v_mean"),
         "mollified_residual_rel": moll.meta["mollified_residual_rel"],
-        "clipped_energy_fraction": clipped,
-    }
+        "clipped_energy_fraction": top("clipped"),
+    })
 
-    s = float(wp.sigma)
-    lam, mu, r = wp.lam, wp.mu, wp.r
-    ell = toy.ell
-    rpow = r ** (2 - 2 / p_rep)
-    if groups:
+    s, lam, mu, r, ell = float(toy.wp.sigma), toy.wp.lam, toy.wp.mu, toy.wp.r, toy.ell
+    rpow = r ** (2 - 2 / P_REP)
+    groups = reports[peak]
+    if "lin_time" in groups:
         diags.add("stress_group_lin_time", "7.16a", groups["lin_time"],
                   ell ** -8 * s * mu * rpow)
-        diags.add("stress_group_lin_dissipation", "7.16b",
-                  groups["lin_dissipation_cross"],
-                  ell ** -4 * lam_ts * r ** (1 - 2 / p_rep))
+        diags.add("stress_group_lin_dissipation", "7.16b", groups["lin_dissipation"],
+                  ell ** -4 * lam_ts * r ** (1 - 2 / P_REP))
         diags.add("stress_group_corrector", "7.16c", groups["corrector"],
                   ell ** -8 * (r / mu) * rpow)
         diags.add("stress_group_oscillation", "7.16d", groups["oscillation"],
                   ell ** -8 * (1.0 / (lam * s) + s * r) * rpow)
-    diags.add("w_p_L_inf_L2", "3.42", w_norms["w_p"],
+    diags.add("w_p_L_inf_L2", "3.42", top("w_p"),
               np.sqrt(toy.a_const * toy.eps_next) + ell ** -2 / np.sqrt(lam * s))
-    diags.add("w_c_plus_w_t_L2", "3.44", w_norms["w_c"] + w_norms["w_t"],
+    diags.add("w_c_plus_w_t_L2", "3.44", top("w_c") + top("w_t"),
               ell ** -4 * (s + 1.0 / mu) * r)
-    diags.add("dt_w_p_L2", "3.45", w_norms["dw_p"], ell ** -4 * lam * s * mu * r)
-    diags.add("v_increment_L_inf_L2", "2.5", l2_increment,
+    diags.add("dt_w_p_L2", "3.45", top("dw_p"), ell ** -4 * lam * s * mu * r)
+    diags.add("v_increment_L_inf_L2", "2.5", top("v_increment"),
               np.sqrt(toy.a_const * toy.eps_next))
-    diags.add("R_new_L_3/2", "7.16", r_lp,
+    diags.add("R_new_L_3/2", "7.16", top("R_lp"),
               ell ** -8 * (s * mu + s * r + r / mu + 1.0 / (lam * s)) * rpow
-              + ell ** -4 * lam_ts * r ** (1 - 2 / p_rep))
-    diags.add("R_new_L1", "2.3b", r_l1, None)
-    diags.add("R_new_C0", "7.17", r_c0, None)
-    diags.add("residual_window_max_rel", "2.1", rep["window_max_rel"], None)
-    diags.add("stream_identity", "3.33", stream_err, None)
-    diags.add("solenoidality", "3.33+", sol_err, None)
-    diags.add("oscillation_cancel", "3.34", osc_err, None)
-    diags.add("clipped_energy_fraction", "shift", clipped, None)
+              + ell ** -4 * lam_ts * r ** (1 - 2 / P_REP))
+    diags.add("R_new_L1", "2.3b", top("R_l1"))
+    diags.add("R_new_C0", "7.17", top("R_sup"))
+    diags.add("residual_window_max_rel", "2.1", res["window_max_rel"])
+    diags.add("stream_identity", "3.33", top("stream"))
+    diags.add("solenoidality", "3.33+", top("solenoidality"))
+    diags.add("oscillation_cancel", "3.34", top("oscillation_c0"))
+    diags.add("clipped_energy_fraction", "shift", top("clipped"))
     return new_state, diags

@@ -13,7 +13,7 @@ Field dump layout (format tag "CI2D v1"):
 A state directory holds a manifest.json with the keys
 {T, t_pad, n, n_t, theta, nu, q, mode, params} plus one dump per field
 slice: v_XXXX, p_XXXX, R_XXXX and the derivative channels dv_XXXX /
-dR_XXXX when available.
+dR_XXXX when available: a channel is dumped at every node or at none.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ _MANIFEST_TYPES = {"T": float, "t_pad": float, "n": int, "n_t": int, "theta": fl
 
 
 def read_state(dirpath: str) -> tuple:
-    """Returns (NSRState, manifest); a missing or malformed manifest, or a
-    dump whose grid or rank does not fit it, raises ConfigError."""
+    """Returns (NSRState, manifest); a missing or malformed manifest, a
+    missing dump (a derivative channel may lack every dump, not some), or a
+    dump whose grid or rank does not fit the manifest raises ConfigError."""
     path = os.path.join(dirpath, "manifest.json")
     if not os.path.isfile(path):
         raise ConfigError(f"{dirpath}: no manifest.json, not a state directory")
@@ -134,13 +135,15 @@ def read_state(dirpath: str) -> tuple:
     from .generators import time_grid
     times = time_grid(manifest["T"], manifest["t_pad"], manifest["n_t"])
     def load(prefix, rank, required=True):
+        """The track's slices; None for a channel with no dump at any node."""
+        paths = [os.path.join(dirpath, _slice_name(prefix, i)) for i in range(times.size)]
+        missing = [path for path in paths if not os.path.exists(path)]
+        if missing and len(missing) == len(paths) and not required:
+            return None
+        if missing:
+            raise ConfigError(f"state directory missing {missing[0]}")
         slices = []
-        for i in range(times.size):
-            path = os.path.join(dirpath, _slice_name(prefix, i))
-            if not os.path.exists(path):
-                if required:
-                    raise ConfigError(f"state directory missing {path}")
-                return None
+        for path in paths:
             f = read_field(path)[0]
             if (f.grid.n, f.rank) != (manifest["n"], rank):
                 raise ConfigError(f"{path}: a {f.rank} on n = {f.grid.n}, where the manifest "

@@ -21,7 +21,7 @@ from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
                   nsr_residual, perp_grad, project, random_field,
                   temporal_cutoff, validate_schedule)
 from ci2d.building_blocks import WaveParams, pair_shell, positive_directions
-from ci2d.ci_step import _coefficient_slice, _perturbation_slice, _wave_slice
+from ci2d.ci_step import _node_perturbation
 from ci2d.generators import shear_track, time_grid
 from ci2d.stress_geometry import decompose, reconstruct
 
@@ -202,19 +202,12 @@ def test_criterion_06_operator_lemmas():
 
 
 def _plateau_node(run):
-    """Middle plateau node: its time, coefficients {k: (a, da)} and
-    perturbation slice, built by the calls iterate_step makes."""
-    cut, R_ls, toy, grid = run["cut"], run["moll"].R, run["toy"], run["grid"]
-    idx = np.where(cut.plateau_mask())[0]
+    """Middle plateau node: its index, time, coefficients {k: (a, da)} and
+    perturbation slice, from the step's own node function."""
+    idx = np.where(run["cut"].plateau_mask())[0]
     i = int(idx[len(idx) // 2])
-    t = float(run["times"][i])
-    rv = R_ls.slices[i].values(grid.n)
-    drv = R_ls.dslices[i].values(grid.n)
-    a_slice = _coefficient_slice(rv[0], rv[1], drv[0], drv[1],
-                                 float(cut.values[i]), float(cut.dvalues[i]),
-                                 toy.a_const, toy.eps_next)
-    waves = {k: _wave_slice(k, toy.wp, t, grid) for k in positive_directions()}
-    return i, t, a_slice, _perturbation_slice(grid, toy.wp, a_slice, waves)
+    _, a_slice, _, pert = _node_perturbation(run["moll"].R, run["cut"], run["toy"], i)
+    return i, float(run["times"][i]), a_slice, pert
 
 
 def test_criterion_07_stream_function_and_solenoidality(endtoend):

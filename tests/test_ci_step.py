@@ -6,8 +6,9 @@ from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
                   init_state, iterate_step, lp_norm, make_grid, mean, mollify,
                   multiply, nsr_residual, project, random_field, temporal_cutoff,
                   tf_square, toy_params)
-from ci2d.ci_step import (_coefficient_slice, _perturbation_slice, _switch_eval,
-                          _wave_slice, fd6_channel, mask_intervals, support_mask)
+from ci2d.ci_step import (_coefficient_slice, _node_perturbation, _step_node,
+                          _switch_eval, _wave_slice, fd6_channel, mask_intervals,
+                          support_mask)
 from ci2d.errors import AliasingRisk, ConfigError, PaddingError
 from ci2d.fourier_calculus import FreqBand
 from ci2d.generators import bump_profile, time_grid, zero_track
@@ -35,18 +36,13 @@ def small_toy(**kw):
     return toy_params(**{**args, **kw})
 
 
-def _node(R_ls, cut, toy, i):
-    """Coefficients {k: (a, da)} and perturbation slice at node i, built by
-    the calls iterate_step makes."""
-    grid = R_ls.grid
-    rv = R_ls.slices[i].values(grid.n)
-    drv = R_ls.dslices[i].values(grid.n)
-    a_slice = _coefficient_slice(rv[0], rv[1], drv[0], drv[1],
-                                 float(cut.values[i]), float(cut.dvalues[i]),
-                                 toy.a_const, toy.eps_next)
-    waves = {k: _wave_slice(k, toy.wp, float(R_ls.times[i]), grid)
-             for k in positive_directions()}
-    return a_slice, _perturbation_slice(grid, toy.wp, a_slice, waves)
+def _assert_node_off(moll, cut, toy, i):
+    """Node i keeps the mollified v, dv and p, passes R_ls through
+    anti_divergence(divergence(.)) and reports no perturbation sizes."""
+    (v, dv, p, R), rep = _step_node(moll, cut, toy, i)
+    assert v is moll.v.slices[i] and dv is moll.v.dslices[i] and p is moll.p.slices[i]
+    assert np.array_equal(R.coeffs, anti_divergence(divergence(moll.R.slices[i])).coeffs)
+    assert not {"w_p", "w_c", "w_t", "dw_p"} & rep.keys(), i
 
 
 # -- initialization -----------------------------------------------------------
@@ -177,6 +173,30 @@ def test_cutoff_slope_scales_with_ell():
     assert 1.5 < slopes[0.05] / slopes[0.1] < 2.5
 
 
+def _mask_intervals_loop(times, mask):
+    """The run-by-run scan that `mask_intervals` replaced, kept as its reference."""
+    out, i, n = [], 0, mask.size
+    while i < n:
+        if mask[i]:
+            j = i
+            while j + 1 < n and mask[j + 1]:
+                j += 1
+            out.append((float(times[i]), float(times[j])))
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+def test_mask_intervals_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 7, 33):
+        for density in (0.0, 0.3, 0.7, 1.0):
+            mask = rng.random(size) < density
+            times = np.sort(rng.random(size))
+            assert mask_intervals(times, mask) == _mask_intervals_loop(times, mask)
+
+
 # -- coefficients --------------------------------------------------------------
 
 def test_coefficients_flat_stress_is_isotropic():
@@ -187,7 +207,7 @@ def test_coefficients_flat_stress_is_isotropic():
         random_field(GRID, "vector", 2, seed=4)) for c in chi])
     cut = temporal_cutoff(fd6_channel(cut_track), 0.05)
     i = int(np.argmax(cut.values))
-    a_slice, _ = _node(R_ls, cut, small_toy(), i)
+    _, a_slice, _, _ = _node_perturbation(R_ls, cut, small_toy(), i)
     # one coefficient per positive direction; the step uses it for the
     # antipode as well
     ks = positive_directions()
@@ -232,12 +252,10 @@ def test_coefficient_size_tracks_amplitude_constants():
     toy = small_toy()
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
-    n = state.grid.n
     cell = state.grid.cell_measure
     ae = toy.a_const * toy.eps_next
     for i in range(len(moll.R)):
-        a_slice, _ = _node(moll.R, cut, toy, i)
-        rv = moll.R.slices[i].values(n)
+        rv, a_slice, _, _ = _node_perturbation(moll.R, cut, toy, i)
         budget = ae * (W11 + W12) * (
             np.sum(np.hypot(rv[0], rv[1])) * cell / ae + 2.0 * (2 * np.pi) ** 2)
         for k in positive_directions():
@@ -254,8 +272,7 @@ def test_coefficient_cancellation_on_plateau():
     cut = temporal_cutoff(moll.R, toy.ell)
     plateau = np.where(cut.plateau_mask())[0]
     i = int(plateau[len(plateau) // 2])
-    a_slice, _ = _node(moll.R, cut, toy, i)
-    rv = moll.R.slices[i].values(state.grid.n)
+    rv, a_slice, _, _ = _node_perturbation(moll.R, cut, toy, i)
     acc11, acc12 = rv[0].copy(), rv[1].copy()
     for k in positive_directions():
         a = a_slice[k][0]
@@ -295,8 +312,7 @@ def test_perturbations_vanish_without_cutoff():
     cut = temporal_cutoff(moll.R, toy.ell)
     assert np.all(cut.values == 0.0) and np.all(cut.dvalues == 0.0)
     for i in range(len(TIMES)):
-        _, pert = _node(moll.R, cut, toy, i)
-        assert all(lp_norm(pert[name], 2) == 0.0 for name in ("w_p", "w_c", "w_t"))
+        _assert_node_off(moll, cut, toy, i)
 
 
 def test_stream_identity_and_solenoidality():
@@ -304,7 +320,7 @@ def test_stream_identity_and_solenoidality():
     from ci2d.building_blocks import eta, lattice_vector
     state, toy, moll, cut = _perturbation_setup()
     i = int(np.argmax(cut.values))
-    a_slice, pert = _node(moll.R, cut, toy, i)
+    _, a_slice, _, pert = _node_perturbation(moll.R, cut, toy, i)
     w_p, w_c, w_t = pert["w_p"], pert["w_c"], pert["w_t"]
     grid = state.grid
     # rebuild the potential from the public pieces, one mode shift per
@@ -415,8 +431,7 @@ def test_perturbation_slice_mirror_matches_both_explicit_shifts():
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    a_slice, pert = _node(moll.R, cut, toy, node)
-    waves = {k: _wave_slice(k, toy.wp, float(TIMES[node]), GRID) for k in positive_directions()}
+    _, a_slice, waves, pert = _node_perturbation(moll.R, cut, toy, node)
     oracle, clipped = _perturbation_oracle(GRID, toy.wp, a_slice, waves)
     # the -xi strips hold the mirrored coefficients of the +xi strips, so
     # the two dropped shares agree to the round-off of the operands' symmetry
@@ -434,8 +449,7 @@ def test_perturbation_slice_matches_roll_and_mirror_oracle(n, wave):
     moll = mollify(small_state(grid=grid), toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    a_slice, pert = _node(moll.R, cut, toy, node)
-    waves = {k: _wave_slice(k, toy.wp, float(TIMES[node]), grid) for k in positive_directions()}
+    _, a_slice, waves, pert = _node_perturbation(moll.R, cut, toy, node)
     oracle, clipped = _perturbation_oracle(grid, toy.wp, a_slice, waves, mirror=True)
     assert clipped > 0.0
     _assert_matches_perturbation_oracle(pert, oracle, clipped)
@@ -459,9 +473,8 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    a_slice, pert = _node(moll.R, cut, toy, node)
+    _, a_slice, waves, pert = _node_perturbation(moll.R, cut, toy, node)
     grid, wp, n = state.grid, toy.wp, state.grid.n
-    waves = {k: _wave_slice(k, wp, float(TIMES[node]), grid) for k in positive_directions()}
     pstar, _ = _pstar_slice(grid, wp, a_slice, waves, pert["moments"])
 
     step = wp.lam // 5
@@ -495,7 +508,7 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
 def test_corrector_sizes_at_inductive_stress():
     # with the stress at its inductive size the principal wave dominates
     state, toy, moll, cut = _perturbation_setup(amplitude=0.05)
-    _, pert = _node(moll.R, cut, toy, int(np.argmax(cut.values)))
+    pert = _node_perturbation(moll.R, cut, toy, int(np.argmax(cut.values)))[3]
     assert lp_norm(pert["w_c"], 2) < lp_norm(pert["w_p"], 2)
     assert lp_norm(pert["w_t"], 2) < lp_norm(pert["w_p"], 2)
 
@@ -506,7 +519,7 @@ def test_perturbation_scaling_probes_across_doubling():
     ratios = {}
     for lam, sig in ((50, 10), (100, 20)):
         state, toy, moll, cut = _perturbation_setup(lam=lam, sigma_inv=sig)
-        _, pert = _node(moll.R, cut, toy, int(np.argmax(cut.values)))
+        pert = _node_perturbation(moll.R, cut, toy, int(np.argmax(cut.values)))[3]
         s = 1.0 / sig
         ell = toy.ell
         preds = {
@@ -521,15 +534,13 @@ def test_perturbation_scaling_probes_across_doubling():
 
 
 def test_perturbation_support_inside_cutoff():
-    # wherever the switch and its derivative vanish, the node path builds
+    # wherever the switch and its derivative vanish, the node step builds
     # no perturbation
     state, toy, moll, cut = _perturbation_setup()
     off = np.where((cut.values == 0.0) & (cut.dvalues == 0.0))[0]
     assert off.size and off.size < len(TIMES)
     for i in off:
-        _, pert = _node(moll.R, cut, toy, int(i))
-        for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"):
-            assert lp_norm(pert[name], 2) == 0.0, (i, name)
+        _assert_node_off(moll, cut, toy, int(i))
 
 
 # -- assembly and residual ------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from ci2d import lp_norm, make_grid, random_field
 from ci2d.cli import main
+from ci2d.errors import ConfigError
 from ci2d.state_io import MAGIC, read_field, read_state, write_field, write_state
 
 
@@ -220,6 +221,24 @@ def test_cli_dumps_must_match_manifest_exits_3(tmp_path):
     for dump in [*state.glob("v_*"), *state.glob("dv_*")]:
         shutil.copyfile(state / ("p_" + dump.name.split("_")[1]), dump)
     assert main(["diagnose", "--state", cfg["out"]]) == 3
+
+
+@pytest.mark.parametrize("prefix", ["dv", "dR"])
+def test_cli_partial_derivative_channel_exits_3(tmp_path, prefix):
+    # a channel is dumped at every node or at none; a partial set must not
+    # load as a track without its channel
+    cfg_path, cfg = _small_cfg(tmp_path, grid={"n": 32})
+    assert main(["init", "--config", cfg_path]) == 0
+    state = Path(cfg["out"])
+    (state / f"{prefix}_0004.ci2d").unlink()
+    with pytest.raises(ConfigError, match=f"{prefix}_0004"):
+        read_state(cfg["out"])
+    assert main(["diagnose", "--state", cfg["out"]]) == 3
+    for dump in state.glob(f"{prefix}_*"):
+        dump.unlink()
+    loaded, _ = read_state(cfg["out"])
+    assert not (loaded.v if prefix == "dv" else loaded.R).has_channel()
+    assert main(["diagnose", "--state", cfg["out"]]) == 0
 
 
 def test_cli_step_rejects_theta_unlike_init(tmp_path):
