@@ -31,10 +31,8 @@ def energy_spectrum(field: SpectralField) -> tuple:
     """Isotropic shell spectrum: E_j = (2pi)^2/2 sum_{|xi| in [j-1/2, j+1/2)} |c|^2."""
     rad, mag2 = field.mode_magnitudes()
     shells = np.rint(rad).astype(int)
-    nmax = shells.max()
-    energy = np.zeros(nmax + 1)
-    np.add.at(energy, shells.ravel(), mag2.ravel())
-    return np.arange(nmax + 1), 0.5 * (2 * np.pi) ** 2 * energy
+    energy = np.bincount(shells.ravel(), weights=mag2.ravel())
+    return np.arange(energy.size), 0.5 * (2 * np.pi) ** 2 * energy
 
 
 def write_spectrum_csv(path: str, state: NSRState) -> None:

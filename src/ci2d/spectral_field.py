@@ -20,13 +20,16 @@ memory optimization.  A field flagged real is stored as its xi_2 >= 0
 half spectrum in rfft2 layout, shape (ncomp, m, m//2 + 1): its xi_2 < 0
 half is the conjugate mirror c(xi) = conj c(-xi) and is never held.  A
 complex field (a single-mode shift, say) keeps the full m-by-m plane.
-`_resize` is the one layout helper (pad, cut, half <-> full) and
-`_analysis` the one analysis helper.  A field keeps the storage and
-reality flag its maker gives it: `analyze` fits storage to the samples'
-measured band, products keep their product grid, linear maps and sums
-(`combine`) the widest operand's storage.  Transforms run through
-scipy.fft: real fields by rfft2 / irfft2.  Mode shifts add each
-contiguous block of the source at its offset in the target.
+`_resize` is the one layout helper (pad, cut, half <-> full),
+`_analysis` the one analysis helper and `_synthesis` the one synthesis
+helper.  A field keeps the storage and reality flag its maker gives it:
+`analyze` fits storage to the samples' measured band, products keep
+their product grid, linear maps and sums (`combine`) the widest
+operand's storage.  Transforms run through scipy.fft: analysis by rfft2
+(real) / fft2, synthesis from storage below the grid by two single-axis
+passes that skip the all-zero columns, else by irfft2 / ifft2.  Mode
+shifts add each contiguous block of the source at its offset in the
+target.
 """
 
 from __future__ import annotations
@@ -218,9 +221,7 @@ class SpectralField:
         n = self.grid.n if n is None else n
         if n < self.storage and self.band() > n // 2 - 1:
             raise AliasingRisk("requested grid coarser than the stored band")
-        if self.reality:
-            return sfft.irfft2(_resize(self.coeffs, n), s=(n, n), norm="forward")
-        return sfft.ifft2(_resize(self.coeffs, n), norm="forward")
+        return _synthesis(self.coeffs, n)
 
     # -- algebra ---------------------------------------------------------
 
@@ -284,6 +285,35 @@ def _analysis(samples: np.ndarray) -> np.ndarray:
     coeffs[..., h, :] = 0.0
     coeffs[..., :, h] = 0.0
     return coeffs
+
+
+def _synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Samples on the n-by-n grid of FFT-layout coefficients: real from a
+    xi_2 >= 0 half spectrum, complex from a full plane.
+
+    Storage m < n is pruned: the xi_1 rows are padded to n and the xi_1
+    pass runs over the m/2 (half) or m (full) stored columns only; the
+    xi_2 pass, last, pads the columns to n.  Storage m >= n is cut to n
+    and synthesized in one 2-D transform.
+    """
+    m = coeffs.shape[-2]
+    half = coeffs.shape[-1] != m
+    if m >= n:
+        c = _resize(coeffs, n)
+        return (sfft.irfft2(c, s=(n, n), norm="forward") if half
+                else sfft.ifft2(c, norm="forward"))
+    h = m // 2
+    cols = h if half else m
+    rows = np.zeros(coeffs.shape[:-2] + (n, cols), dtype=complex)
+    rows[..., :h, :] = coeffs[..., :h, :cols]
+    rows[..., n - h:, :] = coeffs[..., h:, :cols]
+    rows = sfft.ifftn(rows, axes=(-2,), norm="forward", overwrite_x=True)
+    if half:
+        return sfft.irfftn(rows, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
+    out = np.zeros(coeffs.shape[:-2] + (n, n), dtype=complex)
+    out[..., :h] = rows[..., :h]
+    out[..., n - h:] = rows[..., h:]
+    return sfft.ifftn(out, axes=(-1,), norm="forward", overwrite_x=True)
 
 
 def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
@@ -364,15 +394,20 @@ def divergence(field: SpectralField) -> SpectralField:
     raise RankError("divergence needs a vector or symtensor field")
 
 
+def _magnitude_squared(field: SpectralField) -> np.ndarray:
+    """Pointwise squared magnitude on the field's grid; a symtensor's is
+    the full 2x2 Frobenius square, twice that of its two stored entries."""
+    vals = field.values()
+    mag2 = np.sum(vals * vals if np.isrealobj(vals) else np.abs(vals) ** 2, axis=0)
+    if field.rank == "symtensor":
+        mag2 *= 2.0
+    return mag2
+
+
 def pointwise_magnitude(field: SpectralField) -> np.ndarray:
     """Pointwise magnitude on the field's grid; its max is cached as the
     field's sup (fields are immutable)."""
-    vals = field.values()
-    if field.rank == "symtensor":
-        # full 2x2 Frobenius magnitude from the two stored components
-        mag = np.sqrt(2.0 * np.abs(vals[0]) ** 2 + 2.0 * np.abs(vals[1]) ** 2)
-    else:
-        mag = np.sqrt(np.sum(np.abs(vals) ** 2, axis=0))
+    mag = np.sqrt(_magnitude_squared(field))
     field._sup = float(mag.max())
     return mag
 
@@ -429,7 +464,7 @@ def cn_norm(field: SpectralField, order: int) -> float:
     for j in range(1, order + 1):
         acc = None
         for a in range(j + 1):
-            d = pointwise_magnitude(derive(field, (a, j - a))) ** 2 * comb(j, a)
+            d = _magnitude_squared(derive(field, (a, j - a))) * comb(j, a)
             acc = d if acc is None else acc + d
         best = max(best, float(np.sqrt(acc.max())))
     return best

@@ -40,24 +40,33 @@ def test_tracer_targets_resolve_and_restore():
     assert np.fft.fft2 is fft2
 
 
+def _passes(field, n):
+    # a synthesis on the n-grid is one 2-D transform from storage >= n and
+    # two single-axis passes (xi_1, then xi_2) when pruned from below n
+    return 1 if field.storage >= n else 2
+
+
 def test_tracer_counts_real_transforms():
-    # ci2d synthesizes real fields by scipy.fft.irfft2 and analyzes real
-    # samples by scipy.fft.rfft2; each call is one traced transform
+    # ci2d synthesizes real fields by scipy.fft.irfft2, or by ifftn and
+    # irfftn passes when pruned, and analyzes real samples by
+    # scipy.fft.rfft2 in one transform; every call is traced
     from ci2d import analyze, make_grid, random_field
     g = make_grid(32)
-    f = random_field(g, "vector", 10, seed=1)
-    samples = f.values()
-    tracer = _load_tracer().Tracer()
-    try:
-        tracer.install()
-        before = tracer.counts["fft.transforms"]
-        vals = f.values()
-        assert tracer.counts["fft.transforms"] == before + 1
-        analyze(g, vals, "vector")
-        assert tracer.counts["fft.transforms"] == before + 2
-    finally:
-        tracer.uninstall()
-    assert np.array_equal(vals, samples)
+    for band, passes in ((10, 1), (2, 2)):
+        f = random_field(g, "vector", band, seed=1)
+        assert _passes(f, 32) == passes
+        samples = f.values()
+        tracer = _load_tracer().Tracer()
+        try:
+            tracer.install()
+            before = tracer.counts["fft.transforms"]
+            vals = f.values()
+            assert tracer.counts["fft.transforms"] == before + passes
+            analyze(g, vals, "vector")
+            assert tracer.counts["fft.transforms"] == before + passes + 1
+        finally:
+            tracer.uninstall()
+        assert np.array_equal(vals, samples)
 
 
 def test_tracer_counts_fused_product_transforms():
@@ -67,13 +76,15 @@ def test_tracer_counts_fused_product_transforms():
     g = make_grid(64)
     f = random_field(g, "vector", 12, seed=2)
     h = random_field(g, "vector", 9, seed=3)
+    assert _passes(f, 64) == _passes(h, 64) == 2      # both pruned on the product grid
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
         before = tracer.counts["fft.transforms"]
         tf_square(f)
-        assert tracer.counts["fft.transforms"] == before + 2
+        square = _passes(f, 64) + 1
+        assert tracer.counts["fft.transforms"] == before + square
         sym_tracefree_product(f, h)
-        assert tracer.counts["fft.transforms"] == before + 5
+        assert tracer.counts["fft.transforms"] == before + square + _passes(f, 64) + _passes(h, 64) + 1
     finally:
         tracer.uninstall()

@@ -102,6 +102,31 @@ def test_real_synthesis_matches_complex_oracle(rank):
         _assert_close(vals, want.real, 1e-14)
 
 
+@pytest.mark.parametrize("rank", ["scalar", "vector", "symtensor"])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("storage", [8, 32, 64, 128])
+def test_synthesis_matches_2d_oracle(rank, real, storage):
+    # pruned synthesis (storage < n), one 2-D call (storage = n) and a cut
+    # (storage > n) all give the samples of one 2-D transform on the
+    # padded or cut plane, bit for bit
+    import scipy.fft as sfft
+    from ci2d.spectral_field import _resize
+    n = 64
+    g = make_grid(max(storage, n))
+    band = min(storage // 2 - 1, 20)
+    f = random_field(g, rank, band, seed=47)
+    if not real:
+        f = f + random_field(g, rank, band, seed=48) * 1j
+    f = SpectralField(g, rank, _resize(f.coeffs, storage), real)
+    assert f.storage == storage and f.reality == real
+    c = _resize(f.coeffs, n)
+    want = (sfft.irfft2(c, s=(n, n), norm="forward") if real
+            else sfft.ifft2(c, norm="forward"))
+    got = f.values(n)
+    assert got.dtype == want.dtype and got.shape == (f.ncomp, n, n)
+    assert np.array_equal(got, want)
+
+
 def test_real_analysis_matches_complex_oracle():
     g = make_grid(64)
     rng = np.random.default_rng(41)
