@@ -26,10 +26,10 @@ helper.  A field keeps the storage and reality flag its maker gives it:
 `analyze` fits storage to the samples' measured band, products keep
 their product grid, linear maps and sums (`combine`) the widest
 operand's storage.  Transforms run through scipy.fft: analysis by rfft2
-(real) / fft2, synthesis from storage below the grid by two single-axis
-passes that skip the all-zero columns, else by irfft2 / ifft2.  Mode
-shifts add each contiguous block of the source at its offset in the
-target.
+(real) / fft2; synthesis of a half spectrum stored below the grid by two
+single-axis passes that skip the all-zero columns, else by irfft2 /
+ifft2.  Mode shifts add each contiguous block of the source at its
+offset in the target.
 """
 
 from __future__ import annotations
@@ -291,29 +291,23 @@ def _synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Samples on the n-by-n grid of FFT-layout coefficients: real from a
     xi_2 >= 0 half spectrum, complex from a full plane.
 
-    Storage m < n is pruned: the xi_1 rows are padded to n and the xi_1
-    pass runs over the m/2 (half) or m (full) stored columns only; the
-    xi_2 pass, last, pads the columns to n.  Storage m >= n is cut to n
-    and synthesized in one 2-D transform.
+    A half spectrum of storage m < n is pruned: the xi_1 rows are padded
+    to n, the xi_1 pass runs over the m/2 stored columns only and the
+    xi_2 pass, last, pads the columns to n.  Anything else is padded or
+    cut to n and synthesized in one 2-D transform.
     """
     m = coeffs.shape[-2]
     half = coeffs.shape[-1] != m
-    if m >= n:
+    if m >= n or not half:
         c = _resize(coeffs, n)
         return (sfft.irfft2(c, s=(n, n), norm="forward") if half
                 else sfft.ifft2(c, norm="forward"))
     h = m // 2
-    cols = h if half else m
-    rows = np.zeros(coeffs.shape[:-2] + (n, cols), dtype=complex)
-    rows[..., :h, :] = coeffs[..., :h, :cols]
-    rows[..., n - h:, :] = coeffs[..., h:, :cols]
+    rows = np.zeros(coeffs.shape[:-2] + (n, h), dtype=complex)
+    rows[..., :h, :] = coeffs[..., :h, :h]
+    rows[..., n - h:, :] = coeffs[..., h:, :h]
     rows = sfft.ifftn(rows, axes=(-2,), norm="forward", overwrite_x=True)
-    if half:
-        return sfft.irfftn(rows, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
-    out = np.zeros(coeffs.shape[:-2] + (n, n), dtype=complex)
-    out[..., :h] = rows[..., :h]
-    out[..., n - h:] = rows[..., h:]
-    return sfft.ifftn(out, axes=(-1,), norm="forward", overwrite_x=True)
+    return sfft.irfftn(rows, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
 
 
 def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",

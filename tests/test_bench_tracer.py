@@ -40,21 +40,16 @@ def test_tracer_targets_resolve_and_restore():
     assert np.fft.fft2 is fft2
 
 
-def _passes(field, n):
-    # a synthesis on the n-grid is one 2-D transform from storage >= n and
-    # two single-axis passes (xi_1, then xi_2) when pruned from below n
-    return 1 if field.storage >= n else 2
-
-
 def test_tracer_counts_real_transforms():
-    # ci2d synthesizes real fields by scipy.fft.irfft2, or by ifftn and
-    # irfftn passes when pruned, and analyzes real samples by
-    # scipy.fft.rfft2 in one transform; every call is traced
+    # ci2d synthesizes real fields by scipy.fft.irfft2 from full storage,
+    # or by two single-axis passes (ifftn, then irfftn) when pruned from
+    # storage below the grid, and analyzes real samples by scipy.fft.rfft2
+    # in one transform; every call is traced
     from ci2d import analyze, make_grid, random_field
     g = make_grid(32)
-    for band, passes in ((10, 1), (2, 2)):
+    for band, storage, passes in ((10, 32, 1), (2, 8, 2)):
         f = random_field(g, "vector", band, seed=1)
-        assert _passes(f, 32) == passes
+        assert f.storage == storage
         samples = f.values()
         tracer = _load_tracer().Tracer()
         try:
@@ -76,15 +71,14 @@ def test_tracer_counts_fused_product_transforms():
     g = make_grid(64)
     f = random_field(g, "vector", 12, seed=2)
     h = random_field(g, "vector", 9, seed=3)
-    assert _passes(f, 64) == _passes(h, 64) == 2      # both pruned on the product grid
+    assert f.storage < 64 and h.storage < 64    # both pruned: 2 passes each
     tracer = _load_tracer().Tracer()
     try:
         tracer.install()
         before = tracer.counts["fft.transforms"]
         tf_square(f)
-        square = _passes(f, 64) + 1
-        assert tracer.counts["fft.transforms"] == before + square
+        assert tracer.counts["fft.transforms"] == before + 3
         sym_tracefree_product(f, h)
-        assert tracer.counts["fft.transforms"] == before + square + _passes(f, 64) + _passes(h, 64) + 1
+        assert tracer.counts["fft.transforms"] == before + 8
     finally:
         tracer.uninstall()

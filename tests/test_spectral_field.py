@@ -106,9 +106,9 @@ def test_real_synthesis_matches_complex_oracle(rank):
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("storage", [8, 32, 64, 128])
 def test_synthesis_matches_2d_oracle(rank, real, storage):
-    # pruned synthesis (storage < n), one 2-D call (storage = n) and a cut
-    # (storage > n) all give the samples of one 2-D transform on the
-    # padded or cut plane, bit for bit
+    # a pruned half spectrum (real, storage < n), a padded full plane
+    # (complex), full storage and a cut (storage > n) all give the samples
+    # of one 2-D transform on the padded or cut plane, bit for bit
     import scipy.fft as sfft
     from ci2d.spectral_field import _resize
     n = 64
