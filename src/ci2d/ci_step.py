@@ -298,8 +298,8 @@ def _wave_slice(k: Direction, wp: WaveParams, t: float, grid: Grid2):
             "p_eta2_vals": sq - m2, "dp_eta2_vals": dsq - dsq.mean()}
 
 
-def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict):
-    """Assemble (w_p, w_c, w_t) and their d/dt channels for one time node.
+def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, t: float):
+    """Assemble (w_p, w_c, w_t) and their d/dt channels for the time node t.
 
     Multiplication by the single-mode flow/potential is an exact
     coefficient shift, which makes the stream-function identity and both
@@ -308,10 +308,12 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
     antipode's term is the conjugate mirror of the direction's own: the
     same operand shifted by -xi under the conjugate amplitude.  Both
     shifts are added block by block into xi_2 >= 0 half-plane
-    accumulators, whose sums are Hermitian and are flagged real.
-    Also returns the analysed temporal spectra a^2 P(eta^2) per direction
-    ("moments", reused by the pressure corrector) and the largest energy
-    share the +xi shift drops past the grid band.
+    accumulators, whose sums are Hermitian and are flagged real.  A
+    direction's kernel samples (`_wave_slice`) live only while its terms
+    are added.  Returns the kernels {k: (eta_k, mean eta_k^2)} and the
+    fields, with the corrector's transport part sum_k [a^2 P(eta^2) - (2/mu)
+    `_inv_lap_div_const`(d/dt a^2 P(eta^2), k)] ("transport") and the
+    largest energy share the +xi shift drops past the grid band.
     """
     n = grid.n
     lam = wp.lam
@@ -319,11 +321,13 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
     w_p, dw_p, w_c, dw_c = (np.zeros((2,) + half, dtype=complex) for _ in range(4))
     stream = np.zeros((1,) + half, dtype=complex)
     carrier = np.zeros((4,) + half, dtype=complex)   # w_t and dw_t before projection
-    moments = {}
+    transport = SpectralField.zeros(grid, "scalar")
+    kernels = {}
     clipped = 0.0
     for k in positive_directions():
         a, da = a_slice[k]
-        wav = waves[k]
+        wav = _wave_slice(k, wp, t, grid)
+        kernels[k] = (wav["eta"], wav["eta2_mean"])
         P = analyze(grid, a * wav["eta_vals"])
         dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
         xi = lattice_vector(k.five_k, lam // 5)
@@ -332,31 +336,32 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict)
                            (dP, ((dw_p, amp_b),)),
                            (perp_grad(P), ((w_c, 1.0 / lam),)),
                            (perp_grad(dP), ((dw_c, 1.0 / lam),))):
-            src = _resize(f.coeffs, f.storage, half=False)
-            clipped = max(clipped, _shift_loss(src, xi, n)[1])
+            clipped = max(clipped, _shift_loss(f.coeffs, xi, n)[1])
             for acc, amp in targets:
-                _add_shifted(acc, src, xi, amp)
-                _add_shifted(acc, src, (-xi[0], -xi[1]), np.conj(amp))
-            del src   # else held through the next operand's mirror
+                _add_shifted(acc, f.coeffs, xi, amp)
+                _add_shifted(acc, f.coeffs, (-xi[0], -xi[1]), np.conj(amp))
+        del P, dP, f
         # temporal part: antipodal pairing doubles the positive half
         m_f = analyze(grid, a * a * wav["p_eta2_vals"])
         dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
-        moments[k] = (m_f, dm_f)
+        del wav
         kv = k.k[:, None, None]
         carrier[:2] += _resize(m_f.coeffs, n) * kv
         carrier[2:] += _resize(dm_f.coeffs, n) * kv
-    fac = 2.0 / wp.mu
-    nonzero = FreqBand.nonzero()
+        transport = combine([transport, m_f, _inv_lap_div_const(dm_f, k.k)],
+                            [1.0, 1.0, -2.0 / wp.mu])
+        del m_f, dm_f
+    fac, nonzero = 2.0 / wp.mu, FreqBand.nonzero()
     w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2], True), nonzero))
     dw_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[2:], True), nonzero))
 
     def field(coeffs, rank="vector"):
         return SpectralField(grid, rank, coeffs, True)
 
-    return {"w_p": field(w_p), "w_c": field(w_c), "w_t": w_t,
-            "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": dw_t,
-            "stream": field(stream, "scalar"),
-            "moments": moments, "clipped": clipped}
+    return kernels, {"w_p": field(w_p), "w_c": field(w_c), "w_t": w_t,
+                     "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": dw_t,
+                     "stream": field(stream, "scalar"),
+                     "transport": transport, "clipped": clipped}
 
 
 # -- pressure corrector and stress assembly -----------------------------------
@@ -370,11 +375,11 @@ def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
     return SpectralField(f.grid, "scalar", (f.coeffs[0] * mult)[None], f.reality)
 
 
-def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
-                 moments: dict):
+def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
+                 transport: SpectralField):
     """Pressure corrector absorbing the gradient parts of the oscillation
-    terms: the potential products over non-antipodal pairs plus the
-    kernel-square and temporal-transport pieces on the diagonal.
+    terms: the potential products over non-antipodal pairs plus, on the
+    diagonal, the kernel-square pieces and the transport sum ("transport").
 
     A pair of positive directions (k, k') stands for the four sign
     combinations (+-k, +-k'); on the diagonal only (k, k) and (-k, -k)
@@ -383,8 +388,9 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     synthesis; the sign combinations shift a real product by conjugate
     vectors, so that sum is Hermitian: its shifts are added block by
     block into a xi_2 >= 0 half plane and synthesized as real.  Each
-    kernel is synthesized once; every pair product, the diagonal included,
-    is analyzed from the kernels' samples on one product grid.
+    kernel eta_k of {k: (eta_k, mean eta_k^2)} is synthesized once; every
+    pair product, the diagonal included, is analyzed from the kernels'
+    samples on one product grid.
     Returns the corrector and the largest energy share a clipped shift
     dropped.
     """
@@ -396,13 +402,13 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
     clipped = 0.0
     # one product grid serves every pair: it resolves the widest kernel's
     # square, and raises unless that fits the grid
-    widest = max((waves[k]["eta"] for k in dirs), key=SpectralField.band)
+    widest = max((kernels[k][0] for k in dirs), key=SpectralField.band)
     m = _product_size(widest, widest, False)
-    kernel = {k: waves[k]["eta"].values(m) for k in dirs}
+    kernel = {k: kernels[k][0].values(m) for k in dirs}
     for i, k in enumerate(dirs):
         for j in range(i, len(dirs)):
             kp = dirs[j]
-            fast = _resize(_analysis(kernel[k] * kernel[kp]), m, half=False)
+            fast = _analysis(kernel[k] * kernel[kp])
             signs = ((1, 1, 0.5), (-1, -1, 0.5)) if j == i else \
                 ((1, 1, 1.0), (1, -1, 1.0), (-1, 1, 1.0), (-1, -1, 1.0))
             spec = np.zeros((1, n, n // 2 + 1), dtype=complex)
@@ -413,11 +419,7 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, waves: dict,
                 _add_shifted(spec, fast, shift, weight)
             pair = project(SpectralField(grid, "scalar", spec, True), half_shell)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * pair.values(n)[0]
-    p1 = analyze(grid, accum)
-    # diagonal transport part
-    terms = [(moments[k][0], _inv_lap_div_const(moments[k][1], k.k)) for k in dirs]
-    p2 = combine([f for pair in terms for f in pair], [1.0, -2.0 / wp.mu] * len(dirs))
-    return p1 + p2, clipped
+    return analyze(grid, accum) + transport, clipped
 
 
 def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField,
@@ -491,17 +493,16 @@ P_REP = 1.5   # Lebesgue exponent of the stress estimates (7.16)
 
 
 def _node_perturbation(R_ls: TimeTrack, cut: CutoffProfile, toy: ToyParams, i: int):
-    """Stress samples, coefficients {k: (a, da)}, wave data and
-    perturbation slice of node i."""
+    """Stress samples, coefficients {k: (a, da)}, kernels {k: (eta_k,
+    mean eta_k^2)} and perturbation slice (with "transport") of node i."""
     grid = R_ls.grid
     rv = R_ls.slices[i].values(grid.n)
-    drv = R_ls.dslices[i].values(grid.n)
-    a_slice = _coefficient_slice(rv[0], rv[1], drv[0], drv[1],
+    # d/dt R's samples live only through the call
+    a_slice = _coefficient_slice(*rv, *R_ls.dslices[i].values(grid.n),
                                  float(cut.values[i]), float(cut.dvalues[i]),
                                  toy.a_const, toy.eps_next)
-    waves = {k: _wave_slice(k, toy.wp, float(R_ls.times[i]), grid)
-             for k in positive_directions()}
-    return rv, a_slice, waves, _perturbation_slice(grid, toy.wp, a_slice, waves)
+    kernels, pert = _perturbation_slice(grid, toy.wp, a_slice, float(R_ls.times[i]))
+    return rv, a_slice, kernels, pert
 
 
 def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
@@ -511,7 +512,9 @@ def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
     Where the switch and its derivative vanish, v, dv and p are the
     mollified ones, R is anti_divergence(divergence(R_ls)) and the dict
     holds no perturbation sizes.  Everything else the node builds is
-    released on return.
+    released as soon as its last scalar is taken: the stress samples,
+    coefficients and kernels before the assembly, the perturbation and
+    the corrector before the residual.
     """
     grid = moll.grid
     phi, dphi = float(cut.values[i]), float(cut.dvalues[i])
@@ -520,8 +523,17 @@ def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
         v, dv, p = moll.v.slices[i], moll.v.dslices[i], moll.p.slices[i]
         R = anti_divergence(divergence(moll.R.slices[i]))
     else:
-        rv, a_slice, waves, pert = _node_perturbation(moll.R, cut, toy, i)
-        pstar, pstar_clipped = _pstar_slice(grid, toy.wp, a_slice, waves, pert.pop("moments"))
+        rv, a_slice, kernels, pert = _node_perturbation(moll.R, cut, toy, i)
+        pstar, pstar_clipped = _pstar_slice(grid, toy.wp, a_slice, kernels,
+                                            pert.pop("transport"))
+        if cut.plateau_mask()[i]:
+            c11, c12 = reconstruct({k: 2.0 * a * a * kernels[k][1]
+                                    for k, (a, _) in a_slice.items()})
+            rep["oscillation_c0"] = float(np.max(np.hypot(rv[0] - c11, rv[1] - c12)))
+            rep["oscillation_scale"] = float(np.max(np.hypot(rv[0], rv[1])))
+            del c11, c12
+        rep["stream"] = lp_norm(pert["w_p"] + pert["w_c"] - perp_grad(pert.pop("stream")), 2)
+        del rv, a_slice, kernels
         v, dv, p, R = assemble_stress(moll, pert, pstar, i, moll.theta, moll.nu)
         if peak:   # stress error groups 7.16a-d, one norm each
             w = pert["w_p"] + pert["w_c"] + pert["w_t"]
@@ -537,18 +549,14 @@ def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
             osc_force = (divergence(tf_square(pert["w_p"], allow_interpolant=True)
                                     + moll.R.slices[i]) + pert["dw_t"])
             rep["oscillation"] = lp_norm(anti_divergence(osc_force - gradient(pstar)), P_REP)
+            del w, corr, osc_force
         for name in ("w_p", "w_c", "w_t", "dw_p"):
             rep[name] = lp_norm(pert[name], 2)
-        rep["stream"] = lp_norm(pert["w_p"] + pert["w_c"] - perp_grad(pert["stream"]), 2)
         rep["solenoidality"] = max(lp_norm(divergence(pert["w_p"] + pert["w_c"]), 2),
                                    lp_norm(divergence(pert["w_t"]), 2))
         rep["v_increment"] = lp_norm(v - moll.v.slices[i], 2)
         rep["clipped"] = max(pert["clipped"], pstar_clipped)
-        if cut.plateau_mask()[i]:
-            c11, c12 = reconstruct({k: 2.0 * a * a * waves[k]["eta2_mean"]
-                                    for k, (a, _) in a_slice.items()})
-            rep["oscillation_c0"] = float(np.max(np.hypot(rv[0] - c11, rv[1] - c12)))
-            rep["oscillation_scale"] = float(np.max(np.hypot(rv[0], rv[1])))
+        del pert, pstar
     rep["res_l2"], rep["res_scale"] = _slice_residual(v, dv, p, R, moll.theta, moll.nu)
     # one synthesis of R: its cached sup serves `R_sup`
     mag = pointwise_magnitude(R)

@@ -29,7 +29,8 @@ operand's storage.  Transforms run through scipy.fft: analysis by rfft2
 (real) / fft2; synthesis of a half spectrum stored below the grid by two
 single-axis passes that skip the all-zero columns, else by irfft2 /
 ifft2.  Mode shifts add each contiguous block of the source at its
-offset in the target.
+offset in the target; a source may be a half spectrum, whose xi_2 < 0
+blocks are read as conj c(-xi), so no full-plane copy is made.
 """
 
 from __future__ import annotations
@@ -512,50 +513,62 @@ def _product_size(f: SpectralField, g: SpectralField, allow_interpolant: bool) -
 
 
 def _shift_runs(x: int, m: int, n: int, t_lo: int) -> list:
-    """(source, target) index slices along one axis for a shift by x from
-    FFT storage m to storage n, over the targets t = s + x with
-    t_lo <= t <= n/2 - 1.  Within a run neither s nor t changes sign, so
-    both sides are contiguous in FFT layout."""
+    """(source, mirror, target) index slices along one axis for a shift by
+    x from FFT storage m to storage n, over the targets t = s + x with
+    t_lo <= t <= n/2 - 1; the mirror reads -s.  Runs split where s or t
+    changes sign and around s = 0, so each slice is contiguous."""
     s_lo, s_hi = max(1 - m // 2, t_lo - x), min(m // 2 - 1, n // 2 - 1 - x)
     if s_lo > s_hi:
         return []
-    cuts = sorted({s_lo, s_hi + 1} | {c for c in (0, -x) if s_lo < c <= s_hi})
-    return [(slice(a % m, a % m + b - a), slice((a + x) % n, (a + x) % n + b - a))
-            for a, b in zip(cuts, cuts[1:])]
+    cuts = sorted({s_lo, s_hi + 1} | {c for c in (0, 1, -x) if s_lo < c <= s_hi})
+    return [(slice(a % m, a % m + b - a), slice(-a % m, -b % m, -1) if a else slice(0, 1),
+             slice((a + x) % n, (a + x) % n + b - a)) for a, b in zip(cuts, cuts[1:])]
 
 
 def _add_shifted(acc: np.ndarray, src: np.ndarray, xi, amp=1.0) -> None:
     """acc += amp exp(i xi . x) src, block by block in place.
 
-    src is a full-plane FFT-layout array on its own storage; acc a full
-    plane or a xi_2 >= 0 half on storage n.  Sources whose target lies
-    past acc's band (or, for a half, at xi_2 < 0) add nothing.
+    src is an FFT-layout array on its own storage: a full plane, or a
+    xi_2 >= 0 half whose xi_2 < 0 blocks are read as conj c(-xi).  acc is
+    a full plane or a xi_2 >= 0 half on storage n.  Sources whose target
+    lies past acc's band (or, for a half, at xi_2 < 0) add nothing.
     """
     m, n = src.shape[-2], acc.shape[-2]
     rows = _shift_runs(int(xi[0]), m, n, 1 - n // 2)
     cols = _shift_runs(int(xi[1]), m, n, 0 if acc.shape[-1] != n else 1 - n // 2)
-    for rs, rt in rows:
-        for cs, ct in cols:
-            acc[..., rt, ct] += amp * src[..., rs, cs]
+    for rs, rm, rt in rows:
+        for cs, cm, ct in cols:
+            if cs.start < src.shape[-1]:
+                acc[..., rt, ct] += amp * src[..., rs, cs]
+            else:   # columns past a half spectrum
+                acc[..., rt, ct] += amp * np.conj(src[..., rm, cm])
 
 
 def _shift_loss(src: np.ndarray, xi, n: int):
     """What a shift by xi pushes past the band of storage n: the largest
     magnitude and the largest share of a component's energy sum |c|^2,
-    for a full-plane FFT-layout src."""
-    ks = _wavenumbers(src.shape[-2])
+    for an FFT-layout src read as in `_add_shifted`."""
+    m = src.shape[-2]
+    ks = _wavenumbers(m)
     out1 = np.abs(ks + int(xi[0])) > n // 2 - 1
     out2 = np.abs(ks + int(xi[1])) > n // 2 - 1
     if not (out1.any() or out2.any()):
         return 0.0, 0.0
-    strip_r = src[..., out1, :]
-    strip_c = src[..., :, out2][..., ~out1, :]
-    lost = max(np.max(np.abs(strip_r), initial=0.0), np.max(np.abs(strip_c), initial=0.0))
+    if src.shape[-1] == m:
+        parts = [(src, out1, out2)]
+        total = np.array([np.vdot(c, c).real for c in src])
+    else:   # half column j >= 1 also sits mirrored at row -xi_1, column -j
+        h = m // 2
+        parts = [(src[..., :h], out1, out2[:h]),
+                 (src[..., 1:h], out1[-np.arange(m) % m], out2[:h:-1])]
+        total = np.array([2.0 * np.vdot(c, c).real - np.vdot(c[:, 0], c[:, 0]).real
+                          for c in src])
+    strips = [s for block, rows, cols in parts
+              for s in (block[..., rows, :], block[..., :, cols][..., ~rows, :])]
+    lost = max(np.max(np.abs(s), initial=0.0) for s in strips)
     if lost == 0.0:
         return 0.0, 0.0
-    dropped = (np.sum(np.abs(strip_r) ** 2, axis=(-2, -1))
-               + np.sum(np.abs(strip_c) ** 2, axis=(-2, -1)))
-    total = np.array([np.vdot(c, c).real for c in src])
+    dropped = sum(np.sum(np.abs(s) ** 2, axis=(-2, -1)) for s in strips)
     return float(lost), float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
 
 
@@ -572,8 +585,7 @@ def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> Spect
     (promoting a scalar f to a vector result).  The product is complex,
     on storage min(_fft_size(m/2 - 1 + |xi|_inf), n) for f's storage m.
     """
-    src = _resize(f.coeffs, f.storage, half=False)
-    lost, _ = _shift_loss(src, xi, f.grid.n)
+    lost, _ = _shift_loss(f.coeffs, xi, f.grid.n)
     if not clip and lost > BAND_RTOL * np.max(np.abs(f.coeffs)):
         raise AliasingRisk(
             f"mode shift pushes weight {lost:.2e} past the grid band {f.grid.max_mode}")
@@ -582,7 +594,7 @@ def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> Spect
         raise RankError("vector amplitude needs a scalar field")
     m = min(_fft_size(f.storage // 2 - 1 + max(abs(int(xi[0])), abs(int(xi[1])))), f.grid.n)
     out = np.zeros((max(amps.size, f.ncomp), m, m), dtype=complex)
-    _add_shifted(out, src, xi, amps[:, None, None])
+    _add_shifted(out, f.coeffs, xi, amps[:, None, None])
     return SpectralField(f.grid, "vector" if amps.size == 2 else f.rank, out, False)
 
 

@@ -364,11 +364,12 @@ def _roll_shift(coeffs, xi, n):
     return out, float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
 
 
-def _perturbation_oracle(grid, wp, a_slice, waves, mirror=False):
-    """The perturbation slice from full-plane roll shifts: both shifts (+xi
-    and -xi) of every direction made explicitly or, with mirror=True, the
-    +xi shift alone and each sum's conjugate mirror c(xi) -> conj c(-xi)
-    added once after the loop.  Returns the seven fields (full planes) and
+def _perturbation_oracle(grid, wp, a_slice, t, mirror=False):
+    """The perturbation slice at time t from full-plane roll shifts: both
+    shifts (+xi and -xi) of every direction made explicitly or, with
+    mirror=True, the +xi shift alone and each sum's conjugate mirror
+    c(xi) -> conj c(-xi) added once after the loop.  The kernel samples
+    come from `_wave_slice`.  Returns the seven fields (full planes) and
     the largest energy share a shift dropped."""
     from ci2d import analyze, perp_grad
     from ci2d.building_blocks import lattice_vector
@@ -380,7 +381,7 @@ def _perturbation_oracle(grid, wp, a_slice, waves, mirror=False):
     clipped = 0.0
     for k in positive_directions():
         a, da = a_slice[k]
-        wav = waves[k]
+        wav = _wave_slice(k, wp, t, grid)
         P = analyze(grid, a * wav["eta_vals"])
         dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
         m = max(P.storage, dP.storage)
@@ -431,8 +432,8 @@ def test_perturbation_slice_mirror_matches_both_explicit_shifts():
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    _, a_slice, waves, pert = _node_perturbation(moll.R, cut, toy, node)
-    oracle, clipped = _perturbation_oracle(GRID, toy.wp, a_slice, waves)
+    _, a_slice, _, pert = _node_perturbation(moll.R, cut, toy, node)
+    oracle, clipped = _perturbation_oracle(GRID, toy.wp, a_slice, float(moll.times[node]))
     # the -xi strips hold the mirrored coefficients of the +xi strips, so
     # the two dropped shares agree to the round-off of the operands' symmetry
     assert clipped > 0.0
@@ -449,8 +450,9 @@ def test_perturbation_slice_matches_roll_and_mirror_oracle(n, wave):
     moll = mollify(small_state(grid=grid), toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    _, a_slice, waves, pert = _node_perturbation(moll.R, cut, toy, node)
-    oracle, clipped = _perturbation_oracle(grid, toy.wp, a_slice, waves, mirror=True)
+    _, a_slice, _, pert = _node_perturbation(moll.R, cut, toy, node)
+    oracle, clipped = _perturbation_oracle(grid, toy.wp, a_slice, float(moll.times[node]),
+                                           mirror=True)
     assert clipped > 0.0
     _assert_matches_perturbation_oracle(pert, oracle, clipped)
 
@@ -465,17 +467,19 @@ def _on_grid(coeffs, n):
 
 def test_pstar_real_pairs_match_complex_pair_syntheses():
     # oracle: every pair spectrum goes through numpy's complex inverse FFT
-    # and the accumulated samples through its complex forward FFT
-    from ci2d import multiply_mode
+    # and the accumulated samples through its complex forward FFT; the
+    # transport moments are formed here from `_wave_slice`'s samples
+    from ci2d import analyze, multiply_mode
     from ci2d.ci_step import _inv_lap_div_const, _pstar_slice
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    _, a_slice, waves, pert = _node_perturbation(moll.R, cut, toy, node)
+    _, a_slice, kernels, pert = _node_perturbation(moll.R, cut, toy, node)
     grid, wp, n = state.grid, toy.wp, state.grid.n
-    pstar, _ = _pstar_slice(grid, wp, a_slice, waves, pert["moments"])
+    pstar, _ = _pstar_slice(grid, wp, a_slice, kernels, pert["transport"])
+    waves = {k: _wave_slice(k, wp, float(moll.times[node]), grid) for k in positive_directions()}
 
     step = wp.lam // 5
     dirs = list(positive_directions())
@@ -500,10 +504,14 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
     c[:, n // 2] = 0.0
     oracle = SpectralField(grid, "scalar", c, False)
     for k in dirs:
-        m_f, dm_f = pert["moments"][k]
+        a, da = a_slice[k]
+        m_f = analyze(grid, a * a * waves[k]["p_eta2_vals"])
+        dm_f = analyze(grid, 2.0 * a * da * waves[k]["p_eta2_vals"]
+                       + a * a * waves[k]["dp_eta2_vals"])
         oracle = oracle + m_f - (2.0 / wp.mu) * _inv_lap_div_const(dm_f, k.k)
     assert lp_norm(pstar, 2) > 0.0
     assert lp_norm(pstar - oracle, 2) <= 1e-13 * lp_norm(pstar, 2)
+
 
 def test_corrector_sizes_at_inductive_stress():
     # with the stress at its inductive size the principal wave dominates
@@ -541,6 +549,25 @@ def test_perturbation_support_inside_cutoff():
     assert off.size and off.size < len(TIMES)
     for i in off:
         _assert_node_off(moll, cut, toy, int(i))
+
+
+def test_active_node_peak_memory():
+    # each direction's samples and moments live only while its terms are
+    # added, and the node drops its data as soon as its scalars are taken:
+    # one active node's traced peak, in two-component half planes at n = 256
+    import tracemalloc
+    state, toy, moll, cut = _perturbation_setup()
+    n = state.grid.n
+    i = int(np.argmax(cut.values))
+    _step_node(moll, cut, toy, i, peak=True)   # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        _step_node(moll, cut, toy, i, peak=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    plane = 2 * n * (n // 2 + 1) * 16
+    assert peak <= 22 * plane, peak / plane
 
 
 # -- assembly and residual ------------------------------------------------------

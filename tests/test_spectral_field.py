@@ -508,3 +508,29 @@ def test_multiply_mode_vector_amplitude_promotes_rank():
         _assert_matches_oracle(got, f, xi, amps)
     with pytest.raises(RankError):
         multiply_mode(random_field(g, "vector", 3, seed=24), (1, 0), amps)
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+@pytest.mark.parametrize("xi", [(0, 0), (2, -3), (12, 1), (-13, 2), (1, -11), (-2, 14),
+                                (13, -14), (30, 0)])
+def test_half_source_shift_matches_full_plane(m, xi):
+    # a half spectrum's xi_2 < 0 blocks read as conj c(-xi) give what its
+    # mirrored full plane gives: storage m below, at and above n = 32, into
+    # half and full targets, with shifts that clip rows, columns, both,
+    # neither or everything
+    from ci2d.spectral_field import _add_shifted, _resize, _shift_loss
+    n = 32
+    src = random_field(make_grid(m), "vector", m // 2 - 1, seed=51).coeffs
+    full = _resize(src, m, half=False)
+    rng = np.random.default_rng(52)
+    amp = (rng.standard_normal(2) + 1j * rng.standard_normal(2))[:, None, None]
+    for cols in (n // 2 + 1, n):
+        acc = rng.standard_normal((2, n, cols)) + 1j * rng.standard_normal((2, n, cols))
+        got, want = acc.copy(), acc.copy()
+        _add_shifted(got, src, xi, amp)
+        _add_shifted(want, full, xi, amp)
+        assert np.array_equal(got, want), cols
+    (lost, share), (lost_f, share_f) = _shift_loss(src, xi, n), _shift_loss(full, xi, n)
+    assert lost == lost_f and share == pytest.approx(share_f, rel=1e-15, abs=0.0)
+    clips = max(m // 2 - 1 + abs(x) for x in xi) > n // 2 - 1
+    assert (share > 0.0) == clips, share
