@@ -74,8 +74,7 @@ def _reality():
     err = gap = 0.0   # relative to the samples' sup
     for seed, band in ((3, 20), (2, 24)):
         f = random_field(g, "scalar", band, seed=seed)
-        vals = SpectralField(g, "scalar", _resize(f.coeffs, f.storage, half=False),
-                             reality=False).values()
+        vals = SpectralField(g, "scalar", _resize(f.coeffs, f.storage, half=False)).values()
         scale = np.max(np.abs(vals))
         real_vals = f.values()
         err = max(err, np.max(np.abs(vals.imag)) / scale)
@@ -111,7 +110,7 @@ def _quadconst():
 def _proj():
     g = make_grid(64)
     f = random_field(g, "scalar", 30, seed=5)
-    lowband = FreqBand.band(0, 10)
+    lowband = FreqBand(0, 10)
     hi = FreqBand.at_least(10.000001)
     a = project(f, lowband)
     b = project(f, hi)
@@ -238,8 +237,7 @@ def _wavepair():
         b = wave_b(k, lam, g)
         ok &= np.max(np.abs(perp_grad(psi).coeffs - b.coeffs)) < 1e-15
         ok &= lp_norm(divergence(b), 2) < 1e-13
-        curl = divergence(SpectralField(g, "vector",
-                                        np.stack([b.coeffs[1], -b.coeffs[0]]), False))
+        curl = divergence(SpectralField(g, "vector", np.stack([b.coeffs[1], -b.coeffs[0]])))
         ok &= lp_norm(curl + lam ** 2 * psi, 2) < 1e-12
         bmk = wave_b(k.antipode, lam, g).values()
         ok &= np.max(np.abs(np.conj(b.values()) - bmk)) < 1e-13

@@ -69,7 +69,7 @@ class NSRState:
 def gradient(f: SpectralField) -> SpectralField:
     c1 = derive(f, (1, 0)).coeffs[0]
     c2 = derive(f, (0, 1)).coeffs[0]
-    return SpectralField(f.grid, "vector", np.stack([c1, c2]), f.reality)
+    return SpectralField(f.grid, "vector", np.stack([c1, c2]))
 
 
 def fd6_channel(track: TimeTrack) -> TimeTrack:
@@ -352,11 +352,11 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, t: float):
                             [1.0, 1.0, -2.0 / wp.mu])
         del m_f, dm_f
     fac, nonzero = 2.0 / wp.mu, FreqBand.nonzero()
-    w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2], True), nonzero))
-    dw_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[2:], True), nonzero))
+    w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2]), nonzero))
+    dw_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[2:]), nonzero))
 
     def field(coeffs, rank="vector"):
-        return SpectralField(grid, rank, coeffs, True)
+        return SpectralField(grid, rank, coeffs)
 
     return kernels, {"w_p": field(w_p), "w_c": field(w_c), "w_t": w_t,
                      "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": dw_t,
@@ -372,7 +372,7 @@ def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     mult = -1j * (kvec[0] * kx + kvec[1] * ky) / k2safe
     mult[0, 0] = 0.0
-    return SpectralField(f.grid, "scalar", (f.coeffs[0] * mult)[None], f.reality)
+    return SpectralField(f.grid, "scalar", (f.coeffs[0] * mult)[None])
 
 
 def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
@@ -417,7 +417,7 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
                          step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
                 clipped = max(clipped, _shift_loss(fast, shift, n)[1])
                 _add_shifted(spec, fast, shift, weight)
-            pair = project(SpectralField(grid, "scalar", spec, True), half_shell)
+            pair = project(SpectralField(grid, "scalar", spec), half_shell)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * pair.values(n)[0]
     return analyze(grid, accum) + transport, clipped
 

@@ -17,29 +17,23 @@ from .spectral_field import SpectralField, _analysis, _axes, _product_size
 
 @dataclass(frozen=True)
 class FreqBand:
-    """A radial frequency window: closed band, at-least, or mean-removal."""
+    """The closed radial frequency window lo <= |xi| <= hi."""
 
     lo: float
-    hi: float
-    kind: str  # "band" | "at_least" | "nonzero"
+    hi: float = np.inf
 
     def __post_init__(self):
-        if self.kind not in ("band", "at_least", "nonzero"):
-            raise ConfigError(f"unknown band kind {self.kind!r}")
-        if self.kind == "band" and not (0 <= self.lo <= self.hi):
+        if not (0 <= self.lo <= self.hi):
             raise ConfigError("band needs 0 <= lo <= hi")
 
     @staticmethod
-    def band(lo: float, hi: float) -> "FreqBand":
-        return FreqBand(float(lo), float(hi), "band")
-
-    @staticmethod
     def at_least(lo: float) -> "FreqBand":
-        return FreqBand(float(lo), np.inf, "at_least")
+        return FreqBand(float(lo))
 
     @staticmethod
     def nonzero() -> "FreqBand":
-        return FreqBand(0.0, np.inf, "nonzero")
+        """Mean removal: |xi| > 0, which on the integer lattice is |xi| >= 1."""
+        return FreqBand(1.0)
 
 
 def _lattice(field: SpectralField):
@@ -52,13 +46,8 @@ def _lattice(field: SpectralField):
 def project(field: SpectralField, band: FreqBand) -> SpectralField:
     """Keep the coefficients whose Euclidean |xi| lies in the window."""
     k2 = _lattice(field)[2]
-    if band.kind == "nonzero":
-        mask = k2 > 0.0
-    elif band.kind == "at_least":
-        mask = k2 >= band.lo ** 2
-    else:
-        mask = (k2 >= band.lo ** 2) & (k2 <= band.hi ** 2)
-    return SpectralField(field.grid, field.rank, field.coeffs * mask, field.reality)
+    mask = (k2 >= band.lo ** 2) & (k2 <= band.hi ** 2)
+    return SpectralField(field.grid, field.rank, field.coeffs * mask)
 
 
 def helmholtz(field: SpectralField) -> SpectralField:
@@ -72,7 +61,7 @@ def helmholtz(field: SpectralField) -> SpectralField:
     c2 = field.coeffs[1] - ky * dot / k2safe
     c1[0, 0] = field.coeffs[0][0, 0]
     c2[0, 0] = field.coeffs[1][0, 0]
-    return SpectralField(field.grid, "vector", np.stack([c1, c2]), field.reality)
+    return SpectralField(field.grid, "vector", np.stack([c1, c2]))
 
 
 def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
@@ -88,7 +77,7 @@ def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
         mult = np.ones_like(k2)
     else:
         mult = k2 ** theta
-    return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
+    return SpectralField(field.grid, field.rank, field.coeffs * mult)
 
 
 def inv_grad(field: SpectralField) -> SpectralField:
@@ -97,7 +86,7 @@ def inv_grad(field: SpectralField) -> SpectralField:
     mult = np.zeros_like(k2)
     nz = k2 > 0
     mult[nz] = 1.0 / np.sqrt(k2[nz])
-    return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
+    return SpectralField(field.grid, field.rank, field.coeffs * mult)
 
 
 def anti_divergence(field: SpectralField) -> SpectralField:
@@ -115,7 +104,7 @@ def anti_divergence(field: SpectralField) -> SpectralField:
     t12 = -1j * (ky * f1 + kx * f2) / k2safe
     t11[0, 0] = 0.0
     t12[0, 0] = 0.0
-    return SpectralField(field.grid, "symtensor", np.stack([t11, t12]), field.reality)
+    return SpectralField(field.grid, "symtensor", np.stack([t11, t12]))
 
 
 # -- trace-free tensor product --------------------------------------------
@@ -152,7 +141,7 @@ def sym_tracefree_product(f: SpectralField, g: SpectralField, *,
     a = f.values(m)
     b = a if g is f else g.values(m)
     t = np.stack([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
-    return SpectralField(f.grid, "symtensor", _analysis(t), f.reality and g.reality)
+    return SpectralField(f.grid, "symtensor", _analysis(t))
 
 
 def tf_square(f: SpectralField, *, allow_interpolant: bool = False) -> SpectralField:

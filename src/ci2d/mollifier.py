@@ -60,7 +60,7 @@ def _spatial_multiplier(m: int, ell: float) -> np.ndarray:
 def spatial_mollify(field: SpectralField, ell: float) -> SpectralField:
     # a half spectrum's columns are the leading columns of the full layout
     mult = _spatial_multiplier(field.storage, float(ell))[:, :field.coeffs.shape[-1]]
-    return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
+    return SpectralField(field.grid, field.rank, field.coeffs * mult)
 
 
 class TemporalKernel:

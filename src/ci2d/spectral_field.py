@@ -16,21 +16,23 @@ Conventions fixed here and relied on everywhere else:
 
 Coefficient arrays may be stored on a smaller internal FFT size than the
 logical grid; zero-padding between sizes is exact, so this is purely a
-memory optimization.  A field flagged real is stored as its xi_2 >= 0
-half spectrum in rfft2 layout, shape (ncomp, m, m//2 + 1): its xi_2 < 0
-half is the conjugate mirror c(xi) = conj c(-xi) and is never held.  A
+memory optimization.  A real field is stored as its xi_2 >= 0 half
+spectrum in rfft2 layout, shape (ncomp, m, m//2 + 1): its xi_2 < 0 half
+is the conjugate mirror c(xi) = conj c(-xi) and is never held.  A
 complex field (a single-mode shift, say) keeps the full m-by-m plane.
-`_resize` is the one layout helper (pad, cut, half <-> full),
-`_analysis` the one analysis helper and `_synthesis` the one synthesis
-helper.  A field keeps the storage and reality flag its maker gives it:
-`analyze` fits storage to the samples' measured band, products keep
-their product grid, linear maps and sums (`combine`) the widest
-operand's storage.  Transforms run through scipy.fft: analysis by rfft2
-(real) / fft2; synthesis of a half spectrum stored below the grid by two
-single-axis passes that skip the all-zero columns, else by irfft2 /
-ifft2.  Mode shifts add each contiguous block of the source at its
-offset in the target; a source may be a half spectrum, whose xi_2 < 0
-blocks are read as conj c(-xi), so no full-plane copy is made.
+The layout is the reality: `SpectralField.reality` reads it off the
+coefficient shape.  `_fft_size` is the one storage rule, `_resize` the
+one layout helper (pad, cut, half <-> full), `_analysis` the one
+analysis helper and `_synthesis` the one synthesis helper.  A field
+keeps the storage and layout its maker gives it: `analyze` fits storage
+to the samples' measured band, products keep their product grid, linear
+maps and sums (`combine`) the widest operand's storage.  Transforms run
+through scipy.fft: analysis by rfft2 (real) / fft2; synthesis of a half
+spectrum stored below the grid by two single-axis passes that skip the
+all-zero columns, else by irfft2 / ifft2.  Mode shifts add each
+contiguous block of the source at its offset in the target; a source may
+be a half spectrum, whose xi_2 < 0 blocks are read as conj c(-xi), so no
+full-plane copy is made.
 """
 
 from __future__ import annotations
@@ -74,12 +76,13 @@ def make_grid(n: int) -> Grid2:
     return Grid2(int(n))
 
 
-def _fft_size(band: int) -> int:
-    """Smallest power-of-two FFT size whose Nyquist strictly exceeds band."""
+def _fft_size(band: int, n: int) -> int:
+    """Storage size for a band on the n-grid: the smallest power of two
+    >= 8 whose Nyquist strictly exceeds band, capped at n."""
     m = 8
     while m // 2 - 1 < band:
         m *= 2
-    return m
+    return min(m, n)
 
 
 def _wavenumbers(m: int) -> np.ndarray:
@@ -125,9 +128,9 @@ def _axes(coeffs: np.ndarray):
 class SpectralField:
     """A scalar / vector / symmetric-trace-free tensor trig polynomial."""
 
-    __slots__ = ("grid", "rank", "coeffs", "reality", "_band", "_sup")
+    __slots__ = ("grid", "rank", "coeffs", "_band", "_sup")
 
-    def __init__(self, grid: Grid2, rank: str, coeffs: np.ndarray, reality: bool):
+    def __init__(self, grid: Grid2, rank: str, coeffs: np.ndarray):
         if rank not in _RANK_NCOMP:
             raise RankError(f"unknown rank {rank!r}")
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -136,15 +139,13 @@ class SpectralField:
         if coeffs.ndim != 3 or coeffs.shape[0] != _RANK_NCOMP[rank]:
             raise ConfigError(f"coefficient array shape {coeffs.shape} does not match rank {rank!r}")
         m = coeffs.shape[-2]
-        if coeffs.shape[-1] != (m // 2 + 1 if reality else m):
-            raise ConfigError(f"coefficient array shape {coeffs.shape} is not the "
-                              f"{'half' if reality else 'full'} layout of a "
-                              f"{'real' if reality else 'complex'} field")
+        if coeffs.shape[-1] not in (m, m // 2 + 1):
+            raise ConfigError(f"coefficient array shape {coeffs.shape} is neither "
+                              "a full plane nor a half spectrum")
         if m > grid.n:
             raise AliasingRisk(f"storage size {m} exceeds grid {grid.n}")
         self.grid = grid
         self.rank = rank
-        self.reality = bool(reality)
         self._band = None
         self._sup = None
         self.coeffs = coeffs
@@ -154,8 +155,9 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid2, rank: str, reality: bool = True) -> "SpectralField":
-        nc = _RANK_NCOMP[rank]
-        return cls(grid, rank, np.zeros((nc, 8, 5 if reality else 8), dtype=complex), reality)
+        m = _fft_size(0, grid.n)
+        return cls(grid, rank, np.zeros((_RANK_NCOMP[rank], m, m // 2 + 1 if reality else m),
+                                        dtype=complex))
 
     @classmethod
     def from_modes(cls, grid: Grid2, rank: str, modes: dict, reality: bool | None = None) -> "SpectralField":
@@ -164,7 +166,7 @@ class SpectralField:
         band = max((max(abs(x1), abs(x2)) for (x1, x2) in modes), default=0)
         if band > grid.max_mode:
             raise AliasingRisk(f"mode band {band} exceeds grid Nyquist {grid.max_mode}")
-        m = min(_fft_size(band), grid.n)
+        m = _fft_size(band, grid.n)
         arr = np.zeros((nc, m, m), dtype=complex)
         for (x1, x2), amp in modes.items():
             amp = np.atleast_1d(np.asarray(amp, dtype=complex))
@@ -175,7 +177,7 @@ class SpectralField:
             raise ConfigError("modes flagged real are not conjugate symmetric")
         if reality is None:
             reality = symmetric
-        return cls(grid, rank, _resize(arr, m, half=True) if reality else arr, reality)
+        return cls(grid, rank, _resize(arr, m, half=True) if reality else arr)
 
     # -- basic queries -------------------------------------------------
 
@@ -186,6 +188,11 @@ class SpectralField:
     @property
     def storage(self) -> int:
         return self.coeffs.shape[-2]
+
+    @property
+    def reality(self) -> bool:
+        """A half spectrum is a real field, a full plane a complex one."""
+        return self.coeffs.shape[-1] != self.coeffs.shape[-2]
 
     def band(self) -> int:
         """Largest |xi|_inf carrying relative weight above BAND_RTOL."""
@@ -218,7 +225,7 @@ class SpectralField:
     # -- transforms ----------------------------------------------------
 
     def values(self, n: int | None = None) -> np.ndarray:
-        """Physical samples on the n-by-n grid (real array when reality)."""
+        """Physical samples on the n-by-n grid (a real array for a real field)."""
         n = self.grid.n if n is None else n
         if n < self.storage and self.band() > n // 2 - 1:
             raise AliasingRisk("requested grid coarser than the stored band")
@@ -226,33 +233,22 @@ class SpectralField:
 
     # -- algebra ---------------------------------------------------------
 
-    def _binary_check(self, other: "SpectralField"):
-        if self.grid.n != other.grid.n:
-            raise ConfigError("fields live on different grids")
-        if self.rank != other.rank:
-            raise RankError(f"rank mismatch {self.rank} vs {other.rank}")
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._binary_check(other)
         return combine([self, other], [1.0, 1.0])
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._binary_check(other)
         return combine([self, other], [1.0, -1.0])
 
     def __mul__(self, c) -> "SpectralField":
         c = complex(c)
         real = self.reality and c.imag == 0.0
         return SpectralField(self.grid, self.rank,
-                             _resize(self.coeffs, self.storage, half=real) * c, real)
+                             _resize(self.coeffs, self.storage, half=real) * c)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return self * (-1.0)
-
     def component(self, i: int) -> "SpectralField":
-        return SpectralField(self.grid, "scalar", self.coeffs[i:i + 1], self.reality)
+        return SpectralField(self.grid, "scalar", self.coeffs[i:i + 1])
 
 
 def _measure_band(coeffs: np.ndarray) -> int:
@@ -311,9 +307,9 @@ def _synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
     return sfft.irfftn(rows, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
 
 
-def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
-            reality: bool | None = None) -> SpectralField:
-    """Fourier-analyze physical samples on the grid into a SpectralField.
+def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar") -> SpectralField:
+    """Fourier-analyze physical samples on the grid into a SpectralField,
+    real (a half spectrum) when the samples are.
 
     The Nyquist row/column is zeroed: fields never carry |xi_i| >= n/2.
     Storage is fitted to the measured band, which the field caches.
@@ -326,27 +322,31 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar",
     n = values.shape[-1]
     if n != grid.n or values.shape[-2] != grid.n:
         raise ConfigError(f"samples shaped {values.shape} do not live on the {grid.n}^2 grid")
-    if reality is None:
-        reality = bool(np.isrealobj(values))
     coeffs = _analysis(values)
     band = _measure_band(coeffs)
-    field = SpectralField(grid, rank, _resize(coeffs, min(_fft_size(band), n), half=reality),
-                          reality)
+    field = SpectralField(grid, rank, _resize(coeffs, _fft_size(band, n)))
     field._band = band
     return field
 
 
 def combine(fields, weights) -> SpectralField:
     """sum_j w_j f_j for real weights, on the widest operand's storage;
-    real (a half spectrum) when every operand is."""
+    real (a half spectrum) when every operand is.  Every operand must
+    share the first one's grid and rank."""
+    first = fields[0]
+    for f in fields[1:]:
+        if f.grid != first.grid:
+            raise ConfigError("fields live on different grids")
+        if f.rank != first.rank:
+            raise RankError(f"rank mismatch {first.rank} vs {f.rank}")
     m = max(f.storage for f in fields)
     real = all(f.reality for f in fields)
-    acc = np.zeros((fields[0].ncomp, m, m // 2 + 1 if real else m), dtype=complex)
+    acc = np.zeros((first.ncomp, m, m // 2 + 1 if real else m), dtype=complex)
     for f, w in zip(fields, weights):
         if w != 0.0:
             c = _resize(f.coeffs, m, half=real)
             acc += c if w == 1.0 else w * c
-    return SpectralField(fields[0].grid, fields[0].rank, acc, real)
+    return SpectralField(first.grid, first.rank, acc)
 
 
 def derive(field: SpectralField, multi_index) -> SpectralField:
@@ -360,7 +360,7 @@ def derive(field: SpectralField, multi_index) -> SpectralField:
         mult = mult * (1j * k1) ** a
     if b:
         mult = mult * (1j * k2) ** b
-    return SpectralField(field.grid, field.rank, field.coeffs * mult, field.reality)
+    return SpectralField(field.grid, field.rank, field.coeffs * mult)
 
 
 def perp_grad(f: SpectralField) -> SpectralField:
@@ -370,7 +370,7 @@ def perp_grad(f: SpectralField) -> SpectralField:
     k1, k2 = _axes(f.coeffs)
     c1 = -1j * k2 * f.coeffs[0]
     c2 = 1j * k1 * f.coeffs[0]
-    return SpectralField(f.grid, "vector", np.stack([c1, c2]), f.reality)
+    return SpectralField(f.grid, "vector", np.stack([c1, c2]))
 
 
 def divergence(field: SpectralField) -> SpectralField:
@@ -380,12 +380,12 @@ def divergence(field: SpectralField) -> SpectralField:
     d2 = 1j * k2
     if field.rank == "vector":
         c = d1 * field.coeffs[0] + d2 * field.coeffs[1]
-        return SpectralField(field.grid, "scalar", c[None], field.reality)
+        return SpectralField(field.grid, "scalar", c[None])
     if field.rank == "symtensor":
         t11, t12 = field.coeffs[0], field.coeffs[1]
         r1 = d1 * t11 + d2 * t12
         r2 = d1 * t12 - d2 * t11
-        return SpectralField(field.grid, "vector", np.stack([r1, r2]), field.reality)
+        return SpectralField(field.grid, "vector", np.stack([r1, r2]))
     raise RankError("divergence needs a vector or symtensor field")
 
 
@@ -491,8 +491,7 @@ def multiply(f: SpectralField, g: SpectralField, *,
     if f.rank != "scalar":
         f, g = g, f
     m = _product_size(f, g, allow_interpolant)
-    return SpectralField(f.grid, g.rank, _analysis(f.values(m)[0][None] * g.values(m)),
-                         f.reality and g.reality)
+    return SpectralField(f.grid, g.rank, _analysis(f.values(m)[0][None] * g.values(m)))
 
 
 def _product_size(f: SpectralField, g: SpectralField, allow_interpolant: bool) -> int:
@@ -504,7 +503,7 @@ def _product_size(f: SpectralField, g: SpectralField, allow_interpolant: bool) -
     bsum = f.band() + g.band()
     n = f.grid.n
     if bsum <= n // 2 - 1:
-        return min(_fft_size(bsum), n)
+        return _fft_size(bsum, n)
     if allow_interpolant:
         return n
     raise AliasingRisk(
@@ -583,7 +582,7 @@ def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> Spect
     identities among consistently clipped objects stay mode-exact.
     `amplitudes` is a scalar (rank-preserving) or a length-2 vector
     (promoting a scalar f to a vector result).  The product is complex,
-    on storage min(_fft_size(m/2 - 1 + |xi|_inf), n) for f's storage m.
+    on storage _fft_size(m/2 - 1 + |xi|_inf, n) for f's storage m.
     """
     lost, _ = _shift_loss(f.coeffs, xi, f.grid.n)
     if not clip and lost > BAND_RTOL * np.max(np.abs(f.coeffs)):
@@ -592,10 +591,10 @@ def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> Spect
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
     if amps.size > 1 and f.rank != "scalar":
         raise RankError("vector amplitude needs a scalar field")
-    m = min(_fft_size(f.storage // 2 - 1 + max(abs(int(xi[0])), abs(int(xi[1])))), f.grid.n)
+    m = _fft_size(f.storage // 2 - 1 + max(abs(int(xi[0])), abs(int(xi[1]))), f.grid.n)
     out = np.zeros((max(amps.size, f.ncomp), m, m), dtype=complex)
     _add_shifted(out, f.coeffs, xi, amps[:, None, None])
-    return SpectralField(f.grid, "vector" if amps.size == 2 else f.rank, out, False)
+    return SpectralField(f.grid, "vector" if amps.size == 2 else f.rank, out)
 
 
 def random_field(grid: Grid2, rank: str, band: int, seed: int,
@@ -605,7 +604,7 @@ def random_field(grid: Grid2, rank: str, band: int, seed: int,
         raise AliasingRisk(f"band {band} exceeds grid Nyquist {grid.max_mode}")
     rng = np.random.default_rng(seed)
     nc = _RANK_NCOMP[rank]
-    m = min(_fft_size(band), grid.n)
+    m = _fft_size(band, grid.n)
     ks = _wavenumbers(m)
     kx, ky = np.meshgrid(ks, ks, indexing="ij")
     inside = np.maximum(np.abs(kx), np.abs(ky)) <= band
@@ -617,7 +616,7 @@ def random_field(grid: Grid2, rank: str, band: int, seed: int,
         amp[..., 0, 0] = 0.0
     else:
         amp[..., 0, 0] = amp[..., 0, 0].real
-    return SpectralField(grid, rank, amp, True)
+    return SpectralField(grid, rank, amp)
 
 
 # -- time tracks ----------------------------------------------------------
@@ -658,10 +657,6 @@ class TimeTrack:
     @property
     def grid(self) -> Grid2:
         return self.slices[0].grid
-
-    @property
-    def rank(self) -> str:
-        return self.slices[0].rank
 
     def __len__(self) -> int:
         return len(self.slices)

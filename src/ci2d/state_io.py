@@ -78,7 +78,7 @@ def read_field(path: str):
     vals = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if not reality:
         vals = vals[..., 0] + 1j * vals[..., 1]
-    return analyze(grid, vals, rank, reality), header
+    return analyze(grid, vals, rank), header
 
 
 def _slice_name(prefix: str, i: int) -> str:

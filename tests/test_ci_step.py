@@ -173,6 +173,42 @@ def test_cutoff_slope_scales_with_ell():
     assert 1.5 < slopes[0.05] / slopes[0.1] < 2.5
 
 
+def _interval_distance(intervals, t):
+    """Distance from each time to the nearest of the intervals."""
+    return np.min([np.maximum(np.maximum(a - t, t - b), 0.0) for a, b in intervals], axis=0)
+
+
+def test_two_interval_switch():
+    # the intervals lie closer than 2 ell, so their ramps overlap and the
+    # switch and its derivative take the product over the other interval
+    ell = 0.05
+    intervals = [(0.2, 0.3), (0.38, 0.6)]
+    fine = np.linspace(0.0, 1.0, 200001)
+    vals, dvals = _switch_eval(intervals, ell, fine)
+    dist = _interval_distance(intervals, fine)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(vals[dist <= ell / 2] == 1.0)
+    assert np.all(vals[dist >= ell] == 0.0)
+    assert np.max(np.abs(np.gradient(vals, fine) - dvals)) <= 1e-4
+
+
+def test_cutoff_two_bump_stress():
+    # two bumps 0.2 apart leave two support intervals 0.05 apart
+    ell = 0.05
+    times = time_grid(1.0, 0.1, 41)
+    chi = bump_profile(times, 0.3, 0.1)[0] + bump_profile(times, 0.5, 0.1)[0]
+    base = anti_divergence(random_field(make_grid(32), "vector", 4, seed=2))
+    track = TimeTrack(times, [float(c) * base for c in chi])
+    intervals = mask_intervals(times, support_mask(track))
+    assert len(intervals) == 2 and intervals[1][0] - intervals[0][1] < 2 * ell
+    cut = temporal_cutoff(track, ell)
+    dist = _interval_distance(intervals, times)
+    assert np.all((cut.values >= 0.0) & (cut.values <= 1.0))
+    assert np.all(cut.values[dist < ell / 2 - 1e-9] == 1.0)
+    assert np.all(cut.values[dist > ell + 1e-9] == 0.0)
+    assert np.all(cut.values[support_mask(track)] == 1.0)
+
+
 def _mask_intervals_loop(times, mask):
     """The run-by-run scan that `mask_intervals` replaced, kept as its reference."""
     out, i, n = [], 0, mask.size
@@ -341,14 +377,14 @@ def test_stream_identity_and_solenoidality():
 
 def _roll_shift(coeffs, xi, n):
     """exp(i xi . x) f for stacked full-plane FFT-layout components, as a
-    roll on storage min(_fft_size(m/2 - 1 + |xi|_inf), n), where every
+    roll on storage _fft_size(m/2 - 1 + |xi|_inf, n), where every
     stored coefficient lands on its own target.  On storage n the sources
     whose target lies past the grid band wrap around, and those target
     rows and columns are zeroed.  Returns the shifted array and the
     largest share of a component's energy sum |c|^2 that was dropped."""
     from ci2d.spectral_field import _fft_size, _resize
     x1, x2 = int(xi[0]), int(xi[1])
-    m = min(_fft_size(coeffs.shape[-1] // 2 - 1 + max(abs(x1), abs(x2))), n)
+    m = _fft_size(coeffs.shape[-1] // 2 - 1 + max(abs(x1), abs(x2)), n)
     out = np.roll(_resize(coeffs, m), (x1, x2), axis=(-2, -1))
     if m < n:
         return out, 0.0
@@ -406,11 +442,11 @@ def _perturbation_oracle(grid, wp, a_slice, t, mirror=False):
     if mirror:
         for c in (*acc.values(), stream):
             c += _conj_mirror(c)
-    out = {name: SpectralField(grid, "vector", c, False) for name, c in acc.items()}
+    out = {name: SpectralField(grid, "vector", c) for name, c in acc.items()}
     for name, c in (("w_t", carrier[:2]), ("dw_t", carrier[2:])):
         out[name] = (2.0 / wp.mu) * helmholtz(project(
-            SpectralField(grid, "vector", c[..., :n // 2 + 1], True), FreqBand.nonzero()))
-    out["stream"] = SpectralField(grid, "scalar", stream, False)
+            SpectralField(grid, "vector", c[..., :n // 2 + 1]), FreqBand.nonzero()))
+    out["stream"] = SpectralField(grid, "scalar", stream)
     return out, clipped
 
 
@@ -495,14 +531,14 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
                 xi = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
                       step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
                 spec += weight * _on_grid(multiply_mode(fast, xi, 1.0, clip=True).coeffs[0], n)
-            pair = project(SpectralField(grid, "scalar", spec, False),
+            pair = project(SpectralField(grid, "scalar", spec),
                            FreqBand.at_least(wp.lam_sigma / 2.0))
             vals = np.fft.ifft2(_on_grid(pair.coeffs[0], n)) * (n * n)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * vals
     c = np.fft.fft2(accum) / (n * n)
     c[n // 2, :] = 0.0
     c[:, n // 2] = 0.0
-    oracle = SpectralField(grid, "scalar", c, False)
+    oracle = SpectralField(grid, "scalar", c)
     for k in dirs:
         a, da = a_slice[k]
         m_f = analyze(grid, a * a * waves[k]["p_eta2_vals"])

@@ -24,7 +24,7 @@ def test_project_keeps_flow_shell():
     wp = WaveParams(10, 2, 1, 1)
     k = positive_directions()[0]
     w, _ = intermittent_flow(k, wp, 0.0, g)
-    kept = project(w, FreqBand.band(5.0, 20.0))
+    kept = project(w, FreqBand(5.0, 20.0))
     assert np.array_equal(np.asarray(kept.coeffs), np.asarray(w.coeffs))
 
 
@@ -93,7 +93,7 @@ def test_anti_divergence_right_inverse_and_metadata():
                       (-1, 0): np.array([0.5, 0])})
     dropped = shifted - divergence(anti_divergence(shifted))
     assert np.allclose(mean(dropped), [2.0, -1.0])
-    assert lp_norm(dropped - project(dropped, FreqBand.band(0, 0)), 2) <= 1e-14
+    assert lp_norm(dropped - project(dropped, FreqBand(0, 0)), 2) <= 1e-14
 
 
 def test_tracefree_product_display():
@@ -142,7 +142,7 @@ def test_square_and_symmetric_product_identities():
     fh, hf = sym_tracefree_product(f, h), sym_tracefree_product(h, f)
     assert np.max(np.abs(fh.coeffs - hf.coeffs)) <= 1e-15 * np.max(np.abs(fh.coeffs))
     # the square through the general branch (a distinct but equal operand)
-    twin = SpectralField(g, "vector", f.coeffs, True)
+    twin = SpectralField(g, "vector", f.coeffs)
     general = 0.5 * sym_tracefree_product(f, twin)
     assert np.max(np.abs(sq.coeffs - general.coeffs)) <= 1e-15 * np.max(np.abs(sq.coeffs))
 
@@ -170,7 +170,7 @@ def _vector_of_bands(g, bands, seed):
     from ci2d.spectral_field import _resize
     comps = [random_field(g, "scalar", b, seed=seed + j) for j, b in enumerate(bands)]
     m = max(c.storage for c in comps)
-    return SpectralField(g, "vector", np.stack([_resize(c.coeffs[0], m) for c in comps]), True)
+    return SpectralField(g, "vector", np.stack([_resize(c.coeffs[0], m) for c in comps]))
 
 
 def test_fused_product_matches_scalar_products_in_the_interpolant_regime():

@@ -9,6 +9,7 @@ import pytest
 
 from ci2d import lp_norm, make_grid, random_field
 from ci2d.cli import main
+from ci2d.config import DEFAULT_CONFIG
 from ci2d.errors import ConfigError
 from ci2d.state_io import MAGIC, read_field, read_state, write_field, write_state
 
@@ -262,3 +263,53 @@ def test_write_state_requires_consistent_grid(tmp_path):
     again, _ = read_state(str(target))
     for a, b in zip(state.v.slices, again.v.slices):
         assert lp_norm(a - b, np.inf) < 1e-12
+
+
+def test_cli_init_on_the_smallest_grid(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": {"n": 4}, "time": {"n_t": 9},
+                                "out": str(tmp_path / "state0")}))
+    assert main(["init", "--config", str(path)]) == 0
+    state, _ = read_state(str(tmp_path / "state0"))
+    assert state.grid.n == 4 and all(s.storage == 4 for s in state.R.slices)
+
+
+def _initialized_step(tmp_path):
+    """`ci2d step` arguments from a fresh initial state, with the output
+    directory and its temporary sibling."""
+    cfg_path, cfg = _small_cfg(tmp_path)
+    assert main(["init", "--config", cfg_path]) == 0
+    out_dir = tmp_path / "state1"
+    step = ["step", "--config", cfg_path, "--state", cfg["out"], "--out", str(out_dir)]
+    return step, out_dir, tmp_path / "state1.partial"
+
+
+@pytest.mark.parametrize("leftover", ["stale_partial", "existing_out"])
+def test_cli_step_replaces_its_output_whole(tmp_path, leftover):
+    step, out_dir, partial = _initialized_step(tmp_path)
+    stale = partial if leftover == "stale_partial" else out_dir
+    stale.mkdir()
+    (stale / "sentinel").write_text("left by an earlier run")
+    assert main(step) == 0
+    assert not partial.exists()
+    assert sorted(p.name for p in out_dir.iterdir() if p.suffix != ".ci2d") == [
+        "manifest.json", "step_diagnostics.csv", "step_report.json"]
+
+
+def test_cli_step_failure_leaves_no_output(tmp_path, monkeypatch):
+    step, out_dir, partial = _initialized_step(tmp_path)
+
+    def fail(*args, **kwargs):
+        assert partial.is_dir()
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr("ci2d.diagnostics.write_step_csv", fail)
+    with pytest.raises(RuntimeError, match="disk full"):
+        main(step)
+    assert not partial.exists() and not out_dir.exists()
+
+
+def test_readme_defaults_match_the_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("`ci2d.config.DEFAULT_CONFIG`:")[1].split("```json")[1].split("```")[0]
+    assert json.loads(block) == DEFAULT_CONFIG

@@ -93,7 +93,7 @@ def test_real_synthesis_matches_complex_oracle(rank):
     f = random_field(g, rank, 6, seed=40)
     assert f.storage == 16
     # the same field stored larger than the grid it is sampled on
-    wide = SpectralField(g, rank, _on_grid(f.coeffs, 64)[..., :33], True)
+    wide = SpectralField(g, rank, _on_grid(f.coeffs, 64)[..., :33])
     for field, n in ((f, 64), (f, 16), (wide, 16), (wide, 64)):
         vals = field.values(n)
         want = _complex_synthesis(field.coeffs, n)
@@ -117,7 +117,7 @@ def test_synthesis_matches_2d_oracle(rank, real, storage):
     f = random_field(g, rank, band, seed=47)
     if not real:
         f = f + random_field(g, rank, band, seed=48) * 1j
-    f = SpectralField(g, rank, _resize(f.coeffs, storage), real)
+    f = SpectralField(g, rank, _resize(f.coeffs, storage))
     assert f.storage == storage and f.reality == real
     c = _resize(f.coeffs, n)
     want = (sfft.irfft2(c, s=(n, n), norm="forward") if real
@@ -211,12 +211,14 @@ def test_real_plus_complex_is_a_full_plane_sum():
 
 
 def test_field_layout_must_match_reality_flag():
+    # the layout is the flag: a half spectrum is real, a full plane
+    # complex, and any other last axis is malformed
     g = make_grid(16)
-    SpectralField(g, "vector", np.zeros((2, 8, 5)), True)
-    SpectralField(g, "vector", np.zeros((2, 8, 8)), False)
-    for shape, real in (((2, 8, 8), True), ((2, 8, 5), False), ((2, 8, 4), True), ((2, 8), True)):
+    assert SpectralField(g, "vector", np.zeros((2, 8, 5))).reality
+    assert not SpectralField(g, "vector", np.zeros((2, 8, 8))).reality
+    for shape in ((2, 8, 4), (2, 8, 9), (2, 8)):
         with pytest.raises(ConfigError):
-            SpectralField(g, "vector", np.zeros(shape), real)
+            SpectralField(g, "vector", np.zeros(shape))
     f = random_field(g, "scalar", 5, seed=58)
     assert f.coeffs.shape == (1, 16, 9)
     assert (2j * f).coeffs.shape == (1, 16, 16) and not (2j * f).reality
@@ -233,6 +235,25 @@ def test_real_flag_needs_conjugate_symmetric_modes(modes):
     near = SpectralField.from_modes(g, "scalar", {(1, 2): 1.0, (-1, -2): 1.0 + 1e-11},
                                     reality=True)
     assert near.reality and near.coeff((1, 2))[0] == 1.0
+
+
+def test_zeros_storage_is_capped_at_the_grid():
+    # the storage rule caps at n, so the smallest legal grid holds a zero field
+    g = make_grid(4)
+    assert SpectralField.zeros(g, "vector").coeffs.shape == (2, 4, 3)
+    assert SpectralField.zeros(g, "scalar", reality=False).coeffs.shape == (1, 4, 4)
+    assert SpectralField.zeros(make_grid(64), "scalar").storage == 8
+
+
+@pytest.mark.parametrize("other, err", [
+    (random_field(make_grid(64), "vector", 5, seed=2), ConfigError),
+    (random_field(make_grid(32), "symtensor", 5, seed=3), RankError)], ids=["grid", "rank"])
+def test_mismatched_operands_raise(other, err):
+    f = random_field(make_grid(32), "vector", 5, seed=1)
+    for op in (lambda: f + other, lambda: f - other,
+               lambda: combine([f, other], [1.0, 2.0])):
+        with pytest.raises(err):
+            op()
 
 
 def _band_oracle(coeffs):
@@ -366,7 +387,7 @@ def test_band_measurement_and_trim():
     # band, dropping a sub-threshold mode on the cut storage's Nyquist row
     c = np.zeros((1, 64, 64), dtype=complex)
     c[0, 3, 0], c[0, -4, 0] = 1.0, 1e-14
-    f = SpectralField(g, "scalar", c, reality=False)
+    f = SpectralField(g, "scalar", c)
     assert f.band() == 3 and f.storage == 64
     h = analyze(g, f.values())
     assert h.band() == 3 and h.storage == 8
