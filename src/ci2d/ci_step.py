@@ -33,10 +33,9 @@ from .mollifier import (TemporalKernel, check_padding, smoothstep,
                         smoothstep_prime, spatial_mollify)
 from .param_schedule import ToyParams, theta_star
 from .spectral_field import (Grid2, SpectralField, TimeTrack, _add_shifted,
-                             _analysis, _product_size, _quadrature_norm,
+                             _analysis, _product_size, _quadrature_norms,
                              _resize, _shift_loss, analyze, combine, derive,
-                             divergence, lp_norm, mean, perp_grad,
-                             pointwise_magnitude)
+                             divergence, lp_norm, mean, perp_grad)
 from .stress_geometry import decompose, reconstruct
 
 SUPPORT_RTOL = 1e-13
@@ -558,10 +557,9 @@ def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
         rep["clipped"] = max(pert["clipped"], pstar_clipped)
         del pert, pstar
     rep["res_l2"], rep["res_scale"] = _slice_residual(v, dv, p, R, moll.theta, moll.nu)
-    # one synthesis of R: its cached sup serves `R_sup`
-    mag = pointwise_magnitude(R)
-    rep["R_lp"] = _quadrature_norm(mag, P_REP, grid.cell_measure)
-    rep["R_l1"] = _quadrature_norm(mag, 1.0, grid.cell_measure)
+    # both quadrature norms from one synthesis of R (none for a zero R);
+    # `R_sup` reads the sup that synthesis cached
+    rep["R_lp"], rep["R_l1"] = _quadrature_norms(R, (P_REP, 1.0))
     rep["R_sup"] = lp_norm(R, np.inf)
     rep["v_mean"] = float(np.max(np.abs(mean(v))))
     return (v, dv, p, R), rep

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankError
-from .spectral_field import SpectralField, _analysis, _axes, _product_size
+from .spectral_field import SpectralField, _axes, _pointwise_product
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,10 @@ def sym_tracefree_product(f: SpectralField, g: SpectralField, *,
     """
     if f.rank != "vector" or g.rank != "vector":
         raise RankError("trace-free product needs vector fields")
-    m = _product_size(f, g, allow_interpolant)
-    a = f.values(m)
-    b = a if g is f else g.values(m)
-    t = np.stack([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
-    return SpectralField(f.grid, "symtensor", _analysis(t))
+    return _pointwise_product(
+        f, g, "symtensor",
+        lambda a, b: np.stack([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]),
+        allow_interpolant)
 
 
 def tf_square(f: SpectralField, *, allow_interpolant: bool = False) -> SpectralField:

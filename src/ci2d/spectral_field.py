@@ -23,16 +23,23 @@ complex field (a single-mode shift, say) keeps the full m-by-m plane.
 The layout is the reality: `SpectralField.reality` reads it off the
 coefficient shape.  `_fft_size` is the one storage rule, `_resize` the
 one layout helper (pad, cut, half <-> full), `_analysis` the one
-analysis helper and `_synthesis` the one synthesis helper.  A field
-keeps the storage and layout its maker gives it: `analyze` fits storage
-to the samples' measured band, products keep their product grid, linear
-maps and sums (`combine`) the widest operand's storage.  Transforms run
-through scipy.fft: analysis by rfft2 (real) / fft2; synthesis of a half
-spectrum stored below the grid by two single-axis passes that skip the
-all-zero columns, else by irfft2 / ifft2.  Mode shifts add each
-contiguous block of the source at its offset in the target; a source may
-be a half spectrum, whose xi_2 < 0 blocks are read as conj c(-xi), so no
+analysis helper, `_synthesis` the one synthesis helper and
+`_pointwise_product` the one product path.  A field keeps the storage
+and layout its maker gives it: `analyze` fits storage to the samples'
+measured band, products keep their product grid, linear maps and sums
+(`combine`) the widest operand's storage.  Transforms run through
+scipy.fft: analysis by rfft2 (real) / fft2; synthesis of a half spectrum
+stored below the grid by two single-axis passes that skip the all-zero
+columns, else by irfft2 / ifft2.  Mode shifts add each contiguous block
+of the source at its offset in the target; a source may be a half
+spectrum, whose xi_2 < 0 blocks are read as conj c(-xi), so no
 full-plane copy is made.
+
+A field whose coefficients are all exactly zero has zero samples and
+zero norms and needs no transform.  `is_zero` tests the coefficients
+once per field; `values`, the grid norms and `_pointwise_product` (a
+zero factor gives a zero product) read it, and `analyze` maps all-zero
+samples to the zero field.
 """
 
 from __future__ import annotations
@@ -118,6 +125,12 @@ def _resize(coeffs: np.ndarray, m_new: int, half: bool | None = None) -> np.ndar
     return out
 
 
+def _zero_coeffs(rank: str, m: int, real: bool) -> np.ndarray:
+    """All-zero coefficients of a rank on storage m: a half spectrum when
+    real, else a full plane."""
+    return np.zeros((_RANK_NCOMP[rank], m, m // 2 + 1 if real else m), dtype=complex)
+
+
 def _axes(coeffs: np.ndarray):
     """Integer wave numbers xi1 (column) and xi2 (row) of a coefficient
     array's storage, on the half columns for a half spectrum."""
@@ -128,7 +141,7 @@ def _axes(coeffs: np.ndarray):
 class SpectralField:
     """A scalar / vector / symmetric-trace-free tensor trig polynomial."""
 
-    __slots__ = ("grid", "rank", "coeffs", "_band", "_sup")
+    __slots__ = ("grid", "rank", "coeffs", "_band", "_sup", "_zero")
 
     def __init__(self, grid: Grid2, rank: str, coeffs: np.ndarray):
         if rank not in _RANK_NCOMP:
@@ -148,6 +161,7 @@ class SpectralField:
         self.rank = rank
         self._band = None
         self._sup = None
+        self._zero = None
         self.coeffs = coeffs
         self.coeffs.flags.writeable = False
 
@@ -155,9 +169,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid2, rank: str, reality: bool = True) -> "SpectralField":
-        m = _fft_size(0, grid.n)
-        return cls(grid, rank, np.zeros((_RANK_NCOMP[rank], m, m // 2 + 1 if reality else m),
-                                        dtype=complex))
+        return cls(grid, rank, _zero_coeffs(rank, _fft_size(0, grid.n), reality))
 
     @classmethod
     def from_modes(cls, grid: Grid2, rank: str, modes: dict, reality: bool | None = None) -> "SpectralField":
@@ -194,6 +206,15 @@ class SpectralField:
         """A half spectrum is a real field, a full plane a complex one."""
         return self.coeffs.shape[-1] != self.coeffs.shape[-2]
 
+    @property
+    def is_zero(self) -> bool:
+        """Whether every coefficient is exactly zero, tested once and
+        cached (fields are immutable).  It reads the coefficients, never
+        the samples: a field whose samples underflow is not zero."""
+        if self._zero is None:
+            self._zero = not self.coeffs.any()
+        return self._zero
+
     def band(self) -> int:
         """Largest |xi|_inf carrying relative weight above BAND_RTOL."""
         if self._band is None:
@@ -225,10 +246,13 @@ class SpectralField:
     # -- transforms ----------------------------------------------------
 
     def values(self, n: int | None = None) -> np.ndarray:
-        """Physical samples on the n-by-n grid (a real array for a real field)."""
+        """Physical samples on the n-by-n grid (a real array for a real
+        field); a zero field's are zeros, made without a transform."""
         n = self.grid.n if n is None else n
         if n < self.storage and self.band() > n // 2 - 1:
             raise AliasingRisk("requested grid coarser than the stored band")
+        if self.is_zero:
+            return np.zeros((self.ncomp, n, n), dtype=float if self.reality else complex)
         return _synthesis(self.coeffs, n)
 
     # -- algebra ---------------------------------------------------------
@@ -313,6 +337,7 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar") -> SpectralFi
 
     The Nyquist row/column is zeroed: fields never carry |xi_i| >= n/2.
     Storage is fitted to the measured band, which the field caches.
+    All-zero samples give the zero field without a transform.
     """
     values = np.asarray(values)
     if values.ndim == 2:
@@ -322,6 +347,10 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar") -> SpectralFi
     n = values.shape[-1]
     if n != grid.n or values.shape[-2] != grid.n:
         raise ConfigError(f"samples shaped {values.shape} do not live on the {grid.n}^2 grid")
+    if not values.any():
+        field = SpectralField.zeros(grid, rank, reality=np.isrealobj(values))
+        field._band, field._zero = 0, True
+        return field
     coeffs = _analysis(values)
     band = _measure_band(coeffs)
     field = SpectralField(grid, rank, _resize(coeffs, _fft_size(band, n)))
@@ -341,7 +370,7 @@ def combine(fields, weights) -> SpectralField:
             raise RankError(f"rank mismatch {first.rank} vs {f.rank}")
     m = max(f.storage for f in fields)
     real = all(f.reality for f in fields)
-    acc = np.zeros((first.ncomp, m, m // 2 + 1 if real else m), dtype=complex)
+    acc = _zero_coeffs(first.rank, m, real)
     for f, w in zip(fields, weights):
         if w != 0.0:
             c = _resize(f.coeffs, m, half=real)
@@ -401,17 +430,28 @@ def _magnitude_squared(field: SpectralField) -> np.ndarray:
 
 def pointwise_magnitude(field: SpectralField) -> np.ndarray:
     """Pointwise magnitude on the field's grid; its max is cached as the
-    field's sup (fields are immutable)."""
+    field's sup (fields are immutable).  When every square underflows,
+    the samples are scaled by an exact power of two first, so a nonzero
+    field never reads a zero magnitude everywhere."""
     mag = np.sqrt(_magnitude_squared(field))
-    field._sup = float(mag.max())
+    sup = float(mag.max())
+    if sup == 0.0 and not field.is_zero:
+        k = min(1000, -int(np.frexp(np.max(np.abs(field.coeffs)))[1]))
+        mag = np.ldexp(np.sqrt(_magnitude_squared(np.ldexp(1.0, k) * field)), -k)
+        sup = float(mag.max())
+    field._sup = sup
     return mag
 
 
-def _quadrature_norm(mag: np.ndarray, p: float, cell_measure: float) -> float:
-    """Rectangle-rule L^p size (p >= 1) of a pointwise magnitude array."""
-    if p == 1.0:
-        return float(np.sum(mag) * cell_measure)
-    return float((np.sum(mag ** p) * cell_measure) ** (1.0 / p))
+def _quadrature_norms(field: SpectralField, ps) -> list:
+    """Rectangle-rule L^p sizes (each p >= 1) from one synthesis; a zero
+    field's are 0.0, from none."""
+    if field.is_zero:
+        return [0.0 for _ in ps]
+    mag = pointwise_magnitude(field)
+    cell = field.grid.cell_measure
+    return [float(np.sum(mag) * cell) if p == 1.0
+            else float((np.sum(mag ** p) * cell) ** (1.0 / p)) for p in ps]
 
 
 def lp_norm(field: SpectralField, p: float) -> float:
@@ -420,7 +460,8 @@ def lp_norm(field: SpectralField, p: float) -> float:
     p = 2 is summed in coefficient space: discrete Parseval makes that sum
     equal to the rectangle rule on the n-grid for any coefficients.  A
     half spectrum counts each xi_2 > 0 column twice, for its mirror.  A
-    symtensor's Frobenius magnitude counts t11 and t12 twice each.
+    symtensor's Frobenius magnitude counts t11 and t12 twice each.  Any
+    other p of a zero field is 0.0 without a synthesis.
     """
     if not (p > 1.0):
         raise ConfigError(f"L^p norm needs p in (1, inf], got {p}")
@@ -432,16 +473,18 @@ def lp_norm(field: SpectralField, p: float) -> float:
             s = 2.0 * s - np.vdot(edges, edges).real
         w = 2.0 if field.rank == "symtensor" else 1.0
         return float(2.0 * np.pi * np.sqrt(w * s))
+    if field.is_zero:
+        return 0.0
     if np.isinf(p):
         if field._sup is None:
             pointwise_magnitude(field)
         return field._sup
-    return _quadrature_norm(pointwise_magnitude(field), p, field.grid.cell_measure)
+    return _quadrature_norms(field, (p,))[0]
 
 
 def l1_norm(field: SpectralField) -> float:
     """Quadrature L^1 size, used for reporting (lp_norm's contract is p > 1)."""
-    return _quadrature_norm(pointwise_magnitude(field), 1.0, field.grid.cell_measure)
+    return _quadrature_norms(field, (1.0,))[0]
 
 
 def cn_norm(field: SpectralField, order: int) -> float:
@@ -450,10 +493,13 @@ def cn_norm(field: SpectralField, order: int) -> float:
     The j-th derivative enters through its full tensor magnitude
     (sum over ordered index tuples, i.e. multinomial weights on the
     multi-indices); on a single-mode wave of frequency lambda this makes
-    the C^N size exactly lambda^N.
+    the C^N size exactly lambda^N.  A zero field's is 0.0 without a
+    synthesis.
     """
     if order < 0:
         raise ConfigError("derivative order must be nonnegative")
+    if field.is_zero:
+        return 0.0
     from math import comb
     best = lp_norm(field, np.inf)
     for j in range(1, order + 1):
@@ -490,8 +536,20 @@ def multiply(f: SpectralField, g: SpectralField, *,
         raise RankError("multiply needs at least one scalar operand")
     if f.rank != "scalar":
         f, g = g, f
+    return _pointwise_product(f, g, g.rank, np.multiply, allow_interpolant)
+
+
+def _pointwise_product(f: SpectralField, g: SpectralField, rank: str, form,
+                       allow_interpolant: bool) -> SpectralField:
+    """The rank-`rank` field whose samples are form(f's samples, g's
+    samples) on the product grid of f and g (`_product_size`), each
+    operand synthesized once.  A zero operand gives the zero field on
+    that grid without a transform: form must vanish when either does."""
     m = _product_size(f, g, allow_interpolant)
-    return SpectralField(f.grid, g.rank, _analysis(f.values(m)[0][None] * g.values(m)))
+    if f.is_zero or g.is_zero:
+        return SpectralField(f.grid, rank, _zero_coeffs(rank, m, f.reality and g.reality))
+    a = f.values(m)
+    return SpectralField(f.grid, rank, _analysis(form(a, a if g is f else g.values(m))))
 
 
 def _product_size(f: SpectralField, g: SpectralField, allow_interpolant: bool) -> int:

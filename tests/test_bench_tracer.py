@@ -82,3 +82,48 @@ def test_tracer_counts_fused_product_transforms():
         assert tracer.counts["fft.transforms"] == before + 8
     finally:
         tracer.uninstall()
+
+
+def _nodes(state, idx):
+    """The state at the time nodes idx (consecutive), channels included."""
+    from ci2d import NSRState, TimeTrack
+
+    def track(tr):
+        d = None if tr.dslices is None else [tr.dslices[i] for i in idx]
+        return TimeTrack(tr.times[idx], [tr.slices[i] for i in idx], d)
+
+    return NSRState(track(state.v), track(state.p), track(state.R),
+                    state.theta, state.nu, state.q, state.T)
+
+
+def test_zero_slices_spend_no_transform(shear_state, tmp_path):
+    # a zero slice adds no transform to the state report, nor to writing
+    # or reading its dump; the nonzero nodes are the control
+    from ci2d.diagnostics import state_report
+    from ci2d.state_io import read_field, write_field
+    zero = [i for i, s in enumerate(shear_state().v.slices) if s.is_zero]
+    live = [i for i in range(8) if i not in zero]
+    assert len(zero) == 6 and live == [3, 4]
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+
+        def transforms(fn, *args):
+            before = tracer.counts["fft.transforms"]
+            fn(*args)
+            return tracer.counts["fft.transforms"] - before
+
+        full = transforms(state_report, shear_state())
+        assert full > 0
+        assert transforms(state_report, _nodes(shear_state(), live)) == full
+        assert transforms(state_report, _nodes(shear_state(), zero[:3])) == 0
+        state = shear_state()
+        for i in range(8):
+            for name, f in (("v", state.v.slices[i]), ("dv", state.v.dslices[i]),
+                            ("p", state.p.slices[i]), ("R", state.R.slices[i])):
+                path = str(tmp_path / f"{name}_{i}.ci2d")
+                spent = transforms(write_field, path, f) + transforms(read_field, path)
+                assert (spent == 0) == f.is_zero, (name, i)
+                assert f.is_zero == (i in zero or name == "p")
+    finally:
+        tracer.uninstall()

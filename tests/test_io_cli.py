@@ -274,6 +274,44 @@ def test_cli_init_on_the_smallest_grid(tmp_path):
     assert state.grid.n == 4 and all(s.storage == 4 for s in state.R.slices)
 
 
+def _dump_payload(path):
+    """(header, payload bytes) of a field dump."""
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[8:12], "little")
+    return json.loads(raw[12:12 + length]), raw[12 + length:]
+
+
+def test_cli_zero_state_reports_zero(tmp_path):
+    # the zero generator's states: every command exits 0, every report
+    # value is 0.0 and every dump holds +0.0 samples only
+    cfg_path, cfg = _small_cfg(tmp_path)
+    cfg["initial"] = {"generator": "zero"}
+    Path(cfg_path).write_text(json.dumps(cfg))
+    state0, state1 = tmp_path / "state0", tmp_path / "state1"
+    assert main(["init", "--config", cfg_path]) == 0
+    assert main(["diagnose", "--state", str(state0)]) == 0
+    assert main(["step", "--config", cfg_path, "--state", str(state0),
+                 "--out", str(state1)]) == 0
+    assert main(["diagnose", "--state", str(state1)]) == 0
+    for d in (state0, state1):
+        rep = json.loads((d / "diagnose.json").read_text())
+        assert len(rep["slices"]) == 21 and rep["R_LinfL1"] == 0.0
+        assert {v for row in rep["slices"] for k, v in row.items() if k != "t"} == {0.0}
+        assert set(rep["residual"]["per_slice_l2"]) == {0.0}
+        assert rep["residual"]["max_rel"] == 0.0
+        dumps = sorted(d.glob("*.ci2d"))
+        assert len(dumps) == 21 * (5 if d == state0 else 4)   # v, dv, p, R and dR at init
+        for path in dumps:
+            header, payload = _dump_payload(path)
+            ncomp = {"scalar": 1, "vector": 2, "symtensor": 2}[header["rank"]]
+            assert header["n"] == 64 and header["reality"] is True
+            assert payload == bytes(8 * ncomp * 64 * 64), path.name
+    rows = (state1 / "step_diagnostics.csv").read_text().splitlines()[1:]
+    assert rows and {float(line.split(",")[2]) for line in rows} == {0.0}
+    report = json.loads((state1 / "step_report.json").read_text())
+    assert report["residual"] == 0.0 and set(report["identities"].values()) == {0.0}
+
+
 def _initialized_step(tmp_path):
     """`ci2d step` arguments from a fresh initial state, with the output
     directory and its temporary sibling."""

@@ -7,8 +7,8 @@ from ci2d import (AliasingRisk, ConfigError, RankError, SpectralField,
                   TimeTrack, analyze, cn_norm, derive, divergence, l1_norm,
                   lp_norm, make_grid, mean, multiply, perp_grad, random_field)
 from ci2d.building_blocks import dirichlet_kernel
-from ci2d.spectral_field import (BAND_RTOL, _measure_band, combine,
-                                 multiply_mode, pointwise_magnitude)
+from ci2d.spectral_field import (BAND_RTOL, _fft_size, _measure_band, _resize,
+                                 combine, multiply_mode, pointwise_magnitude)
 
 
 def test_make_grid_accepts_powers_of_two():
@@ -361,6 +361,90 @@ def test_cached_sup_matches_fresh_magnitude(order):
         assert got[np.inf] == fresh
         assert lp_norm(f, np.inf) == fresh
         assert cn_norm(f, 0) == fresh
+
+
+class _TransformCalled(Exception):
+    pass
+
+
+class _NoTransforms:
+    """Stands in for scipy.fft: touching any transform raises."""
+
+    def __getattr__(self, name):
+        raise _TransformCalled(name)
+
+
+def _no_samples(field):
+    raise _TransformCalled("pointwise magnitude")
+
+
+@pytest.mark.parametrize("rank", ["scalar", "vector", "symtensor"])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("m", [_fft_size(0, 32), 32])
+def test_zero_field_spends_no_transform(rank, real, m, monkeypatch):
+    import ci2d.spectral_field as sf
+    g = make_grid(32)
+    shape = (1 if rank == "scalar" else 2, m, m // 2 + 1 if real else m)
+    zero = SpectralField(g, rank, np.zeros(shape, dtype=complex))
+    c = np.zeros(shape, dtype=complex)
+    c[0, 1, 1] = 1e-300
+    tiny = SpectralField(g, rank, c)
+    # no transform runs, and the grid norms form no samples either
+    monkeypatch.setattr(sf, "sfft", _NoTransforms())
+    monkeypatch.setattr(sf, "_magnitude_squared", _no_samples)
+    for norm in (lp_norm(zero, 1.5), lp_norm(zero, np.inf), l1_norm(zero), cn_norm(zero, 1)):
+        assert type(norm) is float and norm == 0.0
+    vals = zero.values()
+    assert vals.shape == (shape[0], 32, 32)
+    assert vals.dtype == (np.float64 if real else np.complex128) and not vals.any()
+    back = analyze(g, vals, rank)
+    assert back.band() == 0 and back.storage == _fft_size(0, 32)
+    assert back.reality == real and back.is_zero
+    # negative control: one tiny coefficient is not zero, so the field
+    # synthesizes, and its squares' underflow does not zero its norms
+    with pytest.raises(_TransformCalled):
+        tiny.values()
+    monkeypatch.undo()
+    assert not tiny.is_zero and tiny.values().any()
+    assert l1_norm(tiny) > 0.0 and lp_norm(tiny, np.inf) > 0.0 and cn_norm(tiny, 1) > 0.0
+
+
+def _report_oracle(f, n):
+    """(L1, L2, sup, C^1) of a real field from np.fft.irfft2 of its
+    coefficients on the n-grid: rectangle rule, grid max and explicit
+    i xi multipliers; a symtensor's magnitude counts t11 and t12 twice."""
+    c = _resize(f.coeffs, n)
+    k1 = np.fft.fftfreq(n, 1.0 / n)[:, None]
+    k2 = np.fft.rfftfreq(n, 1.0 / n)[None, :]
+    w = 2.0 if f.rank == "symtensor" else 1.0
+
+    def mag2(coeffs):
+        vals = np.fft.irfft2(coeffs, s=(n, n), norm="forward")
+        return w * np.sum(vals ** 2, axis=0)
+
+    mag = np.sqrt(mag2(c))
+    cell = (2 * np.pi / n) ** 2
+    grad = np.sqrt(mag2(1j * k1 * c) + mag2(1j * k2 * c))
+    return (np.sum(mag) * cell, np.sqrt(np.sum(mag ** 2) * cell), mag.max(),
+            max(mag.max(), grad.max()))
+
+
+def test_state_report_matches_numpy_oracle(shear_state):
+    from ci2d.diagnostics import state_report
+    state = shear_state()
+    n = state.grid.n
+    rows = state_report(state)["slices"]
+    zero = [i for i in range(len(rows)) if state.v.slices[i].is_zero]
+    assert len(zero) == 6 and all(state.R.slices[i].is_zero for i in zero)
+    for i, row in enumerate(rows):
+        for name in ("v", "R"):
+            keys = [f"{name}_{k}" for k in ("L1", "L2", "Linf", "C1")]
+            if i in zero:
+                assert [row[k] for k in keys] == [0.0] * 4
+                continue
+            want = _report_oracle(getattr(state, name).slices[i], n)
+            for k, ref in zip(keys, want):
+                assert ref > 0.0 and abs(row[k] - ref) <= 1e-13 * ref, (i, k)
 
 
 def test_mean_is_zero_mode():
