@@ -45,7 +45,7 @@ SUPPORT_RTOL = 1e-13
 
 @dataclass
 class NSRState:
-    """A forced-momentum-balance triple (v, p, stress) with metadata."""
+    """A forced-momentum-balance triple (v, p, stress) with its parameters."""
 
     v: TimeTrack
     p: TimeTrack
@@ -54,7 +54,6 @@ class NSRState:
     nu: float
     q: int = 0
     T: float = 1.0
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def grid(self) -> Grid2:
@@ -144,8 +143,7 @@ def mollify(state: NSRState, ell: float) -> NSRState:
     value and derivative channels alike.  The returned triple
     (v_ell, p_ell, R_ls) has the low-frequency stress R_ls = R_ell + R_m,
     with derivative channels on v and R, so it balances exactly up to the
-    mollified input residual.  Its meta holds `v_diff_linf` (largest
-    sup-norm change of v) and `mollified_residual_rel` (its own residual).
+    mollified input residual.
     """
     times = state.times
     check_padding(times, state.T, ell)
@@ -167,13 +165,9 @@ def mollify(state: NSRState, ell: float) -> NSRState:
     dR_ls = [r + (sym_tracefree_product(da, a, allow_interpolant=True) - b)
              for r, a, da, b in zip(smooth(R.dslices), v_ell, dv_ell, dvxv)]
 
-    moll = NSRState(TimeTrack(times, v_ell, dv_ell), TimeTrack(times, p_ell),
+    return NSRState(TimeTrack(times, v_ell, dv_ell), TimeTrack(times, p_ell),
                     TimeTrack(times, R_ls, dR_ls), state.theta, state.nu,
-                    state.q, state.T,
-                    meta={"v_diff_linf": max(lp_norm(a - b, np.inf)
-                                             for a, b in zip(v_ell, v.slices))})
-    moll.meta["mollified_residual_rel"] = nsr_residual(moll)["max_rel"]
-    return moll
+                    state.q, state.T)
 
 
 # -- temporal cutoff ---------------------------------------------------------
@@ -181,31 +175,19 @@ def mollify(state: NSRState, ell: float) -> NSRState:
 def _switch_eval(intervals: list, ell: float, t: np.ndarray):
     """Value and derivative of the product-of-ramps switch at times t."""
     t = np.asarray(t, dtype=float)
-    if not intervals:
-        z = np.zeros_like(t)
-        return z, z.copy()
     w = ell / 2.0
-    parts, dparts = [], []
+    # the switch is 1 - Q for the running product Q = prod_j (1 - p_j)
+    # of the intervals' ramp pairs p_j; no interval leaves it zero
+    Q, dQ = np.ones_like(t), np.zeros_like(t)
     for (a, b) in intervals:
         xa = (t - (a - ell)) / w
         xb = ((b + ell) - t) / w
         pa, pb = smoothstep(xa), smoothstep(xb)
         dpa = smoothstep_prime(xa) / w
         dpb = -smoothstep_prime(xb) / w
-        parts.append(pa * pb)
-        dparts.append(dpa * pb + pa * dpb)
-    values = np.ones_like(t)
-    for p in parts:
-        values = values * (1.0 - p)
-    values = 1.0 - values
-    dvalues = np.zeros_like(t)
-    for i, dp in enumerate(dparts):
-        rest = np.ones_like(t)
-        for j, p in enumerate(parts):
-            if j != i:
-                rest = rest * (1.0 - p)
-        dvalues += dp * rest
-    return values, dvalues
+        p = pa * pb
+        Q, dQ = Q * (1.0 - p), dQ * (1.0 - p) - Q * (dpa * pb + pa * dpb)
+    return 1.0 - Q, 0.0 - dQ
 
 
 @dataclass
@@ -421,8 +403,7 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
     return analyze(grid, accum) + transport, clipped
 
 
-def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField,
-                    i: int, theta: float, nu: float):
+def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField, i: int):
     """New stress and pressure at node i from the assembled forcing.
 
     The forcing is d/dt w + nu (-Lap)^theta w + div(v x w + w x v + w x w)
@@ -437,7 +418,7 @@ def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField,
     dv_new = moll.v.dslices[i] + dw
     t_new = tf_square(v_new, allow_interpolant=True)
     t_old = tf_square(v_l, allow_interpolant=True)
-    forcing = (dw + nu * frac_laplacian(w, theta)
+    forcing = (dw + moll.nu * frac_laplacian(w, moll.theta)
                + divergence(t_new - t_old) + divergence(moll.R.slices[i]))
     R_new = anti_divergence(forcing - gradient(pstar))
     p_new = moll.p.slices[i] - pstar
@@ -506,7 +487,8 @@ def _node_perturbation(R_ls: TimeTrack, cut: CutoffProfile, toy: ToyParams, i: i
 
 def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
                peak: bool = False):
-    """New (v, dv, p, R) at node i and a dict of the node's scalars.
+    """New (v, dv, p, R) at node i and a dict of the node's scalars, the
+    first of them the mollified triple's own residual ("moll_res") there.
 
     Where the switch and its derivative vanish, v, dv and p are the
     mollified ones, R is anti_divergence(divergence(R_ls)) and the dict
@@ -517,7 +499,8 @@ def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
     """
     grid = moll.grid
     phi, dphi = float(cut.values[i]), float(cut.dvalues[i])
-    rep = {}
+    rep = {"moll_res": _slice_residual(moll.v.slices[i], moll.v.dslices[i], moll.p.slices[i],
+                                       moll.R.slices[i], moll.theta, moll.nu)}
     if phi == 0.0 and dphi == 0.0:
         v, dv, p = moll.v.slices[i], moll.v.dslices[i], moll.p.slices[i]
         R = anti_divergence(divergence(moll.R.slices[i]))
@@ -533,7 +516,7 @@ def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
             del c11, c12
         rep["stream"] = lp_norm(pert["w_p"] + pert["w_c"] - perp_grad(pert.pop("stream")), 2)
         del rv, a_slice, kernels
-        v, dv, p, R = assemble_stress(moll, pert, pstar, i, moll.theta, moll.nu)
+        v, dv, p, R = assemble_stress(moll, pert, pstar, i)
         if peak:   # stress error groups 7.16a-d, one norm each
             w = pert["w_p"] + pert["w_c"] + pert["w_t"]
             rep["lin_time"] = lp_norm(anti_divergence(pert["dw_p"] + pert["dw_c"]), P_REP)
@@ -556,7 +539,7 @@ def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
         rep["v_increment"] = lp_norm(v - moll.v.slices[i], 2)
         rep["clipped"] = max(pert["clipped"], pstar_clipped)
         del pert, pstar
-    rep["res_l2"], rep["res_scale"] = _slice_residual(v, dv, p, R, moll.theta, moll.nu)
+    rep["res"] = _slice_residual(v, dv, p, R, moll.theta, moll.nu)
     # both quadrature norms from one synthesis of R (none for a zero R);
     # `R_sup` reads the sup that synthesis cached
     rep["R_lp"], rep["R_l1"] = _quadrature_norms(R, (P_REP, 1.0))
@@ -585,8 +568,9 @@ def iterate_step(state: NSRState, toy: ToyParams):
 
     Returns the new state and the measured diagnostics.  After mollify and
     the temporal cutoff, `_step_node` makes each time node's new slices
-    and scalars; the diagnostics are max reductions over those scalars.
-    The toy's theta and nu must be the state's.
+    and scalars, the mollified residual among them; the diagnostics are
+    max reductions over those scalars.  The toy's theta and nu must be the
+    state's.
     """
     if (toy.theta, toy.nu) != (state.theta, state.nu):
         raise ConfigError(f"toy (theta, nu) = ({toy.theta}, {toy.nu}) differs from the "
@@ -606,8 +590,10 @@ def iterate_step(state: NSRState, toy: ToyParams):
     def top(key):
         return max((rep[key] for rep in reports if key in rep), default=0.0)
 
-    res = _residual_report([rep["res_l2"] for rep in reports],
-                           [rep["res_scale"] for rep in reports], times, state.T)
+    def residual(key):   # the report over the nodes' (L2 norm, term scale) pairs
+        return _residual_report(*zip(*(rep[key] for rep in reports)), times, state.T)
+
+    res = residual("res")
     # support containments, slice-exact on the grid
     w_support = np.array(["w_p" in rep for rep in reports])
     r_old = support_mask(state.R)
@@ -626,7 +612,7 @@ def iterate_step(state: NSRState, toy: ToyParams):
         "oscillation_scale": top("oscillation_scale"),
         "w_p_l2": top("w_p"),
         "v_new_mean_max": top("v_mean"),
-        "mollified_residual_rel": moll.meta["mollified_residual_rel"],
+        "mollified_residual_rel": residual("moll_res")["max_rel"],
         "clipped_energy_fraction": top("clipped"),
     })
 

@@ -91,6 +91,8 @@ def validate_config(cfg: dict) -> None:
     t = cfg["time"]
     if t["n_t"] < 2 or t["T"] <= 0 or t["t_pad"] < 0:
         raise ConfigError("time section needs n_t >= 2, T > 0, t_pad >= 0")
+    if not isinstance(cfg["out"], str) or not cfg["out"]:
+        raise ConfigError(f"config value out must be a nonempty string, got {cfg['out']!r}")
 
 
 def toy_from_config(cfg: dict) -> ToyParams:
@@ -100,13 +102,22 @@ def toy_from_config(cfg: dict) -> ToyParams:
                       float(cfg["nu"]), a_const=float(toy["A"]), eps_next=float(toy["eps"]))
 
 
+def _fraction(pc: dict, key: str) -> Fraction:
+    """paper.<key> as an exact fraction: a string such as "1/8" or a number."""
+    try:
+        return Fraction(str(pc[key]))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"config value paper.{key} must be a fraction, "
+                          f"got {pc[key]!r}") from None
+
+
 def schedule_from_config(cfg: dict) -> PaperSchedule:
     pc = cfg["paper"]
     return PaperSchedule(
         theta=Fraction(str(cfg["theta"])),
-        alpha=Fraction(str(pc["alpha"])),
+        alpha=_fraction(pc, "alpha"),
         B=int(pc["B"]),
-        beta=Fraction(str(pc["beta"])),
+        beta=_fraction(pc, "beta"),
         A=int(pc["A"]),
         q=int(pc.get("q", 0)),
     )

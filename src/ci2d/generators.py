@@ -37,37 +37,37 @@ def bump_profile(t: np.ndarray, center: float, halfwidth: float):
     return chi, d1
 
 
-def shear_track(grid: Grid2, times: np.ndarray, m: int = 1,
-                support: tuple | None = None, T: float = 1.0) -> TimeTrack:
-    """u = chi(t) (sin(m x2), 0): one Fourier mode under a temporal bump."""
+def _bump_track(times: np.ndarray, base: SpectralField, support: tuple | None,
+                T: float) -> TimeTrack:
+    """u = chi(t) base with its analytic d/dt channel; chi is the bump on
+    support, by default (T/4, 3T/4)."""
     if support is None:
         support = (T / 4.0, 3.0 * T / 4.0)
     lo, hi = support
     chi, dchi = bump_profile(times, 0.5 * (lo + hi), 0.5 * (hi - lo))
+    slices = [float(c) * base for c in chi]
+    dslices = [float(dc) * base for dc in dchi]
+    return TimeTrack(times, slices, dslices)
+
+
+def shear_track(grid: Grid2, times: np.ndarray, m: int = 1,
+                support: tuple | None = None, T: float = 1.0) -> TimeTrack:
+    """u = chi(t) (sin(m x2), 0): one Fourier mode under a temporal bump."""
     base = SpectralField.from_modes(
         grid, "vector",
         {(0, m): np.array([-0.5j, 0.0]), (0, -m): np.array([0.5j, 0.0])},
         reality=True)
-    slices = [float(c) * base for c in chi]
-    dslices = [float(dc) * base for dc in dchi]
-    return TimeTrack(times, slices, dslices)
+    return _bump_track(times, base, support, T)
 
 
 def stream_track(grid: Grid2, times: np.ndarray, seed: int = 7, band: int = 4,
                  decay: float = 2.0, support: tuple | None = None,
                  T: float = 1.0, amplitude: float = 1.0) -> TimeTrack:
     """u = chi(t) perp_grad(psi) for a seeded random band-limited psi."""
-    if support is None:
-        support = (T / 4.0, 3.0 * T / 4.0)
-    lo, hi = support
-    chi, dchi = bump_profile(times, 0.5 * (lo + hi), 0.5 * (hi - lo))
     psi = random_field(grid, "scalar", band, seed, decay=decay)
     base = perp_grad(psi)
     scale = amplitude / max(1e-300, np.max(np.abs(base.values())))
-    base = scale * base
-    slices = [float(c) * base for c in chi]
-    dslices = [float(dc) * base for dc in dchi]
-    return TimeTrack(times, slices, dslices)
+    return _bump_track(times, scale * base, support, T)
 
 
 def zero_track(grid: Grid2, times: np.ndarray) -> TimeTrack:

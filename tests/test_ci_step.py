@@ -11,7 +11,8 @@ from ci2d.ci_step import (_coefficient_slice, _node_perturbation, _step_node,
                           support_mask)
 from ci2d.errors import AliasingRisk, ConfigError, PaddingError
 from ci2d.fourier_calculus import FreqBand
-from ci2d.generators import bump_profile, time_grid, zero_track
+from ci2d.generators import bump_profile, build_initial, time_grid, zero_track
+from ci2d.mollifier import smoothstep, smoothstep_prime
 from ci2d.building_blocks import positive_directions
 from ci2d.stress_geometry import W11, W12, default_ramp
 
@@ -89,11 +90,13 @@ def test_mollify_single_mode_damping_oracle():
         GRID, "vector", {(0, M): np.array([0.5, 0]), (0, -M): np.array([0.5, 0])})
     u = TimeTrack(TIMES, [base] * TIMES.size, [0.0 * base] * TIMES.size)
     state = init_state(u, 0.0, 1.0, 1.0)
-    moll = mollify(state, ell)
-    got = moll.meta["v_diff_linf"]
+    def drift(moll):
+        return max(lp_norm(a - b, np.inf) for a, b in zip(moll.v.slices, u.slices))
+
+    got = drift(mollify(state, ell))
     assert got == pytest.approx(oracle, abs=1e-8)
     # damping grows with ell
-    worse = mollify(state, 0.1).meta["v_diff_linf"]
+    worse = drift(mollify(state, 0.1))
     assert worse > got
 
 
@@ -190,6 +193,29 @@ def test_two_interval_switch():
     assert np.all(vals[dist <= ell / 2] == 1.0)
     assert np.all(vals[dist >= ell] == 0.0)
     assert np.max(np.abs(np.gradient(vals, fine) - dvals)) <= 1e-4
+
+
+def test_three_interval_switch_is_one_minus_the_product():
+    # three ramps overlap on (0.38, 0.40); the switch is 1 - prod_j (1 - p_j)
+    # and its derivative sum_i p_i' prod_{j != i} (1 - p_j), where p_j is
+    # interval j's product of a rising and a falling smooth step
+    ell, w = 0.1, 0.05
+    intervals = [(0.3, 0.31), (0.32, 0.33), (0.45, 0.5)]
+    fine = np.linspace(0.0, 1.0, 20001)
+    ramps = []
+    for a, b in intervals:
+        xa, xb = (fine - (a - ell)) / w, ((b + ell) - fine) / w
+        ramps.append((smoothstep(xa) * smoothstep(xb),
+                      smoothstep_prime(xa) / w * smoothstep(xb)
+                      - smoothstep(xa) * smoothstep_prime(xb) / w))
+    value = 1.0 - np.prod([1.0 - p for p, _ in ramps], axis=0)
+    slope = sum(dp * np.prod([1.0 - q for j, (q, _) in enumerate(ramps) if j != i], axis=0)
+                for i, (_, dp) in enumerate(ramps))
+    overlap = np.all([(0.0 < p) & (p < 1.0) for p, _ in ramps], axis=0)
+    assert overlap.sum() > 100
+    vals, dvals = _switch_eval(intervals, ell, fine)
+    assert np.array_equal(vals, value)
+    np.testing.assert_allclose(dvals, slope, rtol=0.0, atol=1e-12)
 
 
 def test_cutoff_two_bump_stress():
@@ -615,6 +641,18 @@ def test_zero_cutoff_step_keeps_mollified_residual():
     # with no perturbation the new residual is the mollified one
     moll_res = diags.identities["mollified_residual_rel"]
     assert diags.residual_report["max_rel"] <= moll_res + 1e-14
+
+
+def test_step_reports_the_mollified_residual_of_nsr_residual():
+    # the nodes' own mollified residuals reduce to the whole-state report
+    # (the golden configuration: the stream generator's mollified triple
+    # has a nonzero residual, the unit shear's is exactly zero)
+    state = init_state(build_initial("stream", GRID, TIMES, 1.0, {"seed": 1}), 0.4, 1.0, 1.0)
+    toy = small_toy()
+    _, diags = iterate_step(state, toy)
+    expected = nsr_residual(mollify(state, toy.ell))["max_rel"]
+    assert expected > 0.0
+    assert diags.identities["mollified_residual_rel"] == expected
 
 
 def test_step_guards_the_kernel_square_band():

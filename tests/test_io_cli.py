@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from ci2d import lp_norm, make_grid, random_field
 from ci2d.cli import main
-from ci2d.config import DEFAULT_CONFIG
+from ci2d.config import DEFAULT_CONFIG, load_config, schedule_from_config
 from ci2d.errors import ConfigError
 from ci2d.state_io import MAGIC, read_field, read_state, write_field, write_state
 
@@ -181,6 +182,28 @@ def test_cli_malformed_config_exits_3(tmp_path):
 def test_cli_mistyped_initial_key_exits_3(tmp_path, initial):
     cfg_path, _ = _small_cfg(tmp_path, grid={"n": 16}, initial=initial)
     assert main(["init", "--config", cfg_path]) == 3
+
+
+@pytest.mark.parametrize("paper", [{"alpha": "x"}, {"beta": "1/0"}])
+def test_cli_check_unparsed_paper_fraction_exits_3(tmp_path, paper):
+    cfg_path, _ = _small_cfg(tmp_path, mode="paper", paper=paper)
+    out = tmp_path / "report"
+    assert main(["check", "--config", cfg_path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_paper_fraction_may_be_a_number(tmp_path):
+    cfg_path, _ = _small_cfg(tmp_path, mode="paper", paper={"alpha": 0.125, "beta": 1e-9})
+    schedule = schedule_from_config(load_config(cfg_path))
+    assert (schedule.alpha, schedule.beta) == (Fraction(1, 8), Fraction(1, 10 ** 9))
+
+
+@pytest.mark.parametrize("out", [5, ""])
+def test_cli_init_out_not_a_nonempty_string_exits_3(tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    cfg_path, _ = _small_cfg(tmp_path, out=out)
+    assert main(["init", "--config", cfg_path]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_cli_malformed_state_exits_3(tmp_path):
