@@ -28,12 +28,12 @@ analysis helper, `_synthesis` the one synthesis helper and
 and layout its maker gives it: `analyze` fits storage to the samples'
 measured band, products keep their product grid, linear maps and sums
 (`combine`) the widest operand's storage.  Transforms run through
-scipy.fft: analysis by rfft2 (real) / fft2; synthesis of a half spectrum
-stored below the grid by two single-axis passes that skip the all-zero
-columns, else by irfft2 / ifft2.  Mode shifts add each contiguous block
-of the source at its offset in the target; a source may be a half
-spectrum, whose xi_2 < 0 blocks are read as conj c(-xi), so no
-full-plane copy is made.
+numpy.fft: analysis by rfft2 (real) / fft2; synthesis of a half spectrum
+stored below the grid by two single-axis passes (ifftn, then irfftn)
+that skip the all-zero columns, else by irfft2 / ifft2.  Mode shifts
+add each contiguous block of the source at its offset in the target; a
+source may be a half spectrum, whose xi_2 < 0 blocks are read as
+conj c(-xi), so no full-plane copy is made.
 
 A field whose coefficients are all exactly zero has zero samples and
 zero norms and needs no transform.  `is_zero` tests the coefficients
@@ -45,9 +45,10 @@ samples to the zero field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
+import numpy.fft as nfft
 
 from .errors import AliasingRisk, ConfigError, RankError
 
@@ -92,8 +93,13 @@ def _fft_size(band: int, n: int) -> int:
     return min(m, n)
 
 
+@lru_cache(maxsize=32)
 def _wavenumbers(m: int) -> np.ndarray:
-    return sfft.fftfreq(m, 1.0 / m).astype(np.int64)
+    """Integer wave numbers of storage m in FFT order; one read-only
+    array per m, shared by every caller."""
+    ks = nfft.fftfreq(m, 1.0 / m).astype(np.int64)
+    ks.flags.writeable = False
+    return ks
 
 
 def _resize(coeffs: np.ndarray, m_new: int, half: bool | None = None) -> np.ndarray:
@@ -299,10 +305,14 @@ def _analysis(samples: np.ndarray) -> np.ndarray:
     Nyquist row and column zeroed: the xi_2 >= 0 half spectrum (rfft2) of
     real samples, the full plane of complex ones."""
     h = samples.shape[-1] // 2
-    if np.isrealobj(samples):
-        coeffs = sfft.rfft2(samples, norm="forward")
+    real = np.isrealobj(samples)
+    # numpy runs the second (column) pass in place in `out`; without it
+    # that pass writes a fresh array and takes about twice as long
+    out = np.empty(samples.shape[:-1] + (h + 1 if real else 2 * h,), dtype=complex)
+    if real:
+        coeffs = nfft.rfft2(samples, norm="forward", out=out)
     else:
-        coeffs = sfft.fft2(samples, norm="forward")
+        coeffs = nfft.fft2(samples, norm="forward", out=out)
     coeffs[..., h, :] = 0.0
     coeffs[..., :, h] = 0.0
     return coeffs
@@ -321,14 +331,14 @@ def _synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
     half = coeffs.shape[-1] != m
     if m >= n or not half:
         c = _resize(coeffs, n)
-        return (sfft.irfft2(c, s=(n, n), norm="forward") if half
-                else sfft.ifft2(c, norm="forward"))
+        return (nfft.irfft2(c, s=(n, n), norm="forward") if half
+                else nfft.ifft2(c, norm="forward"))
     h = m // 2
     rows = np.zeros(coeffs.shape[:-2] + (n, h), dtype=complex)
     rows[..., :h, :] = coeffs[..., :h, :h]
     rows[..., n - h:, :] = coeffs[..., h:, :h]
-    rows = sfft.ifftn(rows, axes=(-2,), norm="forward", overwrite_x=True)
-    return sfft.irfftn(rows, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
+    rows = nfft.ifftn(rows, axes=(-2,), norm="forward")
+    return nfft.irfftn(rows, s=(n,), axes=(-1,), norm="forward")
 
 
 def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar") -> SpectralField:

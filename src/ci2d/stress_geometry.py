@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .building_blocks import directions, positive_directions
 from .fourier_calculus import tracefree_product
@@ -29,13 +28,18 @@ class RampProfile:
 
     The ramp is the convolution of max(1, s+1) with the unit-mass bump
     `bump1` on (-1, 1).  Outside [-1, 1] the ramp equals its exact linear
-    extensions, so only the transition window is tabulated: 8,193 spline
-    nodes on [0, 1], each integral by 96-point Gauss-Legendre.
+    extensions, so only the transition window is tabulated: on 8,193
+    uniform nodes of [0, 1], the odd part of the bump's CDF and its even
+    first moment, each integral by 96-point Gauss-Legendre.  Between
+    nodes both are cubic Hermite interpolants with exact slopes, bump1(u)
+    and u * bump1(u).
     """
+
+    NODES = 8192        # intervals of [0, 1]
 
     def __init__(self):
         gl_x, gl_w = np.polynomial.legendre.leggauss(96)
-        u = np.linspace(0.0, 1.0, 8193)
+        u = np.linspace(0.0, 1.0, self.NODES + 1)
         # integrals from -1 to u of bump and y*bump, vectorized over u
         # via the map [-1, 1] -> [-1, u]: y = (u-1)/2 + (u+1)/2 * x
         ys = (u[:, None] - 1.0) / 2.0 + (u[:, None] + 1.0) / 2.0 * gl_x[None, :]
@@ -43,17 +47,29 @@ class RampProfile:
         bump_vals = bump1(ys)
         cdf_u = np.sum(wts * bump_vals, axis=1)
         m1_u = np.sum(wts * ys * bump_vals, axis=1)
-        self._c_spline = CubicSpline(u, cdf_u - 0.5)   # odd part of the cdf
-        self._m_spline = CubicSpline(u, m1_u)          # even first moment
+        bump_u = bump1(u)
+        # rows: odd part of the cdf, even first moment; slopes times the spacing
+        self._values = np.stack([cdf_u - 0.5, m1_u])
+        self._slopes = np.stack([bump_u, u * bump_u]) / self.NODES
+
+    def _tables(self, u: np.ndarray) -> np.ndarray:
+        """(odd cdf part, first moment) at u in [0, 1], shape (2,) + u.shape."""
+        x = u * self.NODES
+        j = np.minimum(x.astype(np.intp), self.NODES - 1)
+        t = x - j
+        s = 1.0 - t
+        y, d = self._values, self._slopes
+        return ((1.0 + 2.0 * t) * s * s * y[:, j] + t * s * s * d[:, j]
+                + t * t * (3.0 - 2.0 * t) * y[:, j + 1] - t * t * s * d[:, j + 1])
 
     def signed(self, s, signs=(1, -1)) -> dict:
         """{sign: (ramp(sign * s), ramp'(sign * s))} over an array s; the
-        splines (even in s) run once per entry for all signs."""
+        tables (even in s) are read once per entry for all signs."""
         s = np.asarray(s, dtype=float)
         inside = np.abs(s) < 1.0
         ui = np.abs(s[inside])
-        c = self._c_spline(ui)
-        uc, m = ui * c, self._m_spline(ui)
+        c, m = self._tables(ui)
+        uc = ui * c
         out = {}
         for sign in signs:
             ss = sign * s
@@ -87,7 +103,7 @@ def decompose(r11, r12, dr11=None, dr12=None) -> dict:
     """Squared weights {k: g^2} over arrays of stress entries, with
     sum_k g^2 (k x k) = [[r11, r12], [r12, -r11]] entrywise; given the
     entries' time derivatives, {k: (g^2, d/dt g^2)} by the chain rule.
-    The ramp's splines run once per entry for both argument signs, and
+    The ramp's tables are read once per entry for both argument signs, and
     each antipode shares its positive direction's arrays."""
     ramp = default_ramp()
     v11, v12 = ramp.signed(r11), ramp.signed(r12)

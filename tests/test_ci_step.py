@@ -100,6 +100,22 @@ def test_mollify_single_mode_damping_oracle():
     assert worse > got
 
 
+def test_bump2_hat_matches_bessel_oracle():
+    # independent oracle: the Hankel form 2 pi int_0^1 rho bump(rho)
+    # J0(u rho) d rho / mass by 2,000-point Gauss-Legendre; per block of
+    # radii, so that each node count the cosine sum picks is exercised
+    special = pytest.importorskip("scipy.special")
+    from ci2d.mollifier import bump2_hat
+    x, w = np.polynomial.legendre.leggauss(2000)
+    rho, wts = 0.5 * (x + 1.0), 0.5 * w
+    radial = wts * rho * np.exp(-1.0 / (1.0 - rho ** 2))
+    for lo in range(0, 400, 50):
+        u = np.linspace(lo, lo + 50, 501)
+        oracle = special.j0(u[:, None] * rho[None, :]) @ radial / radial.sum()
+        assert np.max(np.abs(bump2_hat(u) - oracle)) <= 2e-15, lo
+    assert bump2_hat(0.0)[0] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_mollify_commutator_vanishes_for_space_time_constants():
     # constant-in-(x, t) velocity: both mollifications are exact on it and
     # the product commutator vanishes identically; with R = 0 the

@@ -2,6 +2,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -374,3 +376,16 @@ def test_readme_defaults_match_the_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("`ci2d.config.DEFAULT_CONFIG`:")[1].split("```json")[1].split("```")[0]
     assert json.loads(block) == DEFAULT_CONFIG
+
+
+def test_cli_modules_import_no_scipy():
+    # ci2d runs on numpy alone: a fresh interpreter that loads every module
+    # the command line uses holds no scipy module afterwards
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ci2d, ci2d.cli, "
+            "ci2d.checks, ci2d.config, ci2d.diagnostics, ci2d.generators, "
+            "ci2d.param_schedule, ci2d.state_io; "
+            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -108,8 +108,8 @@ def test_real_synthesis_matches_complex_oracle(rank):
 def test_synthesis_matches_2d_oracle(rank, real, storage):
     # a pruned half spectrum (real, storage < n), a padded full plane
     # (complex), full storage and a cut (storage > n) all give the samples
-    # of one 2-D transform on the padded or cut plane, bit for bit
-    import scipy.fft as sfft
+    # of numpy.fft's single 2-D transform on the padded or cut plane, bit
+    # for bit
     from ci2d.spectral_field import _resize
     n = 64
     g = make_grid(max(storage, n))
@@ -120,8 +120,8 @@ def test_synthesis_matches_2d_oracle(rank, real, storage):
     f = SpectralField(g, rank, _resize(f.coeffs, storage))
     assert f.storage == storage and f.reality == real
     c = _resize(f.coeffs, n)
-    want = (sfft.irfft2(c, s=(n, n), norm="forward") if real
-            else sfft.ifft2(c, norm="forward"))
+    want = (np.fft.irfft2(c, s=(n, n), norm="forward") if real
+            else np.fft.ifft2(c, norm="forward"))
     got = f.values(n)
     assert got.dtype == want.dtype and got.shape == (f.ncomp, n, n)
     assert np.array_equal(got, want)
@@ -368,7 +368,7 @@ class _TransformCalled(Exception):
 
 
 class _NoTransforms:
-    """Stands in for scipy.fft: touching any transform raises."""
+    """Stands in for numpy.fft: touching any transform raises."""
 
     def __getattr__(self, name):
         raise _TransformCalled(name)
@@ -390,7 +390,7 @@ def test_zero_field_spends_no_transform(rank, real, m, monkeypatch):
     c[0, 1, 1] = 1e-300
     tiny = SpectralField(g, rank, c)
     # no transform runs, and the grid norms form no samples either
-    monkeypatch.setattr(sf, "sfft", _NoTransforms())
+    monkeypatch.setattr(sf, "nfft", _NoTransforms())
     monkeypatch.setattr(sf, "_magnitude_squared", _no_samples)
     for norm in (lp_norm(zero, 1.5), lp_norm(zero, np.inf), l1_norm(zero), cn_norm(zero, 1)):
         assert type(norm) is float and norm == 0.0

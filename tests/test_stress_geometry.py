@@ -29,6 +29,28 @@ def test_ramp_value_at_zero_quadrature_oracle():
     assert RAMP.value_at_zero() == pytest.approx(oracle, abs=1e-8)
 
 
+def test_ramp_tables_match_direct_quadrature():
+    # the odd part of the bump's CDF and its first moment at 20,000 seeded
+    # points against a direct quadrature on [-1, u]: 32 panels of
+    # 48-point Gauss-Legendre (a single rule of several hundred numpy
+    # nodes is itself off by a few 1e-14)
+    from ci2d.mollifier import bump1
+    u = np.random.default_rng(17).random(20_000)
+    x, w = np.polynomial.legendre.leggauss(48)
+    cdf = np.zeros_like(u)
+    moment = np.zeros_like(u)
+    edges = np.linspace(0.0, 1.0, 33)
+    for a, b in zip(edges[:-1], edges[1:]):
+        lo, hi = -1.0 + (u + 1.0) * a, -1.0 + (u + 1.0) * b
+        ys = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
+        wts = 0.5 * (hi - lo)[:, None] * w[None, :] * bump1(ys)
+        cdf += wts.sum(axis=1)
+        moment += (wts * ys).sum(axis=1)
+    c, m = RAMP._tables(u)
+    assert np.max(np.abs(c - (cdf - 0.5))) <= 1e-14
+    assert np.max(np.abs(m - moment)) <= 1e-14
+
+
 def test_gamma_at_zero_equal_across_directions():
     vals = [np.sqrt(w) for w in decompose(0.0, 0.0).values()]
     expected = np.sqrt((W11 + W12) * RAMP.value_at_zero())
