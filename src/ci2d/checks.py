@@ -191,9 +191,9 @@ def _lemma_gain():
     a = random_field(g, "scalar", 6, seed=21, decay=1.0, mean_zero=False)
     na = cn_norm(a, 2)
     ratios = []
+    full = random_field(g, "scalar", 250, seed=22, decay=0.0)
     for lam in (16, 32, 64, 128):
-        f = project(random_field(g, "scalar", 250, seed=22, decay=0.0),
-                    FreqBand.at_least(lam))
+        f = project(full, FreqBand.at_least(lam))
         comp = inv_grad(project(multiply(a, f, allow_interpolant=True),
                                 FreqBand.nonzero()))
         ratios.append(lp_norm(comp, 2) / (lam ** -1 * na * lp_norm(f, 2)))

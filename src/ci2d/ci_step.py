@@ -1,10 +1,13 @@
 """One iteration of the stress-reduction scheme.
 
-The pipeline is: mollify the state and detect the temporal support of
-the low-frequency stress; then, one time node at a time (`_step_node`),
-build smooth coefficients from the geometric decomposition, add the
-principal / corrector / temporal perturbations, and re-assemble the
-stress and pressure so the forced momentum balance holds exactly.
+The pipeline is: mollify the stress at every node and detect the temporal
+support of the low-frequency stress; then, one time node at a time
+(`step_nodes`), mollify the node's other fields, build smooth
+coefficients from the geometric decomposition, add the principal /
+corrector / temporal perturbations, and re-assemble the stress and
+pressure so the forced momentum balance holds exactly (`_step_node`).
+Each new node goes to the caller as soon as it is made, and a mollified
+node reads the input only over the temporal kernel's reach.
 
 Time is handled as a first-order jet: every track carries its values and,
 where available, an analytic derivative channel, and all linear
@@ -75,17 +78,21 @@ def fd6_channel(track: TimeTrack) -> TimeTrack:
 
     Edge nodes fall back to shifted stencils of the same order.
     """
+    return TimeTrack(track.times, track.slices, [_fd6_node(track, i) for i in range(len(track))])
+
+
+def _fd6_node(track: TimeTrack, i: int) -> SpectralField:
+    """`fd6_channel` at node i, from the seven nodes of its stencil."""
     n = len(track)
     if n < 7:
         raise DerivativeChannelMissing("need at least 7 nodes for the difference channel")
     dt = track.dt
-    stencil = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * dt)
-    dsl = []
-    for i in range(n):
-        j0 = min(max(i - 3, 0), n - 7)
-        coefs = stencil if i - j0 == 3 else _shifted_diff_weights(i - j0) / dt
-        dsl.append(combine(track.slices[j0:j0 + 7], coefs))
-    return TimeTrack(track.times, track.slices, dsl)
+    j0 = min(max(i - 3, 0), n - 7)
+    if i - j0 == 3:
+        coefs = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * dt)
+    else:
+        coefs = _shifted_diff_weights(i - j0) / dt
+    return combine(track.slices[j0:j0 + 7], coefs)
 
 
 def _shifted_diff_weights(pos: int) -> np.ndarray:
@@ -99,6 +106,11 @@ def _shifted_diff_weights(pos: int) -> np.ndarray:
 
 def _channelled(track: TimeTrack) -> TimeTrack:
     return track if track.has_channel() else fd6_channel(track)
+
+
+def _channel(track: TimeTrack, i: int) -> SpectralField:
+    """d/dt of the track at node i: its channel, or `fd6_channel`'s stencil."""
+    return track.dslices[i] if track.has_channel() else _fd6_node(track, i)
 
 
 # -- initialization ---------------------------------------------------------
@@ -135,6 +147,70 @@ def init_state(u: TimeTrack, theta: float, nu: float, T: float) -> NSRState:
 
 # -- mollification ----------------------------------------------------------
 
+class _Window:
+    """Values made per input node, for output nodes visited in increasing
+    order: each is made once, when the first kernel row that reads it
+    comes up, and dropped as soon as the rows have passed it."""
+
+    def __init__(self, kern: TemporalKernel, make):
+        self.kern, self.make = kern, make
+        self.kept, self.made = {}, 0
+
+    def at(self, i: int) -> dict:
+        """{input node: value} over the kernel row of output node i."""
+        jj = self.kern.row(i)[0]
+        for j in [j for j in self.kept if j < jj[0]]:
+            del self.kept[j]
+        for j in range(max(self.made, jj[0]), jj[-1] + 1):
+            self.kept[j] = self.make(j)
+        self.made = max(self.made, jj[-1] + 1)
+        return self.kept
+
+
+def _smooth(kern: TemporalKernel, fields, i: int) -> SpectralField:
+    """Space-time mollification at node i of one track's fields, held as a
+    list or as a window's {input node: field}."""
+    return kern.apply_fields({j: spatial_mollify(fields[j], kern.ell) for j in kern.row(i)[0]}, i)
+
+
+def _mollified_stress(state: NSRState, ell: float) -> list:
+    """R_ls = R_ell + (v_ell x v_ell - (v x v)_ell) at every node: the first
+    of mollify's two sweeps, which keeps the products v x v of its input
+    nodes in a window of the temporal kernel's reach."""
+    check_padding(state.times, state.T, ell)
+    kern = TemporalKernel(state.times, ell)
+    v = state.v.slices
+    vxv = _Window(kern, lambda j: tf_square(v[j], allow_interpolant=True))
+    R_ls = []
+    for i in range(len(v)):
+        v_ell = _smooth(kern, v, i)
+        R_ls.append(_smooth(kern, state.R.slices, i) + (
+            tf_square(v_ell, allow_interpolant=True) - _smooth(kern, vxv.at(i), i)))
+    return R_ls
+
+
+def _mollified_nodes(state: NSRState, ell: float, active):
+    """Yield v_ell, dv_ell and p_ell at each node in turn, with d/dt R_ls where
+    active[i] holds and None elsewhere: mollify's second sweep.  The
+    windows keep the derivative channels (`fd6_channel`'s stencils where
+    the state has none) and the products dv x v of the input nodes."""
+    kern = TemporalKernel(state.times, ell)
+    v, R = state.v, state.R
+    dv = _Window(kern, lambda j: _channel(v, j))
+    # read at node i only after dv's window holds row i
+    dvxv = _Window(kern, lambda j: sym_tracefree_product(dv.kept[j], v.slices[j],
+                                                         allow_interpolant=True))
+    dR = _Window(kern, lambda j: _channel(R, j))
+    for i in range(len(v)):
+        v_ell, dv_ell = _smooth(kern, v.slices, i), _smooth(kern, dv.at(i), i)
+        dR_ls = None
+        if active[i]:
+            dR_ls = _smooth(kern, dR.at(i), i) + (
+                sym_tracefree_product(dv_ell, v_ell, allow_interpolant=True)
+                - _smooth(kern, dvxv.at(i), i))
+        yield v_ell, dv_ell, _smooth(kern, state.p.slices, i), dR_ls
+
+
 def mollify(state: NSRState, ell: float) -> NSRState:
     """Space-time mollification plus the product commutator stress.
 
@@ -143,28 +219,13 @@ def mollify(state: NSRState, ell: float) -> NSRState:
     value and derivative channels alike.  The returned triple
     (v_ell, p_ell, R_ls) has the low-frequency stress R_ls = R_ell + R_m,
     with derivative channels on v and R, so it balances exactly up to the
-    mollified input residual.
+    mollified input residual.  It collects the two node-by-node sweeps
+    that `step_nodes` streams.
     """
     times = state.times
-    check_padding(times, state.T, ell)
-    kern = TemporalKernel(times, ell)
-    v = _channelled(state.v)
-    R = _channelled(state.R)
-
-    def smooth(fields):
-        spatial = [spatial_mollify(f, ell) for f in fields]
-        return [kern.apply_fields(spatial, i) for i in range(len(times))]
-
-    v_ell, dv_ell, p_ell = smooth(v.slices), smooth(v.dslices), smooth(state.p.slices)
-    # commutator stress R_m = v_ell x v_ell - (v x v)_ell and its d/dt
-    vxv = smooth(tf_square(s, allow_interpolant=True) for s in v.slices)
-    dvxv = smooth(sym_tracefree_product(ds, s, allow_interpolant=True)
-                  for s, ds in zip(v.slices, v.dslices))
-    R_ls = [r + (tf_square(a, allow_interpolant=True) - b)
-            for r, a, b in zip(smooth(R.slices), v_ell, vxv)]
-    dR_ls = [r + (sym_tracefree_product(da, a, allow_interpolant=True) - b)
-             for r, a, da, b in zip(smooth(R.dslices), v_ell, dv_ell, dvxv)]
-
+    R_ls = _mollified_stress(state, ell)
+    v_ell, dv_ell, p_ell, dR_ls = (list(track) for track in zip(
+        *_mollified_nodes(state, ell, np.ones(times.size, dtype=bool))))
     return NSRState(TimeTrack(times, v_ell, dv_ell), TimeTrack(times, p_ell),
                     TimeTrack(times, R_ls, dR_ls), state.theta, state.nu,
                     state.q, state.T)
@@ -563,14 +624,28 @@ class StepDiagnostics:
                           "predicted_scaling": predicted, "margin": margin})
 
 
-def iterate_step(state: NSRState, toy: ToyParams):
-    """One full stress-reduction step at desk-scale parameters.
+def _node_state(state: NSRState, v, dv, p, R, dR) -> NSRState:
+    """One node's mollified fields as a state whose tracks hold them at every
+    node: `_step_node` reads nothing else of the mollified state."""
+    def track(f, df=None):
+        return TimeTrack(state.times, [f] * len(state.times),
+                         None if df is None else [df] * len(state.times))
 
-    Returns the new state and the measured diagnostics.  After mollify and
-    the temporal cutoff, `_step_node` makes each time node's new slices
-    and scalars, the mollified residual among them; the diagnostics are
-    max reductions over those scalars.  The toy's theta and nu must be the
-    state's.
+    return NSRState(track(v, dv), track(p), track(R, dR), state.theta, state.nu,
+                    state.q, state.T)
+
+
+def step_nodes(state: NSRState, toy: ToyParams, emit) -> StepDiagnostics:
+    """One full stress-reduction step at desk-scale parameters, node by node.
+
+    A first sweep mollifies the stress, R_ls, at every node and the
+    temporal cutoff reads it.  The second mollifies one node at a time,
+    with d/dt R_ls only where the switch or its derivative is nonzero,
+    and `_step_node` makes the node's new slices and scalars, the
+    mollified residual among them.  Each new node goes to
+    emit(i, v, dv, p, R) as soon as it is made and is not kept; the
+    returned diagnostics are max reductions over the nodes' scalars.  The
+    toy's theta and nu must be the state's.
     """
     if (toy.theta, toy.nu) != (state.theta, state.nu):
         raise ConfigError(f"toy (theta, nu) = ({toy.theta}, {toy.nu}) differs from the "
@@ -578,14 +653,17 @@ def iterate_step(state: NSRState, toy: ToyParams):
     lam_ts = toy.wp.lam ** theta_star(state.theta)   # raises unless 0 <= theta < 1
     times = state.times
 
-    moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    R_ls = TimeTrack(times, _mollified_stress(state, toy.ell))
+    cut = temporal_cutoff(R_ls, toy.ell)
     peak = int(np.argmax(cut.values))
-    nodes = [_step_node(moll, cut, toy, i, peak=i == peak) for i in range(len(times))]
-    v_new, dv_new, p_new, R_new = (list(track) for track in zip(*(new for new, _ in nodes)))
-    reports = [rep for _, rep in nodes]
-    new_state = NSRState(TimeTrack(times, v_new, dv_new), TimeTrack(times, p_new),
-                         TimeTrack(times, R_new), state.theta, state.nu, state.q + 1, state.T)
+    active = (cut.values != 0.0) | (cut.dvalues != 0.0)
+    reports = []
+    for i, (v_ell, dv_ell, p_ell, dR_ls) in enumerate(_mollified_nodes(state, toy.ell, active)):
+        new, rep = _step_node(_node_state(state, v_ell, dv_ell, p_ell, R_ls.slices[i], dR_ls),
+                              cut, toy, i, peak=i == peak)
+        emit(i, *new)
+        reports.append(rep)
+        del v_ell, dv_ell, p_ell, dR_ls, new   # nothing of a node outlives it
 
     def top(key):
         return max((rep[key] for rep in reports if key in rep), default=0.0)
@@ -597,7 +675,7 @@ def iterate_step(state: NSRState, toy: ToyParams):
     # support containments, slice-exact on the grid
     w_support = np.array(["w_p" in rep for rep in reports])
     r_old = support_mask(state.R)
-    r_ls = support_mask(moll.R)
+    r_ls = support_mask(R_ls)
     r_new = _sup_support(np.array([rep["R_sup"] for rep in reports]))
     phi_mask = cut.support_mask()
     diags = StepDiagnostics(residual_report=res, support={
@@ -645,4 +723,15 @@ def iterate_step(state: NSRState, toy: ToyParams):
     diags.add("solenoidality", "3.33+", top("solenoidality"))
     diags.add("oscillation_cancel", "3.34", top("oscillation_c0"))
     diags.add("clipped_energy_fraction", "shift", top("clipped"))
-    return new_state, diags
+    return diags
+
+
+def iterate_step(state: NSRState, toy: ToyParams):
+    """One full stress-reduction step (`step_nodes`), with the new nodes
+    collected: returns the new state and the measured diagnostics."""
+    nodes = []
+    diags = step_nodes(state, toy, lambda i, *node: nodes.append(node))
+    times = state.times
+    v, dv, p, R = (list(track) for track in zip(*nodes))
+    return NSRState(TimeTrack(times, v, dv), TimeTrack(times, p), TimeTrack(times, R),
+                    state.theta, state.nu, state.q + 1, state.T), diags

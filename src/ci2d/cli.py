@@ -80,10 +80,15 @@ def cmd_init(cfg: dict, out_dir: str | None) -> int:
 
 
 def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
-    from .ci_step import iterate_step
+    """Steps the state node by node: each new node's dumps go into
+    `<out>.partial` as soon as the node is made, and the directory becomes
+    `<out>` once the step and its reports are complete."""
+    from dataclasses import replace
+
+    from .ci_step import step_nodes
     from .config import toy_from_config
     from .diagnostics import write_step_csv
-    from .state_io import read_state, write_state
+    from .state_io import read_state, write_manifest, write_node
 
     if cfg["mode"] != "toy":
         raise ConfigError("stepping runs in toy mode; the exact schedule is a gate only")
@@ -94,11 +99,11 @@ def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
     if os.path.exists(tmp_dir):
         shutil.rmtree(tmp_dir)
     try:
-        new_state, diags = iterate_step(state, toy)
+        write_manifest(tmp_dir, replace(state, q=state.q + 1), float(manifest["t_pad"]),
+                       cfg["mode"], manifest.get("params", {}))
+        diags = step_nodes(state, toy, lambda i, v, dv, p, R: write_node(
+            tmp_dir, i, state.times[i], v, dv, p, R))
         tol = float(cfg["tolerances"]["residual"])
-        os.makedirs(tmp_dir, exist_ok=True)
-        write_state(tmp_dir, new_state, float(manifest["t_pad"]), cfg["mode"],
-                    manifest.get("params", {}))
         write_step_csv(os.path.join(tmp_dir, "step_diagnostics.csv"), diags)
         with open(os.path.join(tmp_dir, "step_report.json"), "w") as fh:
             json.dump({"residual": diags.residual_report["window_max_rel"],

@@ -85,10 +85,10 @@ def _slice_name(prefix: str, i: int) -> str:
     return f"{prefix}_{i:04d}.ci2d"
 
 
-def write_state(dirpath: str, state: NSRState, t_pad: float, mode: str,
-                params: dict) -> None:
+def write_manifest(dirpath: str, state: NSRState, t_pad: float, mode: str,
+                   params: dict) -> None:
+    """The state directory with its manifest.json, before any dump."""
     os.makedirs(dirpath, exist_ok=True)
-    times = state.times
     manifest = {
         "T": state.T,
         "t_pad": float(t_pad),
@@ -102,14 +102,23 @@ def write_state(dirpath: str, state: NSRState, t_pad: float, mode: str,
     }
     with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
-    for i, t in enumerate(times):
-        write_field(os.path.join(dirpath, _slice_name("v", i)), state.v.slices[i], t)
-        write_field(os.path.join(dirpath, _slice_name("p", i)), state.p.slices[i], t)
-        write_field(os.path.join(dirpath, _slice_name("R", i)), state.R.slices[i], t)
-        if state.v.has_channel():
-            write_field(os.path.join(dirpath, _slice_name("dv", i)), state.v.dslices[i], t)
-        if state.R.has_channel():
-            write_field(os.path.join(dirpath, _slice_name("dR", i)), state.R.dslices[i], t)
+
+
+def write_node(dirpath: str, i: int, t: float, v: SpectralField, dv, p: SpectralField,
+               R: SpectralField, dR=None) -> None:
+    """The dumps of node i at time t; a channel given as None has none."""
+    for prefix, f in (("v", v), ("p", p), ("R", R), ("dv", dv), ("dR", dR)):
+        if f is not None:
+            write_field(os.path.join(dirpath, _slice_name(prefix, i)), f, t)
+
+
+def write_state(dirpath: str, state: NSRState, t_pad: float, mode: str,
+                params: dict) -> None:
+    write_manifest(dirpath, state, t_pad, mode, params)
+    v, p, R = state.v, state.p, state.R
+    for i, t in enumerate(state.times):
+        write_node(dirpath, i, t, v.slices[i], v.dslices and v.dslices[i], p.slices[i],
+                   R.slices[i], R.dslices and R.dslices[i])
 
 
 _MANIFEST_TYPES = {"T": float, "t_pad": float, "n": int, "n_t": int, "theta": float,

@@ -17,11 +17,12 @@ from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
                   SpectralField, TimeTrack, analyze, anti_divergence, cn_norm,
                   dirichlet_kernel, directions, divergence, eta, helmholtz,
                   init_state, intermittent_flow, inv_grad, iterate_step,
-                  lp_norm, make_grid, mean, mollify, multiply, multiply_mode,
+                  lp_norm, make_grid, mean, multiply, multiply_mode,
                   nsr_residual, perp_grad, project, random_field,
                   temporal_cutoff, validate_schedule)
 from ci2d.building_blocks import WaveParams, pair_shell, positive_directions
-from ci2d.ci_step import _node_perturbation
+from ci2d.ci_step import (_mollified_nodes, _mollified_stress, _node_perturbation,
+                          _node_state)
 from ci2d.generators import shear_track, time_grid
 from ci2d.stress_geometry import decompose, reconstruct
 
@@ -49,10 +50,17 @@ def endtoend():
     t0 = time.time()
     new_state, diags = iterate_step(state, toy)
     elapsed = time.time() - t0
-    moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    # criteria 7 and 8 read R_ls at every node (the cutoff) and the middle
+    # plateau node's mollified fields, which the step's own sweeps build
+    R_ls = TimeTrack(times, _mollified_stress(state, toy.ell))
+    cut = temporal_cutoff(R_ls, toy.ell)
+    plateau = np.where(cut.plateau_mask())[0]
+    i = int(plateau[len(plateau) // 2])
+    nodes = _mollified_nodes(state, toy.ell, np.arange(times.size) == i)
+    v, dv, p, dR = next(node for j, node in enumerate(nodes) if j == i)
     return {"state": state, "new_state": new_state, "diags": diags,
-            "elapsed": elapsed, "moll": moll, "cut": cut, "toy": toy,
+            "elapsed": elapsed, "plateau": i, "cut": cut, "toy": toy,
+            "moll": _node_state(state, v, dv, p, R_ls.slices[i], dR),
             "grid": grid, "times": times}
 
 
@@ -204,8 +212,7 @@ def test_criterion_06_operator_lemmas():
 def _plateau_node(run):
     """Middle plateau node: its index, time, coefficients {k: (a, da)} and
     perturbation slice, from the step's own node function."""
-    idx = np.where(run["cut"].plateau_mask())[0]
-    i = int(idx[len(idx) // 2])
+    i = run["plateau"]
     _, a_slice, _, pert = _node_perturbation(run["moll"].R, run["cut"], run["toy"], i)
     return i, float(run["times"][i]), a_slice, pert
 

@@ -6,13 +6,14 @@ from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
                   init_state, iterate_step, lp_norm, make_grid, mean, mollify,
                   multiply, nsr_residual, project, random_field, temporal_cutoff,
                   tf_square, toy_params)
-from ci2d.ci_step import (_coefficient_slice, _node_perturbation, _step_node,
-                          _switch_eval, _wave_slice, fd6_channel, mask_intervals,
-                          support_mask)
+from ci2d.ci_step import (_coefficient_slice, _mollified_nodes, _node_perturbation,
+                          _step_node, _switch_eval, _wave_slice, fd6_channel,
+                          mask_intervals, support_mask)
 from ci2d.errors import AliasingRisk, ConfigError, PaddingError
-from ci2d.fourier_calculus import FreqBand
+from ci2d.fourier_calculus import FreqBand, sym_tracefree_product
 from ci2d.generators import bump_profile, build_initial, time_grid, zero_track
-from ci2d.mollifier import smoothstep, smoothstep_prime
+from ci2d.mollifier import (TemporalKernel, smoothstep, smoothstep_prime,
+                            spatial_mollify)
 from ci2d.building_blocks import positive_directions
 from ci2d.stress_geometry import W11, W12, default_ramp
 
@@ -141,6 +142,61 @@ def test_mollified_triple_balances():
 def test_mollify_requires_padding():
     with pytest.raises(PaddingError):
         mollify(small_state(), 0.5)
+
+
+def _whole_state_mollify(state, ell):
+    """(v_l, dv_l, p_l, R_ls, dR_ls) by the whole-state loop: every node of
+    every track smoothed first, then the commutator products combined."""
+    kern = TemporalKernel(state.times, ell)
+    v = state.v if state.v.has_channel() else fd6_channel(state.v)
+    R = state.R if state.R.has_channel() else fd6_channel(state.R)
+
+    def smooth(fields):
+        spatial = [spatial_mollify(f, ell) for f in fields]
+        return [kern.apply_fields(spatial, i) for i in range(len(state.times))]
+
+    v_l, dv_l, p_l = smooth(v.slices), smooth(v.dslices), smooth(state.p.slices)
+    vxv = smooth(tf_square(s, allow_interpolant=True) for s in v.slices)
+    dvxv = smooth(sym_tracefree_product(ds, s, allow_interpolant=True)
+                  for s, ds in zip(v.slices, v.dslices))
+    R_ls = [r + (tf_square(a, allow_interpolant=True) - b)
+            for r, a, b in zip(smooth(R.slices), v_l, vxv)]
+    dR_ls = [r + (sym_tracefree_product(da, a, allow_interpolant=True) - b)
+             for r, a, da, b in zip(smooth(R.dslices), v_l, dv_l, dvxv)]
+    return v_l, dv_l, p_l, R_ls, dR_ls
+
+
+@pytest.mark.parametrize("n_t, taps", [(9, 1), (33, 3), (65, 7)])
+@pytest.mark.parametrize("channels", [True, False])
+def test_mollify_matches_the_whole_state_loop_bitwise(n_t, taps, channels):
+    # the node-by-node sweeps keep the input nodes' products and difference
+    # stencils only over the kernel's reach, and make exactly the fields of
+    # the whole-state loop; without channels d/dt v and d/dt R are fd6's
+    times = time_grid(1.0, 0.1, n_t)
+    state = init_state(build_initial("stream", make_grid(64), times, 1.0, {"seed": 1}),
+                       0.4, 1.0, 1.0)
+    if not channels:
+        state = NSRState(TimeTrack(times, state.v.slices), state.p,
+                         TimeTrack(times, state.R.slices), state.theta, state.nu,
+                         state.q, state.T)
+    assert TemporalKernel(times, 0.05).weights.size == taps
+    want = _whole_state_mollify(state, 0.05)
+    got = mollify(state, 0.05)
+    got = (got.v.slices, got.v.dslices, got.p.slices, got.R.slices, got.R.dslices)
+    for name, fields, oracle in zip(("v", "dv", "p", "R_ls", "dR_ls"), got, want):
+        for i, (f, g) in enumerate(zip(fields, oracle, strict=True)):
+            assert np.array_equal(f.coeffs, g.coeffs), (name, i)
+    # the step's sweep makes d/dt R_ls at the active nodes alone, and the
+    # same there when the active nodes leave gaps in the windows
+    active = np.zeros(times.size, dtype=bool)
+    active[[1, 2, times.size // 2, times.size - 3]] = True
+    for i, node in enumerate(_mollified_nodes(state, 0.05, active)):
+        for f, g in zip(node[:3], want):
+            assert np.array_equal(f.coeffs, g[i].coeffs), i
+        if active[i]:
+            assert np.array_equal(node[3].coeffs, want[4][i].coeffs), i
+        else:
+            assert node[3] is None, i
 
 
 # -- temporal cutoff ----------------------------------------------------------

@@ -372,6 +372,58 @@ def test_cli_step_failure_leaves_no_output(tmp_path, monkeypatch):
     assert not partial.exists() and not out_dir.exists()
 
 
+def test_cli_step_guard_mid_stream_leaves_no_output(tmp_path, monkeypatch):
+    # a guard that trips at the last active node, after the earlier nodes'
+    # dumps are in `<out>.partial`, exits 2 and leaves an existing `<out>`
+    # as it was
+    from ci2d import ci_step
+    from ci2d.errors import AliasingRisk
+
+    step, out_dir, partial = _initialized_step(tmp_path)
+    out_dir.mkdir()
+    (out_dir / "sentinel").write_text("left by an earlier run")
+    step_node = ci_step._step_node
+
+    def trip_at_last_active(moll, cut, toy, i, peak=False):
+        if i == np.flatnonzero((cut.values != 0.0) | (cut.dvalues != 0.0))[-1]:
+            assert sorted(p.name for p in partial.glob("v_*")) == [
+                f"v_{j:04d}.ci2d" for j in range(i)]
+            raise AliasingRisk("tripped at the last active node")
+        return step_node(moll, cut, toy, i, peak)
+
+    monkeypatch.setattr(ci_step, "_step_node", trip_at_last_active)
+    assert main(step) == 2
+    assert not partial.exists()
+    assert [p.name for p in out_dir.iterdir()] == ["sentinel"]
+    assert (out_dir / "sentinel").read_text() == "left by an earlier run"
+
+
+def test_cli_step_peak_memory(tmp_path):
+    # `ci2d step` mollifies node by node and writes each node as it is made:
+    # the traced peak of a step from a stepped n = 128 state, which has no
+    # dR_ dumps, in two-component half planes (61.6 when the step mollified
+    # the whole state and wrote the new state at the end; 37.4 here)
+    import tracemalloc
+    cfg_path, cfg = _small_cfg(tmp_path, grid={"n": 128}, time={"n_t": 9})
+    cfg["initial"] = {"generator": "stream", "seed": 1}
+    Path(cfg_path).write_text(json.dumps(cfg))
+    state1 = str(tmp_path / "state1")
+    assert main(["init", "--config", cfg_path]) == 0
+    assert main(["step", "--config", cfg_path, "--state", cfg["out"], "--out", state1]) == 0
+    assert not list(Path(state1).glob("dR_*"))
+    step = ["step", "--config", cfg_path, "--state", state1, "--out", str(tmp_path / "state2")]
+    assert main(step) == 0   # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        assert main(step) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = 128
+    plane = 2 * n * (n // 2 + 1) * 16
+    assert peak <= 48 * plane, peak / plane
+
+
 def test_readme_defaults_match_the_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("`ci2d.config.DEFAULT_CONFIG`:")[1].split("```json")[1].split("```")[0]
