@@ -7,7 +7,9 @@ coefficients from the geometric decomposition, add the principal /
 corrector / temporal perturbations, and re-assemble the stress and
 pressure so the forced momentum balance holds exactly (`_step_node`).
 Each new node goes to the caller as soon as it is made, and a mollified
-node reads the input only over the temporal kernel's reach.
+node reads the input only over the temporal kernel's reach.  The node
+functions take one mollified node (v_ell, dv_ell, p_ell, R_ls, dR_ls),
+its time, the switch's value and slope there, and the toy.
 
 Time is handled as a first-order jet: every track carries its values and,
 where available, an analytic derivative channel, and all linear
@@ -104,10 +106,6 @@ def _shifted_diff_weights(pos: int) -> np.ndarray:
     return np.linalg.solve(V, rhs)
 
 
-def _channelled(track: TimeTrack) -> TimeTrack:
-    return track if track.has_channel() else fd6_channel(track)
-
-
 def _channel(track: TimeTrack, i: int) -> SpectralField:
     """d/dt of the track at node i: its channel, or `fd6_channel`'s stencil."""
     return track.dslices[i] if track.has_channel() else _fd6_node(track, i)
@@ -129,17 +127,17 @@ def init_state(u: TimeTrack, theta: float, nu: float, T: float) -> NSRState:
             raise InvalidInput(f"input slice {j} is not divergence-free")
         if np.max(np.abs(mean(s))) > tol:
             raise InvalidInput(f"input slice {j} has nonzero mean")
-    u = _channelled(u)
-    du2 = fd6_channel(TimeTrack(u.times, u.dslices)).dslices  # d^2/dt^2 for the stress channel
+    du = [_channel(u, i) for i in range(len(u))]
+    du2 = fd6_channel(TimeTrack(u.times, du)).dslices  # d^2/dt^2 for the stress channel
     grid = u.grid
     R_slices, dR_slices, p_slices = [], [], []
-    for s, ds, dds in zip(u.slices, u.dslices, du2):
+    for s, ds, dds in zip(u.slices, du, du2):
         R_slices.append(anti_divergence(ds + nu * frac_laplacian(s, theta))
                         + tf_square(s, allow_interpolant=True))
         dR_slices.append(anti_divergence(dds + nu * frac_laplacian(ds, theta))
                          + sym_tracefree_product(ds, s, allow_interpolant=True))
         p_slices.append(SpectralField.zeros(grid, "scalar"))
-    v = TimeTrack(u.times, u.slices, u.dslices)
+    v = TimeTrack(u.times, u.slices, du)
     p = TimeTrack(u.times, p_slices)
     R = TimeTrack(u.times, R_slices, dR_slices)
     return NSRState(v, p, R, float(theta), float(nu), q=0, T=float(T))
@@ -189,9 +187,10 @@ def _mollified_stress(state: NSRState, ell: float) -> list:
     return R_ls
 
 
-def _mollified_nodes(state: NSRState, ell: float, active):
-    """Yield v_ell, dv_ell and p_ell at each node in turn, with d/dt R_ls where
-    active[i] holds and None elsewhere: mollify's second sweep.  The
+def _mollified_nodes(state: NSRState, ell: float, R_ls: list, active):
+    """Yield each node's mollified fields (v_ell, dv_ell, p_ell, R_ls,
+    dR_ls) in turn, with d/dt R_ls where active[i] holds and None
+    elsewhere: mollify's second sweep, given the first's R_ls.  The
     windows keep the derivative channels (`fd6_channel`'s stencils where
     the state has none) and the products dv x v of the input nodes."""
     kern = TemporalKernel(state.times, ell)
@@ -208,7 +207,7 @@ def _mollified_nodes(state: NSRState, ell: float, active):
             dR_ls = _smooth(kern, dR.at(i), i) + (
                 sym_tracefree_product(dv_ell, v_ell, allow_interpolant=True)
                 - _smooth(kern, dvxv.at(i), i))
-        yield v_ell, dv_ell, _smooth(kern, state.p.slices, i), dR_ls
+        yield v_ell, dv_ell, _smooth(kern, state.p.slices, i), R_ls[i], dR_ls
 
 
 def mollify(state: NSRState, ell: float) -> NSRState:
@@ -223,9 +222,8 @@ def mollify(state: NSRState, ell: float) -> NSRState:
     that `step_nodes` streams.
     """
     times = state.times
-    R_ls = _mollified_stress(state, ell)
-    v_ell, dv_ell, p_ell, dR_ls = (list(track) for track in zip(
-        *_mollified_nodes(state, ell, np.ones(times.size, dtype=bool))))
+    v_ell, dv_ell, p_ell, R_ls, dR_ls = (list(track) for track in zip(*_mollified_nodes(
+        state, ell, _mollified_stress(state, ell), np.ones(times.size, dtype=bool))))
     return NSRState(TimeTrack(times, v_ell, dv_ell), TimeTrack(times, p_ell),
                     TimeTrack(times, R_ls, dR_ls), state.theta, state.nu,
                     state.q, state.T)
@@ -258,9 +256,6 @@ class CutoffProfile:
 
     values: np.ndarray
     dvalues: np.ndarray
-
-    def plateau_mask(self) -> np.ndarray:
-        return self.values >= 1.0
 
     def support_mask(self) -> np.ndarray:
         return self.values > 0.0
@@ -464,25 +459,27 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
     return analyze(grid, accum) + transport, clipped
 
 
-def assemble_stress(moll: NSRState, pert_slices: dict, pstar: SpectralField, i: int):
-    """New stress and pressure at node i from the assembled forcing.
+def assemble_stress(node: tuple, pert_slices: dict, pstar: SpectralField,
+                    theta: float, nu: float):
+    """New (v, dv, p, R) of a mollified node (v_ell, dv_ell, p_ell, R_ls,
+    dR_ls) from the assembled forcing.
 
     The forcing is d/dt w + nu (-Lap)^theta w + div(v x w + w x v + w x w)
     + div R_ls; subtracting grad(pstar) and applying the anti-divergence
     gives a stress whose divergence reproduces the forcing exactly, so
     the updated triple balances by construction.
     """
-    v_l = moll.v.slices[i]
+    v_l, dv_l, p_l, R_ls, _ = node
     w = pert_slices["w_p"] + pert_slices["w_c"] + pert_slices["w_t"]
     dw = pert_slices["dw_p"] + pert_slices["dw_c"] + pert_slices["dw_t"]
     v_new = v_l + w
-    dv_new = moll.v.dslices[i] + dw
+    dv_new = dv_l + dw
     t_new = tf_square(v_new, allow_interpolant=True)
     t_old = tf_square(v_l, allow_interpolant=True)
-    forcing = (dw + moll.nu * frac_laplacian(w, moll.theta)
-               + divergence(t_new - t_old) + divergence(moll.R.slices[i]))
+    forcing = (dw + nu * frac_laplacian(w, theta)
+               + divergence(t_new - t_old) + divergence(R_ls))
     R_new = anti_divergence(forcing - gradient(pstar))
-    p_new = moll.p.slices[i] - pstar
+    p_new = p_l - pstar
     return v_new, dv_new, p_new, R_new
 
 
@@ -521,11 +518,9 @@ def _residual_report(res_norms, scales, times: np.ndarray, T: float) -> dict:
 def nsr_residual(state: NSRState) -> dict:
     """Forced momentum-balance residual report, from the state alone; d/dt v
     is the track's channel, or `fd6_channel` where it has none."""
-    v = _channelled(state.v)
-    per_node = [_slice_residual(v.slices[i], v.dslices[i], state.p.slices[i],
-                                state.R.slices[i], state.theta, state.nu)
-                for i in range(len(v))]
-    return _residual_report(*zip(*per_node), v.times, state.T)
+    per_node = [_slice_residual(s, _channel(state.v, i), state.p.slices[i], state.R.slices[i],
+                                state.theta, state.nu) for i, s in enumerate(state.v.slices)]
+    return _residual_report(*zip(*per_node), state.times, state.T)
 
 
 # -- one time node ---------------------------------------------------------------
@@ -533,43 +528,46 @@ def nsr_residual(state: NSRState) -> dict:
 P_REP = 1.5   # Lebesgue exponent of the stress estimates (7.16)
 
 
-def _node_perturbation(R_ls: TimeTrack, cut: CutoffProfile, toy: ToyParams, i: int):
+def _node_perturbation(R: SpectralField, dR: SpectralField, t: float, phi: float,
+                       dphi: float, toy: ToyParams):
     """Stress samples, coefficients {k: (a, da)}, kernels {k: (eta_k,
-    mean eta_k^2)} and perturbation slice (with "transport") of node i."""
-    grid = R_ls.grid
-    rv = R_ls.slices[i].values(grid.n)
+    mean eta_k^2)} and perturbation slice (with "transport") of the node
+    at time t with R_ls = R, d/dt R_ls = dR and switch values phi, dphi."""
+    grid = R.grid
+    rv = R.values(grid.n)
     # d/dt R's samples live only through the call
-    a_slice = _coefficient_slice(*rv, *R_ls.dslices[i].values(grid.n),
-                                 float(cut.values[i]), float(cut.dvalues[i]),
+    a_slice = _coefficient_slice(*rv, *dR.values(grid.n), phi, dphi,
                                  toy.a_const, toy.eps_next)
-    kernels, pert = _perturbation_slice(grid, toy.wp, a_slice, float(R_ls.times[i]))
+    kernels, pert = _perturbation_slice(grid, toy.wp, a_slice, t)
     return rv, a_slice, kernels, pert
 
 
-def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
+def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
                peak: bool = False):
-    """New (v, dv, p, R) at node i and a dict of the node's scalars, the
-    first of them the mollified triple's own residual ("moll_res") there.
+    """New (v, dv, p, R) of a mollified node (v_ell, dv_ell, p_ell, R_ls,
+    dR_ls) at time t, under the switch value phi and slope dphi, and a
+    dict of the node's scalars, the first of them the mollified triple's
+    own residual ("moll_res") there.
 
-    Where the switch and its derivative vanish, v, dv and p are the
-    mollified ones, R is anti_divergence(divergence(R_ls)) and the dict
-    holds no perturbation sizes.  Everything else the node builds is
-    released as soon as its last scalar is taken: the stress samples,
+    Where the switch and its slope vanish, v, dv and p are the mollified
+    ones, R is anti_divergence(divergence(R_ls)), dR_ls is not read and
+    the dict holds no perturbation sizes; on the plateau (phi >= 1) it
+    holds the oscillation cancellation.  Everything else the node builds
+    is released as soon as its last scalar is taken: the stress samples,
     coefficients and kernels before the assembly, the perturbation and
     the corrector before the residual.
     """
-    grid = moll.grid
-    phi, dphi = float(cut.values[i]), float(cut.dvalues[i])
-    rep = {"moll_res": _slice_residual(moll.v.slices[i], moll.v.dslices[i], moll.p.slices[i],
-                                       moll.R.slices[i], moll.theta, moll.nu)}
+    v_l, dv_l, p_l, R_ls, dR_ls = node
+    theta, nu = toy.theta, toy.nu
+    rep = {"moll_res": _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu)}
     if phi == 0.0 and dphi == 0.0:
-        v, dv, p = moll.v.slices[i], moll.v.dslices[i], moll.p.slices[i]
-        R = anti_divergence(divergence(moll.R.slices[i]))
+        v, dv, p = v_l, dv_l, p_l
+        R = anti_divergence(divergence(R_ls))
     else:
-        rv, a_slice, kernels, pert = _node_perturbation(moll.R, cut, toy, i)
-        pstar, pstar_clipped = _pstar_slice(grid, toy.wp, a_slice, kernels,
+        rv, a_slice, kernels, pert = _node_perturbation(R_ls, dR_ls, t, phi, dphi, toy)
+        pstar, pstar_clipped = _pstar_slice(v_l.grid, toy.wp, a_slice, kernels,
                                             pert.pop("transport"))
-        if cut.plateau_mask()[i]:
+        if phi >= 1.0:
             c11, c12 = reconstruct({k: 2.0 * a * a * kernels[k][1]
                                     for k, (a, _) in a_slice.items()})
             rep["oscillation_c0"] = float(np.max(np.hypot(rv[0] - c11, rv[1] - c12)))
@@ -577,30 +575,30 @@ def _step_node(moll: NSRState, cut: CutoffProfile, toy: ToyParams, i: int,
             del c11, c12
         rep["stream"] = lp_norm(pert["w_p"] + pert["w_c"] - perp_grad(pert.pop("stream")), 2)
         del rv, a_slice, kernels
-        v, dv, p, R = assemble_stress(moll, pert, pstar, i)
+        v, dv, p, R = assemble_stress(node, pert, pstar, theta, nu)
         if peak:   # stress error groups 7.16a-d, one norm each
             w = pert["w_p"] + pert["w_c"] + pert["w_t"]
             rep["lin_time"] = lp_norm(anti_divergence(pert["dw_p"] + pert["dw_c"]), P_REP)
             rep["lin_dissipation"] = lp_norm(
-                anti_divergence(moll.nu * frac_laplacian(w, moll.theta))
-                + sym_tracefree_product(moll.v.slices[i], w, allow_interpolant=True), P_REP)
+                anti_divergence(nu * frac_laplacian(w, theta))
+                + sym_tracefree_product(v_l, w, allow_interpolant=True), P_REP)
             corr = (sym_tracefree_product(pert["w_c"] + pert["w_t"], w, allow_interpolant=True)
                     + sym_tracefree_product(pert["w_p"], pert["w_c"] + pert["w_t"],
                                             allow_interpolant=True))
             # the symmetrized corrector double-counts the plain sum
             rep["corrector"] = 0.5 * lp_norm(corr, P_REP)
             osc_force = (divergence(tf_square(pert["w_p"], allow_interpolant=True)
-                                    + moll.R.slices[i]) + pert["dw_t"])
+                                    + R_ls) + pert["dw_t"])
             rep["oscillation"] = lp_norm(anti_divergence(osc_force - gradient(pstar)), P_REP)
             del w, corr, osc_force
         for name in ("w_p", "w_c", "w_t", "dw_p"):
             rep[name] = lp_norm(pert[name], 2)
         rep["solenoidality"] = max(lp_norm(divergence(pert["w_p"] + pert["w_c"]), 2),
                                    lp_norm(divergence(pert["w_t"]), 2))
-        rep["v_increment"] = lp_norm(v - moll.v.slices[i], 2)
+        rep["v_increment"] = lp_norm(v - v_l, 2)
         rep["clipped"] = max(pert["clipped"], pstar_clipped)
         del pert, pstar
-    rep["res"] = _slice_residual(v, dv, p, R, moll.theta, moll.nu)
+    rep["res"] = _slice_residual(v, dv, p, R, theta, nu)
     # both quadrature norms from one synthesis of R (none for a zero R);
     # `R_sup` reads the sup that synthesis cached
     rep["R_lp"], rep["R_l1"] = _quadrature_norms(R, (P_REP, 1.0))
@@ -624,28 +622,18 @@ class StepDiagnostics:
                           "predicted_scaling": predicted, "margin": margin})
 
 
-def _node_state(state: NSRState, v, dv, p, R, dR) -> NSRState:
-    """One node's mollified fields as a state whose tracks hold them at every
-    node: `_step_node` reads nothing else of the mollified state."""
-    def track(f, df=None):
-        return TimeTrack(state.times, [f] * len(state.times),
-                         None if df is None else [df] * len(state.times))
-
-    return NSRState(track(v, dv), track(p), track(R, dR), state.theta, state.nu,
-                    state.q, state.T)
-
-
 def step_nodes(state: NSRState, toy: ToyParams, emit) -> StepDiagnostics:
     """One full stress-reduction step at desk-scale parameters, node by node.
 
     A first sweep mollifies the stress, R_ls, at every node and the
     temporal cutoff reads it.  The second mollifies one node at a time,
     with d/dt R_ls only where the switch or its derivative is nonzero,
-    and `_step_node` makes the node's new slices and scalars, the
-    mollified residual among them.  Each new node goes to
-    emit(i, v, dv, p, R) as soon as it is made and is not kept; the
-    returned diagnostics are max reductions over the nodes' scalars.  The
-    toy's theta and nu must be the state's.
+    and `_step_node` makes the new slices and scalars of that node, given
+    with its time and switch values, the mollified residual among them.
+    Each new node goes to emit(i, v, dv, p, R) as soon as it is made and
+    is not kept; the returned diagnostics are max reductions over the
+    nodes' scalars.  The toy's theta and nu must be the state's: the node
+    functions read them from the toy.
     """
     if (toy.theta, toy.nu) != (state.theta, state.nu):
         raise ConfigError(f"toy (theta, nu) = ({toy.theta}, {toy.nu}) differs from the "
@@ -658,12 +646,12 @@ def step_nodes(state: NSRState, toy: ToyParams, emit) -> StepDiagnostics:
     peak = int(np.argmax(cut.values))
     active = (cut.values != 0.0) | (cut.dvalues != 0.0)
     reports = []
-    for i, (v_ell, dv_ell, p_ell, dR_ls) in enumerate(_mollified_nodes(state, toy.ell, active)):
-        new, rep = _step_node(_node_state(state, v_ell, dv_ell, p_ell, R_ls.slices[i], dR_ls),
-                              cut, toy, i, peak=i == peak)
+    for i, node in enumerate(_mollified_nodes(state, toy.ell, R_ls.slices, active)):
+        new, rep = _step_node(node, float(times[i]), float(cut.values[i]),
+                              float(cut.dvalues[i]), toy, peak=i == peak)
         emit(i, *new)
         reports.append(rep)
-        del v_ell, dv_ell, p_ell, dR_ls, new   # nothing of a node outlives it
+        del node, new   # nothing of a node outlives it
 
     def top(key):
         return max((rep[key] for rep in reports if key in rep), default=0.0)

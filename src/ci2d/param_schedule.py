@@ -188,7 +188,8 @@ def validate_schedule(s: PaperSchedule) -> ScheduleReport:
 @dataclass(frozen=True)
 class ToyParams:
     """Desk-scale wave parameters plus the step's scalar knobs; theta and
-    nu must equal those of the state `iterate_step` is given."""
+    nu must equal those of the state `iterate_step` is given, and are the
+    ones the step's node functions use."""
 
     wp: WaveParams
     ell: float

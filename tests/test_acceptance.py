@@ -21,8 +21,7 @@ from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
                   nsr_residual, perp_grad, project, random_field,
                   temporal_cutoff, validate_schedule)
 from ci2d.building_blocks import WaveParams, pair_shell, positive_directions
-from ci2d.ci_step import (_mollified_nodes, _mollified_stress, _node_perturbation,
-                          _node_state)
+from ci2d.ci_step import _mollified_nodes, _mollified_stress, _node_perturbation
 from ci2d.generators import shear_track, time_grid
 from ci2d.stress_geometry import decompose, reconstruct
 
@@ -54,13 +53,12 @@ def endtoend():
     # plateau node's mollified fields, which the step's own sweeps build
     R_ls = TimeTrack(times, _mollified_stress(state, toy.ell))
     cut = temporal_cutoff(R_ls, toy.ell)
-    plateau = np.where(cut.plateau_mask())[0]
+    plateau = np.where(cut.values >= 1.0)[0]
     i = int(plateau[len(plateau) // 2])
-    nodes = _mollified_nodes(state, toy.ell, np.arange(times.size) == i)
-    v, dv, p, dR = next(node for j, node in enumerate(nodes) if j == i)
+    nodes = _mollified_nodes(state, toy.ell, R_ls.slices, np.arange(times.size) == i)
     return {"state": state, "new_state": new_state, "diags": diags,
             "elapsed": elapsed, "plateau": i, "cut": cut, "toy": toy,
-            "moll": _node_state(state, v, dv, p, R_ls.slices[i], dR),
+            "node": next(node for j, node in enumerate(nodes) if j == i),
             "grid": grid, "times": times}
 
 
@@ -212,9 +210,11 @@ def test_criterion_06_operator_lemmas():
 def _plateau_node(run):
     """Middle plateau node: its index, time, coefficients {k: (a, da)} and
     perturbation slice, from the step's own node function."""
-    i = run["plateau"]
-    _, a_slice, _, pert = _node_perturbation(run["moll"].R, run["cut"], run["toy"], i)
-    return i, float(run["times"][i]), a_slice, pert
+    i, cut = run["plateau"], run["cut"]
+    t = float(run["times"][i])
+    _, a_slice, _, pert = _node_perturbation(*run["node"][3:], t, float(cut.values[i]),
+                                             float(cut.dvalues[i]), run["toy"])
+    return i, t, a_slice, pert
 
 
 def test_criterion_07_stream_function_and_solenoidality(endtoend):
@@ -247,7 +247,7 @@ def test_criterion_08_oscillation_cancellation(endtoend):
     toy = run["toy"]
     grid = run["grid"]
     i, t, a_slice, _ = _plateau_node(run)
-    rv = run["moll"].R.slices[i].values(grid.n)
+    rv = run["node"][3].values(grid.n)
     acc11, acc12 = rv[0].copy(), rv[1].copy()
     for k in positive_directions():
         w, _ = intermittent_flow(k, toy.wp, t, grid)

@@ -41,9 +41,9 @@ def test_tracer_targets_resolve_and_restore():
 
 
 def test_tracer_counts_real_transforms():
-    # ci2d synthesizes real fields by scipy.fft.irfft2 from full storage,
+    # ci2d synthesizes real fields by numpy.fft.irfft2 from full storage,
     # or by two single-axis passes (ifftn, then irfftn) when pruned from
-    # storage below the grid, and analyzes real samples by scipy.fft.rfft2
+    # storage below the grid, and analyzes real samples by numpy.fft.rfft2
     # in one transform; every call is traced
     from ci2d import analyze, make_grid, random_field
     g = make_grid(32)

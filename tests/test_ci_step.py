@@ -6,9 +6,9 @@ from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
                   init_state, iterate_step, lp_norm, make_grid, mean, mollify,
                   multiply, nsr_residual, project, random_field, temporal_cutoff,
                   tf_square, toy_params)
-from ci2d.ci_step import (_coefficient_slice, _mollified_nodes, _node_perturbation,
-                          _step_node, _switch_eval, _wave_slice, fd6_channel,
-                          mask_intervals, support_mask)
+from ci2d.ci_step import (_coefficient_slice, _mollified_nodes, _mollified_stress,
+                          _node_perturbation, _step_node, _switch_eval, _wave_slice,
+                          fd6_channel, mask_intervals, support_mask)
 from ci2d.errors import AliasingRisk, ConfigError, PaddingError
 from ci2d.fourier_calculus import FreqBand, sym_tracefree_product
 from ci2d.generators import bump_profile, build_initial, time_grid, zero_track
@@ -38,10 +38,27 @@ def small_toy(**kw):
     return toy_params(**{**args, **kw})
 
 
+def _node(moll, i):
+    """Node i of a mollified state, as `_mollified_nodes` yields it."""
+    return (moll.v.slices[i], moll.v.dslices[i], moll.p.slices[i],
+            moll.R.slices[i], moll.R.dslices[i])
+
+
+def _switch_at(moll, cut, i):
+    """Time, switch value and switch derivative at node i."""
+    return float(moll.times[i]), float(cut.values[i]), float(cut.dvalues[i])
+
+
+def _perturb(moll, cut, toy, i):
+    """`_node_perturbation` at node i of a mollified state."""
+    return _node_perturbation(moll.R.slices[i], moll.R.dslices[i],
+                              *_switch_at(moll, cut, i), toy)
+
+
 def _assert_node_off(moll, cut, toy, i):
     """Node i keeps the mollified v, dv and p, passes R_ls through
     anti_divergence(divergence(.)) and reports no perturbation sizes."""
-    (v, dv, p, R), rep = _step_node(moll, cut, toy, i)
+    (v, dv, p, R), rep = _step_node(_node(moll, i), *_switch_at(moll, cut, i), toy)
     assert v is moll.v.slices[i] and dv is moll.v.dslices[i] and p is moll.p.slices[i]
     assert np.array_equal(R.coeffs, anti_divergence(divergence(moll.R.slices[i])).coeffs)
     assert not {"w_p", "w_c", "w_t", "dw_p"} & rep.keys(), i
@@ -190,13 +207,14 @@ def test_mollify_matches_the_whole_state_loop_bitwise(n_t, taps, channels):
     # same there when the active nodes leave gaps in the windows
     active = np.zeros(times.size, dtype=bool)
     active[[1, 2, times.size // 2, times.size - 3]] = True
-    for i, node in enumerate(_mollified_nodes(state, 0.05, active)):
-        for f, g in zip(node[:3], want):
+    for i, node in enumerate(_mollified_nodes(state, 0.05, _mollified_stress(state, 0.05),
+                                              active)):
+        for f, g in zip(node[:4], want):
             assert np.array_equal(f.coeffs, g[i].coeffs), i
         if active[i]:
-            assert np.array_equal(node[3].coeffs, want[4][i].coeffs), i
+            assert np.array_equal(node[4].coeffs, want[4][i].coeffs), i
         else:
-            assert node[3] is None, i
+            assert node[4] is None, i
 
 
 # -- temporal cutoff ----------------------------------------------------------
@@ -336,12 +354,12 @@ def test_mask_intervals_matches_loop_reference():
 def test_coefficients_flat_stress_is_isotropic():
     chi, _ = bump_profile(TIMES, 0.5, 0.25)
     z = SpectralField.zeros(GRID, "symtensor")
-    R_ls = TimeTrack(TIMES, [z] * TIMES.size, [z] * TIMES.size)
     cut_track = TimeTrack(TIMES, [float(c) * anti_divergence(
         random_field(GRID, "vector", 2, seed=4)) for c in chi])
     cut = temporal_cutoff(fd6_channel(cut_track), 0.05)
     i = int(np.argmax(cut.values))
-    _, a_slice, _, _ = _node_perturbation(R_ls, cut, small_toy(), i)
+    _, a_slice, _, _ = _node_perturbation(z, z, float(TIMES[i]), float(cut.values[i]),
+                                          float(cut.dvalues[i]), small_toy())
     # one coefficient per positive direction; the step uses it for the
     # antipode as well
     ks = positive_directions()
@@ -389,7 +407,7 @@ def test_coefficient_size_tracks_amplitude_constants():
     cell = state.grid.cell_measure
     ae = toy.a_const * toy.eps_next
     for i in range(len(moll.R)):
-        rv, a_slice, _, _ = _node_perturbation(moll.R, cut, toy, i)
+        rv, a_slice, _, _ = _perturb(moll, cut, toy, i)
         budget = ae * (W11 + W12) * (
             np.sum(np.hypot(rv[0], rv[1])) * cell / ae + 2.0 * (2 * np.pi) ** 2)
         for k in positive_directions():
@@ -404,9 +422,9 @@ def test_coefficient_cancellation_on_plateau():
     toy = small_toy()
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
-    plateau = np.where(cut.plateau_mask())[0]
+    plateau = np.where(cut.values >= 1.0)[0]
     i = int(plateau[len(plateau) // 2])
-    rv, a_slice, _, _ = _node_perturbation(moll.R, cut, toy, i)
+    rv, a_slice, _, _ = _perturb(moll, cut, toy, i)
     acc11, acc12 = rv[0].copy(), rv[1].copy()
     for k in positive_directions():
         a = a_slice[k][0]
@@ -454,7 +472,7 @@ def test_stream_identity_and_solenoidality():
     from ci2d.building_blocks import eta, lattice_vector
     state, toy, moll, cut = _perturbation_setup()
     i = int(np.argmax(cut.values))
-    _, a_slice, _, pert = _node_perturbation(moll.R, cut, toy, i)
+    _, a_slice, _, pert = _perturb(moll, cut, toy, i)
     w_p, w_c, w_t = pert["w_p"], pert["w_c"], pert["w_t"]
     grid = state.grid
     # rebuild the potential from the public pieces, one mode shift per
@@ -566,7 +584,7 @@ def test_perturbation_slice_mirror_matches_both_explicit_shifts():
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    _, a_slice, _, pert = _node_perturbation(moll.R, cut, toy, node)
+    _, a_slice, _, pert = _perturb(moll, cut, toy, node)
     oracle, clipped = _perturbation_oracle(GRID, toy.wp, a_slice, float(moll.times[node]))
     # the -xi strips hold the mirrored coefficients of the +xi strips, so
     # the two dropped shares agree to the round-off of the operands' symmetry
@@ -584,7 +602,7 @@ def test_perturbation_slice_matches_roll_and_mirror_oracle(n, wave):
     moll = mollify(small_state(grid=grid), toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    _, a_slice, _, pert = _node_perturbation(moll.R, cut, toy, node)
+    _, a_slice, _, pert = _perturb(moll, cut, toy, node)
     oracle, clipped = _perturbation_oracle(grid, toy.wp, a_slice, float(moll.times[node]),
                                            mirror=True)
     assert clipped > 0.0
@@ -610,7 +628,7 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.R, toy.ell)
     node = int(np.argmax(cut.values))
-    _, a_slice, kernels, pert = _node_perturbation(moll.R, cut, toy, node)
+    _, a_slice, kernels, pert = _perturb(moll, cut, toy, node)
     grid, wp, n = state.grid, toy.wp, state.grid.n
     pstar, _ = _pstar_slice(grid, wp, a_slice, kernels, pert["transport"])
     waves = {k: _wave_slice(k, wp, float(moll.times[node]), grid) for k in positive_directions()}
@@ -650,7 +668,7 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
 def test_corrector_sizes_at_inductive_stress():
     # with the stress at its inductive size the principal wave dominates
     state, toy, moll, cut = _perturbation_setup(amplitude=0.05)
-    pert = _node_perturbation(moll.R, cut, toy, int(np.argmax(cut.values)))[3]
+    pert = _perturb(moll, cut, toy, int(np.argmax(cut.values)))[3]
     assert lp_norm(pert["w_c"], 2) < lp_norm(pert["w_p"], 2)
     assert lp_norm(pert["w_t"], 2) < lp_norm(pert["w_p"], 2)
 
@@ -661,7 +679,7 @@ def test_perturbation_scaling_probes_across_doubling():
     ratios = {}
     for lam, sig in ((50, 10), (100, 20)):
         state, toy, moll, cut = _perturbation_setup(lam=lam, sigma_inv=sig)
-        pert = _node_perturbation(moll.R, cut, toy, int(np.argmax(cut.values)))[3]
+        pert = _perturb(moll, cut, toy, int(np.argmax(cut.values)))[3]
         s = 1.0 / sig
         ell = toy.ell
         preds = {
@@ -693,10 +711,11 @@ def test_active_node_peak_memory():
     state, toy, moll, cut = _perturbation_setup()
     n = state.grid.n
     i = int(np.argmax(cut.values))
-    _step_node(moll, cut, toy, i, peak=True)   # warm caches outside the trace
+    node, at = _node(moll, i), _switch_at(moll, cut, i)
+    _step_node(node, *at, toy, peak=True)   # warm caches outside the trace
     tracemalloc.start()
     try:
-        _step_node(moll, cut, toy, i, peak=True)
+        _step_node(node, *at, toy, peak=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -769,6 +788,31 @@ def test_nsr_residual_exact_steady_solution():
     assert nsr_residual(no_channel)["max_rel"] <= 1e-10
     zero = init_state(zero_track(grid, times), 1.0, 1.0, 1.0)
     assert nsr_residual(zero)["max_rel"] == 0.0
+
+
+def test_derivative_fallback_is_fd6_channel_bitwise():
+    # a track without a channel reads fd6_channel's stencil node by node:
+    # the residual verifier and init_state give what they give on the
+    # track with fd6_channel attached, bit for bit
+    times = time_grid(1.0, 0.1, 17)
+    u = build_initial("stream", make_grid(64), times, 1.0, {"seed": 1})
+    state = init_state(u, 0.4, 1.0, 1.0)
+    bare = NSRState(TimeTrack(times, state.v.slices), state.p,
+                    TimeTrack(times, state.R.slices), state.theta, state.nu,
+                    state.q, state.T)
+    filled = NSRState(fd6_channel(bare.v), bare.p, bare.R, bare.theta, bare.nu,
+                      bare.q, bare.T)
+    got = nsr_residual(bare)["per_slice_l2"]
+    assert np.array_equal(got, nsr_residual(filled)["per_slice_l2"])
+    # the analytic channel gives other residuals, so the fallback is read
+    assert not np.array_equal(got, nsr_residual(state)["per_slice_l2"])
+    bare_u = TimeTrack(times, u.slices)
+    got, want = init_state(bare_u, 0.4, 1.0, 1.0), init_state(fd6_channel(bare_u), 0.4, 1.0, 1.0)
+    for name in ("v", "p", "R"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.has_channel() == b.has_channel(), name
+        for f, g in zip(a.slices + (a.dslices or []), b.slices + (b.dslices or []), strict=True):
+            assert np.array_equal(f.coeffs, g.coeffs), name
 
 
 def test_fd6_channel_matches_analytic():

@@ -375,21 +375,26 @@ def test_cli_step_failure_leaves_no_output(tmp_path, monkeypatch):
 def test_cli_step_guard_mid_stream_leaves_no_output(tmp_path, monkeypatch):
     # a guard that trips at the last active node, after the earlier nodes'
     # dumps are in `<out>.partial`, exits 2 and leaves an existing `<out>`
-    # as it was
-    from ci2d import ci_step
+    # as it was; the node is found from the input state's own cutoff
+    from ci2d import TimeTrack, ci_step
     from ci2d.errors import AliasingRisk
 
     step, out_dir, partial = _initialized_step(tmp_path)
     out_dir.mkdir()
     (out_dir / "sentinel").write_text("left by an earlier run")
+    state, _ = read_state(step[step.index("--state") + 1])
+    ell = load_config(step[step.index("--config") + 1])["toy"]["ell"]
+    cut = ci_step.temporal_cutoff(TimeTrack(state.times, ci_step._mollified_stress(state, ell)),
+                                  ell)
+    last = np.flatnonzero((cut.values != 0.0) | (cut.dvalues != 0.0))[-1]
     step_node = ci_step._step_node
 
-    def trip_at_last_active(moll, cut, toy, i, peak=False):
-        if i == np.flatnonzero((cut.values != 0.0) | (cut.dvalues != 0.0))[-1]:
+    def trip_at_last_active(node, t, phi, dphi, toy, peak=False):
+        if t == state.times[last]:
             assert sorted(p.name for p in partial.glob("v_*")) == [
-                f"v_{j:04d}.ci2d" for j in range(i)]
+                f"v_{j:04d}.ci2d" for j in range(last)]
             raise AliasingRisk("tripped at the last active node")
-        return step_node(moll, cut, toy, i, peak)
+        return step_node(node, t, phi, dphi, toy, peak)
 
     monkeypatch.setattr(ci_step, "_step_node", trip_at_last_active)
     assert main(step) == 2
