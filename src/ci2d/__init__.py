@@ -8,7 +8,7 @@ from .ci_step import (CutoffProfile, NSRState, StepDiagnostics,
                       nsr_residual, temporal_cutoff)
 from .errors import (AliasingRisk, CI2DError, ConfigError, ConstraintViolation,
                      DerivativeChannelMissing, DivisibilityError, InvalidInput,
-                     NonIntegerFrequency, PaddingError, RankError)
+                     NonFiniteValue, NonIntegerFrequency, PaddingError, RankError)
 from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
                                helmholtz, inv_grad, project,
                                sym_tracefree_product, tf_square,

@@ -1,15 +1,19 @@
 """One iteration of the stress-reduction scheme.
 
 The pipeline is: mollify the stress at every node and detect the temporal
-support of the low-frequency stress; then, one time node at a time
-(`step_nodes`), mollify the node's other fields, build smooth
-coefficients from the geometric decomposition, add the principal /
-corrector / temporal perturbations, and re-assemble the stress and
-pressure so the forced momentum balance holds exactly (`_step_node`).
-Each new node goes to the caller as soon as it is made, and a mollified
-node reads the input only over the temporal kernel's reach.  The node
-functions take one mollified node (v_ell, dv_ell, p_ell, R_ls, dR_ls),
-its time, the switch's value and slope there, and the toy.
+support of the low-frequency stress, keeping one sup norm per node; then,
+one time node at a time (`step_nodes`), mollify the node's fields again,
+build smooth coefficients from the geometric decomposition, add the
+principal / corrector / temporal perturbations, and re-assemble the
+stress and pressure so the forced momentum balance holds exactly
+(`_step_node`).  Each new node goes to the caller as soon as it is made.
+Both sweeps read each input slice at most once and hold it only while the
+temporal kernel's reach (and, for a track without a derivative channel,
+the reach of `fd6_channel`'s stencils) covers it (`_Window`), so a state
+whose tracks read their dumps on demand (`state_io.read_state`) is never
+held whole.  The node functions take one mollified node (v_ell, dv_ell,
+p_ell, R_ls, dR_ls), its time, the switch's value and slope there, and
+the toy.
 
 Time is handled as a first-order jet: every track carries its values and,
 where available, an analytic derivative channel, and all linear
@@ -30,7 +34,7 @@ import numpy as np
 
 from .building_blocks import (Direction, WaveParams, eta, lattice_vector,
                               positive_directions)
-from .errors import ConfigError, DerivativeChannelMissing, InvalidInput
+from .errors import ConfigError, DerivativeChannelMissing, InvalidInput, NonFiniteValue
 from .fourier_calculus import (FreqBand, _lattice, anti_divergence,
                                frac_laplacian, helmholtz, project,
                                sym_tracefree_product, tf_square)
@@ -80,21 +84,28 @@ def fd6_channel(track: TimeTrack) -> TimeTrack:
 
     Edge nodes fall back to shifted stencils of the same order.
     """
-    return TimeTrack(track.times, track.slices, [_fd6_node(track, i) for i in range(len(track))])
+    return TimeTrack(track.times, track.slices,
+                     [_fd6_node(track, i, track.slices) for i in range(len(track))])
 
 
-def _fd6_node(track: TimeTrack, i: int) -> SpectralField:
-    """`fd6_channel` at node i, from the seven nodes of its stencil."""
+def _stencil_start(n: int, i: int) -> int:
+    """First of the seven nodes of `fd6_channel`'s stencil at node i."""
+    return min(max(i - 3, 0), n - 7)
+
+
+def _fd6_node(track: TimeTrack, i: int, held) -> SpectralField:
+    """`fd6_channel` at node i, from the seven nodes of its stencil in held,
+    the track's slices by node (a list, or a window's {node: slice})."""
     n = len(track)
     if n < 7:
         raise DerivativeChannelMissing("need at least 7 nodes for the difference channel")
     dt = track.dt
-    j0 = min(max(i - 3, 0), n - 7)
+    j0 = _stencil_start(n, i)
     if i - j0 == 3:
         coefs = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * dt)
     else:
         coefs = _shifted_diff_weights(i - j0) / dt
-    return combine(track.slices[j0:j0 + 7], coefs)
+    return combine([held[j] for j in range(j0, j0 + 7)], coefs)
 
 
 def _shifted_diff_weights(pos: int) -> np.ndarray:
@@ -106,9 +117,10 @@ def _shifted_diff_weights(pos: int) -> np.ndarray:
     return np.linalg.solve(V, rhs)
 
 
-def _channel(track: TimeTrack, i: int) -> SpectralField:
-    """d/dt of the track at node i: its channel, or `fd6_channel`'s stencil."""
-    return track.dslices[i] if track.has_channel() else _fd6_node(track, i)
+def _channel(track: TimeTrack, i: int, held) -> SpectralField:
+    """d/dt of the track at node i: its channel, or `fd6_channel`'s stencil
+    over held (see `_fd6_node`)."""
+    return track.dslices[i] if track.has_channel() else _fd6_node(track, i, held)
 
 
 # -- initialization ---------------------------------------------------------
@@ -123,11 +135,11 @@ def init_state(u: TimeTrack, theta: float, nu: float, T: float) -> NSRState:
     """
     for j, s in enumerate(u.slices):
         tol = 1e-8 * max(1.0, lp_norm(s, 2))
-        if lp_norm(divergence(s), 2) > tol:
+        if not lp_norm(divergence(s), 2) <= tol:   # a NaN trips it too
             raise InvalidInput(f"input slice {j} is not divergence-free")
-        if np.max(np.abs(mean(s))) > tol:
+        if not np.max(np.abs(mean(s))) <= tol:
             raise InvalidInput(f"input slice {j} has nonzero mean")
-    du = [_channel(u, i) for i in range(len(u))]
+    du = [_channel(u, i, u.slices) for i in range(len(u))]
     du2 = fd6_channel(TimeTrack(u.times, du)).dslices  # d^2/dt^2 for the stress channel
     grid = u.grid
     R_slices, dR_slices, p_slices = [], [], []
@@ -147,22 +159,43 @@ def init_state(u: TimeTrack, theta: float, nu: float, T: float) -> NSRState:
 
 class _Window:
     """Values made per input node, for output nodes visited in increasing
-    order: each is made once, when the first kernel row that reads it
-    comes up, and dropped as soon as the rows have passed it."""
+    order: input node j is made once, when the first output node whose
+    reach (lo, hi) holds it comes up, and dropped as soon as the reach has
+    passed it.  Reaches never move backwards."""
 
-    def __init__(self, kern: TemporalKernel, make):
-        self.kern, self.make = kern, make
+    def __init__(self, reach, make):
+        self.reach, self.make = reach, make
         self.kept, self.made = {}, 0
 
     def at(self, i: int) -> dict:
-        """{input node: value} over the kernel row of output node i."""
-        jj = self.kern.row(i)[0]
-        for j in [j for j in self.kept if j < jj[0]]:
+        """{input node: value} over the reach of output node i."""
+        lo, hi = self.reach(i)
+        for j in [j for j in self.kept if j < lo]:
             del self.kept[j]
-        for j in range(max(self.made, jj[0]), jj[-1] + 1):
+        for j in range(max(self.made, lo), hi + 1):
             self.kept[j] = self.make(j)
-        self.made = max(self.made, jj[-1] + 1)
+        self.made = max(self.made, hi + 1)
         return self.kept
+
+
+def _kernel(state: NSRState, ell: float) -> TemporalKernel:
+    check_padding(state.times, state.T, ell)
+    return TemporalKernel(state.times, ell)
+
+
+def _reads(reach, track: TimeTrack):
+    """The reach over which a sweep holds the track's slices: the given
+    one, widened to the `fd6_channel` stencils of its nodes where the
+    track has no channel."""
+    if track.has_channel():
+        return reach
+    n = len(track)
+
+    def widened(i):
+        lo, hi = reach(i)
+        return (max(0, min(lo, _stencil_start(n, lo))),
+                min(n - 1, max(hi, _stencil_start(n, hi) + 6)))
+    return widened
 
 
 def _smooth(kern: TemporalKernel, fields, i: int) -> SpectralField:
@@ -171,43 +204,65 @@ def _smooth(kern: TemporalKernel, fields, i: int) -> SpectralField:
     return kern.apply_fields({j: spatial_mollify(fields[j], kern.ell) for j in kern.row(i)[0]}, i)
 
 
-def _mollified_stress(state: NSRState, ell: float) -> list:
-    """R_ls = R_ell + (v_ell x v_ell - (v x v)_ell) at every node: the first
-    of mollify's two sweeps, which keeps the products v x v of its input
-    nodes in a window of the temporal kernel's reach."""
-    check_padding(state.times, state.T, ell)
-    kern = TemporalKernel(state.times, ell)
-    v = state.v.slices
-    vxv = _Window(kern, lambda j: tf_square(v[j], allow_interpolant=True))
-    R_ls = []
-    for i in range(len(v)):
-        v_ell = _smooth(kern, v, i)
-        R_ls.append(_smooth(kern, state.R.slices, i) + (
-            tf_square(v_ell, allow_interpolant=True) - _smooth(kern, vxv.at(i), i)))
-    return R_ls
+def _stress_node(kern: TemporalKernel, i: int, v_ell: SpectralField, R: dict,
+                 vxv: dict) -> SpectralField:
+    """R_ls = R_ell + (v_ell x v_ell - (v x v)_ell) at node i, from windows
+    of the input R and the products v x v over row i."""
+    return _smooth(kern, R, i) + (tf_square(v_ell, allow_interpolant=True) - _smooth(kern, vxv, i))
 
 
-def _mollified_nodes(state: NSRState, ell: float, R_ls: list, active):
+def _stress_sups(state: NSRState, ell: float) -> tuple:
+    """Sup norms of R_ls and of the input R at every node: the first of the
+    step's two sweeps.  It reads each slice of v and R once, holds them and
+    the products v x v over the temporal kernel's reach, and keeps one sup
+    per node of each."""
+    kern = _kernel(state, ell)
+    R_sups = []
+
+    def read_R(j):
+        R_j = state.R.slices[j]
+        R_sups.append(lp_norm(R_j, np.inf))
+        return R_j
+
+    rows = kern.reach
+    v, R = _Window(rows, lambda j: state.v.slices[j]), _Window(rows, read_R)
+    vxv = _Window(rows, lambda j: tf_square(v.kept[j], allow_interpolant=True))
+    R_ls_sups = []
+    for i in range(len(state.times)):
+        v_ell = _smooth(kern, v.at(i), i)
+        R_ls_sups.append(lp_norm(_stress_node(kern, i, v_ell, R.at(i), vxv.at(i)), np.inf))
+    return np.array(R_ls_sups), np.array(R_sups)
+
+
+def _mollified_nodes(state: NSRState, ell: float, active):
     """Yield each node's mollified fields (v_ell, dv_ell, p_ell, R_ls,
     dR_ls) in turn, with d/dt R_ls where active[i] holds and None
-    elsewhere: mollify's second sweep, given the first's R_ls.  The
-    windows keep the derivative channels (`fd6_channel`'s stencils where
-    the state has none) and the products dv x v of the input nodes."""
-    kern = TemporalKernel(state.times, ell)
-    v, R = state.v, state.R
-    dv = _Window(kern, lambda j: _channel(v, j))
-    # read at node i only after dv's window holds row i
-    dvxv = _Window(kern, lambda j: sym_tracefree_product(dv.kept[j], v.slices[j],
+    elsewhere: mollify's node-by-node sweep, the second of the step's.  It
+    reads each input slice at most once and holds the slices, the
+    derivative channels (`fd6_channel`'s stencils where the state has
+    none) and the products v x v and dv x v only over the temporal
+    kernel's reach; R_ls is made with `_stress_sups`'s arithmetic."""
+    kern = _kernel(state, ell)
+    rows = kern.reach
+    v = _Window(_reads(rows, state.v), lambda j: state.v.slices[j])
+    R = _Window(_reads(rows, state.R), lambda j: state.R.slices[j])
+    p = _Window(rows, lambda j: state.p.slices[j])
+    # each window below reads v's and R's at node i only after they hold row i
+    dv = _Window(rows, lambda j: _channel(state.v, j, v.kept))
+    vxv = _Window(rows, lambda j: tf_square(v.kept[j], allow_interpolant=True))
+    dvxv = _Window(rows, lambda j: sym_tracefree_product(dv.kept[j], v.kept[j],
                                                          allow_interpolant=True))
-    dR = _Window(kern, lambda j: _channel(R, j))
-    for i in range(len(v)):
-        v_ell, dv_ell = _smooth(kern, v.slices, i), _smooth(kern, dv.at(i), i)
+    dR = _Window(rows, lambda j: _channel(state.R, j, R.kept))
+    for i in range(len(state.times)):
+        v_ell = _smooth(kern, v.at(i), i)
+        R_ls = _stress_node(kern, i, v_ell, R.at(i), vxv.at(i))
+        dv_ell = _smooth(kern, dv.at(i), i)
         dR_ls = None
         if active[i]:
             dR_ls = _smooth(kern, dR.at(i), i) + (
                 sym_tracefree_product(dv_ell, v_ell, allow_interpolant=True)
                 - _smooth(kern, dvxv.at(i), i))
-        yield v_ell, dv_ell, _smooth(kern, state.p.slices, i), R_ls[i], dR_ls
+        yield v_ell, dv_ell, _smooth(kern, p.at(i), i), R_ls, dR_ls
 
 
 def mollify(state: NSRState, ell: float) -> NSRState:
@@ -218,12 +273,12 @@ def mollify(state: NSRState, ell: float) -> NSRState:
     value and derivative channels alike.  The returned triple
     (v_ell, p_ell, R_ls) has the low-frequency stress R_ls = R_ell + R_m,
     with derivative channels on v and R, so it balances exactly up to the
-    mollified input residual.  It collects the two node-by-node sweeps
-    that `step_nodes` streams.
+    mollified input residual.  It collects the node-by-node sweep that
+    `step_nodes` streams.
     """
     times = state.times
     v_ell, dv_ell, p_ell, R_ls, dR_ls = (list(track) for track in zip(*_mollified_nodes(
-        state, ell, _mollified_stress(state, ell), np.ones(times.size, dtype=bool))))
+        state, ell, np.ones(times.size, dtype=bool))))
     return NSRState(TimeTrack(times, v_ell, dv_ell), TimeTrack(times, p_ell),
                     TimeTrack(times, R_ls, dR_ls), state.theta, state.nu,
                     state.q, state.T)
@@ -261,13 +316,14 @@ class CutoffProfile:
         return self.values > 0.0
 
 
-def support_mask(track: TimeTrack) -> np.ndarray:
-    """Nodes whose sup norm exceeds SUPPORT_RTOL of the track's largest."""
-    return _sup_support(np.array([lp_norm(s, np.inf) for s in track.slices]))
+def sup_norms(track: TimeTrack) -> np.ndarray:
+    """The sup norm of each slice of the track."""
+    return np.array([lp_norm(s, np.inf) for s in track.slices])
 
 
-def _sup_support(sups: np.ndarray) -> np.ndarray:
-    """`support_mask` from one sup norm per node."""
+def support_mask(sups: np.ndarray) -> np.ndarray:
+    """Nodes whose sup norm (one per node, as `sup_norms` gives them)
+    exceeds SUPPORT_RTOL of the largest."""
     top = sups.max()
     if top == 0.0:
         return np.zeros(sups.size, dtype=bool)
@@ -288,15 +344,16 @@ def neighborhood_mask(times: np.ndarray, mask: np.ndarray, eps: float) -> np.nda
     return dist <= eps * (1.0 + 1e-12) + 1e-15
 
 
-def temporal_cutoff(R_ls: TimeTrack, ell: float) -> CutoffProfile:
-    """Mollified-indicator switch around the detected stress support.
+def temporal_cutoff(times: np.ndarray, sups: np.ndarray, ell: float) -> CutoffProfile:
+    """Mollified-indicator switch around the detected stress support, from
+    the sup norm of R_ls at each node (`sup_norms`).
 
     Equal to 1 on the ell/2-neighborhood of the support (in particular on
     the support itself) and supported inside the ell-neighborhood; ramps
     are width-ell/2 smooth steps, one factor per support interval.
     """
-    intervals = mask_intervals(R_ls.times, support_mask(R_ls))
-    return CutoffProfile(*_switch_eval(intervals, float(ell), R_ls.times))
+    intervals = mask_intervals(times, support_mask(sups))
+    return CutoffProfile(*_switch_eval(intervals, float(ell), times))
 
 
 # -- coefficients -------------------------------------------------------------
@@ -515,11 +572,20 @@ def _residual_report(res_norms, scales, times: np.ndarray, T: float) -> dict:
     }
 
 
+def _state_nodes(state: NSRState):
+    """Yield each node's (v, dv, p, R) of the state in turn, reading each
+    slice of v, p and R, and dv where the state has it, once: d/dt v is the
+    track's channel, or `fd6_channel`'s stencil over a window of v."""
+    v = _Window(_reads(lambda i: (i, i), state.v), lambda j: state.v.slices[j])
+    for i in range(len(state.times)):
+        held = v.at(i)
+        yield held[i], _channel(state.v, i, held), state.p.slices[i], state.R.slices[i]
+
+
 def nsr_residual(state: NSRState) -> dict:
     """Forced momentum-balance residual report, from the state alone; d/dt v
     is the track's channel, or `fd6_channel` where it has none."""
-    per_node = [_slice_residual(s, _channel(state.v, i), state.p.slices[i], state.R.slices[i],
-                                state.theta, state.nu) for i, s in enumerate(state.v.slices)]
+    per_node = [_slice_residual(*node, state.theta, state.nu) for node in _state_nodes(state)]
     return _residual_report(*zip(*per_node), state.times, state.T)
 
 
@@ -555,7 +621,8 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
     holds the oscillation cancellation.  Everything else the node builds
     is released as soon as its last scalar is taken: the stress samples,
     coefficients and kernels before the assembly, the perturbation and
-    the corrector before the residual.
+    the corrector before the residual.  A scalar that is not finite raises
+    NonFiniteValue, so the node is never returned.
     """
     v_l, dv_l, p_l, R_ls, dR_ls = node
     theta, nu = toy.theta, toy.nu
@@ -604,6 +671,9 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
     rep["R_lp"], rep["R_l1"] = _quadrature_norms(R, (P_REP, 1.0))
     rep["R_sup"] = lp_norm(R, np.inf)
     rep["v_mean"] = float(np.max(np.abs(mean(v))))
+    bad = [key for key, x in rep.items() if not np.all(np.isfinite(x))]
+    if bad:
+        raise NonFiniteValue(f"node at t = {t:.6g}: {', '.join(bad)} not finite")
     return (v, dv, p, R), rep
 
 
@@ -625,14 +695,19 @@ class StepDiagnostics:
 def step_nodes(state: NSRState, toy: ToyParams, emit) -> StepDiagnostics:
     """One full stress-reduction step at desk-scale parameters, node by node.
 
-    A first sweep mollifies the stress, R_ls, at every node and the
-    temporal cutoff reads it.  The second mollifies one node at a time,
-    with d/dt R_ls only where the switch or its derivative is nonzero,
-    and `_step_node` makes the new slices and scalars of that node, given
-    with its time and switch values, the mollified residual among them.
-    Each new node goes to emit(i, v, dv, p, R) as soon as it is made and
-    is not kept; the returned diagnostics are max reductions over the
-    nodes' scalars.  The toy's theta and nu must be the state's: the node
+    A first sweep (`_stress_sups`) mollifies the stress, R_ls, at every
+    node and keeps one sup norm of it, and one of the input R, per node:
+    the temporal cutoff and the support containments read only those.
+    The second (`_mollified_nodes`) mollifies one node at a time, R_ls
+    again with the same arithmetic and d/dt R_ls only where the switch or
+    its derivative is nonzero, and `_step_node` makes the new slices and
+    scalars of that node, given with its time and switch values, the
+    mollified residual among them.  Each sweep reads each input slice at
+    most once and holds slices only over the temporal kernel's reach, so a
+    state read from disk (`read_state`) is never held whole.  Each new
+    node goes to emit(i, v, dv, p, R) as soon as it is made and is not
+    kept; the returned diagnostics are max reductions over the nodes'
+    scalars.  The toy's theta and nu must be the state's: the node
     functions read them from the toy.
     """
     if (toy.theta, toy.nu) != (state.theta, state.nu):
@@ -641,12 +716,12 @@ def step_nodes(state: NSRState, toy: ToyParams, emit) -> StepDiagnostics:
     lam_ts = toy.wp.lam ** theta_star(state.theta)   # raises unless 0 <= theta < 1
     times = state.times
 
-    R_ls = TimeTrack(times, _mollified_stress(state, toy.ell))
-    cut = temporal_cutoff(R_ls, toy.ell)
+    R_ls_sups, R_sups = _stress_sups(state, toy.ell)
+    cut = temporal_cutoff(times, R_ls_sups, toy.ell)
     peak = int(np.argmax(cut.values))
     active = (cut.values != 0.0) | (cut.dvalues != 0.0)
     reports = []
-    for i, node in enumerate(_mollified_nodes(state, toy.ell, R_ls.slices, active)):
+    for i, node in enumerate(_mollified_nodes(state, toy.ell, active)):
         new, rep = _step_node(node, float(times[i]), float(cut.values[i]),
                               float(cut.dvalues[i]), toy, peak=i == peak)
         emit(i, *new)
@@ -662,9 +737,8 @@ def step_nodes(state: NSRState, toy: ToyParams, emit) -> StepDiagnostics:
     res = residual("res")
     # support containments, slice-exact on the grid
     w_support = np.array(["w_p" in rep for rep in reports])
-    r_old = support_mask(state.R)
-    r_ls = support_mask(R_ls)
-    r_new = _sup_support(np.array([rep["R_sup"] for rep in reports]))
+    r_old, r_ls = support_mask(R_sups), support_mask(R_ls_sups)
+    r_new = support_mask(np.array([rep["R_sup"] for rep in reports]))
     phi_mask = cut.support_mask()
     diags = StepDiagnostics(residual_report=res, support={
         "w_in_phi": bool(np.all(~w_support | phi_mask)),

@@ -18,15 +18,17 @@ import sys
 
 from .errors import (AliasingRisk, ConfigError, ConstraintViolation,
                      DerivativeChannelMissing, DivisibilityError, InvalidInput,
-                     NonIntegerFrequency, PaddingError)
+                     NonFiniteValue, NonIntegerFrequency, PaddingError)
 
-GUARD_ERRORS = (AliasingRisk, PaddingError, NonIntegerFrequency, DerivativeChannelMissing)
+GUARD_ERRORS = (AliasingRisk, PaddingError, NonIntegerFrequency, DerivativeChannelMissing,
+                NonFiniteValue)
 CONSTRAINT_ERRORS = (ConstraintViolation, DivisibilityError, ConfigError, InvalidInput)
 
 
 def cmd_check(cfg: dict, out_dir: str | None) -> int:
     from .checks import run_all
     from .config import schedule_from_config
+    from .diagnostics import json_report
 
     if cfg["mode"] == "paper":
         from .param_schedule import validate_schedule
@@ -42,7 +44,7 @@ def cmd_check(cfg: dict, out_dir: str | None) -> int:
             raise AliasingRisk(
                 f"grid n={grid.n} cannot resolve the configured waves (band {band})")
     report = run_all()
-    text = json.dumps(report, indent=1, sort_keys=True)
+    text = json_report(report)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "check_report.json"), "w") as fh:
@@ -67,7 +69,7 @@ def cmd_init(cfg: dict, out_dir: str | None) -> int:
     state = init_state(u, float(cfg["theta"]), float(cfg["nu"]), float(tc["T"]))
     rep = nsr_residual(state)
     tol = float(cfg["tolerances"]["init_residual"])
-    if rep["max_rel"] > tol:
+    if not rep["max_rel"] <= tol:
         raise InvalidInput(f"initial residual {rep['max_rel']:.3e} exceeds {tol}")
     from .spectral_field import divergence, lp_norm
     max_div = max(lp_norm(divergence(s), 2) for s in state.v.slices)
@@ -80,14 +82,15 @@ def cmd_init(cfg: dict, out_dir: str | None) -> int:
 
 
 def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
-    """Steps the state node by node: each new node's dumps go into
-    `<out>.partial` as soon as the node is made, and the directory becomes
-    `<out>` once the step and its reports are complete."""
+    """Steps the state node by node: the input's dumps are read as the
+    step's sweeps reach them, each new node's dumps go into `<out>.partial`
+    as soon as the node is made, and the directory becomes `<out>` once the
+    step and its reports are complete."""
     from dataclasses import replace
 
     from .ci_step import step_nodes
     from .config import toy_from_config
-    from .diagnostics import write_step_csv
+    from .diagnostics import json_report, write_step_csv
     from .state_io import read_state, write_manifest, write_node
 
     if cfg["mode"] != "toy":
@@ -105,10 +108,10 @@ def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
             tmp_dir, i, state.times[i], v, dv, p, R))
         tol = float(cfg["tolerances"]["residual"])
         write_step_csv(os.path.join(tmp_dir, "step_diagnostics.csv"), diags)
+        text = json_report({"residual": diags.residual_report["window_max_rel"],
+                            "support": diags.support, "identities": diags.identities})
         with open(os.path.join(tmp_dir, "step_report.json"), "w") as fh:
-            json.dump({"residual": diags.residual_report["window_max_rel"],
-                       "support": diags.support,
-                       "identities": diags.identities}, fh, indent=1, sort_keys=True)
+            fh.write(text)
         if os.path.exists(out_dir):
             shutil.rmtree(out_dir)
         os.replace(tmp_dir, out_dir)

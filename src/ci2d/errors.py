@@ -44,3 +44,7 @@ class InvalidInput(CI2DError):
 
 class DerivativeChannelMissing(CI2DError):
     """An operation required an analytic time-derivative channel."""
+
+
+class NonFiniteValue(CI2DError):
+    """A computed value is NaN or infinite, so no identity it enters holds."""

@@ -117,6 +117,11 @@ class TemporalKernel:
         jj, ww = j[ok], self.weights[ok]
         return jj, ww / ww.sum()
 
+    def reach(self, i: int) -> tuple:
+        """(first, last) input node of row i."""
+        jj = self.row(i)[0]
+        return jj[0], jj[-1]
+
     def apply_fields(self, slices: list, i: int) -> SpectralField:
         jj, ww = self.row(i)
         return combine([slices[j] for j in jj], ww)

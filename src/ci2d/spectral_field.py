@@ -689,17 +689,37 @@ def random_field(grid: Grid2, rank: str, band: int, seed: int,
 
 # -- time tracks ----------------------------------------------------------
 
+class SliceReader:
+    """A track's slices read on demand: reader[i] is read(i), a field of
+    the given grid and rank, made anew at each access and not kept."""
+
+    __slots__ = ("grid", "rank", "count", "read")
+
+    def __init__(self, grid: Grid2, rank: str, count: int, read):
+        self.grid, self.rank, self.count, self.read = grid, rank, count, read
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> SpectralField:
+        if not 0 <= i < self.count:
+            raise IndexError(f"slice {i} of {self.count}")
+        return self.read(i)
+
+
 class TimeTrack:
     """Uniformly sampled family of fields over a padded time interval.
 
     `dslices`, when present, is the analytic time-derivative channel; the
     pair (slices, dslices) is treated as a first-order jet and every
-    linear operation maps both channels identically.
+    linear operation maps both channels identically.  Each channel is a
+    list of fields or a `SliceReader`, whose grid and rank stand for its
+    slices' (a track on disk is checked from its dumps' headers).
     """
 
-    __slots__ = ("times", "slices", "dslices")
+    __slots__ = ("times", "slices", "dslices", "grid")
 
-    def __init__(self, times: np.ndarray, slices: list, dslices: list | None = None):
+    def __init__(self, times: np.ndarray, slices, dslices=None):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ConfigError("a time track needs at least two nodes")
@@ -710,25 +730,23 @@ class TimeTrack:
             raise ConfigError("slice count does not match time nodes")
         if dslices is not None and len(dslices) != times.size:
             raise ConfigError("derivative channel count does not match time nodes")
-        g0, r0 = slices[0].grid, slices[0].rank
-        for s in slices:
-            if s.grid.n != g0.n or s.rank != r0:
-                raise ConfigError("all slices must share one grid and rank")
+        reader = isinstance(slices, SliceReader)
+        layouts = ({(slices.grid.n, slices.rank)} if reader
+                   else {(s.grid.n, s.rank) for s in slices})
+        if len(layouts) != 1:
+            raise ConfigError("all slices must share one grid and rank")
         self.times = times
-        self.slices = list(slices)
-        self.dslices = list(dslices) if dslices is not None else None
+        self.slices = slices if reader else list(slices)
+        self.dslices = (dslices if dslices is None or isinstance(dslices, SliceReader)
+                        else list(dslices))
+        self.grid = slices.grid if reader else self.slices[0].grid
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    @property
-    def grid(self) -> Grid2:
-        return self.slices[0].grid
 
     def __len__(self) -> int:
         return len(self.slices)
 
     def has_channel(self) -> bool:
         return self.dslices is not None
-

@@ -14,6 +14,12 @@ A state directory holds a manifest.json with the keys
 {T, t_pad, n, n_t, theta, nu, q, mode, params} plus one dump per field
 slice: v_XXXX, p_XXXX, R_XXXX and the derivative channels dv_XXXX /
 dR_XXXX when available: a channel is dumped at every node or at none.
+
+`read_state` checks the manifest and every dump's header up front and
+reads no samples: each track of the state it returns reads a dump when a
+slice is asked for (`SliceReader`), anew at each access.  The step's
+sweeps and the state report ask for each slice once per sweep, so a
+state on disk is never held whole in memory.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import numpy as np
 
 from .ci_step import NSRState
 from .errors import ConfigError
-from .spectral_field import _RANK_NCOMP, SpectralField, TimeTrack, analyze, make_grid
+from .spectral_field import (_RANK_NCOMP, SliceReader, SpectralField, TimeTrack, analyze,
+                             make_grid)
 
 MAGIC = b"CI2DFLD1"
 
@@ -55,30 +62,38 @@ def write_field(path: str, field: SpectralField, time: float = 0.0) -> None:
         fh.write(payload)
 
 
-def read_field(path: str):
-    """Returns (SpectralField, header dict); a malformed dump raises ConfigError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ConfigError(f"{path}: not a CI2D field dump")
-        try:
-            (length,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(length).decode("utf-8"))
-            n, rank, reality = int(header["n"]), header["rank"], bool(header["reality"])
-        except (struct.error, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: header does not decode ({exc})") from None
-        raw = fh.read()
+def _check_header(fh, path: str) -> tuple:
+    """(header, sample shape) of an open dump, read up to its payload; a
+    bad magic, a header that does not decode, an unknown rank or a payload
+    whose byte count differs from the header's raises ConfigError."""
+    if fh.read(8) != MAGIC:
+        raise ConfigError(f"{path}: not a CI2D field dump")
+    try:
+        (length,) = struct.unpack("<I", fh.read(4))
+        header = json.loads(fh.read(length).decode("utf-8"))
+        n, rank, reality = int(header["n"]), header["rank"], bool(header["reality"])
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: header does not decode ({exc})") from None
     if rank not in _RANK_NCOMP:
         raise ConfigError(f"{path}: unknown rank {rank!r}")
-    grid = make_grid(n)
     shape = (_RANK_NCOMP[rank], n, n) + (() if reality else (2,))
-    need = 8 * int(np.prod(shape))
-    if len(raw) != need:
-        raise ConfigError(f"{path}: payload has {len(raw)} bytes, its header needs {need}")
-    vals = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    if not reality:
+    have, need = os.fstat(fh.fileno()).st_size - fh.tell(), 8 * int(np.prod(shape))
+    if have != need:
+        raise ConfigError(f"{path}: payload has {have} bytes, its header needs {need}")
+    return header, shape
+
+
+def read_field(path: str):
+    """Returns (SpectralField, header dict); a malformed dump, or one with a
+    sample that is not finite, raises ConfigError."""
+    with open(path, "rb") as fh:
+        header, shape = _check_header(fh, path)
+        vals = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"{path}: a sample is not finite")
+    if len(shape) == 4:   # complex samples, re/im interleaved
         vals = vals[..., 0] + 1j * vals[..., 1]
-    return analyze(grid, vals, rank), header
+    return analyze(make_grid(shape[1]), vals, header["rank"]), header
 
 
 def _slice_name(prefix: str, i: int) -> str:
@@ -126,9 +141,12 @@ _MANIFEST_TYPES = {"T": float, "t_pad": float, "n": int, "n_t": int, "theta": fl
 
 
 def read_state(dirpath: str) -> tuple:
-    """Returns (NSRState, manifest); a missing or malformed manifest, a
-    missing dump (a derivative channel may lack every dump, not some), or a
-    dump whose grid or rank does not fit the manifest raises ConfigError."""
+    """Returns (NSRState, manifest), whose tracks read each dump's samples
+    only when a slice is asked for (`SliceReader`).  Up front, a missing or
+    malformed manifest, a missing dump (a derivative channel may lack every
+    dump, not some), a malformed dump header, or a dump whose grid or rank
+    does not fit the manifest raises ConfigError; a sample that is not
+    finite raises it when its dump is read."""
     path = os.path.join(dirpath, "manifest.json")
     if not os.path.isfile(path):
         raise ConfigError(f"{dirpath}: no manifest.json, not a state directory")
@@ -143,7 +161,9 @@ def read_state(dirpath: str) -> tuple:
             raise ConfigError(f"{path}: manifest has no {kind.__name__} {key!r}")
     from .generators import time_grid
     times = time_grid(manifest["T"], manifest["t_pad"], manifest["n_t"])
-    def load(prefix, rank, required=True):
+    n = manifest["n"]
+
+    def reader(prefix, rank, required=True):
         """The track's slices; None for a channel with no dump at any node."""
         paths = [os.path.join(dirpath, _slice_name(prefix, i)) for i in range(times.size)]
         missing = [path for path in paths if not os.path.exists(path)]
@@ -151,19 +171,16 @@ def read_state(dirpath: str) -> tuple:
             return None
         if missing:
             raise ConfigError(f"state directory missing {missing[0]}")
-        slices = []
         for path in paths:
-            f = read_field(path)[0]
-            if (f.grid.n, f.rank) != (manifest["n"], rank):
-                raise ConfigError(f"{path}: a {f.rank} on n = {f.grid.n}, where the manifest "
-                                  f"needs a {rank} on n = {manifest['n']}")
-            slices.append(f)
-        return slices
-    v = load("v", "vector")
-    p = load("p", "scalar")
-    R = load("R", "symtensor")
-    dv = load("dv", "vector", required=False)
-    dR = load("dR", "symtensor", required=False)
+            with open(path, "rb") as fh:
+                header, shape = _check_header(fh, path)
+            if (shape[1], header["rank"]) != (n, rank):
+                raise ConfigError(f"{path}: a {header['rank']} on n = {shape[1]}, where "
+                                  f"the manifest needs a {rank} on n = {n}")
+        return SliceReader(make_grid(n), rank, len(paths), lambda i: read_field(paths[i])[0])
+
+    v, p, R = reader("v", "vector"), reader("p", "scalar"), reader("R", "symtensor")
+    dv, dR = reader("dv", "vector", False), reader("dR", "symtensor", False)
     state = NSRState(
         v=TimeTrack(times, v, dv),
         p=TimeTrack(times, p),

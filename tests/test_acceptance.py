@@ -21,7 +21,7 @@ from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
                   nsr_residual, perp_grad, project, random_field,
                   temporal_cutoff, validate_schedule)
 from ci2d.building_blocks import WaveParams, pair_shell, positive_directions
-from ci2d.ci_step import _mollified_nodes, _mollified_stress, _node_perturbation
+from ci2d.ci_step import _mollified_nodes, _node_perturbation, _stress_sups
 from ci2d.generators import shear_track, time_grid
 from ci2d.stress_geometry import decompose, reconstruct
 
@@ -51,11 +51,10 @@ def endtoend():
     elapsed = time.time() - t0
     # criteria 7 and 8 read R_ls at every node (the cutoff) and the middle
     # plateau node's mollified fields, which the step's own sweeps build
-    R_ls = TimeTrack(times, _mollified_stress(state, toy.ell))
-    cut = temporal_cutoff(R_ls, toy.ell)
+    cut = temporal_cutoff(times, _stress_sups(state, toy.ell)[0], toy.ell)
     plateau = np.where(cut.values >= 1.0)[0]
     i = int(plateau[len(plateau) // 2])
-    nodes = _mollified_nodes(state, toy.ell, R_ls.slices, np.arange(times.size) == i)
+    nodes = _mollified_nodes(state, toy.ell, np.arange(times.size) == i)
     return {"state": state, "new_state": new_state, "diags": diags,
             "elapsed": elapsed, "plateau": i, "cut": cut, "toy": toy,
             "node": next(node for j, node in enumerate(nodes) if j == i),

@@ -6,9 +6,9 @@ from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
                   init_state, iterate_step, lp_norm, make_grid, mean, mollify,
                   multiply, nsr_residual, project, random_field, temporal_cutoff,
                   tf_square, toy_params)
-from ci2d.ci_step import (_coefficient_slice, _mollified_nodes, _mollified_stress,
-                          _node_perturbation, _step_node, _switch_eval, _wave_slice,
-                          fd6_channel, mask_intervals, support_mask)
+from ci2d.ci_step import (_coefficient_slice, _mollified_nodes, _node_perturbation,
+                          _step_node, _stress_sups, _switch_eval, _wave_slice,
+                          fd6_channel, mask_intervals, sup_norms, support_mask)
 from ci2d.errors import AliasingRisk, ConfigError, PaddingError
 from ci2d.fourier_calculus import FreqBand, sym_tracefree_product
 from ci2d.generators import bump_profile, build_initial, time_grid, zero_track
@@ -75,7 +75,7 @@ def test_init_zero_track():
 def test_init_shear_residual_and_support():
     state = small_state()
     # stress support stays inside the generator's temporal support
-    assert np.all(~support_mask(state.R) | support_mask(state.v))
+    assert np.all(~support_mask(sup_norms(state.R)) | support_mask(sup_norms(state.v)))
     assert all(abs(mean(s)).max() == 0.0 for s in state.v.slices)
 
 
@@ -203,12 +203,16 @@ def test_mollify_matches_the_whole_state_loop_bitwise(n_t, taps, channels):
     for name, fields, oracle in zip(("v", "dv", "p", "R_ls", "dR_ls"), got, want):
         for i, (f, g) in enumerate(zip(fields, oracle, strict=True)):
             assert np.array_equal(f.coeffs, g.coeffs), (name, i)
-    # the step's sweep makes d/dt R_ls at the active nodes alone, and the
-    # same there when the active nodes leave gaps in the windows
+    # the step's first sweep keeps the sups of R_ls and of R, from the
+    # same arithmetic
+    R_ls_sups, R_sups = _stress_sups(state, 0.05)
+    assert np.array_equal(R_ls_sups, [lp_norm(f, np.inf) for f in want[3]])
+    assert np.array_equal(R_sups, sup_norms(state.R))
+    # the step's second sweep makes d/dt R_ls at the active nodes alone, and
+    # the same there when the active nodes leave gaps in the windows
     active = np.zeros(times.size, dtype=bool)
     active[[1, 2, times.size // 2, times.size - 3]] = True
-    for i, node in enumerate(_mollified_nodes(state, 0.05, _mollified_stress(state, 0.05),
-                                              active)):
+    for i, node in enumerate(_mollified_nodes(state, 0.05, active)):
         for f, g in zip(node[:4], want):
             assert np.array_equal(f.coeffs, g[i].coeffs), i
         if active[i]:
@@ -222,7 +226,7 @@ def test_mollify_matches_the_whole_state_loop_bitwise(n_t, taps, channels):
 def test_cutoff_zero_stress_gives_zero_switch():
     state = init_state(zero_track(GRID, TIMES), 0.4, 1.0, 1.0)
     moll = mollify(state, 0.05)
-    cut = temporal_cutoff(moll.R, 0.05)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), 0.05)
     assert np.all(cut.values == 0.0)
     new_state, diags = iterate_step(state, small_toy())
     assert all(lp_norm(a - b, 2) == 0.0
@@ -242,8 +246,8 @@ def test_cutoff_neighborhood_containment():
     # stress supported in [0.3, 0.5] with ell = 0.05 keeps the switch
     # inside [0.25, 0.55] and at one on the support
     times, track = _bump_stress(0.1, 0.4, 0.1, seed=2)
-    cut = temporal_cutoff(track, 0.05)
-    sup = support_mask(track)
+    cut = temporal_cutoff(track.times, sup_norms(track), 0.05)
+    sup = support_mask(sup_norms(track))
     assert np.all(cut.values[sup] == 1.0)
     outside = (times < 0.25 - 1e-9) | (times > 0.55 + 1e-9)
     assert np.all(cut.values[outside] == 0.0)
@@ -253,7 +257,7 @@ def test_cutoff_neighborhood_containment():
 def test_cutoff_slope_scales_with_ell():
     times, track = _bump_stress(0.2, 0.5, 0.12, seed=3)
     slopes = {}
-    intervals = mask_intervals(times, support_mask(track))
+    intervals = mask_intervals(times, support_mask(sup_norms(track)))
     for ell in (0.05, 0.1):
         fine = np.linspace(times[0], times[-1], 20001)
         vals, dvals = _switch_eval(intervals, ell, fine)
@@ -315,14 +319,14 @@ def test_cutoff_two_bump_stress():
     chi = bump_profile(times, 0.3, 0.1)[0] + bump_profile(times, 0.5, 0.1)[0]
     base = anti_divergence(random_field(make_grid(32), "vector", 4, seed=2))
     track = TimeTrack(times, [float(c) * base for c in chi])
-    intervals = mask_intervals(times, support_mask(track))
+    intervals = mask_intervals(times, support_mask(sup_norms(track)))
     assert len(intervals) == 2 and intervals[1][0] - intervals[0][1] < 2 * ell
-    cut = temporal_cutoff(track, ell)
+    cut = temporal_cutoff(track.times, sup_norms(track), ell)
     dist = _interval_distance(intervals, times)
     assert np.all((cut.values >= 0.0) & (cut.values <= 1.0))
     assert np.all(cut.values[dist < ell / 2 - 1e-9] == 1.0)
     assert np.all(cut.values[dist > ell + 1e-9] == 0.0)
-    assert np.all(cut.values[support_mask(track)] == 1.0)
+    assert np.all(cut.values[support_mask(sup_norms(track))] == 1.0)
 
 
 def _mask_intervals_loop(times, mask):
@@ -356,7 +360,7 @@ def test_coefficients_flat_stress_is_isotropic():
     z = SpectralField.zeros(GRID, "symtensor")
     cut_track = TimeTrack(TIMES, [float(c) * anti_divergence(
         random_field(GRID, "vector", 2, seed=4)) for c in chi])
-    cut = temporal_cutoff(fd6_channel(cut_track), 0.05)
+    cut = temporal_cutoff(TIMES, sup_norms(cut_track), 0.05)
     i = int(np.argmax(cut.values))
     _, a_slice, _, _ = _node_perturbation(z, z, float(TIMES[i]), float(cut.values[i]),
                                           float(cut.dvalues[i]), small_toy())
@@ -403,7 +407,7 @@ def test_coefficient_size_tracks_amplitude_constants():
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
     cell = state.grid.cell_measure
     ae = toy.a_const * toy.eps_next
     for i in range(len(moll.R)):
@@ -421,7 +425,7 @@ def test_coefficient_cancellation_on_plateau():
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
     plateau = np.where(cut.values >= 1.0)[0]
     i = int(plateau[len(plateau) // 2])
     rv, a_slice, _, _ = _perturb(moll, cut, toy, i)
@@ -453,7 +457,7 @@ def _perturbation_setup(amplitude=0.05, lam=50, sigma_inv=10, n=256):
     state = small_state(amplitude, grid=make_grid(n))
     toy = small_toy(lam=lam, sigma_inv=sigma_inv, mu=5)
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
     return state, toy, moll, cut
 
 
@@ -461,7 +465,7 @@ def test_perturbations_vanish_without_cutoff():
     state = small_state(amplitude=0.0)
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
     assert np.all(cut.values == 0.0) and np.all(cut.dvalues == 0.0)
     for i in range(len(TIMES)):
         _assert_node_off(moll, cut, toy, i)
@@ -582,7 +586,7 @@ def test_perturbation_slice_mirror_matches_both_explicit_shifts():
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
     node = int(np.argmax(cut.values))
     _, a_slice, _, pert = _perturb(moll, cut, toy, node)
     oracle, clipped = _perturbation_oracle(GRID, toy.wp, a_slice, float(moll.times[node]))
@@ -600,7 +604,7 @@ def test_perturbation_slice_matches_roll_and_mirror_oracle(n, wave):
     grid = make_grid(n)
     toy = small_toy(lam=lam, sigma_inv=sigma_inv, r=r, mu=mu)
     moll = mollify(small_state(grid=grid), toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
     node = int(np.argmax(cut.values))
     _, a_slice, _, pert = _perturb(moll, cut, toy, node)
     oracle, clipped = _perturbation_oracle(grid, toy.wp, a_slice, float(moll.times[node]),
@@ -626,7 +630,7 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
-    cut = temporal_cutoff(moll.R, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
     node = int(np.argmax(cut.values))
     _, a_slice, kernels, pert = _perturb(moll, cut, toy, node)
     grid, wp, n = state.grid, toy.wp, state.grid.n

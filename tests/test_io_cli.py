@@ -4,13 +4,14 @@ import shutil
 import struct
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ci2d import lp_norm, make_grid, random_field
+from ci2d import NSRState, TimeTrack, lp_norm, make_grid, random_field
 from ci2d.cli import main
 from ci2d.config import DEFAULT_CONFIG, load_config, schedule_from_config
 from ci2d.errors import ConfigError
@@ -135,8 +136,8 @@ def test_init_support_stays_inside_generator_window(tmp_path):
     cfg_path, cfg = _small_cfg(tmp_path)
     assert main(["init", "--config", cfg_path]) == 0
     state, _ = read_state(cfg["out"])
-    from ci2d.ci_step import support_mask
-    rmask = support_mask(state.R)
+    from ci2d.ci_step import sup_norms, support_mask
+    rmask = support_mask(sup_norms(state.R))
     dt = state.v.dt
     inside = (state.times >= 0.25 - dt * 1.001) & (state.times <= 0.75 + dt * 1.001)
     assert np.all(~rmask | inside)
@@ -376,7 +377,7 @@ def test_cli_step_guard_mid_stream_leaves_no_output(tmp_path, monkeypatch):
     # a guard that trips at the last active node, after the earlier nodes'
     # dumps are in `<out>.partial`, exits 2 and leaves an existing `<out>`
     # as it was; the node is found from the input state's own cutoff
-    from ci2d import TimeTrack, ci_step
+    from ci2d import ci_step
     from ci2d.errors import AliasingRisk
 
     step, out_dir, partial = _initialized_step(tmp_path)
@@ -384,8 +385,7 @@ def test_cli_step_guard_mid_stream_leaves_no_output(tmp_path, monkeypatch):
     (out_dir / "sentinel").write_text("left by an earlier run")
     state, _ = read_state(step[step.index("--state") + 1])
     ell = load_config(step[step.index("--config") + 1])["toy"]["ell"]
-    cut = ci_step.temporal_cutoff(TimeTrack(state.times, ci_step._mollified_stress(state, ell)),
-                                  ell)
+    cut = ci_step.temporal_cutoff(state.times, ci_step._stress_sups(state, ell)[0], ell)
     last = np.flatnonzero((cut.values != 0.0) | (cut.dvalues != 0.0))[-1]
     step_node = ci_step._step_node
 
@@ -404,10 +404,12 @@ def test_cli_step_guard_mid_stream_leaves_no_output(tmp_path, monkeypatch):
 
 
 def test_cli_step_peak_memory(tmp_path):
-    # `ci2d step` mollifies node by node and writes each node as it is made:
-    # the traced peak of a step from a stepped n = 128 state, which has no
-    # dR_ dumps, in two-component half planes (61.6 when the step mollified
-    # the whole state and wrote the new state at the end; 37.4 here)
+    # `ci2d step` reads its input node by node, mollifies node by node and
+    # writes each node as it is made: the traced peak of a step from a
+    # stepped n = 128 state, which has no dR_ dumps, in two-component half
+    # planes (61.6 when the step mollified the whole state and wrote the new
+    # state at the end; 37.4 when it read the whole input state first and
+    # kept R_ls at every node; 31.2 here)
     import tracemalloc
     cfg_path, cfg = _small_cfg(tmp_path, grid={"n": 128}, time={"n_t": 9})
     cfg["initial"] = {"generator": "stream", "seed": 1}
@@ -426,7 +428,163 @@ def test_cli_step_peak_memory(tmp_path):
         tracemalloc.stop()
     n = 128
     plane = 2 * n * (n // 2 + 1) * 16
-    assert peak <= 48 * plane, peak / plane
+    assert peak <= 34 * plane, peak / plane
+
+
+def _poke(path, value):
+    """Overwrite one sample of a field dump with value."""
+    raw = bytearray(path.read_bytes())
+    start = 12 + int.from_bytes(raw[8:12], "little") + 8 * 100
+    raw[start:start + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+
+
+def _last_active_node(state_dir, cfg_path):
+    from ci2d import ci_step
+    state, _ = read_state(state_dir)
+    ell = load_config(cfg_path)["toy"]["ell"]
+    cut = ci_step.temporal_cutoff(state.times, ci_step._stress_sups(state, ell)[0], ell)
+    return np.flatnonzero((cut.values != 0.0) | (cut.dvalues != 0.0))[-1]
+
+
+@pytest.mark.parametrize("prefix", ["v", "p"])
+def test_cli_non_finite_sample_exits_3(tmp_path, prefix):
+    # a NaN sample in a dump of the last active node of an n = 64, n_t = 9
+    # stream state: v is read by the step's first sweep, p only by the
+    # second, after the earlier nodes' dumps are in `<out>.partial`.  Both
+    # commands exit 3; the step leaves no `.partial` and `<out>` as it was
+    cfg_path, cfg = _small_cfg(tmp_path, time={"n_t": 9},
+                               initial={"generator": "stream", "seed": 1})
+    assert main(["init", "--config", cfg_path]) == 0
+    last = _last_active_node(cfg["out"], cfg_path)
+    assert 0 < last < 10
+    _poke(Path(cfg["out"], f"{prefix}_{last:04d}.ci2d"), float("nan"))
+    with pytest.raises(ConfigError, match="not finite"):
+        read_field(str(Path(cfg["out"], f"{prefix}_{last:04d}.ci2d")))
+    out_dir = tmp_path / "state1"
+    out_dir.mkdir()
+    (out_dir / "sentinel").write_text("left by an earlier run")
+    assert main(["step", "--config", cfg_path, "--state", cfg["out"],
+                 "--out", str(out_dir)]) == 3
+    assert not (tmp_path / "state1.partial").exists()
+    assert [p.name for p in out_dir.iterdir()] == ["sentinel"]
+    report = tmp_path / "report"
+    assert main(["diagnose", "--state", cfg["out"], "--out", str(report)]) == 3
+    assert not (report / "diagnose.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cli_step_overflow_exits_2(tmp_path):
+    # a sample of 1e300 is finite, so the dump reads, but the step's
+    # products overflow on it: the node's scalars are not finite, and the
+    # step stops with the numerical guard before it writes the node
+    cfg_path, cfg = _small_cfg(tmp_path, time={"n_t": 9},
+                               initial={"generator": "stream", "seed": 1})
+    assert main(["init", "--config", cfg_path]) == 0
+    _poke(Path(cfg["out"], "v_0005.ci2d"), 1e300)
+    out_dir = tmp_path / "state1"
+    assert main(["step", "--config", cfg_path, "--state", cfg["out"],
+                 "--out", str(out_dir)]) == 2
+    assert not out_dir.exists() and not (tmp_path / "state1.partial").exists()
+    # its report holds no NaN either: diagnose stops with the guard too
+    assert main(["diagnose", "--state", cfg["out"], "--out", str(tmp_path / "report")]) == 2
+    assert not (tmp_path / "report" / "diagnose.json").exists()
+
+
+def _in_memory(state):
+    """The state with every slice of every track read into memory."""
+    def held(track):
+        return TimeTrack(track.times, list(track.slices),
+                         None if track.dslices is None else list(track.dslices))
+    return NSRState(held(state.v), held(state.p), held(state.R), state.theta, state.nu,
+                    state.q, state.T)
+
+
+@pytest.mark.parametrize("n_t, taps", [(17, 1), (33, 3), (65, 7)])
+@pytest.mark.parametrize("dR", [True, False])
+def test_cli_step_and_diagnose_stream_the_in_memory_state(tmp_path, monkeypatch, n_t, taps,
+                                                          dR):
+    # `ci2d step` and `ci2d diagnose` read their input state through
+    # windows over the temporal kernel's reach (widened to the fd6_channel
+    # stencils of a state without dR_ dumps), and write byte for byte what
+    # the in-memory step and report write of the same state; the step reads
+    # each input dump at most twice (once per sweep), the report once
+    from ci2d import iterate_step
+    from ci2d.config import toy_from_config
+    from ci2d.diagnostics import write_state_report, write_step_csv
+    from ci2d.mollifier import TemporalKernel
+
+    cfg_path, cfg = _small_cfg(tmp_path, time={"n_t": n_t})
+    assert main(["init", "--config", cfg_path]) == 0
+    state0 = Path(cfg["out"])
+    if not dR:
+        for dump in state0.glob("dR_*"):
+            dump.unlink()
+    lazy, manifest = read_state(str(state0))
+    assert TemporalKernel(lazy.times, cfg["toy"]["ell"]).weights.size == taps
+    assert lazy.R.has_channel() == dR
+    state = _in_memory(lazy)
+
+    reads = Counter()
+    read = read_field
+
+    def counted(path):
+        reads[Path(path).name] += 1
+        return read(path)
+
+    monkeypatch.setattr("ci2d.state_io.read_field", counted)
+    out_dir = tmp_path / "state1"
+    assert main(["step", "--config", cfg_path, "--state", str(state0),
+                 "--out", str(out_dir)]) == 0
+    assert max(reads.values()) == 2   # v and R once per sweep, the rest once
+    assert {name for name, count in reads.items() if count == 2} == {
+        p.name for p in state0.glob("[vR]_*")}
+    reads.clear()
+    report = tmp_path / "report"
+    assert main(["diagnose", "--state", str(state0), "--out", str(report)]) == 0
+    assert set(reads.values()) == {1}
+    assert {name.split("_")[0] for name in reads} == {"v", "dv", "p", "R"}
+
+    want = tmp_path / "want"
+    new, diags = iterate_step(state, toy_from_config(load_config(cfg_path)))
+    write_state(str(want), new, manifest["t_pad"], manifest["mode"], manifest["params"])
+    write_step_csv(str(want / "step_diagnostics.csv"), diags)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [p.name for p in want.iterdir()] + ["step_report.json"])
+    for path in want.iterdir():
+        assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+    write_state_report(str(want), state)
+    for name in ("diagnose.json", "spectrum.csv"):
+        assert (report / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_cli_step_memory_follows_the_window(tmp_path):
+    # a step's memory follows the temporal kernel's window, not the node
+    # count: twice the horizon at the same dt = 1/16 (one kernel tap) leaves
+    # the traced peak of a step from a stepped n = 64 stream state, which
+    # has no dR_ dumps, where it was (37.1 and 37.0 two-component half
+    # planes; 58.2 and 95.6 when the step read the whole input state first
+    # and kept R_ls at every node).  The first step warms the caches.
+    import tracemalloc
+    peaks = []
+    for T, n_t in ((1.0, 17), (2.0, 33)):
+        work = tmp_path / f"T{T:g}"
+        work.mkdir()
+        cfg_path, cfg = _small_cfg(work, time={"n_t": n_t, "T": T},
+                                   initial={"generator": "stream", "seed": 1})
+        state1 = str(work / "state1")
+        assert main(["init", "--config", cfg_path]) == 0
+        assert main(["step", "--config", cfg_path, "--state", cfg["out"],
+                     "--out", state1]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["step", "--config", cfg_path, "--state", state1,
+                         "--out", str(work / "state2")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_readme_defaults_match_the_config():
