@@ -1,14 +1,13 @@
 """ci2d: spectral toolkit for intermittent convex-integration flows on T^2."""
 
 from .building_blocks import (Direction, WaveParams, dirichlet_kernel,
-                              directions, eta, intermittent_flow, wave_b,
-                              wave_psi)
+                              directions, eta)
 from .ci_step import (CutoffProfile, NSRState, StepDiagnostics,
                       assemble_stress, init_state, iterate_step, mollify,
                       nsr_residual, temporal_cutoff)
 from .errors import (AliasingRisk, CI2DError, ConfigError, ConstraintViolation,
                      DerivativeChannelMissing, DivisibilityError, InvalidInput,
-                     NonFiniteValue, NonIntegerFrequency, PaddingError, RankError)
+                     NonFiniteValue, PaddingError, RankError)
 from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
                                helmholtz, inv_grad, project,
                                sym_tracefree_product, tf_square,

@@ -1,14 +1,19 @@
-"""Stationary flows, the 2D Dirichlet kernel, and intermittent waves.
+"""Directions, wave parameters, the 2D Dirichlet kernel and its
+intermittent rescaling.
 
 The eight rational unit directions split into antipodal pairs; each
-direction k carries a single-mode divergence-free flow b_k = i k-perp
-exp(i lambda k.x) with stream potential psi_k = exp(i lambda k.x)/lambda.
-Intermittency enters through a rescaled Dirichlet kernel evaluated in the
-(k, k-perp) frame and drifting in time along k.
+direction k carries the single mode exp(i lambda k.x) at the integer
+lattice vector `lattice_vector(5k, lambda/5)`, whose divergence-free flow
+b_k = i k-perp exp(i lambda k.x) has the stream potential
+exp(i lambda k.x)/lambda.  The step (`ci_step._perturbation_slice`)
+builds every wave product as the real antipodal pair of such a mode
+(`spectral_field.multiply_mode`).  Intermittency enters through a
+rescaled Dirichlet kernel evaluated in the (k, k-perp) frame and
+drifting in time along k.
 
-All wave constructions are assembled directly in coefficient space from
-integer lattice data, so the frequency-support statements and the
-transport identity hold to round-off by construction.
+The kernels are assembled directly in coefficient space from integer
+lattice data, so the frequency-support statements and the transport
+identity hold to round-off by construction.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AliasingRisk, DivisibilityError, NonIntegerFrequency
-from .spectral_field import Grid2, SpectralField, multiply_mode
+from .errors import AliasingRisk, DivisibilityError
+from .spectral_field import Grid2, SpectralField
 
 _FIVE_K_POS = ((3, 4), (3, -4), (4, 3), (4, -3))
 
@@ -121,30 +126,11 @@ class WaveParams:
         return notes
 
 
-# -- single-mode flows ------------------------------------------------------
-
-def _check_integer_wave(k: Direction, lam: int):
-    if (lam * k.five_k[0]) % 5 != 0 or (lam * k.five_k[1]) % 5 != 0:
-        raise NonIntegerFrequency(f"lambda*k not on the integer lattice for lambda={lam}, k={k}")
-
+# -- single modes -------------------------------------------------------------
 
 def lattice_vector(k_five: tuple, scale_over_5: int) -> tuple:
+    """The integer wave vector (lambda/5) 5k of the mode exp(i lambda k.x)."""
     return (scale_over_5 * k_five[0], scale_over_5 * k_five[1])
-
-
-def wave_psi(k: Direction, lam: int, grid: Grid2) -> SpectralField:
-    """Stream potential: exp(i lambda k.x) / lambda (a single mode)."""
-    _check_integer_wave(k, lam)
-    xi = lattice_vector(k.five_k, lam // 5)
-    return SpectralField.from_modes(grid, "scalar", {xi: 1.0 / lam}, reality=False)
-
-
-def wave_b(k: Direction, lam: int, grid: Grid2) -> SpectralField:
-    """Stationary flow: i k-perp exp(i lambda k.x); equals perp_grad(psi)."""
-    _check_integer_wave(k, lam)
-    xi = lattice_vector(k.five_k, lam // 5)
-    amp = 1j * k.k_perp
-    return SpectralField.from_modes(grid, "vector", {xi: amp}, reality=False)
 
 
 # -- Dirichlet kernel -------------------------------------------------------
@@ -157,10 +143,10 @@ def dirichlet_kernel(r: int, grid: Grid2) -> SpectralField:
         raise AliasingRisk(f"grid n={grid.n} cannot hold the order-{r} kernel")
     amp = 1.0 / (2 * r + 1)
     modes = {(a, b): amp for a in range(-r, r + 1) for b in range(-r, r + 1)}
-    return SpectralField.from_modes(grid, "scalar", modes, reality=True)
+    return SpectralField.from_modes(grid, "scalar", modes)
 
 
-# -- intermittent kernel and flow ------------------------------------------
+# -- intermittent kernel ----------------------------------------------------
 
 def _eta_modes(k: Direction, wp: WaveParams, t: float):
     """Modes and (value, d/dt) coefficients of the directed kernel."""
@@ -198,23 +184,14 @@ def eta(k: Direction, wp: WaveParams, t: float, grid: Grid2):
         raise AliasingRisk(
             f"grid n={grid.n} cannot resolve the kernel band {eta_band(wp)}")
     modes, coeffs, dcoeffs = _eta_modes(k, wp, t)
-    f = SpectralField.from_modes(grid, "scalar", dict(zip(modes, coeffs)), reality=True)
-    df = SpectralField.from_modes(grid, "scalar", dict(zip(modes, dcoeffs)), reality=True)
+    f = SpectralField.from_modes(grid, "scalar", dict(zip(modes, coeffs)))
+    df = SpectralField.from_modes(grid, "scalar", dict(zip(modes, dcoeffs)))
     return f, df
 
 
-def intermittent_flow(k: Direction, wp: WaveParams, t: float, grid: Grid2):
-    """w_k = eta_k b_k with its analytic d/dt channel (b is steady)."""
-    f, df = eta(k, wp, t, grid)
-    xi = lattice_vector(k.five_k, wp.lam // 5)
-    amp = 1j * k.k_perp
-    w = multiply_mode(f, xi, amp)
-    dw = multiply_mode(df, xi, amp)
-    return w, dw
-
-
 def flow_shell(wp: WaveParams):
-    """Exact Euclidean |xi| range of the flow's Fourier support."""
+    """Exact Euclidean |xi| range of the Fourier support of the flow
+    eta_k b_k (and of its antipodal pair)."""
     lo, hi = np.inf, 0.0
     s = 1.0 / wp.sigma_inv
     for a in range(-wp.r, wp.r + 1):

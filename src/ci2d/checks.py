@@ -16,8 +16,7 @@ import numpy as np
 
 from . import ci_step
 from .building_blocks import (WaveParams, dirichlet_kernel, directions, eta,
-                              flow_shell, intermittent_flow,
-                              positive_directions, wave_b, wave_psi)
+                              flow_shell, lattice_vector, positive_directions)
 from .errors import ConstraintViolation, DivisibilityError
 from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
                                helmholtz, inv_grad, project, tracefree_product)
@@ -69,12 +68,19 @@ def _parseval():
 
 @check("field.reality_flag")
 def _reality():
+    # the half spectrum stands for a real field: numpy's complex inverse
+    # transform of its conjugate-mirrored full plane is real and equals it
     g = make_grid(64)
+    n, h = g.n, g.n // 2
     ok = True
     err = gap = 0.0   # relative to the samples' sup
     for seed, band in ((3, 20), (2, 24)):
         f = random_field(g, "scalar", band, seed=seed)
-        vals = SpectralField(g, "scalar", _resize(f.coeffs, f.storage, half=False)).values()
+        half = _resize(f.coeffs, n)[0]
+        full = np.zeros((n, n), dtype=complex)
+        full[:, :h] = half[:, :h]
+        full[:, n - h + 1:] = np.conj(half[-np.arange(n) % n, h - 1:0:-1])
+        vals = np.fft.ifft2(full, norm="forward")[None]
         scale = np.max(np.abs(vals))
         real_vals = f.values()
         err = max(err, np.max(np.abs(vals.imag)) / scale)
@@ -176,7 +182,7 @@ def _lemma_prod():
             if (a_, b_) != (0, 0):
                 modes[(kappa * a_, kappa * b_)] = amp
                 modes[(-kappa * a_, -kappa * b_)] = np.conj(amp)
-        gfield = SpectralField.from_modes(g, "scalar", modes, reality=True)
+        gfield = SpectralField.from_modes(g, "scalar", modes)
         prod = multiply(f, gfield)
         lhs = lp_norm(prod, 2)
         main = lp_norm(f, 2) * lp_norm(gfield, 2) / (2 * np.pi)
@@ -226,25 +232,55 @@ def _dirs():
     return ok, f"min non-antipodal |k+k'| = {min(pairs):.6f}"
 
 
+def _plane_wave(n: int, xi) -> np.ndarray:
+    """numpy samples of exp(i xi . x) on the n-grid, each phase reduced to
+    a whole multiple of 2 pi / n before the exponential."""
+    j = np.arange(n)
+    return (np.exp(2j * np.pi * (xi[0] * j % n) / n)[:, None]
+            * np.exp(2j * np.pi * (xi[1] * j % n) / n)[None, :])
+
+
+def _one_pair(k, wp: WaveParams, t: float, g):
+    """The step's perturbation slice with a = 1 on direction k and a = 0 on
+    the others: its w_p is eta_k (b_k + c.c.), the real antipodal pair of
+    the flow b_k = i k-perp exp(i lambda k.x), and its stream function
+    eta_k (exp(i lambda k.x) + c.c.) / lambda."""
+    a_slice = {d: (float(d == k), 0.0) for d in positive_directions()}
+    return ci_step._perturbation_slice(g, wp, a_slice, t)[1]
+
+
 @check("blocks.wave_pair")
 def _wavepair():
+    # the complex single mode psi = exp(i lam k.x) / lam, b = i k-perp
+    # exp(i lam k.x) from numpy samples, part by part; then the real pair
+    # that the step builds from it
     lam = 5
     k = positive_directions()[0]
+    xi = lattice_vector(k.five_k, lam // 5)
+    wp = WaveParams(lam, 1, 1, 1)
     ok = True
     for n in (32, 64):
         g = make_grid(n)
-        psi = wave_psi(k, lam, g)
-        b = wave_b(k, lam, g)
-        ok &= np.max(np.abs(perp_grad(psi).coeffs - b.coeffs)) < 1e-15
-        ok &= lp_norm(divergence(b), 2) < 1e-13
-        curl = divergence(SpectralField(g, "vector", np.stack([b.coeffs[1], -b.coeffs[0]])))
-        ok &= lp_norm(curl + lam ** 2 * psi, 2) < 1e-12
-        bmk = wave_b(k.antipode, lam, g).values()
-        ok &= np.max(np.abs(np.conj(b.values()) - bmk)) < 1e-13
-        ok &= abs(cn_norm(b, 0) - 1.0) < 1e-12 and abs(cn_norm(psi, 0) - 1 / lam) < 1e-12
-        for N in (1, 2):
-            ok &= abs(cn_norm(b, N) - lam ** N) < 1e-9 * lam ** N
-            ok &= abs(cn_norm(psi, N) - lam ** (N - 1)) < 1e-9 * lam ** (N - 1)
+        e = _plane_wave(n, xi)
+        flow = 1j * k.k_perp[:, None, None] * e
+        for part in (np.real, np.imag):
+            psi = analyze(g, part(e) / lam)
+            b = analyze(g, part(flow), "vector")
+            ok &= np.max(np.abs(perp_grad(psi).coeffs - b.coeffs)) < 1e-15
+            ok &= lp_norm(divergence(b), 2) < 1e-13
+            curl = divergence(SpectralField(g, "vector", np.stack([b.coeffs[1], -b.coeffs[0]])))
+            ok &= lp_norm(curl + lam ** 2 * psi, 2) < 1e-12
+            ok &= abs(cn_norm(b, 0) - 1.0) < 1e-12 and abs(cn_norm(psi, 0) - 1 / lam) < 1e-12
+            for N in (1, 2):
+                ok &= abs(cn_norm(b, N) - lam ** N) < 1e-9 * lam ** N
+                ok &= abs(cn_norm(psi, N) - lam ** (N - 1)) < 1e-9 * lam ** (N - 1)
+        pert = _one_pair(k, wp, 0.37, g)
+        kernel = eta(k, wp, 0.37, g)[0].values()
+        ok &= np.max(np.abs(pert["w_p"].values() - kernel * 2.0 * flow.real)) < 1e-13
+        ok &= np.max(np.abs(pert["stream"].values() - kernel * 2.0 * e.real / lam)) < 1e-13
+        pair = pert["w_p"] + pert["w_c"]
+        ok &= np.max(np.abs(perp_grad(pert["stream"]).coeffs - pair.coeffs)) < 1e-15
+        ok &= lp_norm(divergence(pair), 2) < 1e-13
     return bool(ok), "potential/flow identities hold"
 
 
@@ -294,14 +330,13 @@ def _etachecks():
 
 @check("blocks.flow_shells")
 def _flowshell():
-    g = make_grid(256)
+    g = make_grid(128)   # holds the pair's band lam + 7 r lam sigma / 5 = 54
     wp = WaveParams(50, 10, 2, 5)
     lo, hi = flow_shell(wp)
     ok = wp.lam / 2 <= lo <= hi <= 2 * wp.lam
     k = positive_directions()[0]
     for t in (0.1, 0.37):
-        w, _ = intermittent_flow(k, wp, t, g)
-        rad, mag2 = w.mode_magnitudes()
+        rad, mag2 = _one_pair(k, wp, t, g)["w_p"].mode_magnitudes()
         outside = mag2[(rad < wp.lam / 2) | (rad > 2 * wp.lam)].sum()
         ok &= outside / mag2.sum() <= 1e-12
     return bool(ok), f"shell [{lo:.1f}, {hi:.1f}] inside [{wp.lam/2}, {2*wp.lam}]"
@@ -309,28 +344,36 @@ def _flowshell():
 
 @check("blocks.flow_mean_tensor")
 def _flowmean():
-    g = make_grid(256)
+    # <W_k x W_-k> = k-perp x k-perp from numpy samples of the complex
+    # flows, and the trace-free mean of the step's pair w_p = W_k + W_-k,
+    # twice that; the grid mean of a product of bands 54 is exact at n = 128
+    g = make_grid(128)
     wp = WaveParams(50, 10, 2, 5)
-    avg = lambda a, b: mean(multiply(a, b)).real
     err = 0.0
     for k, t in ((positive_directions()[1], 0.2), (positive_directions()[0], 0.37)):
-        w, _ = intermittent_flow(k, wp, t, g)
-        wm, _ = intermittent_flow(k.antipode, wp, t, g)
-        # entries of the full (not symmetrized) display of w x wm
-        (w1, w2), (m1, m2) = ([u.component(j) for j in (0, 1)] for u in (w, wm))
+        e = _plane_wave(g.n, lattice_vector(k.five_k, wp.lam // 5))
+        kernel = eta(k, wp, t, g)[0].values()[0]
+        (w1, w2), (m1, m2) = (kernel * s * 1j * k.k_perp[:, None, None] * w
+                              for s, w in ((1.0, e), (-1.0, np.conj(e))))
+        avg = lambda a, b: np.mean(a * b).real
+        # entries of the full (not symmetrized) display of W_k x W_-k
         t11 = 0.5 * avg(w1, m1) - 0.5 * avg(w2, m2)
         got = np.array([[t11, avg(w1, m2)], [avg(w2, m1), -t11]])
         err = max(err, np.max(np.abs(got + tracefree_product(k.k, k.k))))
+        p1, p2 = _one_pair(k, wp, t, g)["w_p"].values()
+        pair = np.array([0.5 * avg(p1, p1) - 0.5 * avg(p2, p2), avg(p1, p2)])
+        err = max(err, np.max(np.abs(pair + 2.0 * tracefree_product(k.k, k.k)[0])))
     return err < 1e-12, f"mean tensor error {err:.2e}"
 
 
 @check("blocks.flow_lp_scaling")
 def _flowlp():
-    g = make_grid(512)
+    # quadrature on a grid that resolves the pair gives its exact L4 norm
+    g = make_grid(256)
     vals = []
-    for r in (2, 4, 8):
+    for r in (1, 2, 4):
         wp = WaveParams(100, 20, r, 5)
-        w, _ = intermittent_flow(positive_directions()[0], wp, 0.0, g)
+        w = _one_pair(positive_directions()[0], wp, 0.0, g)["w_p"]
         vals.append(lp_norm(w, 4) / r ** 0.5)
     ok = all(0.25 < b / a < 4.0 for a, b in zip(vals, vals[1:]))
     return ok, "L4/r^(1/2): " + ", ".join(f"{v:.3f}" for v in vals)
@@ -338,20 +381,23 @@ def _flowlp():
 
 @check("blocks.sum_reality")
 def _sumreal():
+    # the step's sum of real pairs over every direction against the numpy
+    # sum of the complex flows a_k W_k over all eight, whose imaginary
+    # part must vanish
     g = make_grid(128)
     wp = WaveParams(50, 10, 2, 5)
-    flows = {k: intermittent_flow(k, wp, 0.4, g)[0] for k in directions()}
+    flows = [(k if k.positive else k.antipode, eta(k, wp, 0.4, g)[0].values()[0] * 1j
+              * k.k_perp[:, None, None] * _plane_wave(g.n, lattice_vector(k.five_k, wp.lam // 5)))
+             for k in directions()]
     resid = 0.0
     for seed in (31, 3):
         rng = np.random.default_rng(seed)
-        amps = {k.five_k: rng.standard_normal() + 1j * rng.standard_normal()
-                for k in positive_directions()}
-        acc = SpectralField.zeros(g, "vector", reality=False)
-        for k in directions():
-            a = amps[k.five_k] if k.positive else np.conj(amps[k.antipode.five_k])
-            acc = acc + a * flows[k]
-        vals = acc.values()
-        resid = max(resid, np.max(np.abs(vals.imag)) / max(np.max(np.abs(vals.real)), 1e-300))
+        a_slice = {k: (rng.standard_normal(), 0.0) for k in positive_directions()}
+        w_p = ci_step._perturbation_slice(g, wp, a_slice, 0.4)[1]["w_p"].values()
+        total = sum(a_slice[k][0] * flow for k, flow in flows)
+        scale = max(np.max(np.abs(total.real)), 1e-300)
+        resid = max(resid, np.max(np.abs(total.imag)) / scale,
+                    np.max(np.abs(w_p - total.real)) / scale)
     return resid < 1e-12, f"imaginary residue {resid:.2e}"
 
 

@@ -44,7 +44,7 @@ from .param_schedule import ToyParams, theta_star
 from .spectral_field import (Grid2, SpectralField, TimeTrack, _add_shifted,
                              _analysis, _product_size, _quadrature_norms,
                              _resize, _shift_loss, analyze, combine, derive,
-                             divergence, lp_norm, mean, perp_grad)
+                             divergence, lp_norm, mean, multiply_mode, perp_grad)
 from .stress_geometry import decompose, reconstruct
 
 SUPPORT_RTOL = 1e-13
@@ -399,15 +399,14 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, t: float):
     coefficient shift, which makes the stream-function identity and both
     solenoidality statements hold mode-wise.  Per positive direction the
     operands P, dP, perp_grad P and perp_grad dP are real, so the
-    antipode's term is the conjugate mirror of the direction's own: the
-    same operand shifted by -xi under the conjugate amplitude.  Both
-    shifts are added block by block into xi_2 >= 0 half-plane
-    accumulators, whose sums are Hermitian and are flagged real.  A
-    direction's kernel samples (`_wave_slice`) live only while its terms
-    are added.  Returns the kernels {k: (eta_k, mean eta_k^2)} and the
-    fields, with the corrector's transport part sum_k [a^2 P(eta^2) - (2/mu)
-    `_inv_lap_div_const`(d/dt a^2 P(eta^2), k)] ("transport") and the
-    largest energy share the +xi shift drops past the grid band.
+    antipode's term is the conjugate mirror of the direction's own: each
+    term is the real pair `multiply_mode` adds into a half-spectrum
+    accumulator.  A direction's kernel samples (`_wave_slice`) live only
+    while its terms are added.  Returns the kernels {k: (eta_k, mean
+    eta_k^2)} and the fields, with the corrector's transport part
+    sum_k [a^2 P(eta^2) - (2/mu) `_inv_lap_div_const`(d/dt a^2 P(eta^2), k)]
+    ("transport") and the largest energy share a shift drops past the grid
+    band.
     """
     n = grid.n
     lam = wp.lam
@@ -425,15 +424,11 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, t: float):
         P = analyze(grid, a * wav["eta_vals"])
         dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
         xi = lattice_vector(k.five_k, lam // 5)
-        amp_b = (1j * k.k_perp)[:, None, None]
-        for f, targets in ((P, ((w_p, amp_b), (stream, 1.0 / lam))),
-                           (dP, ((dw_p, amp_b),)),
-                           (perp_grad(P), ((w_c, 1.0 / lam),)),
-                           (perp_grad(dP), ((dw_c, 1.0 / lam),))):
-            clipped = max(clipped, _shift_loss(f.coeffs, xi, n)[1])
-            for acc, amp in targets:
-                _add_shifted(acc, f.coeffs, xi, amp)
-                _add_shifted(acc, f.coeffs, (-xi[0], -xi[1]), np.conj(amp))
+        amp_b = 1j * k.k_perp
+        for f, acc, amp in ((P, w_p, amp_b), (P, stream, 1.0 / lam), (dP, dw_p, amp_b),
+                            (perp_grad(P), w_c, 1.0 / lam),
+                            (perp_grad(dP), dw_c, 1.0 / lam)):
+            clipped = max(clipped, multiply_mode(acc, f, xi, np.reshape(amp, (-1, 1, 1))))
         del P, dP, f
         # temporal part: antipodal pairing doubles the positive half
         m_f = analyze(grid, a * a * wav["p_eta2_vals"])
@@ -509,7 +504,7 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
             for s1, s2, weight in signs:
                 shift = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
                          step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
-                clipped = max(clipped, _shift_loss(fast, shift, n)[1])
+                clipped = max(clipped, _shift_loss(fast, shift, n))
                 _add_shifted(spec, fast, shift, weight)
             pair = project(SpectralField(grid, "scalar", spec), half_shell)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * pair.values(n)[0]

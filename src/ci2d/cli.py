@@ -18,10 +18,9 @@ import sys
 
 from .errors import (AliasingRisk, ConfigError, ConstraintViolation,
                      DerivativeChannelMissing, DivisibilityError, InvalidInput,
-                     NonFiniteValue, NonIntegerFrequency, PaddingError)
+                     NonFiniteValue, PaddingError)
 
-GUARD_ERRORS = (AliasingRisk, PaddingError, NonIntegerFrequency, DerivativeChannelMissing,
-                NonFiniteValue)
+GUARD_ERRORS = (AliasingRisk, PaddingError, DerivativeChannelMissing, NonFiniteValue)
 CONSTRAINT_ERRORS = (ConstraintViolation, DivisibilityError, ConfigError, InvalidInput)
 
 
@@ -131,7 +130,6 @@ def cmd_diagnose(state_dir: str, out_dir: str | None) -> int:
 
     state, _ = read_state(state_dir)
     target = out_dir or state_dir
-    os.makedirs(target, exist_ok=True)
     rep = write_state_report(target, state)
     print(json.dumps({"report_dir": target,
                       "R_LinfL1": rep["R_LinfL1"],

@@ -82,11 +82,13 @@ def json_report(report: dict) -> str:
 
 
 def write_state_report(dirpath: str, state: NSRState) -> dict:
-    """diagnose.json and spectrum.csv of the state; returns the report
-    without its spectrum."""
+    """diagnose.json and spectrum.csv of the state, in the directory made
+    once the report is complete, so a report that fails leaves no
+    directory; returns the report without its spectrum."""
     rep = state_report(state)
     spectrum = rep.pop("spectrum")
     text = json_report(rep)
+    os.makedirs(dirpath, exist_ok=True)
     with open(os.path.join(dirpath, "diagnose.json"), "w") as fh:
         fh.write(text)
     write_spectrum_csv(os.path.join(dirpath, "spectrum.csv"), *spectrum)

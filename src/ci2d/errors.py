@@ -17,10 +17,6 @@ class AliasingRisk(CI2DError):
     """The grid cannot represent the requested operation exactly."""
 
 
-class NonIntegerFrequency(CI2DError):
-    """A wave vector that must lie on the integer lattice does not."""
-
-
 class DivisibilityError(CI2DError):
     """Wave-parameter divisibility constraint violated."""
 

@@ -38,7 +38,7 @@ class FreqBand:
 
 def _lattice(field: SpectralField):
     """Wave numbers xi1 (column), xi2 (row) and |xi|^2 of the field's
-    storage layout (full plane or half spectrum)."""
+    stored half spectrum."""
     k1, k2 = (k.astype(float) for k in _axes(field.coeffs))
     return k1, k2, k1 ** 2 + k2 ** 2
 

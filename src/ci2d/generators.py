@@ -55,8 +55,7 @@ def shear_track(grid: Grid2, times: np.ndarray, m: int = 1,
     """u = chi(t) (sin(m x2), 0): one Fourier mode under a temporal bump."""
     base = SpectralField.from_modes(
         grid, "vector",
-        {(0, m): np.array([-0.5j, 0.0]), (0, -m): np.array([0.5j, 0.0])},
-        reality=True)
+        {(0, m): np.array([-0.5j, 0.0]), (0, -m): np.array([0.5j, 0.0])})
     return _bump_track(times, base, support, T)
 
 

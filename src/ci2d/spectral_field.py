@@ -16,24 +16,22 @@ Conventions fixed here and relied on everywhere else:
 
 Coefficient arrays may be stored on a smaller internal FFT size than the
 logical grid; zero-padding between sizes is exact, so this is purely a
-memory optimization.  A real field is stored as its xi_2 >= 0 half
-spectrum in rfft2 layout, shape (ncomp, m, m//2 + 1): its xi_2 < 0 half
-is the conjugate mirror c(xi) = conj c(-xi) and is never held.  A
-complex field (a single-mode shift, say) keeps the full m-by-m plane.
-The layout is the reality: `SpectralField.reality` reads it off the
-coefficient shape.  `_fft_size` is the one storage rule, `_resize` the
-one layout helper (pad, cut, half <-> full), `_analysis` the one
-analysis helper, `_synthesis` the one synthesis helper and
-`_pointwise_product` the one product path.  A field keeps the storage
-and layout its maker gives it: `analyze` fits storage to the samples'
-measured band, products keep their product grid, linear maps and sums
-(`combine`) the widest operand's storage.  Transforms run through
-numpy.fft: analysis by rfft2 (real) / fft2; synthesis of a half spectrum
+memory optimization.  Every field is real and is stored as its
+xi_2 >= 0 half spectrum in rfft2 layout, shape (ncomp, m, m//2 + 1): its
+xi_2 < 0 half is the conjugate mirror c(xi) = conj c(-xi) and is never
+held.  `_fft_size` is the one storage rule, `_resize` the one storage
+helper (pad, cut), `_analysis` the one analysis helper, `_synthesis` the
+one synthesis helper and `_pointwise_product` the one product path.  A
+field keeps the storage its maker gives it: `analyze` fits storage to
+the samples' measured band, products keep their product grid, linear
+maps and sums (`combine`) the widest operand's storage.  Transforms run
+through numpy.fft: analysis by rfft2; synthesis of a half spectrum
 stored below the grid by two single-axis passes (ifftn, then irfftn)
-that skip the all-zero columns, else by irfft2 / ifft2.  Mode shifts
-add each contiguous block of the source at its offset in the target; a
-source may be a half spectrum, whose xi_2 < 0 blocks are read as
-conj c(-xi), so no full-plane copy is made.
+that skip the all-zero columns, else by irfft2.  `multiply_mode` adds
+the real antipodal pair amp exp(i xi . x) f + c.c. of a single-mode
+shift into a half-spectrum accumulator, each contiguous block of the
+source at its offset in the target; the xi_2 < 0 blocks of the source
+are read as conj c(-xi), so no full-plane copy is made.
 
 A field whose coefficients are all exactly zero has zero samples and
 zero norms and needs no transform.  `is_zero` tests the coefficients
@@ -102,39 +100,24 @@ def _wavenumbers(m: int) -> np.ndarray:
     return ks
 
 
-def _resize(coeffs: np.ndarray, m_new: int, half: bool | None = None) -> np.ndarray:
-    """FFT-layout coefficients on storage m_new: zero-padded when larger,
-    cut to |xi_i| <= m_new/2 - 1 when smaller (the band must fit there).
-    The input may be a full plane or a xi_2 >= 0 half (rfft2 layout);
-    half=True gives the half, half=False the full plane (a half input is
-    conjugate mirrored), None the input's layout."""
+def _resize(coeffs: np.ndarray, m_new: int) -> np.ndarray:
+    """Half-spectrum coefficients on storage m_new: zero-padded when
+    larger, cut to |xi_i| <= m_new/2 - 1 when smaller (the band must fit
+    there)."""
     m = coeffs.shape[-2]
-    was_half = coeffs.shape[-1] != m
-    half = was_half if half is None else half
-    if m_new == m and half == was_half:
+    if m_new == m:
         return coeffs
     h = min(m, m_new) // 2
-    lo = h if m <= m_new else h - 1       # negative modes kept per axis
-    out = np.zeros(coeffs.shape[:-2] + (m_new, m_new // 2 + 1 if half else m_new),
-                   dtype=complex)
+    lo = h if m <= m_new else h - 1       # negative xi_1 rows kept
+    out = np.zeros(coeffs.shape[:-2] + (m_new, m_new // 2 + 1), dtype=complex)
     out[..., :h, :h] = coeffs[..., :h, :h]
     out[..., m_new - lo:, :h] = coeffs[..., m - lo:, :h]
-    if half:
-        return out
-    if not was_half:
-        out[..., :h, m_new - lo:] = coeffs[..., :h, m - lo:]
-        out[..., m_new - lo:, m_new - lo:] = coeffs[..., m - lo:, m - lo:]
-        return out
-    # c(xi1, -xi2) = conj c(-xi1, xi2); row -xi1 is row (m_new - i) % m_new
-    np.conjugate(out[..., :1, h - 1:0:-1], out=out[..., :1, m_new - h + 1:])
-    np.conjugate(out[..., :0:-1, h - 1:0:-1], out=out[..., 1:, m_new - h + 1:])
     return out
 
 
-def _zero_coeffs(rank: str, m: int, real: bool) -> np.ndarray:
-    """All-zero coefficients of a rank on storage m: a half spectrum when
-    real, else a full plane."""
-    return np.zeros((_RANK_NCOMP[rank], m, m // 2 + 1 if real else m), dtype=complex)
+def _zero_coeffs(rank: str, m: int) -> np.ndarray:
+    """All-zero half-spectrum coefficients of a rank on storage m."""
+    return np.zeros((_RANK_NCOMP[rank], m, m // 2 + 1), dtype=complex)
 
 
 def _axes(coeffs: np.ndarray):
@@ -158,9 +141,8 @@ class SpectralField:
         if coeffs.ndim != 3 or coeffs.shape[0] != _RANK_NCOMP[rank]:
             raise ConfigError(f"coefficient array shape {coeffs.shape} does not match rank {rank!r}")
         m = coeffs.shape[-2]
-        if coeffs.shape[-1] not in (m, m // 2 + 1):
-            raise ConfigError(f"coefficient array shape {coeffs.shape} is neither "
-                              "a full plane nor a half spectrum")
+        if coeffs.shape[-1] != m // 2 + 1:
+            raise ConfigError(f"coefficient array shape {coeffs.shape} is not a half spectrum")
         if m > grid.n:
             raise AliasingRisk(f"storage size {m} exceeds grid {grid.n}")
         self.grid = grid
@@ -174,28 +156,33 @@ class SpectralField:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zeros(cls, grid: Grid2, rank: str, reality: bool = True) -> "SpectralField":
-        return cls(grid, rank, _zero_coeffs(rank, _fft_size(0, grid.n), reality))
+    def zeros(cls, grid: Grid2, rank: str) -> "SpectralField":
+        return cls(grid, rank, _zero_coeffs(rank, _fft_size(0, grid.n)))
 
     @classmethod
-    def from_modes(cls, grid: Grid2, rank: str, modes: dict, reality: bool | None = None) -> "SpectralField":
-        """Build a field from a {(xi1, xi2): amplitude(s)} dictionary."""
-        nc = _RANK_NCOMP[rank]
+    def from_modes(cls, grid: Grid2, rank: str, modes: dict) -> "SpectralField":
+        """Build a real field from a {(xi1, xi2): amplitude(s)} dictionary
+        whose amplitudes are conjugate symmetric, c(-xi) = conj c(xi), to
+        1e-10 of the largest; the xi_2 >= 0 ones are stored."""
         band = max((max(abs(x1), abs(x2)) for (x1, x2) in modes), default=0)
         if band > grid.max_mode:
             raise AliasingRisk(f"mode band {band} exceeds grid Nyquist {grid.max_mode}")
+        keys = list(modes)
+        amps = np.empty((len(keys), _RANK_NCOMP[rank]), dtype=complex)
+        for i, xi in enumerate(keys):
+            amps[i] = modes[xi]
+        # the gap at xi equals the gap at -xi, so the given modes see the largest
+        index = {xi: i for i, xi in enumerate(keys)}
+        mirror = np.array([index.get((-x1, -x2), -1) for x1, x2 in keys], dtype=np.int64)
+        gap = np.abs(amps - np.where(mirror[:, None] >= 0, np.conj(amps[mirror]), 0.0))
+        if not np.max(gap, initial=0.0) <= 1e-10 * np.max(np.abs(amps), initial=0.0):
+            raise ConfigError("modes of a real field are not conjugate symmetric")
         m = _fft_size(band, grid.n)
-        arr = np.zeros((nc, m, m), dtype=complex)
-        for (x1, x2), amp in modes.items():
-            amp = np.atleast_1d(np.asarray(amp, dtype=complex))
-            arr[:, x1 % m, x2 % m] += amp
-        # conjugate symmetric to 1e-10 of the largest amplitude
-        symmetric = bool(np.max(np.abs(arr - _conj_mirror(arr))) <= 1e-10 * np.max(np.abs(arr)))
-        if reality and not symmetric:
-            raise ConfigError("modes flagged real are not conjugate symmetric")
-        if reality is None:
-            reality = symmetric
-        return cls(grid, rank, _resize(arr, m, half=True) if reality else arr)
+        arr = _zero_coeffs(rank, m)
+        xs = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        upper = xs[:, 1] >= 0
+        arr[:, xs[upper, 0] % m, xs[upper, 1]] += amps[upper].T
+        return cls(grid, rank, arr)
 
     # -- basic queries -------------------------------------------------
 
@@ -206,11 +193,6 @@ class SpectralField:
     @property
     def storage(self) -> int:
         return self.coeffs.shape[-2]
-
-    @property
-    def reality(self) -> bool:
-        """A half spectrum is a real field, a full plane a complex one."""
-        return self.coeffs.shape[-1] != self.coeffs.shape[-2]
 
     @property
     def is_zero(self) -> bool:
@@ -236,29 +218,28 @@ class SpectralField:
             if max(abs(x1), abs(x2)) > self.grid.max_mode:
                 raise ConfigError(f"mode {xi} outside the grid band")
             return np.zeros(self.ncomp, dtype=complex)
-        if self.reality and x2 < 0:
+        if x2 < 0:
             return np.conjugate(self.coeffs[:, -x1 % m, -x2])
         return self.coeffs[:, x1 % m, x2 % m].copy()
 
     def mode_magnitudes(self):
-        """(|xi| array, summed |coeff|^2 array) over the storage lattice;
-        on a half spectrum each xi_2 > 0 column also counts its mirror."""
+        """(|xi| array, summed |coeff|^2 array) over the stored half
+        lattice; each xi_2 > 0 column also counts its mirror."""
         kx, ky = _axes(self.coeffs)
         mag2 = np.sum(np.abs(self.coeffs) ** 2, axis=0)
-        if self.reality:
-            mag2[:, 1:-1] *= 2.0
+        mag2[:, 1:-1] *= 2.0
         return np.hypot(kx, ky), mag2
 
     # -- transforms ----------------------------------------------------
 
     def values(self, n: int | None = None) -> np.ndarray:
-        """Physical samples on the n-by-n grid (a real array for a real
-        field); a zero field's are zeros, made without a transform."""
+        """Real physical samples on the n-by-n grid; a zero field's are
+        zeros, made without a transform."""
         n = self.grid.n if n is None else n
         if n < self.storage and self.band() > n // 2 - 1:
             raise AliasingRisk("requested grid coarser than the stored band")
         if self.is_zero:
-            return np.zeros((self.ncomp, n, n), dtype=float if self.reality else complex)
+            return np.zeros((self.ncomp, n, n))
         return _synthesis(self.coeffs, n)
 
     # -- algebra ---------------------------------------------------------
@@ -271,9 +252,9 @@ class SpectralField:
 
     def __mul__(self, c) -> "SpectralField":
         c = complex(c)
-        real = self.reality and c.imag == 0.0
-        return SpectralField(self.grid, self.rank,
-                             _resize(self.coeffs, self.storage, half=real) * c)
+        if c.imag != 0.0:
+            raise ConfigError(f"a real field's factor must be real, got {c}")
+        return SpectralField(self.grid, self.rank, self.coeffs * c)
 
     __rmul__ = __mul__
 
@@ -291,48 +272,32 @@ def _measure_band(coeffs: np.ndarray) -> int:
     return int(max(k1[mask.any(axis=1)].max(), k2[mask.any(axis=0)].max()))
 
 
-def _conj_mirror(coeffs: np.ndarray) -> np.ndarray:
-    """conj c(-xi) for stacked FFT-layout components: a new array.
-    Index i maps to (m - i) % m on each axis, so xi = 0 stays in place."""
-    out = np.roll(np.flip(coeffs, axis=(-2, -1)), 1, axis=(-2, -1))
-    return np.conjugate(out, out=out)
-
-
 # -- spec operations -----------------------------------------------------
 
 def _analysis(samples: np.ndarray) -> np.ndarray:
-    """FFT-layout coefficients of samples on an m-by-m grid, with the
-    Nyquist row and column zeroed: the xi_2 >= 0 half spectrum (rfft2) of
-    real samples, the full plane of complex ones."""
+    """The xi_2 >= 0 half spectrum (rfft2 layout) of real samples on an
+    m-by-m grid, with the Nyquist row and column zeroed."""
     h = samples.shape[-1] // 2
-    real = np.isrealobj(samples)
     # numpy runs the second (column) pass in place in `out`; without it
     # that pass writes a fresh array and takes about twice as long
-    out = np.empty(samples.shape[:-1] + (h + 1 if real else 2 * h,), dtype=complex)
-    if real:
-        coeffs = nfft.rfft2(samples, norm="forward", out=out)
-    else:
-        coeffs = nfft.fft2(samples, norm="forward", out=out)
+    out = np.empty(samples.shape[:-1] + (h + 1,), dtype=complex)
+    coeffs = nfft.rfft2(samples, norm="forward", out=out)
     coeffs[..., h, :] = 0.0
     coeffs[..., :, h] = 0.0
     return coeffs
 
 
 def _synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Samples on the n-by-n grid of FFT-layout coefficients: real from a
-    xi_2 >= 0 half spectrum, complex from a full plane.
+    """Real samples on the n-by-n grid of half-spectrum coefficients.
 
-    A half spectrum of storage m < n is pruned: the xi_1 rows are padded
-    to n, the xi_1 pass runs over the m/2 stored columns only and the
-    xi_2 pass, last, pads the columns to n.  Anything else is padded or
-    cut to n and synthesized in one 2-D transform.
+    Storage m < n is pruned: the xi_1 rows are padded to n, the xi_1 pass
+    runs over the m/2 stored columns only and the xi_2 pass, last, pads
+    the columns to n.  Storage m >= n is cut to n and synthesized in one
+    2-D transform.
     """
     m = coeffs.shape[-2]
-    half = coeffs.shape[-1] != m
-    if m >= n or not half:
-        c = _resize(coeffs, n)
-        return (nfft.irfft2(c, s=(n, n), norm="forward") if half
-                else nfft.ifft2(c, norm="forward"))
+    if m >= n:
+        return nfft.irfft2(_resize(coeffs, n), s=(n, n), norm="forward")
     h = m // 2
     rows = np.zeros(coeffs.shape[:-2] + (n, h), dtype=complex)
     rows[..., :h, :] = coeffs[..., :h, :h]
@@ -342,14 +307,16 @@ def _synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar") -> SpectralField:
-    """Fourier-analyze physical samples on the grid into a SpectralField,
-    real (a half spectrum) when the samples are.
+    """Fourier-analyze real physical samples on the grid into a
+    SpectralField; complex samples raise ConfigError.
 
     The Nyquist row/column is zeroed: fields never carry |xi_i| >= n/2.
     Storage is fitted to the measured band, which the field caches.
     All-zero samples give the zero field without a transform.
     """
     values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ConfigError("samples of a field must be real")
     if values.ndim == 2:
         values = values[None]
     if values.shape[0] != _RANK_NCOMP[rank]:
@@ -358,7 +325,7 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar") -> SpectralFi
     if n != grid.n or values.shape[-2] != grid.n:
         raise ConfigError(f"samples shaped {values.shape} do not live on the {grid.n}^2 grid")
     if not values.any():
-        field = SpectralField.zeros(grid, rank, reality=np.isrealobj(values))
+        field = SpectralField.zeros(grid, rank)
         field._band, field._zero = 0, True
         return field
     coeffs = _analysis(values)
@@ -369,9 +336,8 @@ def analyze(grid: Grid2, values: np.ndarray, rank: str = "scalar") -> SpectralFi
 
 
 def combine(fields, weights) -> SpectralField:
-    """sum_j w_j f_j for real weights, on the widest operand's storage;
-    real (a half spectrum) when every operand is.  Every operand must
-    share the first one's grid and rank."""
+    """sum_j w_j f_j for real weights, on the widest operand's storage.
+    Every operand must share the first one's grid and rank."""
     first = fields[0]
     for f in fields[1:]:
         if f.grid != first.grid:
@@ -379,11 +345,10 @@ def combine(fields, weights) -> SpectralField:
         if f.rank != first.rank:
             raise RankError(f"rank mismatch {first.rank} vs {f.rank}")
     m = max(f.storage for f in fields)
-    real = all(f.reality for f in fields)
-    acc = _zero_coeffs(first.rank, m, real)
+    acc = _zero_coeffs(first.rank, m)
     for f, w in zip(fields, weights):
         if w != 0.0:
-            c = _resize(f.coeffs, m, half=real)
+            c = _resize(f.coeffs, m)
             acc += c if w == 1.0 else w * c
     return SpectralField(first.grid, first.rank, acc)
 
@@ -432,7 +397,7 @@ def _magnitude_squared(field: SpectralField) -> np.ndarray:
     """Pointwise squared magnitude on the field's grid; a symtensor's is
     the full 2x2 Frobenius square, twice that of its two stored entries."""
     vals = field.values()
-    mag2 = np.sum(vals * vals if np.isrealobj(vals) else np.abs(vals) ** 2, axis=0)
+    mag2 = np.sum(vals * vals, axis=0)
     if field.rank == "symtensor":
         mag2 *= 2.0
     return mag2
@@ -468,7 +433,7 @@ def lp_norm(field: SpectralField, p: float) -> float:
     """Unnormalized L^p norm by grid quadrature; p = inf is the grid max.
 
     p = 2 is summed in coefficient space: discrete Parseval makes that sum
-    equal to the rectangle rule on the n-grid for any coefficients.  A
+    equal to the rectangle rule on the n-grid for any coefficients.  The
     half spectrum counts each xi_2 > 0 column twice, for its mirror.  A
     symtensor's Frobenius magnitude counts t11 and t12 twice each.  Any
     other p of a zero field is 0.0 without a synthesis.
@@ -477,10 +442,8 @@ def lp_norm(field: SpectralField, p: float) -> float:
         raise ConfigError(f"L^p norm needs p in (1, inf], got {p}")
     if p == 2.0:
         c = field.coeffs
-        s = np.vdot(c, c).real
-        if field.reality:
-            edges = c[..., ::c.shape[-1] - 1]      # xi_2 = 0 and the Nyquist column
-            s = 2.0 * s - np.vdot(edges, edges).real
+        edges = c[..., ::c.shape[-1] - 1]          # xi_2 = 0 and the Nyquist column
+        s = 2.0 * _energy(c) - _energy(edges)
         w = 2.0 if field.rank == "symtensor" else 1.0
         return float(2.0 * np.pi * np.sqrt(w * s))
     if field.is_zero:
@@ -521,11 +484,17 @@ def cn_norm(field: SpectralField, order: int) -> float:
     return best
 
 
+def _energy(c: np.ndarray) -> float:
+    """sum |c|^2 over an array's entries without BLAS (np.vdot starts its
+    thread pool): einsum's own loop sums each row of the float view, and
+    numpy's pairwise sum adds the rows."""
+    x = np.ravel(c).view(np.float64).reshape(-1, 2 * c.shape[-1])
+    return float(np.einsum("ij,ij->i", x, x).sum())
+
+
 def mean(field: SpectralField):
     """Torus average, i.e. the coefficient at xi = 0 (per component)."""
-    val = field.coeff((0, 0))
-    if field.reality:
-        val = val.real
+    val = field.coeff((0, 0)).real
     if field.rank == "scalar":
         return val[0]
     return val
@@ -557,7 +526,7 @@ def _pointwise_product(f: SpectralField, g: SpectralField, rank: str, form,
     that grid without a transform: form must vanish when either does."""
     m = _product_size(f, g, allow_interpolant)
     if f.is_zero or g.is_zero:
-        return SpectralField(f.grid, rank, _zero_coeffs(rank, m, f.reality and g.reality))
+        return SpectralField(f.grid, rank, _zero_coeffs(rank, m))
     a = f.values(m)
     return SpectralField(f.grid, rank, _analysis(form(a, a if g is f else g.values(m))))
 
@@ -595,14 +564,13 @@ def _shift_runs(x: int, m: int, n: int, t_lo: int) -> list:
 def _add_shifted(acc: np.ndarray, src: np.ndarray, xi, amp=1.0) -> None:
     """acc += amp exp(i xi . x) src, block by block in place.
 
-    src is an FFT-layout array on its own storage: a full plane, or a
-    xi_2 >= 0 half whose xi_2 < 0 blocks are read as conj c(-xi).  acc is
-    a full plane or a xi_2 >= 0 half on storage n.  Sources whose target
-    lies past acc's band (or, for a half, at xi_2 < 0) add nothing.
+    src is a half spectrum on its own storage, whose xi_2 < 0 blocks are
+    read as conj c(-xi); acc is a half spectrum on storage n.  Sources
+    whose target lies past acc's band or at xi_2 < 0 add nothing.
     """
     m, n = src.shape[-2], acc.shape[-2]
     rows = _shift_runs(int(xi[0]), m, n, 1 - n // 2)
-    cols = _shift_runs(int(xi[1]), m, n, 0 if acc.shape[-1] != n else 1 - n // 2)
+    cols = _shift_runs(int(xi[1]), m, n, 0)
     for rs, rm, rt in rows:
         for cs, cm, ct in cols:
             if cs.start < src.shape[-1]:
@@ -611,58 +579,44 @@ def _add_shifted(acc: np.ndarray, src: np.ndarray, xi, amp=1.0) -> None:
                 acc[..., rt, ct] += amp * np.conj(src[..., rm, cm])
 
 
-def _shift_loss(src: np.ndarray, xi, n: int):
-    """What a shift by xi pushes past the band of storage n: the largest
-    magnitude and the largest share of a component's energy sum |c|^2,
-    for an FFT-layout src read as in `_add_shifted`."""
+def _shift_loss(src: np.ndarray, xi, n: int) -> float:
+    """The largest share of a component's energy sum |c|^2 that a shift by
+    xi pushes past the band of storage n, for a half-spectrum src read as
+    in `_add_shifted`."""
     m = src.shape[-2]
     ks = _wavenumbers(m)
     out1 = np.abs(ks + int(xi[0])) > n // 2 - 1
     out2 = np.abs(ks + int(xi[1])) > n // 2 - 1
     if not (out1.any() or out2.any()):
-        return 0.0, 0.0
-    if src.shape[-1] == m:
-        parts = [(src, out1, out2)]
-        total = np.array([np.vdot(c, c).real for c in src])
-    else:   # half column j >= 1 also sits mirrored at row -xi_1, column -j
-        h = m // 2
-        parts = [(src[..., :h], out1, out2[:h]),
-                 (src[..., 1:h], out1[-np.arange(m) % m], out2[:h:-1])]
-        total = np.array([2.0 * np.vdot(c, c).real - np.vdot(c[:, 0], c[:, 0]).real
-                          for c in src])
+        return 0.0
+    # half column j >= 1 also sits mirrored at row -xi_1, column -j
+    h = m // 2
+    parts = [(src[..., :h], out1, out2[:h]),
+             (src[..., 1:h], out1[-np.arange(m) % m], out2[:h:-1])]
+    total = np.array([2.0 * _energy(c) - _energy(c[:, 0]) for c in src])
     strips = [s for block, rows, cols in parts
               for s in (block[..., rows, :], block[..., :, cols][..., ~rows, :])]
-    lost = max(np.max(np.abs(s), initial=0.0) for s in strips)
-    if lost == 0.0:
-        return 0.0, 0.0
     dropped = sum(np.sum(np.abs(s) ** 2, axis=(-2, -1)) for s in strips)
-    return float(lost), float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
+    return float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
 
 
-def multiply_mode(f: SpectralField, xi, amplitudes, clip: bool = False) -> SpectralField:
-    """Exact product with a single-mode field amp * exp(i xi . x).
+def multiply_mode(acc: np.ndarray, f: SpectralField, xi, amp) -> float:
+    """acc += amp exp(i xi . x) f + conj(amp) exp(-i xi . x) f, in place.
 
-    Implemented as a coefficient shift, so no grid sampling or aliasing
-    is involved.  Content shifted past the grid band is unrepresentable:
-    by default that raises, while clip=True discards it (legitimate when
-    only the numerically thin edge of a grid-composed factor is
-    affected).  The discard mask depends on the target mode alone, so
+    The real antipodal pair of f's product with the single mode xi, made
+    as two coefficient shifts, +xi under amp and then -xi under conj(amp),
+    added block by block into the half-spectrum accumulator acc on
+    storage n (`_add_shifted`); no grid sampling or aliasing is involved.
+    amp broadcasts against acc's components, so a scalar f with a vector
+    amplitude adds to a vector accumulator.  Content shifted past acc's
+    band is dropped; the mask depends on the target mode alone, so
     identities among consistently clipped objects stay mode-exact.
-    `amplitudes` is a scalar (rank-preserving) or a length-2 vector
-    (promoting a scalar f to a vector result).  The product is complex,
-    on storage _fft_size(m/2 - 1 + |xi|_inf, n) for f's storage m.
+    Returns the largest share of a component's energy that the +xi shift
+    dropped (the -xi shift of a real f drops its mirror).
     """
-    lost, _ = _shift_loss(f.coeffs, xi, f.grid.n)
-    if not clip and lost > BAND_RTOL * np.max(np.abs(f.coeffs)):
-        raise AliasingRisk(
-            f"mode shift pushes weight {lost:.2e} past the grid band {f.grid.max_mode}")
-    amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
-    if amps.size > 1 and f.rank != "scalar":
-        raise RankError("vector amplitude needs a scalar field")
-    m = _fft_size(f.storage // 2 - 1 + max(abs(int(xi[0])), abs(int(xi[1]))), f.grid.n)
-    out = np.zeros((max(amps.size, f.ncomp), m, m), dtype=complex)
-    _add_shifted(out, f.coeffs, xi, amps[:, None, None])
-    return SpectralField(f.grid, "vector" if amps.size == 2 else f.rank, out)
+    _add_shifted(acc, f.coeffs, xi, amp)
+    _add_shifted(acc, f.coeffs, (-xi[0], -xi[1]), np.conj(amp))
+    return _shift_loss(f.coeffs, xi, acc.shape[-2])
 
 
 def random_field(grid: Grid2, rank: str, band: int, seed: int,
@@ -678,13 +632,16 @@ def random_field(grid: Grid2, rank: str, band: int, seed: int,
     inside = np.maximum(np.abs(kx), np.abs(ky)) <= band
     amp = (rng.standard_normal((nc, m, m)) + 1j * rng.standard_normal((nc, m, m)))
     amp *= inside / (1.0 + np.hypot(kx, ky)) ** decay
-    # enforce conjugate symmetry c(-xi) = conj(c(xi)), then keep the half
-    amp = _resize(0.5 * (amp + _conj_mirror(amp)), m, half=True)
+    # the xi_2 >= 0 half of the symmetrized draw (c(xi) + conj c(-xi)) / 2;
+    # index i of an axis mirrors to (m - i) % m, and the Nyquist column stays 0
+    mirror = np.roll(np.flip(amp, axis=(-2, -1)), 1, axis=(-2, -1))[..., :m // 2]
+    half = _zero_coeffs(rank, m)
+    half[..., :m // 2] = 0.5 * (amp[..., :m // 2] + np.conj(mirror))
     if mean_zero:
-        amp[..., 0, 0] = 0.0
+        half[..., 0, 0] = 0.0
     else:
-        amp[..., 0, 0] = amp[..., 0, 0].real
-    return SpectralField(grid, rank, amp)
+        half[..., 0, 0] = half[..., 0, 0].real
+    return SpectralField(grid, rank, half)
 
 
 # -- time tracks ----------------------------------------------------------

@@ -7,8 +7,10 @@ Field dump layout (format tag "CI2D v1"):
     L bytes   UTF-8 JSON: {"n", "rank", "reality", "time", "units"}
     payload   float64 little-endian physical samples, row-major,
               components concatenated (scalar: 1; vector: x then y;
-              symtensor: t11 then t12); complex data is interleaved
-              re/im per sample when reality is false.
+              symtensor: t11 then t12).
+
+Every field is real, so "reality" is always true; a dump whose header
+says false is refused.
 
 A state directory holds a manifest.json with the keys
 {T, t_pad, n, n_t, theta, nu, q, mode, params} plus one dump per field
@@ -42,19 +44,12 @@ def write_field(path: str, field: SpectralField, time: float = 0.0) -> None:
     header = {
         "n": field.grid.n,
         "rank": field.rank,
-        "reality": bool(field.reality),
+        "reality": True,
         "time": float(time),
         "units": "1",
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    vals = field.values()
-    if field.reality:
-        payload = np.ascontiguousarray(vals, dtype="<f8").tobytes()
-    else:
-        inter = np.empty(vals.shape + (2,), dtype="<f8")
-        inter[..., 0] = vals.real
-        inter[..., 1] = vals.imag
-        payload = inter.tobytes()
+    payload = np.ascontiguousarray(field.values(), dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
@@ -64,19 +59,22 @@ def write_field(path: str, field: SpectralField, time: float = 0.0) -> None:
 
 def _check_header(fh, path: str) -> tuple:
     """(header, sample shape) of an open dump, read up to its payload; a
-    bad magic, a header that does not decode, an unknown rank or a payload
-    whose byte count differs from the header's raises ConfigError."""
+    bad magic, a header that does not decode, an unknown rank, a field
+    that is not real or a payload whose byte count differs from the
+    header's raises ConfigError."""
     if fh.read(8) != MAGIC:
         raise ConfigError(f"{path}: not a CI2D field dump")
     try:
         (length,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(length).decode("utf-8"))
-        n, rank, reality = int(header["n"]), header["rank"], bool(header["reality"])
+        n, rank, reality = int(header["n"]), header["rank"], header["reality"]
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: header does not decode ({exc})") from None
     if rank not in _RANK_NCOMP:
         raise ConfigError(f"{path}: unknown rank {rank!r}")
-    shape = (_RANK_NCOMP[rank], n, n) + (() if reality else (2,))
+    if reality is not True:
+        raise ConfigError(f"{path}: not a real field (reality {reality!r})")
+    shape = (_RANK_NCOMP[rank], n, n)
     have, need = os.fstat(fh.fileno()).st_size - fh.tell(), 8 * int(np.prod(shape))
     if have != need:
         raise ConfigError(f"{path}: payload has {have} bytes, its header needs {need}")
@@ -91,8 +89,6 @@ def read_field(path: str):
         vals = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
     if not np.isfinite(vals).all():
         raise ConfigError(f"{path}: a sample is not finite")
-    if len(shape) == 4:   # complex samples, re/im interleaved
-        vals = vals[..., 0] + 1j * vals[..., 1]
     return analyze(make_grid(shape[1]), vals, header["rank"]), header
 
 

@@ -16,14 +16,15 @@ import ci2d
 from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
                   SpectralField, TimeTrack, analyze, anti_divergence, cn_norm,
                   dirichlet_kernel, directions, divergence, eta, helmholtz,
-                  init_state, intermittent_flow, inv_grad, iterate_step,
-                  lp_norm, make_grid, mean, multiply, multiply_mode,
-                  nsr_residual, perp_grad, project, random_field,
+                  init_state, inv_grad, iterate_step, lp_norm, make_grid, mean,
+                  multiply, nsr_residual, perp_grad, project, random_field,
                   temporal_cutoff, validate_schedule)
-from ci2d.building_blocks import WaveParams, pair_shell, positive_directions
+from ci2d.building_blocks import (WaveParams, lattice_vector, pair_shell,
+                                  positive_directions)
 from ci2d.ci_step import _mollified_nodes, _node_perturbation, _stress_sups
 from ci2d.generators import shear_track, time_grid
 from ci2d.stress_geometry import decompose, reconstruct
+from waves import flow, mode_pair
 
 warnings.filterwarnings("ignore", message=".*separation.*")
 
@@ -107,16 +108,21 @@ def test_criterion_04_frequency_localization():
     # pair localization needs genuinely separated scales: lambda = 200,
     # sigma = 1/40, r = 1 obeys every divisibility rule and keeps the
     # pair supports inside [lambda/5, 4 lambda]
+    # the flows and their products are numpy samples on n = 1024, which
+    # resolves every pair product, and their spectra numpy's FFTs
     wp = WaveParams(200, 40, 1, 5)
-    g = make_grid(1024)
+    n = 1024
+    ks = np.fft.fftfreq(n, 1.0 / n)
+    rad = np.hypot(ks[:, None], ks[None, :])
+
+    def mag2(samples):   # |coefficient|^2 summed over the components
+        return np.sum(np.abs(np.fft.fft2(samples, norm="forward")) ** 2, axis=0)
+
     worst_flow = 0.0
-    flows = {}
     for k in directions():
-        w, _ = intermittent_flow(k, wp, 0.23, g)
-        flows[k.five_k] = w
-        rad, mag2 = w.mode_magnitudes()
-        out = mag2[(rad < wp.lam / 2) | (rad > 2 * wp.lam)].sum()
-        worst_flow = max(worst_flow, out / mag2.sum())
+        m2 = mag2(flow(k, wp, 0.23, n)[0])
+        out = m2[(rad < wp.lam / 2) | (rad > 2 * wp.lam)].sum()
+        worst_flow = max(worst_flow, out / m2.sum())
     worst_pair = 0.0
     ds = directions()
     for i, a in enumerate(ds):
@@ -126,14 +132,13 @@ def test_criterion_04_frequency_localization():
             lo, hi = pair_shell(a, b, wp)
             assert wp.lam / 5 <= lo and hi <= 4 * wp.lam
             # entries t11, t12, t21 of the full display of w_a x w_b
-            (f1, f2), (g1, g2) = ([u.component(j) for j in (0, 1)]
-                                  for u in (flows[a.five_k], flows[b.five_k]))
-            t11 = 0.5 * multiply(f1, g1) - 0.5 * multiply(f2, g2)
+            (f1, f2), (g1, g2) = flow(a, wp, 0.23, n)[0], flow(b, wp, 0.23, n)[0]
+            t11 = 0.5 * f1 * g1 - 0.5 * f2 * g2
             total, outside = 0.0, 0.0
-            for comp, wgt in ((t11, 2.0), (multiply(f1, g2), 1.0), (multiply(f2, g1), 1.0)):
-                rad, mag2 = comp.mode_magnitudes()
-                total += wgt * mag2.sum()
-                outside += wgt * mag2[(rad < wp.lam / 5) | (rad > 4 * wp.lam)].sum()
+            for comp, wgt in ((t11, 2.0), (f1 * g2, 1.0), (f2 * g1, 1.0)):
+                m2 = mag2(comp[None])
+                total += wgt * m2.sum()
+                outside += wgt * m2[(rad < wp.lam / 5) | (rad > 4 * wp.lam)].sum()
             worst_pair = max(worst_pair, outside / total)
     # the kernel's nonzero modes all sit at or above lambda*sigma
     wp_small = WaveParams(50, 10, 2, 5)
@@ -184,7 +189,7 @@ def test_criterion_06_operator_lemmas():
                 amp = rng.standard_normal() + 1j * rng.standard_normal()
                 modes[(kappa * a, kappa * b)] = amp
                 modes[(-kappa * a, -kappa * b)] = np.conj(amp)
-        fast = SpectralField.from_modes(g, "scalar", modes, reality=True)
+        fast = SpectralField.from_modes(g, "scalar", modes)
         lhs = lp_norm(multiply(f, fast, allow_interpolant=True), 2)
         main = lp_norm(f, 2) * lp_norm(fast, 2) / (2 * np.pi)
         rest = kappa ** -0.5 * cn_norm(f, 1) * lp_norm(fast, 2)
@@ -222,14 +227,13 @@ def test_criterion_07_stream_function_and_solenoidality(endtoend):
     grid = run["grid"]
     i, t, a_slice, pert = _plateau_node(run)
     w_p, w_c, w_t = pert["w_p"], pert["w_c"], pert["w_t"]
-    stream = SpectralField.zeros(grid, "scalar", reality=False)
-    from ci2d.building_blocks import lattice_vector
-    for k in directions():
+    # the potential rebuilt from the public pieces: per direction, the real
+    # pair of the kernel product with exp(i lam k.x) / lam, from samples
+    stream = SpectralField.zeros(grid, "scalar")
+    for k in positive_directions():
         e, _ = eta(k, toy.wp, t, grid)
-        a = a_slice[k if k.positive else k.antipode][0]
-        stream = stream + multiply_mode(
-            analyze(grid, a * e.values()), lattice_vector(k.five_k, toy.wp.lam // 5),
-            1.0 / toy.wp.lam, clip=True)
+        stream = stream + mode_pair(analyze(grid, a_slice[k][0] * e.values()),
+                                    lattice_vector(k.five_k, toy.wp.lam // 5), 1.0 / toy.wp.lam)
     wp_norm = lp_norm(w_p, 2)
     stream_defect = lp_norm(w_p + w_c - perp_grad(stream), 2)
     div_defect = max(
@@ -249,12 +253,11 @@ def test_criterion_08_oscillation_cancellation(endtoend):
     rv = run["node"][3].values(grid.n)
     acc11, acc12 = rv[0].copy(), rv[1].copy()
     for k in positive_directions():
-        w, _ = intermittent_flow(k, toy.wp, t, grid)
-        wm, _ = intermittent_flow(k.antipode, toy.wp, t, grid)
-        # means of the t11, t12 entries of w x wm
-        (w1, w2), (m1, m2) = ([u.component(j) for j in (0, 1)] for u in (w, wm))
-        m11 = 0.5 * mean(multiply(w1, m1)).real - 0.5 * mean(multiply(w2, m2)).real
-        m12 = mean(multiply(w1, m2)).real
+        # means of the t11, t12 entries of w x wm, from numpy samples of the
+        # flows on the grid, which resolves their products
+        (w1, w2), (m1, m2) = flow(k, toy.wp, t, grid.n)[0], flow(k.antipode, toy.wp, t, grid.n)[0]
+        m11 = 0.5 * np.mean(w1 * m1).real - 0.5 * np.mean(w2 * m2).real
+        m12 = np.mean(w1 * m2).real
         a = a_slice[k][0]
         acc11 += 2.0 * a * a * m11
         acc12 += 2.0 * a * a * m12

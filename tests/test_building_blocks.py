@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from ci2d import (AliasingRisk, DivisibilityError, NonIntegerFrequency,
-                  dirichlet_kernel, directions, eta, intermittent_flow,
-                  lp_norm, make_grid, wave_b, wave_psi)
-from ci2d.building_blocks import (WaveParams, eta_band, pair_shell,
-                                  positive_directions)
-from ci2d.spectral_field import derive
+from ci2d import (AliasingRisk, DivisibilityError, analyze, dirichlet_kernel,
+                  directions, eta, make_grid, perp_grad)
+from ci2d.building_blocks import (WaveParams, eta_band, lattice_vector,
+                                  pair_shell, positive_directions)
+from ci2d.ci_step import _perturbation_slice
+from waves import flow, mode_pair
+
+
+def _one_pair(k, wp, t, grid):
+    """The step's perturbation slice with a = 1 on direction k, 0 elsewhere."""
+    a_slice = {d: (float(d == k), 0.0) for d in positive_directions()}
+    return _perturbation_slice(grid, wp, a_slice, t)[1]
 
 
 def test_direction_list():
@@ -16,15 +22,17 @@ def test_direction_list():
 
 
 def test_wave_amplitude_and_frequency():
+    # the step's pair eta (b + c.c.) of b = i k-perp exp(i lam k.x) at lam = 5:
+    # only the kernel's mean 1/(2r + 1) lands on lam k, so the coefficient
+    # there is i k-perp / 3, and the stream function's is 1 / (3 lam)
     g = make_grid(32)
     k = [d for d in positive_directions() if d.five_k == (3, 4)][0]
-    b = wave_b(k, 5, g)
-    amp = b.coeff((3, 4))
-    assert np.allclose(amp, 1j * np.array([-4, 3]) / 5.0)
-    assert wave_psi(k, 5, g).coeff((3, 4))[0] == pytest.approx(0.2)
+    assert lattice_vector(k.five_k, 5 // 5) == (3, 4)
+    pert = _one_pair(k, WaveParams(5, 1, 1, 1), 0.0, g)
+    assert np.allclose(pert["w_p"].coeff((3, 4)), 1j * np.array([-4, 3]) / 15.0)
+    assert np.allclose(pert["w_p"].coeff((-3, -4)), -1j * np.array([-4, 3]) / 15.0)
+    assert pert["stream"].coeff((3, 4))[0] == pytest.approx(1.0 / 15.0)
     # the flow/potential identities and norms are the `blocks.wave_pair` property
-    with pytest.raises(NonIntegerFrequency):
-        wave_b(k, 7, g)
 
 
 def test_wave_params_divisibility():
@@ -62,16 +70,18 @@ def test_flow_derivative_scaling_band(K, N, p):
     # measured norms track lam^N (lam sigma r mu)^K r^(1 - 2/p) within a
     # factor-4 band across one doubling of r and of lam
     g = make_grid(512)
+    ks = np.fft.fftfreq(g.n, 1.0 / g.n)
 
     def measure(wp):
-        w, dw = intermittent_flow(positive_directions()[2], wp, 0.13, g)
+        w, dw = flow(positive_directions()[2], wp, 0.13, g.n)
         f = dw if K else w
         if N == 0:
-            val = lp_norm(f, p)
-        else:
-            comps = [derive(f, (1, 0)), derive(f, (0, 1))]
-            mag = np.sqrt(sum(np.abs(c.values()) ** 2 for c in comps).sum(axis=0))
-            val = (np.sum(mag ** p) * g.cell_measure) ** (1 / p)
+            mag = np.sqrt(np.sum(np.abs(f) ** 2, axis=0))
+        else:   # spectral derivatives of the complex samples
+            c = np.fft.fft2(f)
+            mag = np.sqrt(sum(np.abs(np.fft.ifft2(1j * kk * c)) ** 2
+                              for kk in (ks[:, None], ks[None, :])).sum(axis=0))
+        val = (np.sum(mag ** p) * g.cell_measure) ** (1 / p)
         pred = (wp.lam ** N * (wp.lam / wp.sigma_inv * wp.r * wp.mu) ** K
                 * wp.r ** (1 - 2 / p))
         return val / pred
@@ -92,3 +102,42 @@ def test_pair_shell_enumeration():
                 continue
             lo, hi = pair_shell(a, b, wp)
             assert wp.lam / 5 <= lo and hi <= 4 * wp.lam
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_flow_oracle_is_the_step_pair(sign):
+    # the test-side flow W_k from numpy samples of exp(i lam k.x): W_k + c.c.
+    # and its d/dt are the step's w_p and dw_p with a = 1 on k, on a grid
+    # where no shift clips; a flipped mode sign (the negative control)
+    # gives -w_p instead
+    g = make_grid(128)
+    wp = WaveParams(25, 5, 2, 3)
+    for k in positive_directions():
+        pert = _one_pair(k, wp, 0.3, g)
+        w, dw = flow(k, wp, 0.3, g.n, sign)
+        gaps = [np.max(np.abs(2.0 * f.real - pert[name].values()))
+                for f, name in ((w, "w_p"), (dw, "dw_p"))]
+        scale = np.max(np.abs(pert["w_p"].values()))
+        assert (max(gaps) <= 1e-13 * scale) == (sign == 1), gaps
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mode_pair_oracle_is_the_step_pair(sign):
+    # the test-side real pair from samples on the doubled grid, cut to the
+    # grid band, gives the step's w_p, w_c and stream function from the
+    # kernel product P; at n = 32 the shifts clip, as the step's do.  A
+    # flipped mode sign (the negative control) misses w_p
+    wp = WaveParams(25, 5, 2, 3)
+    for n in (32, 64):
+        g = make_grid(n)
+        for k in positive_directions():
+            pert = _one_pair(k, wp, 0.3, g)
+            P = analyze(g, eta(k, wp, 0.3, g)[0].values())
+            xi = lattice_vector(k.five_k, wp.lam // 5)
+            got = {"w_p": mode_pair(P, xi, 1j * k.k_perp, sign),
+                   "w_c": mode_pair(perp_grad(P), xi, 1.0 / wp.lam, sign),
+                   "stream": mode_pair(P, xi, 1.0 / wp.lam, sign)}
+            gaps = {name: np.max(np.abs(f.values() - pert[name].values()))
+                    / np.max(np.abs(pert[name].values())) for name, f in got.items()}
+            assert (gaps["w_p"] <= 1e-13) == (sign == 1), gaps
+            assert max(gaps["w_c"], gaps["stream"]) <= 1e-13, gaps

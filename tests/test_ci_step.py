@@ -26,7 +26,7 @@ def small_state(amplitude=1.0, theta=0.4, nu=1.0, grid=GRID):
     base = SpectralField.from_modes(
         grid, "vector",
         {(0, 1): np.array([-0.5j * amplitude, 0]),
-         (0, -1): np.array([0.5j * amplitude, 0])}, reality=True)
+         (0, -1): np.array([0.5j * amplitude, 0])})
     u = TimeTrack(TIMES, [float(c) * base for c in chi],
                   [float(c) * base for c in dchi])
     return init_state(u, theta=theta, nu=nu, T=1.0)
@@ -472,22 +472,22 @@ def test_perturbations_vanish_without_cutoff():
 
 
 def test_stream_identity_and_solenoidality():
-    from ci2d import analyze, multiply_mode, perp_grad
+    from ci2d import analyze, perp_grad
     from ci2d.building_blocks import eta, lattice_vector
+    from waves import mode_pair
     state, toy, moll, cut = _perturbation_setup()
     i = int(np.argmax(cut.values))
     _, a_slice, _, pert = _perturb(moll, cut, toy, i)
     w_p, w_c, w_t = pert["w_p"], pert["w_c"], pert["w_t"]
     grid = state.grid
-    # rebuild the potential from the public pieces, one mode shift per
-    # direction and sign
-    stream = SpectralField.zeros(grid, "scalar", reality=False)
+    # rebuild the potential from the public pieces: per direction, the real
+    # pair of the kernel product with exp(i lam k.x) / lam, from samples
+    stream = SpectralField.zeros(grid, "scalar")
     for k in positive_directions():
         e, _ = eta(k, toy.wp, float(TIMES[i]), grid)
         prod = analyze(grid, a_slice[k][0] * e.values())
-        for kk in (k, k.antipode):
-            psi_mode = lattice_vector(kk.five_k, toy.wp.lam // 5)
-            stream = stream + multiply_mode(prod, psi_mode, 1.0 / toy.wp.lam, clip=True)
+        stream = stream + mode_pair(prod, lattice_vector(k.five_k, toy.wp.lam // 5),
+                                    1.0 / toy.wp.lam)
     lhs = w_p + w_c - perp_grad(stream)
     assert lp_norm(lhs, 2) <= 1e-10 * lp_norm(w_p, 2)
     assert lp_norm(divergence(w_p + w_c), 2) <= 1e-10 * lp_norm(w_p, 2)
@@ -502,10 +502,11 @@ def _roll_shift(coeffs, xi, n):
     whose target lies past the grid band wrap around, and those target
     rows and columns are zeroed.  Returns the shifted array and the
     largest share of a component's energy sum |c|^2 that was dropped."""
-    from ci2d.spectral_field import _fft_size, _resize
+    from ci2d.spectral_field import _fft_size
+    from waves import on_grid
     x1, x2 = int(xi[0]), int(xi[1])
     m = _fft_size(coeffs.shape[-1] // 2 - 1 + max(abs(x1), abs(x2)), n)
-    out = np.roll(_resize(coeffs, m), (x1, x2), axis=(-2, -1))
+    out = np.roll(on_grid(coeffs, m), (x1, x2), axis=(-2, -1))
     if m < n:
         return out, 0.0
     ks = np.fft.fftfreq(n, 1.0 / n).astype(int)
@@ -525,11 +526,12 @@ def _perturbation_oracle(grid, wp, a_slice, t, mirror=False):
     shifts (+xi and -xi) of every direction made explicitly or, with
     mirror=True, the +xi shift alone and each sum's conjugate mirror
     c(xi) -> conj c(-xi) added once after the loop.  The kernel samples
-    come from `_wave_slice`.  Returns the seven fields (full planes) and
-    the largest energy share a shift dropped."""
+    come from `_wave_slice`.  Returns the seven fields as full planes on
+    the n-grid and the largest energy share a shift dropped."""
     from ci2d import analyze, perp_grad
     from ci2d.building_blocks import lattice_vector
-    from ci2d.spectral_field import _conj_mirror, _resize
+    from ci2d.spectral_field import _resize
+    from waves import conj_mirror, full_plane, on_grid
     n, lam = grid.n, wp.lam
     acc = {name: np.zeros((2, n, n), dtype=complex) for name in ("w_p", "dw_p", "w_c", "dw_c")}
     stream = np.zeros((1, n, n), dtype=complex)
@@ -541,13 +543,13 @@ def _perturbation_oracle(grid, wp, a_slice, t, mirror=False):
         P = analyze(grid, a * wav["eta_vals"])
         dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
         m = max(P.storage, dP.storage)
-        stack = np.concatenate([_resize(f.coeffs, m, half=False)
+        stack = np.concatenate([full_plane(_resize(f.coeffs, m))
                                 for f in (P, dP, perp_grad(P), perp_grad(dP))])
         xi = lattice_vector(k.five_k, lam // 5)
         shifts = ((xi, 1.0),) if mirror else ((xi, 1.0), ((-xi[0], -xi[1]), -1.0))
         for shift, sign in shifts:
             sh, frac = _roll_shift(stack, shift, n)
-            sh = _resize(sh, n)
+            sh = on_grid(sh, n)
             clipped = max(clipped, frac)
             amp = (sign * 1j * k.k_perp)[:, None, None]
             acc["w_p"] += amp * sh[0]
@@ -557,28 +559,27 @@ def _perturbation_oracle(grid, wp, a_slice, t, mirror=False):
             stream += sh[0:1] / lam
         m_f = analyze(grid, a * a * wav["p_eta2_vals"])
         dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
-        carrier[:2] += _resize(m_f.coeffs, n, half=False) * k.k[:, None, None]
-        carrier[2:] += _resize(dm_f.coeffs, n, half=False) * k.k[:, None, None]
+        carrier[:2] += full_plane(_resize(m_f.coeffs, n)) * k.k[:, None, None]
+        carrier[2:] += full_plane(_resize(dm_f.coeffs, n)) * k.k[:, None, None]
     if mirror:
         for c in (*acc.values(), stream):
-            c += _conj_mirror(c)
-    out = {name: SpectralField(grid, "vector", c) for name, c in acc.items()}
+            c += conj_mirror(c)
+    out = dict(acc, stream=stream)
     for name, c in (("w_t", carrier[:2]), ("dw_t", carrier[2:])):
-        out[name] = (2.0 / wp.mu) * helmholtz(project(
+        w_t = (2.0 / wp.mu) * helmholtz(project(
             SpectralField(grid, "vector", c[..., :n // 2 + 1]), FreqBand.nonzero()))
-    out["stream"] = SpectralField(grid, "scalar", stream)
+        out[name] = full_plane(_resize(w_t.coeffs, n))
     return out, clipped
 
 
 def _assert_matches_perturbation_oracle(pert, oracle, clipped):
     from ci2d.spectral_field import _resize
+    from waves import full_plane
     for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t", "stream"):
-        got, ref = pert[name], oracle[name]
-        m = max(got.storage, ref.storage)
-        a, b = (_resize(f.coeffs, m, half=False) for f in (got, ref))
-        gap = np.max(np.abs(a - b))
-        assert 0.0 < np.max(np.abs(ref.coeffs))
-        assert gap <= 1e-14 * np.max(np.abs(ref.coeffs)), name
+        ref = oracle[name]
+        gap = np.max(np.abs(full_plane(_resize(pert[name].coeffs, ref.shape[-1])) - ref))
+        assert 0.0 < np.max(np.abs(ref))
+        assert gap <= 1e-14 * np.max(np.abs(ref)), name
     assert pert["clipped"] == pytest.approx(clipped, rel=1e-14, abs=0.0)
 
 
@@ -613,20 +614,14 @@ def test_perturbation_slice_matches_roll_and_mirror_oracle(n, wave):
     _assert_matches_perturbation_oracle(pert, oracle, clipped)
 
 
-def _on_grid(coeffs, n):
-    """FFT-layout coefficients of storage m <= n placed on the n-grid."""
-    ks = np.fft.fftfreq(coeffs.shape[-1], 1.0 / coeffs.shape[-1]).astype(int) % n
-    out = np.zeros((n, n), dtype=complex)
-    out[np.ix_(ks, ks)] = coeffs
-    return out
-
-
 def test_pstar_real_pairs_match_complex_pair_syntheses():
     # oracle: every pair spectrum goes through numpy's complex inverse FFT
     # and the accumulated samples through its complex forward FFT; the
     # transport moments are formed here from `_wave_slice`'s samples
-    from ci2d import analyze, multiply_mode
+    from ci2d import analyze
     from ci2d.ci_step import _inv_lap_div_const, _pstar_slice
+    from ci2d.spectral_field import _resize
+    from waves import full_plane, on_grid
     state = small_state()
     toy = small_toy()
     moll = mollify(state, toy.ell)
@@ -650,15 +645,16 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
             for s1, s2, weight in signs:
                 xi = (step * (s1 * k.five_k[0] + s2 * kp.five_k[0]),
                       step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
-                spec += weight * _on_grid(multiply_mode(fast, xi, 1.0, clip=True).coeffs[0], n)
-            pair = project(SpectralField(grid, "scalar", spec),
+                spec += weight * on_grid(_roll_shift(full_plane(fast.coeffs), xi, n)[0][0], n)
+            # the sign combinations make the pair's spectrum Hermitian
+            pair = project(SpectralField(grid, "scalar", spec[None, :, :n // 2 + 1]),
                            FreqBand.at_least(wp.lam_sigma / 2.0))
-            vals = np.fft.ifft2(_on_grid(pair.coeffs[0], n)) * (n * n)
+            vals = np.fft.ifft2(full_plane(_resize(pair.coeffs, n))[0]) * (n * n)
             accum -= (a_slice[k][0] * a_slice[kp][0]) * vals
     c = np.fft.fft2(accum) / (n * n)
     c[n // 2, :] = 0.0
     c[:, n // 2] = 0.0
-    oracle = SpectralField(grid, "scalar", c)
+    oracle = SpectralField(grid, "scalar", c[None, :, :n // 2 + 1])
     for k in dirs:
         a, da = a_slice[k]
         m_f = analyze(grid, a * a * waves[k]["p_eta2_vals"])

@@ -5,8 +5,7 @@ from ci2d import (FreqBand, RankError, SpectralField, anti_divergence,
                   divergence, frac_laplacian, helmholtz, inv_grad, lp_norm,
                   make_grid, mean, multiply, project, random_field,
                   sym_tracefree_product, tf_square, tracefree_product)
-from ci2d.building_blocks import (WaveParams, directions, intermittent_flow,
-                                  positive_directions)
+from ci2d.building_blocks import WaveParams, directions, positive_directions
 from ci2d.errors import ConfigError
 
 
@@ -19,11 +18,18 @@ def test_project_mean_removal():
 
 
 def test_project_keeps_flow_shell():
-    # the closed band [lam/2, 2 lam] leaves the intermittent flow intact
+    # the closed band [lam/2, 2 lam] leaves the intermittent flow intact:
+    # the real pair eta (b + c.c.) of the kernel's exact coefficients
+    from ci2d import eta, multiply_mode
+    from ci2d.building_blocks import lattice_vector
     g = make_grid(64)
     wp = WaveParams(10, 2, 1, 1)
     k = positive_directions()[0]
-    w, _ = intermittent_flow(k, wp, 0.0, g)
+    acc = np.zeros((2, g.n, g.n // 2 + 1), dtype=complex)
+    multiply_mode(acc, eta(k, wp, 0.0, g)[0], lattice_vector(k.five_k, wp.lam // 5),
+                  (1j * k.k_perp)[:, None, None])
+    w = SpectralField(g, "vector", acc)
+    assert lp_norm(w, 2) > 0.0
     kept = project(w, FreqBand(5.0, 20.0))
     assert np.array_equal(np.asarray(kept.coeffs), np.asarray(w.coeffs))
 
@@ -48,10 +54,10 @@ def test_helmholtz_examples():
 
 def test_frac_laplacian_multiplier():
     g = make_grid(32)
-    e34 = SpectralField.from_modes(g, "scalar", {(3, 4): 1.0}, reality=False)
+    e34 = SpectralField.from_modes(g, "scalar", {(3, 4): 1.0, (-3, -4): 1.0})
     assert frac_laplacian(e34, 1.0).coeff((3, 4))[0] == pytest.approx(25.0)
     assert frac_laplacian(e34, 0.5).coeff((3, 4))[0] == pytest.approx(5.0)
-    f = SpectralField.from_modes(g, "scalar", {(0, 0): 2.0, (3, 4): 1.0}, reality=False)
+    f = SpectralField.from_modes(g, "scalar", {(0, 0): 2.0, (3, 4): 1.0, (-3, -4): 1.0})
     ident = frac_laplacian(f, 0.0)
     assert ident.coeff((0, 0))[0] == 2.0
     assert ident.coeff((3, 4))[0] == 1.0

@@ -23,7 +23,7 @@ import pytest
 from ci2d import (init_state, iterate_step, lp_norm, make_grid, nsr_residual,
                   toy_params)
 from ci2d.generators import build_initial, time_grid
-from ci2d.spectral_field import _resize
+from waves import full_plane
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_step_n128.json")
 REPORT = os.path.join(os.path.dirname(__file__), "data", "golden_step_report_n128.json")
@@ -70,7 +70,7 @@ def _largest_modes(field, count):
     over the full plane (a real field stores only its xi_2 >= 0 half)."""
     m = field.storage
     ks = np.fft.fftfreq(m, 1.0 / m).astype(int)
-    full = _resize(field.coeffs, m, half=False)
+    full = full_plane(field.coeffs)
     mag = np.abs(full).ravel()
     out = []
     for flat in np.argsort(-mag, kind="stable")[:count]:

@@ -37,17 +37,25 @@ def test_field_dump_roundtrip_real(tmp_path):
 
 
 def test_field_dump_roundtrip_complex(tmp_path):
-    g = make_grid(16)
-    from ci2d import SpectralField
-    f = SpectralField.from_modes(g, "scalar", {(3, 1): 1.0 + 0.5j}, reality=False)
-    path = tmp_path / "c.ci2d"
-    write_field(str(path), f)
-    back, header = read_field(str(path))
-    assert header["reality"] is False
-    assert lp_norm(back - f, np.inf) < 1e-12
+    # every field is real: a dump in the old complex layout (header
+    # "reality": false, re/im interleaved) is refused, by `read_field` and
+    # by `ci2d diagnose` on a state that holds it (exit 3, no report)
+    cfg_path, cfg = _small_cfg(tmp_path, time={"n_t": 9})
+    assert main(["init", "--config", cfg_path]) == 0
+    path = Path(cfg["out"], "p_0004.ci2d")
     raw = path.read_bytes()
     length = int.from_bytes(raw[8:12], "little")
-    assert len(raw) == 12 + length + 16 * 16 * 16  # interleaved re/im
+    header = json.loads(raw[12:12 + length])
+    assert header["reality"] is True
+    blob = json.dumps({**header, "reality": False}).encode("utf-8")
+    samples = np.frombuffer(raw[12 + length:], dtype="<f8")
+    payload = np.stack([samples, np.zeros_like(samples)], axis=-1).tobytes()
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+    with pytest.raises(ConfigError, match="not a real field"):
+        read_field(str(path))
+    report = tmp_path / "report"
+    assert main(["diagnose", "--state", cfg["out"], "--out", str(report)]) == 3
+    assert not report.exists()
 
 
 def test_dump_determinism(tmp_path):
@@ -470,7 +478,7 @@ def test_cli_non_finite_sample_exits_3(tmp_path, prefix):
     assert [p.name for p in out_dir.iterdir()] == ["sentinel"]
     report = tmp_path / "report"
     assert main(["diagnose", "--state", cfg["out"], "--out", str(report)]) == 3
-    assert not (report / "diagnose.json").exists()
+    assert not report.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -489,7 +497,7 @@ def test_cli_step_overflow_exits_2(tmp_path):
     assert not out_dir.exists() and not (tmp_path / "state1.partial").exists()
     # its report holds no NaN either: diagnose stops with the guard too
     assert main(["diagnose", "--state", cfg["out"], "--out", str(tmp_path / "report")]) == 2
-    assert not (tmp_path / "report" / "diagnose.json").exists()
+    assert not (tmp_path / "report").exists()
 
 
 def _in_memory(state):

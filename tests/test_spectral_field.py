@@ -44,11 +44,9 @@ def test_parseval_against_quadrature_oracle():
 # -- real transforms against numpy's complex FFT --------------------------------
 
 def _full(coeffs):
-    """Oracle mirror: the full FFT-layout plane of stored coefficients; a
-    half spectrum (rfft2 layout) gets c(xi1, -xi2) = conj c(-xi1, xi2)."""
+    """Oracle mirror: the full FFT-layout plane of a stored half spectrum
+    (rfft2 layout), c(xi1, -xi2) = conj c(-xi1, xi2)."""
     m = coeffs.shape[-2]
-    if coeffs.shape[-1] == m:
-        return coeffs
     h = m // 2
     out = np.zeros(coeffs.shape[:-2] + (m, m), dtype=complex)
     out[..., :h] = coeffs[..., :h]
@@ -103,28 +101,28 @@ def test_real_synthesis_matches_complex_oracle(rank):
 
 
 @pytest.mark.parametrize("rank", ["scalar", "vector", "symtensor"])
-@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("bitwise", [True, False])
 @pytest.mark.parametrize("storage", [8, 32, 64, 128])
-def test_synthesis_matches_2d_oracle(rank, real, storage):
-    # a pruned half spectrum (real, storage < n), a padded full plane
-    # (complex), full storage and a cut (storage > n) all give the samples
-    # of numpy.fft's single 2-D transform on the padded or cut plane, bit
-    # for bit
-    from ci2d.spectral_field import _resize
+def test_synthesis_matches_2d_oracle(rank, bitwise, storage):
+    # a pruned half spectrum (storage < n), full storage and a cut
+    # (storage > n) all give the samples of numpy.fft's single real 2-D
+    # transform on the padded or cut half plane bit for bit, and those of
+    # its complex 2-D transform on the mirrored full plane to round-off
     n = 64
     g = make_grid(max(storage, n))
     band = min(storage // 2 - 1, 20)
     f = random_field(g, rank, band, seed=47)
-    if not real:
-        f = f + random_field(g, rank, band, seed=48) * 1j
     f = SpectralField(g, rank, _resize(f.coeffs, storage))
-    assert f.storage == storage and f.reality == real
-    c = _resize(f.coeffs, n)
-    want = (np.fft.irfft2(c, s=(n, n), norm="forward") if real
-            else np.fft.ifft2(c, norm="forward"))
+    assert f.storage == storage
     got = f.values(n)
-    assert got.dtype == want.dtype and got.shape == (f.ncomp, n, n)
-    assert np.array_equal(got, want)
+    assert got.dtype == np.float64 and got.shape == (f.ncomp, n, n)
+    if bitwise:
+        c = _resize(f.coeffs, n)
+        assert np.array_equal(got, np.fft.irfft2(c, s=(n, n), norm="forward"))
+    else:
+        want = _complex_synthesis(f.coeffs, n)
+        assert np.max(np.abs(want.imag)) <= 1e-14 * np.max(np.abs(want))
+        _assert_close(got, want.real, 1e-14)
 
 
 def test_real_analysis_matches_complex_oracle():
@@ -134,7 +132,7 @@ def test_real_analysis_matches_complex_oracle():
     for samples in (rng.standard_normal((2, 64, 64)),
                     random_field(g, "vector", 9, seed=42).values()):
         got = analyze(g, samples, "vector")
-        assert got.reality
+        assert got.coeffs.shape[-1] == got.storage // 2 + 1
         _assert_close(_on_grid(got.coeffs, 64), _complex_analysis(samples), 1e-14)
 
 
@@ -144,20 +142,10 @@ def test_real_multiply_matches_complex_oracle(rank):
     f = random_field(g, "scalar", 12, seed=43)
     h = random_field(g, rank, 15, seed=44)
     prod = multiply(f, h)
-    assert prod.reality and prod.rank == rank
+    assert prod.rank == rank
     want = _complex_analysis(_complex_synthesis(f.coeffs, 64)[0][None]
                              * _complex_synthesis(h.coeffs, 64))
     _assert_close(_on_grid(prod.coeffs, 64), want, 1e-14)
-
-
-def test_resize_half_to_full_matches_mirror_oracle():
-    from ci2d.spectral_field import _resize
-    g = make_grid(64)
-    f = random_field(g, "vector", 9, seed=45)
-    assert f.coeffs.shape == (2, 32, 17)
-    for m in (32, 64):
-        _assert_close(_resize(f.coeffs, m, half=False), _on_grid(f.coeffs, m), 0.0)
-        assert np.array_equal(_resize(_resize(f.coeffs, m, half=False), 32, half=True), f.coeffs)
 
 
 def test_coeff_reads_the_mirror_at_negative_xi2():
@@ -197,31 +185,21 @@ def test_energy_spectrum_matches_full_plane_oracle():
     _assert_close(got, want, 1e-14)
 
 
-def test_real_plus_complex_is_a_full_plane_sum():
-    g = make_grid(64)
-    f = random_field(g, "vector", 20, seed=56)
-    h = multiply_mode(random_field(g, "scalar", 5, seed=57), (3, -2), np.array([1.0, 2.0j]))
-    assert f.reality and not h.reality and f.storage != h.storage
-    want = _on_grid(f.coeffs, 64) + 2.0 * _on_grid(h.coeffs, 64)
-    for got in (combine([f, h], [1.0, 2.0]), f + 2.0 * h, 2.0 * h + f):
-        assert not got.reality and got.coeffs.shape == (2, 64, 64)
-        _assert_close(_on_grid(got.coeffs, 64), want, 1e-15)
-    want = _on_grid(f.coeffs, 64) - _on_grid(h.coeffs, 64)
-    _assert_close(_on_grid((f - h).coeffs, 64), want, 1e-15)
-
-
 def test_field_layout_must_match_reality_flag():
-    # the layout is the flag: a half spectrum is real, a full plane
-    # complex, and any other last axis is malformed
+    # every field is real and held as its half spectrum: a full plane (the
+    # layout of a complex field) or any other last axis is refused, and so
+    # are complex samples and a complex factor
     g = make_grid(16)
-    assert SpectralField(g, "vector", np.zeros((2, 8, 5))).reality
-    assert not SpectralField(g, "vector", np.zeros((2, 8, 8))).reality
-    for shape in ((2, 8, 4), (2, 8, 9), (2, 8)):
+    assert SpectralField(g, "vector", np.zeros((2, 8, 5))).storage == 8
+    for shape in ((2, 8, 8), (2, 8, 4), (2, 8, 9), (2, 8)):
         with pytest.raises(ConfigError):
             SpectralField(g, "vector", np.zeros(shape))
     f = random_field(g, "scalar", 5, seed=58)
-    assert f.coeffs.shape == (1, 16, 9)
-    assert (2j * f).coeffs.shape == (1, 16, 16) and not (2j * f).reality
+    assert f.coeffs.shape == (1, 16, 9) and (2.0 * f).coeffs.shape == (1, 16, 9)
+    with pytest.raises(ConfigError):
+        2j * f
+    with pytest.raises(ConfigError):
+        analyze(g, f.values() + 0j)
 
 
 @pytest.mark.parametrize("modes", [{(1, 2): 1.0}, {(1, -2): 1.0},
@@ -229,19 +207,83 @@ def test_field_layout_must_match_reality_flag():
 def test_real_flag_needs_conjugate_symmetric_modes(modes):
     g = make_grid(16)
     with pytest.raises(ConfigError, match="conjugate symmetric"):
-        SpectralField.from_modes(g, "scalar", modes, reality=True)
-    assert not SpectralField.from_modes(g, "scalar", modes).reality
+        SpectralField.from_modes(g, "scalar", modes)
     # within 1e-10 of the largest amplitude the modes count as symmetric
-    near = SpectralField.from_modes(g, "scalar", {(1, 2): 1.0, (-1, -2): 1.0 + 1e-11},
-                                    reality=True)
-    assert near.reality and near.coeff((1, 2))[0] == 1.0
+    near = SpectralField.from_modes(g, "scalar", {(1, 2): 1.0, (-1, -2): 1.0 + 1e-11})
+    assert near.coeff((1, 2))[0] == 1.0
+
+
+def _mirror(coeffs):
+    """conj c(-xi) of stacked full planes, by flips and a roll: the
+    construction `from_modes` and `random_field` used before they formed
+    the half spectrum directly."""
+    out = np.roll(np.flip(coeffs, axis=(-2, -1)), 1, axis=(-2, -1))
+    return np.conjugate(out, out=out)
+
+
+def _old_half(full):
+    """The xi_2 >= 0 half (rfft2 layout) of a full plane, Nyquist column 0."""
+    m = full.shape[-1]
+    out = np.zeros(full.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    out[..., :m // 2] = full[..., :m // 2]
+    return out
+
+
+@pytest.mark.parametrize("rank", ["scalar", "vector", "symtensor"])
+def test_from_modes_matches_the_full_plane_construction(rank):
+    # the old construction: every mode in a full plane, the symmetry gap
+    # over the plane and its mirror, then the half; the same modes raise
+    # and the same half results
+    g = make_grid(32)
+    nc = 1 if rank == "scalar" else 2
+    rng = np.random.default_rng(60)
+    for trial in range(40):
+        band = int(rng.integers(0, 16))
+        modes = {}
+        for _ in range(int(rng.integers(0, 12))):
+            xi = tuple(int(x) for x in rng.integers(-band, band + 1, 2))
+            amp = rng.standard_normal(nc) + 1j * rng.standard_normal(nc)
+            modes[xi] = amp
+            if trial % 3:   # symmetric, exactly or to the tolerance's edge
+                modes[(-xi[0], -xi[1])] = np.conj(amp) * (1.0 + (trial % 3 - 1) * 2e-10)
+        m = _fft_size(max((max(map(abs, xi)) for xi in modes), default=0), g.n)
+        full = np.zeros((nc, m, m), dtype=complex)
+        for (x1, x2), amp in modes.items():
+            full[:, x1 % m, x2 % m] += amp
+        symmetric = np.max(np.abs(full - _mirror(full))) <= 1e-10 * np.max(np.abs(full))
+        if not symmetric:
+            with pytest.raises(ConfigError):
+                SpectralField.from_modes(g, rank, modes)
+            continue
+        got = SpectralField.from_modes(g, rank, modes).coeffs
+        assert np.array_equal(got, _old_half(full))
+
+
+@pytest.mark.parametrize("rank", ["scalar", "vector", "symtensor"])
+@pytest.mark.parametrize("mean_zero", [True, False])
+def test_random_field_matches_the_full_plane_construction(rank, mean_zero):
+    # the old construction of the same draws, kept here: symmetrize the
+    # full plane by its mirror, then keep the half
+    from ci2d.spectral_field import _wavenumbers
+    for n, band, seed, decay in ((16, 7, 0, 1.0), (64, 20, 3, 0.0), (128, 40, 5, 1.5)):
+        g = make_grid(n)
+        nc = 1 if rank == "scalar" else 2
+        m = _fft_size(band, n)
+        rng = np.random.default_rng(seed)
+        ks = _wavenumbers(m)
+        kx, ky = np.meshgrid(ks, ks, indexing="ij")
+        amp = rng.standard_normal((nc, m, m)) + 1j * rng.standard_normal((nc, m, m))
+        amp *= (np.maximum(np.abs(kx), np.abs(ky)) <= band) / (1.0 + np.hypot(kx, ky)) ** decay
+        want = _old_half(0.5 * (amp + _mirror(amp)))
+        want[..., 0, 0] = 0.0 if mean_zero else want[..., 0, 0].real
+        got = random_field(g, rank, band, seed, decay=decay, mean_zero=mean_zero).coeffs
+        assert np.array_equal(got, want)
 
 
 def test_zeros_storage_is_capped_at_the_grid():
     # the storage rule caps at n, so the smallest legal grid holds a zero field
     g = make_grid(4)
     assert SpectralField.zeros(g, "vector").coeffs.shape == (2, 4, 3)
-    assert SpectralField.zeros(g, "scalar", reality=False).coeffs.shape == (1, 4, 4)
     assert SpectralField.zeros(make_grid(64), "scalar").storage == 8
 
 
@@ -285,8 +327,8 @@ def test_measure_band_matches_index_grid_oracle(m, ncomp, seed):
 
 def test_derivative_examples():
     g = make_grid(16)
-    e3 = SpectralField.from_modes(g, "scalar", {(3, 0): 1.0}, reality=False)
-    assert derive(e3, (1, 0)).coeff((3, 0))[0] == 3j
+    cos3 = SpectralField.from_modes(g, "scalar", {(3, 0): 0.5, (-3, 0): 0.5})
+    assert derive(cos3, (1, 0)).coeff((3, 0))[0] == 1.5j
     cosy = SpectralField.from_modes(g, "scalar", {(0, 1): 0.5, (0, -1): 0.5})
     assert lp_norm(derive(cosy, (0, 2)) + cosy, np.inf) < 1e-14
     const = SpectralField.from_modes(g, "scalar", {(0, 0): 4.0})
@@ -379,13 +421,16 @@ def _no_samples(field):
 
 
 @pytest.mark.parametrize("rank", ["scalar", "vector", "symtensor"])
-@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("positive", [True, False])
 @pytest.mark.parametrize("m", [_fft_size(0, 32), 32])
-def test_zero_field_spends_no_transform(rank, real, m, monkeypatch):
+def test_zero_field_spends_no_transform(rank, positive, m, monkeypatch):
+    # coefficients of +0.0 or of -0.0 (which products of zeros leave) are
+    # all exactly zero
     import ci2d.spectral_field as sf
     g = make_grid(32)
-    shape = (1 if rank == "scalar" else 2, m, m // 2 + 1 if real else m)
-    zero = SpectralField(g, rank, np.zeros(shape, dtype=complex))
+    shape = (1 if rank == "scalar" else 2, m, m // 2 + 1)
+    zero = SpectralField(g, rank, np.full(shape, complex(0.0, 0.0) if positive
+                                          else complex(-0.0, -0.0)))
     c = np.zeros(shape, dtype=complex)
     c[0, 1, 1] = 1e-300
     tiny = SpectralField(g, rank, c)
@@ -396,10 +441,9 @@ def test_zero_field_spends_no_transform(rank, real, m, monkeypatch):
         assert type(norm) is float and norm == 0.0
     vals = zero.values()
     assert vals.shape == (shape[0], 32, 32)
-    assert vals.dtype == (np.float64 if real else np.complex128) and not vals.any()
+    assert vals.dtype == np.float64 and not vals.any() and not np.signbit(vals).any()
     back = analyze(g, vals, rank)
-    assert back.band() == 0 and back.storage == _fft_size(0, 32)
-    assert back.reality == real and back.is_zero
+    assert back.band() == 0 and back.storage == _fft_size(0, 32) and back.is_zero
     # negative control: one tiny coefficient is not zero, so the field
     # synthesizes, and its squares' underflow does not zero its norms
     with pytest.raises(_TransformCalled):
@@ -464,13 +508,14 @@ def test_symtensor_storage_reconstruction():
 
 def test_band_measurement_and_trim():
     g = make_grid(128)
-    f = SpectralField.from_modes(g, "scalar", {(40, 3): 1.0, (0, 1): 1e-20}, reality=False)
+    f = SpectralField.from_modes(g, "scalar", {(40, 3): 1.0, (-40, -3): 1.0,
+                                                (0, 1): 1e-20, (0, -1): 1e-20})
     assert f.band() == 40
     assert f.storage <= 128
     # a constructed field keeps its storage; analysis fits storage to the
     # band, dropping a sub-threshold mode on the cut storage's Nyquist row
-    c = np.zeros((1, 64, 64), dtype=complex)
-    c[0, 3, 0], c[0, -4, 0] = 1.0, 1e-14
+    c = np.zeros((1, 64, 33), dtype=complex)
+    c[0, 3, 0], c[0, -3, 0], c[0, 4, 0], c[0, -4, 0] = 1.0, 1.0, 1e-14, 1e-14
     f = SpectralField(g, "scalar", c)
     assert f.band() == 3 and f.storage == 64
     h = analyze(g, f.values())
@@ -521,36 +566,56 @@ def test_timetrack_validation():
 # -- multiply_mode against an explicit loop over the modes ---------------------
 
 def _shift_oracle(f, xi, amplitudes):
-    """Add xi to every stored mode; targets with |xi|_inf > max_mode drop out.
+    """Add xi to every mode of f's full plane; targets with |xi|_inf >
+    max_mode drop out.
 
-    Returns {target: coefficients} and the largest dropped magnitude."""
+    Returns {target: coefficients} and the largest share of a component's
+    energy sum |c|^2 that dropped."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
     bmax = f.grid.max_mode
     ks = np.fft.fftfreq(f.storage, 1.0 / f.storage).astype(int)
     full = _full(f.coeffs)
-    out, dropped = {}, 0.0
+    out, dropped = {}, np.zeros(f.ncomp)
     for i, k1 in enumerate(ks):
         for j, k2 in enumerate(ks):
             c = full[:, i, j]
             t = (int(k1) + xi[0], int(k2) + xi[1])
             if max(abs(t[0]), abs(t[1])) > bmax:
-                dropped = max(dropped, float(np.max(np.abs(c))))
+                dropped += np.abs(c) ** 2
                 continue
             out[t] = out.get(t, 0.0) + np.concatenate([c * a for a in amps])
-    return out, dropped
+    total = np.sum(np.abs(full) ** 2, axis=(-2, -1))
+    return out, float(np.max(dropped / np.where(total > 0.0, total, 1.0)))
 
 
-def _assert_matches_oracle(got, f, xi, amplitudes):
-    want, _ = _shift_oracle(f, xi, amplitudes)
-    bmax = f.grid.max_mode
+def _pair_oracle(f, xi, amp):
+    """{target: coefficients} of amp exp(i xi . x) f + conj(amp)
+    exp(-i xi . x) f, and the energy share the +xi shift drops."""
+    want, share = _shift_oracle(f, xi, amp)
+    for t, c in _shift_oracle(f, (-xi[0], -xi[1]), np.conj(amp))[0].items():
+        want[t] = want.get(t, 0.0) + c
+    return want, share
+
+
+def _pair(f, xi, amp, rank=None, acc=None):
+    """(field, share) of `multiply_mode` into a half-spectrum accumulator
+    on f's grid, all zero unless given."""
+    n, rank = f.grid.n, rank or f.rank
+    if acc is None:
+        acc = np.zeros((1 if rank == "scalar" else 2, n, n // 2 + 1), dtype=complex)
+    share = multiply_mode(acc, f, xi, amp)
+    return SpectralField(f.grid, rank, acc), share
+
+
+def _assert_matches_oracle(got, want):
+    bmax = got.grid.max_mode
     for t1 in range(-bmax, bmax + 1):
         for t2 in range(-bmax, bmax + 1):
             w = want.get((t1, t2), np.zeros(got.ncomp))
             assert np.max(np.abs(got.coeff((t1, t2)) - w)) <= 1e-15, (t1, t2)
     # nothing is left on the Nyquist row or column of the storage
     h = got.storage // 2
-    if got.storage == f.grid.n:
-        assert not np.any(got.coeffs[:, h, :]) and not np.any(got.coeffs[:, :, h])
+    assert not np.any(got.coeffs[:, h, :]) and not np.any(got.coeffs[:, :, h])
 
 
 @pytest.mark.parametrize("xi", [(2, 1), (-2, -1), (2, -1), (0, 0), (3, 0), (-3, -2),
@@ -558,61 +623,64 @@ def _assert_matches_oracle(got, f, xi, amplitudes):
 def test_multiply_mode_clip_matches_oracle(xi):
     # band 5 on n = 16 (max_mode 7): (2, 1) fits, (3, 0) lands on the
     # Nyquist row, (-3, -2) past it on the negative side, (6, -6) and
-    # (-7, 5) wrap whole strips
+    # (-7, 5) wrap whole strips; the -xi shift clips the mirrored strips
     g = make_grid(16)
     f = random_field(g, "scalar", 5, seed=21)
-    _assert_matches_oracle(multiply_mode(f, xi, 0.5 - 2.0j, clip=True), f, xi, 0.5 - 2.0j)
+    got, share = _pair(f, xi, 0.5 - 2.0j)
+    want, want_share = _pair_oracle(f, xi, 0.5 - 2.0j)
+    _assert_matches_oracle(got, want)
+    assert share == pytest.approx(want_share, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [(2, 1), (-2, -1), (3, 0), (-3, -2), (6, -6)])
-def test_multiply_mode_guard_raises_exactly_when_weight_drops(xi):
+def test_multiply_mode_reports_a_share_exactly_when_weight_drops(xi):
     g = make_grid(16)
     f = random_field(g, "scalar", 5, seed=22)
-    _, dropped = _shift_oracle(f, xi, 1.0)
-    if dropped > BAND_RTOL * np.max(np.abs(f.coeffs)):
-        with pytest.raises(AliasingRisk):
-            multiply_mode(f, xi, 1.0)
-    else:
-        _assert_matches_oracle(multiply_mode(f, xi, 1.0), f, xi, 1.0)
+    got, share = _pair(f, xi, 1.0)
+    want, want_share = _pair_oracle(f, xi, 1.0)
+    _assert_matches_oracle(got, want)
+    assert (share > 0.0) == (want_share > 0.0)
+    assert share == pytest.approx(want_share, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("small, raises", [(2 * BAND_RTOL, True), (0.5 * BAND_RTOL, False)])
-def test_multiply_mode_guard_threshold(small, raises):
+@pytest.mark.parametrize("small", [2 * BAND_RTOL, 0.5 * BAND_RTOL])
+def test_multiply_mode_share_has_no_threshold(small):
     # only the weak mode (6, 0) is pushed onto the Nyquist row by (2, 0)
+    # (and its mirror by (-2, 0)): its energy share is reported however
+    # small, above the band threshold or below it
     g = make_grid(16)
-    f = SpectralField.from_modes(g, "scalar", {(0, 0): 1.0, (6, 0): small}, reality=False)
-    if raises:
-        with pytest.raises(AliasingRisk):
-            multiply_mode(f, (2, 0), 1.0)
-    else:
-        got = multiply_mode(f, (2, 0), 1.0)
-        _assert_matches_oracle(got, f, (2, 0), 1.0)
-        assert got.coeff((2, 0))[0] == 1.0
-    _assert_matches_oracle(multiply_mode(f, (2, 0), 1.0, clip=True), f, (2, 0), 1.0)
+    f = SpectralField.from_modes(g, "scalar", {(0, 0): 1.0, (6, 0): small, (-6, 0): small})
+    got, share = _pair(f, (2, 0), 1.0)
+    _assert_matches_oracle(got, _pair_oracle(f, (2, 0), 1.0)[0])
+    assert got.coeff((2, 0))[0] == 1.0
+    assert share == pytest.approx(small ** 2 / (1.0 + 2.0 * small ** 2), rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("clip", [False, True])
-def test_multiply_mode_moves_sub_threshold_modes(clip):
+@pytest.mark.parametrize("filled", [False, True])
+def test_multiply_mode_moves_sub_threshold_modes(filled):
     # the weak mode (20, 0) lies outside the measured band (1) but inside
-    # the storage (64); the shift takes it to (45, 0), not a wrapped (-19, 0)
+    # the storage (64); the +xi shift takes it to (45, 0), not a wrapped
+    # (-19, 0).  The pair adds in place, to an empty accumulator or to one
+    # that holds earlier sums
     g = make_grid(128)
-    f = SpectralField.from_modes(g, "scalar", {(1, 0): 1.0, (20, 0): 5e-14}, reality=False)
+    f = SpectralField.from_modes(g, "scalar", {(1, 0): 1.0, (-1, 0): 1.0,
+                                               (20, 0): 5e-14, (-20, 0): 5e-14})
     assert f.band() == 1 and f.storage == 64
-    got = multiply_mode(f, (25, 0), 1.0, clip=clip)
-    _assert_matches_oracle(got, f, (25, 0), 1.0)
+    prior = _resize(random_field(g, "scalar", 10, seed=59).coeffs, 128) * filled
+    got, _ = _pair(f, (25, 0), 1.0, acc=prior.copy())
+    _assert_matches_oracle(SpectralField(g, "scalar", got.coeffs - prior),
+                           _pair_oracle(f, (25, 0), 1.0)[0])
     assert got.coeff((45, 0))[0] == 5e-14 and got.coeff((-19, 0))[0] == 0.0
 
 
 def test_multiply_mode_vector_amplitude_promotes_rank():
+    # a scalar field under one amplitude per component adds to a vector
     g = make_grid(16)
     f = random_field(g, "scalar", 5, seed=23)
     amps = np.array([0.6j, -0.8j])
     for xi in [(1, 2), (4, -3)]:
-        got = multiply_mode(f, xi, amps, clip=True)
-        assert got.rank == "vector"
-        _assert_matches_oracle(got, f, xi, amps)
-    with pytest.raises(RankError):
-        multiply_mode(random_field(g, "vector", 3, seed=24), (1, 0), amps)
+        got, _ = _pair(f, xi, amps[:, None, None], rank="vector")
+        _assert_matches_oracle(got, _pair_oracle(f, xi, amps)[0])
 
 
 @pytest.mark.parametrize("m", [16, 32, 64])
@@ -620,22 +688,32 @@ def test_multiply_mode_vector_amplitude_promotes_rank():
                                 (13, -14), (30, 0)])
 def test_half_source_shift_matches_full_plane(m, xi):
     # a half spectrum's xi_2 < 0 blocks read as conj c(-xi) give what its
-    # mirrored full plane gives: storage m below, at and above n = 32, into
-    # half and full targets, with shifts that clip rows, columns, both,
-    # neither or everything
-    from ci2d.spectral_field import _add_shifted, _resize, _shift_loss
+    # mirrored full plane gives, mode by mode: storage m below, at and
+    # above n = 32, with shifts that clip rows, columns, both, neither or
+    # everything
+    from ci2d.spectral_field import _add_shifted, _shift_loss
     n = 32
     src = random_field(make_grid(m), "vector", m // 2 - 1, seed=51).coeffs
-    full = _resize(src, m, half=False)
+    full = _full(src)
     rng = np.random.default_rng(52)
-    amp = (rng.standard_normal(2) + 1j * rng.standard_normal(2))[:, None, None]
-    for cols in (n // 2 + 1, n):
-        acc = rng.standard_normal((2, n, cols)) + 1j * rng.standard_normal((2, n, cols))
-        got, want = acc.copy(), acc.copy()
-        _add_shifted(got, src, xi, amp)
-        _add_shifted(want, full, xi, amp)
-        assert np.array_equal(got, want), cols
-    (lost, share), (lost_f, share_f) = _shift_loss(src, xi, n), _shift_loss(full, xi, n)
-    assert lost == lost_f and share == pytest.approx(share_f, rel=1e-15, abs=0.0)
+    amp = (rng.standard_normal(2) + 1j * rng.standard_normal(2))[:, None]
+    acc = rng.standard_normal((2, n, n // 2 + 1)) + 1j * rng.standard_normal((2, n, n // 2 + 1))
+    got, want = acc.copy(), acc.copy()
+    _add_shifted(got, src, xi, amp[..., None])
+    ks = np.fft.fftfreq(m, 1.0 / m).astype(int)
+    t1, t2 = ks[:, None] + xi[0], ks[None, :] + xi[1]
+    inside = (np.abs(t1) <= n // 2 - 1) & (np.abs(t2) <= n // 2 - 1)
+    rows, cols = np.nonzero(inside & (t2 >= 0))
+    want[:, t1[rows, 0] % n, t2[0, cols]] += amp * full[:, rows, cols]
+    assert np.array_equal(got, want)
+    # the dropped share as the full plane's strips of rows, then of
+    # columns, past the band
+    out1, out2 = (np.abs(t) > n // 2 - 1 for t in (t1[:, 0], t2[0]))
+    strips = (full[:, out1, :], full[:, :, out2][:, ~out1, :])
+    dropped = sum(np.sum(np.abs(s) ** 2, axis=(-2, -1)) for s in strips)
+    total = np.array([np.vdot(c, c).real for c in full])
+    share = _shift_loss(src, xi, n)
+    assert share == pytest.approx(np.max(dropped / np.where(total > 0.0, total, 1.0)),
+                                  rel=1e-15, abs=0.0)
     clips = max(m // 2 - 1 + abs(x) for x in xi) > n // 2 - 1
     assert (share > 0.0) == clips, share

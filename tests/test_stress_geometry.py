@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from ci2d import (decompose, default_ramp, directions, make_grid, mean,
-                  multiply, reconstruct, toy_params)
-from ci2d.building_blocks import intermittent_flow
+from ci2d import decompose, default_ramp, directions, reconstruct, toy_params
 from ci2d.stress_geometry import W11, W12
+from waves import flow
 
 RAMP = default_ramp()
 
@@ -64,22 +63,40 @@ def test_decompose_identity_examples():
     assert abs(r11 - 1.0) < 1e-10 and abs(r12) < 1e-10
 
 
+def _flow_means(wp, sign=1):
+    """{5k: the full display of <W_k x W_-k>} from numpy samples of the
+    flows on n = 256, which resolves their products; sign=-1 gives W_-k
+    the mode of W_k instead of its opposite (a negative control)."""
+    means = {}
+    for k in directions():
+        (w1, w2), (m1, m2) = flow(k, wp, 0.29, 256)[0], flow(k.antipode, wp, 0.29, 256, sign)[0]
+        avg = lambda a, b: np.mean(a * b).real
+        t11 = 0.5 * avg(w1, m1) - 0.5 * avg(w2, m2)
+        means[k.five_k] = np.array([[t11, avg(w1, m2)], [avg(w2, m1), -t11]])
+    return means
+
+
+def _cancellation_defect(means):
+    """Largest gap between the weighted flow means and the negated stress
+    over five seeded stresses."""
+    rng = np.random.default_rng(5)
+    stress = rng.uniform(-50, 50, (5, 2))
+    weights = decompose(stress[:, 0], stress[:, 1])
+    return max(np.max(np.abs(sum(w2[i] * means[k.five_k] for k, w2 in weights.items())
+                             + np.array([[r11, r12], [r12, -r11]])))
+               for i, (r11, r12) in enumerate(stress))
+
+
 def test_weights_cancel_against_flow_means():
     # composite: the squared weights against the measured flow mean
     # tensors reproduce the negated stress
-    g = make_grid(256)
     tp = toy_params(50, 10, 2, 5, 0.05, 0.4, 1.0)
-    rng = np.random.default_rng(5)
-    means = {}
-    for k in directions():
-        w, _ = intermittent_flow(k, tp.wp, 0.29, g)
-        wm, _ = intermittent_flow(k.antipode, tp.wp, 0.29, g)
-        (w1, w2), (m1, m2) = ([u.component(j) for j in (0, 1)] for u in (w, wm))
-        avg = lambda a, b: mean(multiply(a, b)).real
-        t11 = 0.5 * avg(w1, m1) - 0.5 * avg(w2, m2)
-        means[k.five_k] = np.array([[t11, avg(w1, m2)], [avg(w2, m1), -t11]])
-    stress = rng.uniform(-50, 50, (5, 2))
-    weights = decompose(stress[:, 0], stress[:, 1])
-    for i, (r11, r12) in enumerate(stress):
-        acc = sum(w2[i] * means[k.five_k] for k, w2 in weights.items())
-        assert np.max(np.abs(acc + np.array([[r11, r12], [r12, -r11]]))) < 1e-10
+    assert _cancellation_defect(_flow_means(tp.wp)) < 1e-10
+
+
+def test_flow_means_need_opposite_modes():
+    # negative control of the flow oracle: with the antipode's mode sign
+    # flipped, W_k x W_-k oscillates at 2 lam k, its mean vanishes and the
+    # stress is left uncancelled
+    tp = toy_params(50, 10, 2, 5, 0.05, 0.4, 1.0)
+    assert _cancellation_defect(_flow_means(tp.wp, sign=-1)) > 1.0
