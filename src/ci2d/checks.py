@@ -245,8 +245,8 @@ def _one_pair(k, wp: WaveParams, t: float, g):
     the others: its w_p is eta_k (b_k + c.c.), the real antipodal pair of
     the flow b_k = i k-perp exp(i lambda k.x), and its stream function
     eta_k (exp(i lambda k.x) + c.c.) / lambda."""
-    a_slice = {d: (float(d == k), 0.0) for d in positive_directions()}
-    return ci_step._perturbation_slice(g, wp, a_slice, t)[1]
+    return ci_step._perturbation_slice(g, wp, {d: float(d == k) for d in positive_directions()},
+                                       {d: 0.0 for d in positive_directions()}, t)[1]
 
 
 @check("blocks.wave_pair")
@@ -392,9 +392,9 @@ def _sumreal():
     resid = 0.0
     for seed in (31, 3):
         rng = np.random.default_rng(seed)
-        a_slice = {k: (rng.standard_normal(), 0.0) for k in positive_directions()}
-        w_p = ci_step._perturbation_slice(g, wp, a_slice, 0.4)[1]["w_p"].values()
-        total = sum(a_slice[k][0] * flow for k, flow in flows)
+        a = {k: rng.standard_normal() for k in positive_directions()}
+        w_p = ci_step._perturbation_slice(g, wp, a, {k: 0.0 for k in a}, 0.4)[1]["w_p"].values()
+        total = sum(a[k] * flow for k, flow in flows)
         scale = max(np.max(np.abs(total.real)), 1e-300)
         resid = max(resid, np.max(np.abs(total.imag)) / scale,
                     np.max(np.abs(w_p - total.real)) / scale)
@@ -454,7 +454,7 @@ def _decomp():
     worst = []
     for bound, count in ((100, 2000), (1000, 200)):
         stress = rng.uniform(-bound, bound, (count, 2))
-        r11, r12 = reconstruct(decompose(stress[:, 0], stress[:, 1]))
+        r11, r12 = reconstruct(decompose(stress[:, 0], stress[:, 1]).items())
         worst.append(max(np.max(np.abs(r11 - stress[:, 0])),
                          np.max(np.abs(r12 - stress[:, 1]))))
     return bool(max(worst) <= 1e-10), (f"max reconstruction error {worst[0]:.2e} on "

@@ -35,16 +35,16 @@ import numpy as np
 from .building_blocks import (Direction, WaveParams, eta, lattice_vector,
                               positive_directions)
 from .errors import ConfigError, DerivativeChannelMissing, InvalidInput, NonFiniteValue
-from .fourier_calculus import (FreqBand, _lattice, anti_divergence,
-                               frac_laplacian, helmholtz, project,
-                               sym_tracefree_product, tf_square)
+from .fourier_calculus import (FreqBand, _band_mask, _lattice, _leray, anti_divergence,
+                               frac_laplacian, sym_tracefree_product, tf_square)
 from .mollifier import (TemporalKernel, check_padding, smoothstep,
                         smoothstep_prime, spatial_mollify)
 from .param_schedule import ToyParams, theta_star
-from .spectral_field import (Grid2, SpectralField, TimeTrack, _add_shifted,
-                             _analysis, _product_size, _quadrature_norms,
-                             _resize, _shift_loss, analyze, combine, derive,
-                             divergence, lp_norm, mean, multiply_mode, perp_grad)
+from .spectral_field import (Grid2, SpectralField, TimeTrack, _accumulate,
+                             _add_shifted, _analysis, _product_size,
+                             _quadrature_norms, _resize, _shift_loss, _zero_coeffs,
+                             analyze, combine, derive, divergence, lp_norm, mean,
+                             multiply_mode, perp_grad)
 from .stress_geometry import decompose, reconstruct
 
 SUPPORT_RTOL = 1e-13
@@ -358,22 +358,29 @@ def temporal_cutoff(times: np.ndarray, sups: np.ndarray, ell: float) -> CutoffPr
 
 # -- coefficients -------------------------------------------------------------
 
+BLOCK = 1 << 13   # entries per block of `_coefficient_slice`'s weights
+
+
 def _coefficient_slice(r11, r12, dr11, dr12, phi: float, dphi: float,
                        a_const: float, eps_next: float):
     """Per-direction coefficient values (and d/dt) on the grid.
 
     Returns {positive direction: (a, da)} as value arrays; antipodes share
     the same coefficient by the even symmetry of the weights.  g^2 and
-    d/dt g^2 come from `decompose` at the normalized stress.
+    d/dt g^2 come from `decompose` at the normalized stress, taken block
+    by block of rows, so its tables and weights live for one block only.
     """
     scale = np.sqrt(a_const * eps_next)
     inv = 1.0 / (a_const * eps_next)
-    weights = decompose(r11 * inv, r12 * inv, dr11 * inv, dr12 * inv)
-    out = {}
-    for k in positive_directions():
-        g2, dg2 = weights[k]
-        g = np.sqrt(g2)
-        out[k] = (scale * g * phi, scale * (g * dphi + phi * dg2 / (2.0 * g)))
+    out = {k: (np.empty(r11.shape), np.empty(r11.shape)) for k in positive_directions()}
+    step = max(1, BLOCK // r11[0].size)   # whole rows
+    for rows in (slice(i, i + step) for i in range(0, len(r11), step)):
+        weights = decompose(r11[rows] * inv, r12[rows] * inv, dr11[rows] * inv, dr12[rows] * inv)
+        for k, (a, da) in out.items():
+            g2, dg2 = weights[k]
+            g = np.sqrt(g2)
+            a[rows] = scale * g * phi
+            da[rows] = scale * (g * dphi + phi * dg2 / (2.0 * g))
     return out
 
 
@@ -388,22 +395,31 @@ def _wave_slice(k: Direction, wp: WaveParams, t: float, grid: Grid2):
     vals, dvals = f.values(grid.n), df.values(grid.n)
     sq, dsq = vals * vals, 2.0 * vals * dvals
     m2 = float(sq.mean())
+    sq -= m2
+    dsq -= dsq.mean()
     return {"eta": f, "eta_vals": vals, "deta_vals": dvals, "eta2_mean": m2,
-            "p_eta2_vals": sq - m2, "dp_eta2_vals": dsq - dsq.mean()}
+            "p_eta2_vals": sq, "dp_eta2_vals": dsq}
 
 
-def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, t: float):
-    """Assemble (w_p, w_c, w_t) and their d/dt channels for the time node t.
+def _perturbation_slice(grid: Grid2, wp: WaveParams, a: dict, da: dict, t: float):
+    """Assemble (w_p, w_c, w_t) and their d/dt channels for the time node t
+    from the coefficients {k: a_k} and {k: d/dt a_k}.
 
     Multiplication by the single-mode flow/potential is an exact
     coefficient shift, which makes the stream-function identity and both
     solenoidality statements hold mode-wise.  Per positive direction the
-    operands P, dP, perp_grad P and perp_grad dP are real, so the
+    operands P = a eta, dP, perp_grad P and perp_grad dP are real, so the
     antipode's term is the conjugate mirror of the direction's own: each
     term is the real pair `multiply_mode` adds into a half-spectrum
-    accumulator.  A direction's kernel samples (`_wave_slice`) live only
-    while its terms are added.  Returns the kernels {k: (eta_k, mean
-    eta_k^2)} and the fields, with the corrector's transport part
+    accumulator.  Two passes over the directions add them, each term in
+    direction order: the first the terms that read d/dt a (dw_p, dw_c and
+    the carriers of w_t and dw_t, with the transport part below), taking
+    each direction's entry out of da as it goes, so that only a is held
+    when the second adds w_p, w_c and the stream function.  A direction's
+    kernel samples (`_wave_slice`) live only while its terms are added; a
+    direction whose a and da are both all-zero adds nothing and makes no
+    samples.  Returns the kernels {k: (eta_k, mean eta_k^2)} and the
+    fields, with the corrector's transport part
     sum_k [a^2 P(eta^2) - (2/mu) `_inv_lap_div_const`(d/dt a^2 P(eta^2), k)]
     ("transport") and the largest energy share a shift drops past the grid
     band.
@@ -411,64 +427,80 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a_slice: dict, t: float):
     n = grid.n
     lam = wp.lam
     half = (n, n // 2 + 1)
-    w_p, dw_p, w_c, dw_c = (np.zeros((2,) + half, dtype=complex) for _ in range(4))
-    stream = np.zeros((1,) + half, dtype=complex)
+    dw_p, dw_c = (np.zeros((2,) + half, dtype=complex) for _ in range(2))
     carrier = np.zeros((4,) + half, dtype=complex)   # w_t and dw_t before projection
     transport = SpectralField.zeros(grid, "scalar")
-    kernels = {}
+    kernels, shifts = {}, {}
     clipped = 0.0
     for k in positive_directions():
-        a, da = a_slice[k]
+        a_k, da_k = a[k], da.pop(k)
+        if not (np.any(a_k) or np.any(da_k)):
+            f = eta(k, wp, t, grid)[0]
+            # mean eta^2 by Parseval, with no samples: it enters only times a_k^2 = 0
+            kernels[k] = (f, (lp_norm(f, 2) / (2.0 * np.pi)) ** 2)
+            continue
         wav = _wave_slice(k, wp, t, grid)
         kernels[k] = (wav["eta"], wav["eta2_mean"])
-        P = analyze(grid, a * wav["eta_vals"])
-        dP = analyze(grid, da * wav["eta_vals"] + a * wav["deta_vals"])
-        xi = lattice_vector(k.five_k, lam // 5)
-        amp_b = 1j * k.k_perp
-        for f, acc, amp in ((P, w_p, amp_b), (P, stream, 1.0 / lam), (dP, dw_p, amp_b),
-                            (perp_grad(P), w_c, 1.0 / lam),
-                            (perp_grad(dP), dw_c, 1.0 / lam)):
-            clipped = max(clipped, multiply_mode(acc, f, xi, np.reshape(amp, (-1, 1, 1))))
-        del P, dP, f
+        shifts[k] = xi = lattice_vector(k.five_k, lam // 5)
+        dP = analyze(grid, da_k * wav.pop("eta_vals") + a_k * wav.pop("deta_vals"))
+        clipped = max(clipped, multiply_mode(dw_p, dP, xi, _amp(1j * k.k_perp)),
+                      multiply_mode(dw_c, perp_grad(dP), xi, _amp(1.0 / lam)))
+        del dP
         # temporal part: antipodal pairing doubles the positive half
-        m_f = analyze(grid, a * a * wav["p_eta2_vals"])
-        dm_f = analyze(grid, 2.0 * a * da * wav["p_eta2_vals"] + a * a * wav["dp_eta2_vals"])
-        del wav
-        kv = k.k[:, None, None]
-        carrier[:2] += _resize(m_f.coeffs, n) * kv
-        carrier[2:] += _resize(dm_f.coeffs, n) * kv
+        m_f = analyze(grid, a_k * a_k * wav["p_eta2_vals"])
+        dm_f = analyze(grid, 2.0 * a_k * da_k * wav["p_eta2_vals"]
+                       + a_k * a_k * wav["dp_eta2_vals"])
+        del wav, da_k
+        for i, f in enumerate((m_f, m_f, dm_f, dm_f)):   # one component at a time
+            carrier[i] += _resize(f.coeffs, n)[0] * k.k[i % 2]
         transport = combine([transport, m_f, _inv_lap_div_const(dm_f, k.k)],
                             [1.0, 1.0, -2.0 / wp.mu])
         del m_f, dm_f
-    fac, nonzero = 2.0 / wp.mu, FreqBand.nonzero()
-    w_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[:2]), nonzero))
-    dw_t = fac * helmholtz(project(SpectralField(grid, "vector", carrier[2:]), nonzero))
+    fac, nonzero = complex(2.0 / wp.mu), FreqBand.nonzero()
+    for c in (carrier[:2], carrier[2:]):   # fac * helmholtz(project(.)) in place
+        c *= _band_mask(c, nonzero)
+        _leray(c)
+        c *= fac
+    w_p, w_c = (np.zeros((2,) + half, dtype=complex) for _ in range(2))
+    stream = np.zeros((1,) + half, dtype=complex)
+    for k, xi in shifts.items():
+        P = analyze(grid, a[k] * kernels[k][0].values(n))
+        clipped = max(clipped, multiply_mode(w_p, P, xi, _amp(1j * k.k_perp)),
+                      multiply_mode(stream, P, xi, _amp(1.0 / lam)),
+                      multiply_mode(w_c, perp_grad(P), xi, _amp(1.0 / lam)))
+        del P
 
     def field(coeffs, rank="vector"):
         return SpectralField(grid, rank, coeffs)
 
-    return kernels, {"w_p": field(w_p), "w_c": field(w_c), "w_t": w_t,
-                     "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": dw_t,
+    return kernels, {"w_p": field(w_p), "w_c": field(w_c), "w_t": field(carrier[:2]),
+                     "dw_p": field(dw_p), "dw_c": field(dw_c), "dw_t": field(carrier[2:]),
                      "stream": field(stream, "scalar"),
                      "transport": transport, "clipped": clipped}
+
+
+def _amp(amp) -> np.ndarray:
+    """A `multiply_mode` amplitude, one per accumulator component."""
+    return np.reshape(amp, (-1, 1, 1))
 
 
 # -- pressure corrector and stress assembly -----------------------------------
 
 def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
     """Delta^-1 div (kvec * f) for scalar f and a constant vector kvec."""
-    kx, ky, k2 = _lattice(f)
+    kx, ky, k2 = _lattice(f.coeffs)
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     mult = -1j * (kvec[0] * kx + kvec[1] * ky) / k2safe
     mult[0, 0] = 0.0
     return SpectralField(f.grid, "scalar", (f.coeffs[0] * mult)[None])
 
 
-def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
+def _pstar_slice(grid: Grid2, wp: WaveParams, a: dict, kernels: dict,
                  transport: SpectralField):
     """Pressure corrector absorbing the gradient parts of the oscillation
     terms: the potential products over non-antipodal pairs plus, on the
-    diagonal, the kernel-square pieces and the transport sum ("transport").
+    diagonal, the kernel-square pieces and the transport sum ("transport"),
+    for the coefficients {k: a_k}.
 
     A pair of positive directions (k, k') stands for the four sign
     combinations (+-k, +-k'); on the diagonal only (k, k) and (-k, -k)
@@ -479,7 +511,9 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
     block into a xi_2 >= 0 half plane and synthesized as real.  Each
     kernel eta_k of {k: (eta_k, mean eta_k^2)} is synthesized once; every
     pair product, the diagonal included, is analyzed from the kernels'
-    samples on one product grid.
+    samples on one product grid.  A pair whose coefficient product a_k a_k'
+    is all-zero adds nothing and is skipped, and the kernel of a direction
+    whose a_k is all-zero is not synthesized.
     Returns the corrector and the largest energy share a clipped shift
     dropped.
     """
@@ -493,10 +527,13 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
     # square, and raises unless that fits the grid
     widest = max((kernels[k][0] for k in dirs), key=SpectralField.band)
     m = _product_size(widest, widest, False)
-    kernel = {k: kernels[k][0].values(m) for k in dirs}
+    kernel = {k: kernels[k][0].values(m) for k in dirs if np.any(a[k])}
     for i, k in enumerate(dirs):
         for j in range(i, len(dirs)):
             kp = dirs[j]
+            prod = a[k] * a[kp]
+            if not np.any(prod):
+                continue
             fast = _analysis(kernel[k] * kernel[kp])
             signs = ((1, 1, 0.5), (-1, -1, 0.5)) if j == i else \
                 ((1, 1, 1.0), (1, -1, 1.0), (-1, 1, 1.0), (-1, -1, 1.0))
@@ -506,49 +543,67 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a_slice: dict, kernels: dict,
                          step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
                 clipped = max(clipped, _shift_loss(fast, shift, n))
                 _add_shifted(spec, fast, shift, weight)
-            pair = project(SpectralField(grid, "scalar", spec), half_shell)
-            accum -= (a_slice[k][0] * a_slice[kp][0]) * pair.values(n)[0]
+            spec *= _band_mask(spec, half_shell)   # `project`, in place
+            prod *= SpectralField(grid, "scalar", spec).values(n)[0]
+            accum -= prod
+            del prod
     return analyze(grid, accum) + transport, clipped
 
 
 def assemble_stress(node: tuple, pert_slices: dict, pstar: SpectralField,
-                    theta: float, nu: float):
-    """New (v, dv, p, R) of a mollified node (v_ell, dv_ell, p_ell, R_ls,
-    dR_ls) from the assembled forcing.
+                    theta: float, nu: float, t_old: SpectralField):
+    """(v, dv, p, R, t_new): the new (v, dv, p, R) of a mollified node
+    (v_ell, dv_ell, p_ell, R_ls, dR_ls) from the assembled forcing, and
+    t_new = tf_square of the new v.  t_old is tf_square(v_ell).
 
     The forcing is d/dt w + nu (-Lap)^theta w + div(v x w + w x v + w x w)
     + div R_ls; subtracting grad(pstar) and applying the anti-divergence
     gives a stress whose divergence reproduces the forcing exactly, so
-    the updated triple balances by construction.
+    the updated triple balances by construction.  The parts w_p, w_c, w_t,
+    dw_p, dw_c and dw_t are popped from pert_slices as they are summed, so
+    the caller's dict no longer holds them and none outlives its sum
+    unless the caller holds it elsewhere.
     """
     v_l, dv_l, p_l, R_ls, _ = node
-    w = pert_slices["w_p"] + pert_slices["w_c"] + pert_slices["w_t"]
-    dw = pert_slices["dw_p"] + pert_slices["dw_c"] + pert_slices["dw_t"]
+    w = pert_slices.pop("w_p") + pert_slices.pop("w_c") + pert_slices.pop("w_t")
+    dw = pert_slices.pop("dw_p") + pert_slices.pop("dw_c") + pert_slices.pop("dw_t")
     v_new = v_l + w
     dv_new = dv_l + dw
     t_new = tf_square(v_new, allow_interpolant=True)
-    t_old = tf_square(v_l, allow_interpolant=True)
     forcing = (dw + nu * frac_laplacian(w, theta)
                + divergence(t_new - t_old) + divergence(R_ls))
+    del w, dw, t_old
     R_new = anti_divergence(forcing - gradient(pstar))
     p_new = p_l - pstar
-    return v_new, dv_new, p_new, R_new
+    return v_new, dv_new, p_new, R_new, t_new
 
 
 # -- residual verifier ---------------------------------------------------------
 
 def _slice_residual(v: SpectralField, dv: SpectralField, p: SpectralField,
-                    R: SpectralField, theta: float, nu: float) -> tuple:
+                    R: SpectralField, theta: float, nu: float,
+                    square: SpectralField | None = None) -> tuple:
     """L2 norm of one node's residual d/dt v + div(v x v) + grad p
     + nu (-Lap)^theta v - div R (trace-free product and pressure: the
-    classical pressure is p - |v|^2/2), and the sum of the terms' L2 norms."""
-    terms = [dv,
-             divergence(tf_square(v, allow_interpolant=True)),
-             gradient(p),
-             nu * frac_laplacian(v, theta),
-             -1.0 * divergence(R)]
-    return (lp_norm(combine(terms, np.ones(len(terms))), 2),
-            sum(lp_norm(t, 2) for t in terms))
+    classical pressure is p - |v|^2/2), and the sum of the terms' L2 norms.
+    square is tf_square(v) where the caller has it.  The terms are made,
+    measured and added to the sum one at a time, in this order."""
+    if square is None:
+        square = tf_square(v, allow_interpolant=True)
+
+    def terms():
+        yield dv
+        yield divergence(square)
+        yield gradient(p)
+        yield nu * frac_laplacian(v, theta)
+        yield -1.0 * divergence(R)
+
+    total = _zero_coeffs("vector", max(f.storage for f in (dv, square, p, v, R)))
+    scale = 0
+    for term in terms():
+        scale += lp_norm(term, 2)
+        _accumulate(total, term, 1.0)
+    return lp_norm(SpectralField(v.grid, "vector", total), 2), scale
 
 
 def _residual_report(res_norms, scales, times: np.ndarray, T: float) -> dict:
@@ -591,53 +646,64 @@ P_REP = 1.5   # Lebesgue exponent of the stress estimates (7.16)
 
 def _node_perturbation(R: SpectralField, dR: SpectralField, t: float, phi: float,
                        dphi: float, toy: ToyParams):
-    """Stress samples, coefficients {k: (a, da)}, kernels {k: (eta_k,
-    mean eta_k^2)} and perturbation slice (with "transport") of the node
-    at time t with R_ls = R, d/dt R_ls = dR and switch values phi, dphi."""
+    """Coefficients {k: a_k}, kernels {k: (eta_k, mean eta_k^2)} and
+    perturbation slice (with "transport") of the node at time t with
+    R_ls = R, d/dt R_ls = dR and switch values phi, dphi.  The stress
+    samples and d/dt a_k live only until the perturbation has read them."""
     grid = R.grid
-    rv = R.values(grid.n)
-    # d/dt R's samples live only through the call
-    a_slice = _coefficient_slice(*rv, *dR.values(grid.n), phi, dphi,
-                                 toy.a_const, toy.eps_next)
-    kernels, pert = _perturbation_slice(grid, toy.wp, a_slice, t)
-    return rv, a_slice, kernels, pert
+    coeffs = _coefficient_slice(*R.values(grid.n), *dR.values(grid.n), phi, dphi,
+                                toy.a_const, toy.eps_next)
+    a = {k: c[0] for k, c in coeffs.items()}
+    da = {k: c[1] for k, c in coeffs.items()}
+    del coeffs
+    kernels, pert = _perturbation_slice(grid, toy.wp, a, da, t)
+    return a, kernels, pert
 
 
 def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
                peak: bool = False):
     """New (v, dv, p, R) of a mollified node (v_ell, dv_ell, p_ell, R_ls,
     dR_ls) at time t, under the switch value phi and slope dphi, and a
-    dict of the node's scalars, the first of them the mollified triple's
-    own residual ("moll_res") there.
+    dict of the node's scalars, among them the mollified triple's own
+    residual ("moll_res") there.
 
     Where the switch and its slope vanish, v, dv and p are the mollified
     ones, R is anti_divergence(divergence(R_ls)), dR_ls is not read and
     the dict holds no perturbation sizes; on the plateau (phi >= 1) it
-    holds the oscillation cancellation.  Everything else the node builds
-    is released as soon as its last scalar is taken: the stress samples,
-    coefficients and kernels before the assembly, the perturbation and
-    the corrector before the residual.  A scalar that is not finite raises
-    NonFiniteValue, so the node is never returned.
+    holds the oscillation cancellation, against samples of R_ls made
+    again.  Everything else the node builds is released as soon as its
+    last scalar is taken: the coefficients and kernels before the
+    assembly, each perturbation part as it is summed, the corrector
+    before the residual.  The mollified residual is taken just before the
+    assembly, which reads the same tf_square(v_ell), and the new residual
+    reads the assembly's tf_square(v), so each is made once.  A scalar
+    that is not finite raises NonFiniteValue, so the node is never
+    returned.
     """
     v_l, dv_l, p_l, R_ls, dR_ls = node
     theta, nu = toy.theta, toy.nu
-    rep = {"moll_res": _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu)}
+    rep = {}
     if phi == 0.0 and dphi == 0.0:
         v, dv, p = v_l, dv_l, p_l
         R = anti_divergence(divergence(R_ls))
+        square = tf_square(v_l, allow_interpolant=True)   # v is v_ell
+        rep["moll_res"] = _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu, square)
     else:
-        rv, a_slice, kernels, pert = _node_perturbation(R_ls, dR_ls, t, phi, dphi, toy)
-        pstar, pstar_clipped = _pstar_slice(v_l.grid, toy.wp, a_slice, kernels,
+        a, kernels, pert = _node_perturbation(R_ls, dR_ls, t, phi, dphi, toy)
+        rep["stream"] = lp_norm(combine([pert["w_p"], pert["w_c"], perp_grad(pert.pop("stream"))],
+                                        [1.0, 1.0, -1.0]), 2)
+        pstar, pstar_clipped = _pstar_slice(v_l.grid, toy.wp, a, kernels,
                                             pert.pop("transport"))
         if phi >= 1.0:
-            c11, c12 = reconstruct({k: 2.0 * a * a * kernels[k][1]
-                                    for k, (a, _) in a_slice.items()})
-            rep["oscillation_c0"] = float(np.max(np.hypot(rv[0] - c11, rv[1] - c12)))
+            c11, c12 = reconstruct((k, 2.0 * a_k * a_k * kernels[k][1]) for k, a_k in a.items())
+            rv = R_ls.values()   # the samples the coefficients were made from
             rep["oscillation_scale"] = float(np.max(np.hypot(rv[0], rv[1])))
+            rv[0] -= c11
+            rv[1] -= c12
             del c11, c12
-        rep["stream"] = lp_norm(pert["w_p"] + pert["w_c"] - perp_grad(pert.pop("stream")), 2)
-        del rv, a_slice, kernels
-        v, dv, p, R = assemble_stress(node, pert, pstar, theta, nu)
+            rep["oscillation_c0"] = float(np.max(np.hypot(rv[0], rv[1])))
+            del rv
+        del a, kernels
         if peak:   # stress error groups 7.16a-d, one norm each
             w = pert["w_p"] + pert["w_c"] + pert["w_t"]
             rep["lin_time"] = lp_norm(anti_divergence(pert["dw_p"] + pert["dw_c"]), P_REP)
@@ -657,10 +723,14 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
             rep[name] = lp_norm(pert[name], 2)
         rep["solenoidality"] = max(lp_norm(divergence(pert["w_p"] + pert["w_c"]), 2),
                                    lp_norm(divergence(pert["w_t"]), 2))
-        rep["v_increment"] = lp_norm(v - v_l, 2)
-        rep["clipped"] = max(pert["clipped"], pstar_clipped)
+        rep["clipped"] = max(pert.pop("clipped"), pstar_clipped)
+        square = tf_square(v_l, allow_interpolant=True)
+        rep["moll_res"] = _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu, square)
+        v, dv, p, R, square = assemble_stress(node, pert, pstar, theta, nu, square)
         del pert, pstar
-    rep["res"] = _slice_residual(v, dv, p, R, theta, nu)
+        rep["v_increment"] = lp_norm(v - v_l, 2)
+    rep["res"] = _slice_residual(v, dv, p, R, theta, nu, square)
+    del square
     # both quadrature norms from one synthesis of R (none for a zero R);
     # `R_sup` reads the sup that synthesis cached
     rep["R_lp"], rep["R_l1"] = _quadrature_norms(R, (P_REP, 1.0))

@@ -36,32 +36,41 @@ class FreqBand:
         return FreqBand(1.0)
 
 
-def _lattice(field: SpectralField):
-    """Wave numbers xi1 (column), xi2 (row) and |xi|^2 of the field's
-    stored half spectrum."""
-    k1, k2 = (k.astype(float) for k in _axes(field.coeffs))
+def _lattice(coeffs: np.ndarray):
+    """Wave numbers xi1 (column), xi2 (row) and |xi|^2 of a stored half
+    spectrum."""
+    k1, k2 = (k.astype(float) for k in _axes(coeffs))
     return k1, k2, k1 ** 2 + k2 ** 2
+
+
+def _band_mask(coeffs: np.ndarray, band: FreqBand) -> np.ndarray:
+    """Where the Euclidean |xi| of a stored half spectrum lies in the window."""
+    k2 = _lattice(coeffs)[2]
+    return (k2 >= band.lo ** 2) & (k2 <= band.hi ** 2)
 
 
 def project(field: SpectralField, band: FreqBand) -> SpectralField:
     """Keep the coefficients whose Euclidean |xi| lies in the window."""
-    k2 = _lattice(field)[2]
-    mask = (k2 >= band.lo ** 2) & (k2 <= band.hi ** 2)
-    return SpectralField(field.grid, field.rank, field.coeffs * mask)
+    return SpectralField(field.grid, field.rank, field.coeffs * _band_mask(field.coeffs, band))
+
+
+def _leray(c: np.ndarray) -> np.ndarray:
+    """`helmholtz` of a vector half spectrum c, in place; returns c."""
+    kx, ky, k2 = _lattice(c)
+    k2safe = np.where(k2 == 0.0, 1.0, k2)
+    mean = c[:, 0, 0].copy()
+    dot = kx * c[0] + ky * c[1]
+    c[0] -= kx * dot / k2safe
+    c[1] -= ky * dot / k2safe
+    c[:, 0, 0] = mean
+    return c
 
 
 def helmholtz(field: SpectralField) -> SpectralField:
     """Leray projection onto divergence-free fields; the mean is kept."""
     if field.rank != "vector":
         raise RankError("helmholtz projector needs a vector field")
-    kx, ky, k2 = _lattice(field)
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    dot = kx * field.coeffs[0] + ky * field.coeffs[1]
-    c1 = field.coeffs[0] - kx * dot / k2safe
-    c2 = field.coeffs[1] - ky * dot / k2safe
-    c1[0, 0] = field.coeffs[0][0, 0]
-    c2[0, 0] = field.coeffs[1][0, 0]
-    return SpectralField(field.grid, "vector", np.stack([c1, c2]))
+    return SpectralField(field.grid, "vector", _leray(field.coeffs.copy()))
 
 
 def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
@@ -72,7 +81,7 @@ def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
     """
     if not (0.0 <= theta <= 1.0):
         raise ConfigError(f"theta must lie in [0, 1], got {theta}")
-    k2 = _lattice(field)[2]
+    k2 = _lattice(field.coeffs)[2]
     if theta == 0.0:
         mult = np.ones_like(k2)
     else:
@@ -82,7 +91,7 @@ def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
 
 def inv_grad(field: SpectralField) -> SpectralField:
     """|grad|^-1: divide nonzero modes by |xi|; the mean is dropped."""
-    k2 = _lattice(field)[2]
+    k2 = _lattice(field.coeffs)[2]
     mult = np.zeros_like(k2)
     nz = k2 > 0
     mult[nz] = 1.0 / np.sqrt(k2[nz])
@@ -97,7 +106,7 @@ def anti_divergence(field: SpectralField) -> SpectralField:
     """
     if field.rank != "vector":
         raise RankError("anti-divergence needs a vector field")
-    kx, ky, k2 = _lattice(field)
+    kx, ky, k2 = _lattice(field.coeffs)
     k2safe = np.where(k2 == 0.0, 1.0, k2)
     f1, f2 = field.coeffs[0], field.coeffs[1]
     t11 = -1j * (kx * f1 - ky * f2) / k2safe

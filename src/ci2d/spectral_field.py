@@ -347,10 +347,15 @@ def combine(fields, weights) -> SpectralField:
     m = max(f.storage for f in fields)
     acc = _zero_coeffs(first.rank, m)
     for f, w in zip(fields, weights):
-        if w != 0.0:
-            c = _resize(f.coeffs, m)
-            acc += c if w == 1.0 else w * c
+        _accumulate(acc, f, w)
     return SpectralField(first.grid, first.rank, acc)
+
+
+def _accumulate(acc: np.ndarray, f: SpectralField, w: float) -> None:
+    """acc += w f in place, on acc's storage (at least f's)."""
+    if w != 0.0:
+        c = _resize(f.coeffs, acc.shape[-2])
+        acc += c if w == 1.0 else w * c
 
 
 def derive(field: SpectralField, multi_index) -> SpectralField:
@@ -372,9 +377,10 @@ def perp_grad(f: SpectralField) -> SpectralField:
     if f.rank != "scalar":
         raise RankError("perp_grad needs a scalar field")
     k1, k2 = _axes(f.coeffs)
-    c1 = -1j * k2 * f.coeffs[0]
-    c2 = 1j * k1 * f.coeffs[0]
-    return SpectralField(f.grid, "vector", np.stack([c1, c2]))
+    c = np.empty((2,) + f.coeffs.shape[1:], dtype=complex)
+    np.multiply(-1j * k2, f.coeffs[0], out=c[0])
+    np.multiply(1j * k1, f.coeffs[0], out=c[1])
+    return SpectralField(f.grid, "vector", c)
 
 
 def divergence(field: SpectralField) -> SpectralField:

@@ -124,10 +124,11 @@ def gamma_squared_grid(k, r11, r12): return decompose(r11, r12)[k]
 def gamma_squared_grid_dt(k, r11, r12, dr11, dr12): return decompose(r11, r12, dr11, dr12)[k][1]
 
 
-def reconstruct(weights: dict) -> tuple:
-    """Entries (r11, r12) of sum_k w_k (k x k) from a direction->weight map."""
+def reconstruct(weights) -> tuple:
+    """Entries (r11, r12) of sum_k w_k (k x k) from (direction, weight)
+    pairs, read one at a time (`decompose(...).items()`, say)."""
     r11 = r12 = 0.0
-    for k, w in weights.items():
+    for k, w in weights:
         kk = tracefree_product(k.k, k.k)
         r11 = r11 + w * kk[0, 0]
         r12 = r12 + w * kk[0, 1]

@@ -68,7 +68,7 @@ def test_criterion_01_geometric_lemma():
     r11 = rng.uniform(-100.0, 100.0, n)
     r12 = rng.uniform(-100.0, 100.0, n)
     t0 = time.time()
-    acc11, acc12 = reconstruct(decompose(r11, r12))
+    acc11, acc12 = reconstruct(decompose(r11, r12).items())
     elapsed = time.time() - t0
     err = max(np.max(np.abs(acc11 - r11)), np.max(np.abs(acc12 - r12)))
     _verdict(1, err <= 1e-10 and elapsed < 5.0,
@@ -212,12 +212,12 @@ def test_criterion_06_operator_lemmas():
 
 
 def _plateau_node(run):
-    """Middle plateau node: its index, time, coefficients {k: (a, da)} and
+    """Middle plateau node: its index, time, coefficients {k: a_k} and
     perturbation slice, from the step's own node function."""
     i, cut = run["plateau"], run["cut"]
     t = float(run["times"][i])
-    _, a_slice, _, pert = _node_perturbation(*run["node"][3:], t, float(cut.values[i]),
-                                             float(cut.dvalues[i]), run["toy"])
+    a_slice, _, pert = _node_perturbation(*run["node"][3:], t, float(cut.values[i]),
+                                          float(cut.dvalues[i]), run["toy"])
     return i, t, a_slice, pert
 
 
@@ -232,7 +232,7 @@ def test_criterion_07_stream_function_and_solenoidality(endtoend):
     stream = SpectralField.zeros(grid, "scalar")
     for k in positive_directions():
         e, _ = eta(k, toy.wp, t, grid)
-        stream = stream + mode_pair(analyze(grid, a_slice[k][0] * e.values()),
+        stream = stream + mode_pair(analyze(grid, a_slice[k] * e.values()),
                                     lattice_vector(k.five_k, toy.wp.lam // 5), 1.0 / toy.wp.lam)
     wp_norm = lp_norm(w_p, 2)
     stream_defect = lp_norm(w_p + w_c - perp_grad(stream), 2)
@@ -258,7 +258,7 @@ def test_criterion_08_oscillation_cancellation(endtoend):
         (w1, w2), (m1, m2) = flow(k, toy.wp, t, grid.n)[0], flow(k.antipode, toy.wp, t, grid.n)[0]
         m11 = 0.5 * np.mean(w1 * m1).real - 0.5 * np.mean(w2 * m2).real
         m12 = np.mean(w1 * m2).real
-        a = a_slice[k][0]
+        a = a_slice[k]
         acc11 += 2.0 * a * a * m11
         acc12 += 2.0 * a * a * m12
     err = float(np.max(np.hypot(acc11, acc12)))

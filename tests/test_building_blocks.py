@@ -11,8 +11,8 @@ from waves import flow, mode_pair
 
 def _one_pair(k, wp, t, grid):
     """The step's perturbation slice with a = 1 on direction k, 0 elsewhere."""
-    a_slice = {d: (float(d == k), 0.0) for d in positive_directions()}
-    return _perturbation_slice(grid, wp, a_slice, t)[1]
+    return _perturbation_slice(grid, wp, {d: float(d == k) for d in positive_directions()},
+                               {d: 0.0 for d in positive_directions()}, t)[1]
 
 
 def test_direction_list():

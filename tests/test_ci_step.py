@@ -50,9 +50,17 @@ def _switch_at(moll, cut, i):
 
 
 def _perturb(moll, cut, toy, i):
-    """`_node_perturbation` at node i of a mollified state."""
-    return _node_perturbation(moll.R.slices[i], moll.R.dslices[i],
-                              *_switch_at(moll, cut, i), toy)
+    """Stress samples, coefficients {k: (a, da)}, kernels and perturbation
+    slice at node i of a mollified state: the kernels and slice of
+    `_node_perturbation`, and the samples and `_coefficient_slice` it
+    reads, whose a_k it returns."""
+    R, dR = moll.R.slices[i], moll.R.dslices[i]
+    t, phi, dphi = _switch_at(moll, cut, i)
+    rv = R.values()
+    coeffs = _coefficient_slice(*rv, *dR.values(), phi, dphi, toy.a_const, toy.eps_next)
+    a, kernels, pert = _node_perturbation(R, dR, t, phi, dphi, toy)
+    assert all(np.array_equal(a[k], coeffs[k][0]) for k in coeffs)
+    return rv, coeffs, kernels, pert
 
 
 def _assert_node_off(moll, cut, toy, i):
@@ -362,17 +370,17 @@ def test_coefficients_flat_stress_is_isotropic():
         random_field(GRID, "vector", 2, seed=4)) for c in chi])
     cut = temporal_cutoff(TIMES, sup_norms(cut_track), 0.05)
     i = int(np.argmax(cut.values))
-    _, a_slice, _, _ = _node_perturbation(z, z, float(TIMES[i]), float(cut.values[i]),
-                                          float(cut.dvalues[i]), small_toy())
+    a, _, _ = _node_perturbation(z, z, float(TIMES[i]), float(cut.values[i]),
+                                 float(cut.dvalues[i]), small_toy())
     # one coefficient per positive direction; the step uses it for the
     # antipode as well
     ks = positive_directions()
-    assert list(a_slice) == ks
-    ref = a_slice[ks[0]][0]
+    assert list(a) == ks
+    ref = a[ks[0]]
     expected = np.sqrt(5.0 * 0.04) * np.sqrt((W11 + W12) * default_ramp().value_at_zero())
     assert np.max(np.abs(ref)) == pytest.approx(expected, rel=1e-12)
     for k in ks[1:]:
-        assert np.max(np.abs(a_slice[k][0] - ref)) < 1e-12
+        assert np.max(np.abs(a[k] - ref)) < 1e-12
 
 
 def test_coefficient_slice_matches_per_direction_weights_bitwise():
@@ -629,7 +637,8 @@ def test_pstar_real_pairs_match_complex_pair_syntheses():
     node = int(np.argmax(cut.values))
     _, a_slice, kernels, pert = _perturb(moll, cut, toy, node)
     grid, wp, n = state.grid, toy.wp, state.grid.n
-    pstar, _ = _pstar_slice(grid, wp, a_slice, kernels, pert["transport"])
+    pstar, _ = _pstar_slice(grid, wp, {k: c[0] for k, c in a_slice.items()}, kernels,
+                            pert["transport"])
     waves = {k: _wave_slice(k, wp, float(moll.times[node]), grid) for k in positive_directions()}
 
     step = wp.lam // 5
@@ -705,8 +714,11 @@ def test_perturbation_support_inside_cutoff():
 
 def test_active_node_peak_memory():
     # each direction's samples and moments live only while its terms are
-    # added, and the node drops its data as soon as its scalars are taken:
-    # one active node's traced peak, in two-component half planes at n = 256
+    # added, and the node drops each field at its last use: one active
+    # node's traced peak, in two-component half planes at n = 256 (18.0
+    # when the coefficients' weights, the stress samples and every d/dt a_k
+    # lived through the perturbation and the parts through the assembly;
+    # 13.5 here)
     import tracemalloc
     state, toy, moll, cut = _perturbation_setup()
     n = state.grid.n
@@ -720,10 +732,108 @@ def test_active_node_peak_memory():
     finally:
         tracemalloc.stop()
     plane = 2 * n * (n // 2 + 1) * 16
-    assert peak <= 22 * plane, peak / plane
+    assert peak <= 15 * plane, peak / plane
+
+
+def test_node_residuals_are_fresh_slice_residuals():
+    # the node takes the mollified residual with the tf_square(v_ell) the
+    # assembly reads, and the new one with the assembly's tf_square(v), one
+    # term at a time: each is the residual made from scratch, bit for bit,
+    # on an inactive node and on the plateau's peak node of the golden
+    # configuration, whose mollified residual is nonzero
+    from ci2d.ci_step import _slice_residual, gradient
+    from ci2d.spectral_field import combine
+
+    def fresh(v, dv, p, R):   # every term held, then one sum
+        terms = [dv, divergence(tf_square(v, allow_interpolant=True)), gradient(p),
+                 toy.nu * frac_laplacian(v, toy.theta), -1.0 * divergence(R)]
+        return (lp_norm(combine(terms, np.ones(len(terms))), 2),
+                sum(lp_norm(t, 2) for t in terms))
+
+    state = init_state(build_initial("stream", GRID, TIMES, 1.0, {"seed": 1}), 0.4, 1.0, 1.0)
+    toy = small_toy()
+    moll = mollify(state, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
+    before = int(np.flatnonzero(cut.values)[0]) - 1   # inactive, where the input vanishes
+    for i, peak in ((before, False), (int(np.argmax(cut.values)), True)):
+        node = _node(moll, i)
+        new, rep = _step_node(node, *_switch_at(moll, cut, i), toy, peak=peak)
+        assert rep["moll_res"] == fresh(*node[:4]) == _slice_residual(
+            *node[:4], toy.theta, toy.nu)
+        assert rep["res"] == fresh(*new) == _slice_residual(*new, toy.theta, toy.nu)
+    assert rep["moll_res"][0] > 0.0 and rep["res"][0] > 0.0   # the peak node's
+
+
+def test_zero_direction_adds_nothing_and_spends_no_transform(monkeypatch):
+    # a direction whose a and da are all-zero makes no samples, analyses or
+    # shifts, and a corrector pair whose a_k a_k' is all-zero no kernel
+    # product; every kernel is still returned
+    import numpy.fft as nfft
+    from ci2d import ci_step
+    from ci2d.building_blocks import WaveParams
+    calls, products = [], []
+    for name in ("rfft2", "irfft2", "ifftn", "irfftn"):
+        monkeypatch.setattr(nfft, name, lambda *a, _f=getattr(nfft, name), **kw:
+                            calls.append(1) or _f(*a, **kw))
+    monkeypatch.setattr(ci_step, "_analysis", lambda x, _f=ci_step._analysis:
+                        products.append(1) or _f(x))
+    grid, wp, dirs = make_grid(128), WaveParams(25, 5, 2, 3), positive_directions()
+
+    def spend(active):
+        """Transforms of the perturbation and of the corrector, the pair
+        products the corrector analyzed, the kernels, fields and corrector."""
+        calls.clear(), products.clear()
+        a = {k: float(k in active) for k in dirs}
+        kernels, pert = ci_step._perturbation_slice(grid, wp, a, {k: 0.0 for k in dirs}, 0.4)
+        spent = len(calls)
+        pstar = ci_step._pstar_slice(grid, wp, a, kernels, pert["transport"])[0]
+        return spent, len(calls) - spent, len(products), kernels, pert, pstar
+
+    spent, spent_pstar, pairs, kernels, pert, pstar = spend(())
+    assert (spent, spent_pstar, pairs) == (0, 0, 0)
+    assert all(pert[name].is_zero for name in
+               ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t", "stream", "transport"))
+    assert pstar.is_zero and pert["clipped"] == 0.0
+    for k in dirs:   # each kernel, with its mean from the coefficients
+        vals = kernels[k][0].values()[0]
+        assert kernels[k][1] == pytest.approx(float(np.mean(vals * vals)), rel=1e-13)
+    # each active direction spends the same, a zero one nothing; one active
+    # direction makes one pair product, two make three
+    one, two = spend(dirs[:1]), spend(dirs[:2])
+    assert one[0] > 0 and two[0] == 2 * one[0]
+    assert (one[2], two[2]) == (1, 3)
+    assert not one[4]["w_p"].is_zero and not one[5].is_zero
 
 
 # -- assembly and residual ------------------------------------------------------
+
+def test_assemble_stress_public_call():
+    # the exported assembly takes tf_square(v_ell), pops the six summed
+    # parts from the caller's dict and returns the node's new (v, dv, p, R)
+    # and tf_square of the new v, all equal to what the step makes
+    from ci2d import assemble_stress
+    from ci2d.ci_step import _pstar_slice
+    state = init_state(build_initial("stream", GRID, TIMES, 1.0, {"seed": 1}), 0.4, 1.0, 1.0)
+    toy = small_toy()
+    moll = mollify(state, toy.ell)
+    cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
+    i = int(np.argmax(cut.values))
+    node = _node(moll, i)
+    t, phi, dphi = _switch_at(moll, cut, i)
+    a, kernels, pert = _node_perturbation(node[3], node[4], t, phi, dphi, toy)
+    pstar, _ = _pstar_slice(GRID, toy.wp, a, kernels, pert["transport"])
+    parts = ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t")
+    assert all(name in pert for name in parts)
+    out = assemble_stress(node, pert, pstar, toy.theta, toy.nu,
+                          tf_square(node[0], allow_interpolant=True))
+    assert len(out) == 5
+    assert not any(name in pert for name in parts)
+    v, dv, p, R, t_new = out
+    assert np.array_equal(t_new.coeffs, tf_square(v, allow_interpolant=True).coeffs)
+    new, _ = _step_node(node, t, phi, dphi, toy)
+    for got, want in zip((v, dv, p, R), new):
+        assert np.array_equal(got.coeffs, want.coeffs)
+
 
 def test_zero_cutoff_step_keeps_mollified_residual():
     state = small_state(amplitude=0.0)

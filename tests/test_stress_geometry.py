@@ -57,9 +57,9 @@ def test_gamma_at_zero_equal_across_directions():
 
 
 def test_decompose_identity_examples():
-    r11, r12 = reconstruct(decompose(0.0, 0.0))
+    r11, r12 = reconstruct(decompose(0.0, 0.0).items())
     assert abs(r11) < 1e-12 and abs(r12) < 1e-12
-    r11, r12 = reconstruct(decompose(1.0, 0.0))
+    r11, r12 = reconstruct(decompose(1.0, 0.0).items())
     assert abs(r11 - 1.0) < 1e-10 and abs(r12) < 1e-10
 
 
