@@ -167,9 +167,8 @@ def _eta_modes(k: Direction, wp: WaveParams, t: float):
 
 
 def eta_band(wp: WaveParams) -> int:
-    """Exact max |xi|_inf over the kernel modes of every direction."""
-    return max(int(np.max(np.abs(_eta_modes(k, wp, 0.0)[0])))
-               for k in positive_directions())
+    """Exact max |xi|_inf over every direction's kernel modes, at a corner a = -b = +-r."""
+    return 7 * wp.r * (wp.lam_sigma // 5)
 
 
 def eta(k: Direction, wp: WaveParams, t: float, grid: Grid2):

@@ -106,7 +106,7 @@ def _quadconst():
     cosx = SpectralField.from_modes(g, "scalar", {(1, 0): 0.5, (-1, 0): 0.5})
     ok1 = abs(lp_norm(one, 2) - 2 * np.pi) < 1e-12
     ok2 = abs(lp_norm(cosx, 2) - 2 * np.pi * np.sqrt(0.5)) < 1e-12
-    ok3 = abs(cn_norm(cosx, 1) - 1.0) < 1e-3
+    ok3 = abs(cn_norm(cosx, 1) - 1.0) < 1e-12
     return ok1 and ok2 and ok3, "norm conventions hold"
 
 

@@ -1,19 +1,20 @@
 """One iteration of the stress-reduction scheme.
 
-The pipeline is: mollify the stress at every node and detect the temporal
-support of the low-frequency stress, keeping one sup norm per node; then,
-one time node at a time (`step_nodes`), mollify the node's fields again,
-build smooth coefficients from the geometric decomposition, add the
-principal / corrector / temporal perturbations, and re-assemble the
-stress and pressure so the forced momentum balance holds exactly
-(`_step_node`).  Each new node goes to the caller as soon as it is made.
-Both sweeps read each input slice at most once and hold it only while the
-temporal kernel's reach (and, for a track without a derivative channel,
-the reach of `fd6_channel`'s stencils) covers it (`_Window`), so a state
-whose tracks read their dumps on demand (`state_io.read_state`) is never
-held whole.  The node functions take one mollified node (v_ell, dv_ell,
-p_ell, R_ls, dR_ls), its time, the switch's value and slope there, and
-the toy.
+The pipeline is: mollify the stress at every node and detect the
+temporal support of the low-frequency stress, keeping one sup norm per
+node; then, one time node at a time (`step_nodes`), mollify the node's
+fields again, build smooth coefficients from the geometric
+decomposition, add the principal / corrector / temporal perturbations,
+and re-assemble the stress and pressure so the forced momentum balance
+holds exactly (`_step_node`).  Each new node goes to the caller as soon
+as it is made.  Both sweeps read each input slice at most once and hold
+it only while the temporal kernel's reach (and, for a track without a
+derivative channel, the reach of `fd6_channel`'s stencils) covers it
+(`_Window`), so a state whose tracks read their dumps on demand
+(`state_io.read_state`) is never held whole.  The node functions take
+one mollified node (v_ell, dv_ell, p_ell, R_ls, dR_ls), its time, the
+switch's value and slope there, and the toy; their Fourier multipliers
+all come from `spectral_field` and `fourier_calculus`.
 
 Time is handled as a first-order jet: every track carries its values and,
 where available, an analytic derivative channel, and all linear
@@ -35,7 +36,7 @@ import numpy as np
 from .building_blocks import (Direction, WaveParams, eta, lattice_vector,
                               positive_directions)
 from .errors import ConfigError, DerivativeChannelMissing, InvalidInput, NonFiniteValue
-from .fourier_calculus import (FreqBand, _band_mask, _lattice, _leray, anti_divergence,
+from .fourier_calculus import (FreqBand, _band_mask, _inv_lap_div_const, _leray, anti_divergence,
                                frac_laplacian, sym_tracefree_product, tf_square)
 from .mollifier import (TemporalKernel, check_padding, smoothstep,
                         smoothstep_prime, spatial_mollify)
@@ -43,7 +44,7 @@ from .param_schedule import ToyParams, theta_star
 from .spectral_field import (Grid2, SpectralField, TimeTrack, _accumulate,
                              _add_shifted, _analysis, _product_size,
                              _quadrature_norms, _resize, _shift_loss, _zero_coeffs,
-                             analyze, combine, derive, divergence, lp_norm, mean,
+                             analyze, combine, divergence, gradient, lp_norm, mean,
                              multiply_mode, perp_grad)
 from .stress_geometry import decompose, reconstruct
 
@@ -71,12 +72,6 @@ class NSRState:
     @property
     def times(self) -> np.ndarray:
         return self.v.times
-
-
-def gradient(f: SpectralField) -> SpectralField:
-    c1 = derive(f, (1, 0)).coeffs[0]
-    c2 = derive(f, (0, 1)).coeffs[0]
-    return SpectralField(f.grid, "vector", np.stack([c1, c2]))
 
 
 def fd6_channel(track: TimeTrack) -> TimeTrack:
@@ -485,15 +480,6 @@ def _amp(amp) -> np.ndarray:
 
 
 # -- pressure corrector and stress assembly -----------------------------------
-
-def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
-    """Delta^-1 div (kvec * f) for scalar f and a constant vector kvec."""
-    kx, ky, k2 = _lattice(f.coeffs)
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    mult = -1j * (kvec[0] * kx + kvec[1] * ky) / k2safe
-    mult[0, 0] = 0.0
-    return SpectralField(f.grid, "scalar", (f.coeffs[0] * mult)[None])
-
 
 def _pstar_slice(grid: Grid2, wp: WaveParams, a: dict, kernels: dict,
                  transport: SpectralField):

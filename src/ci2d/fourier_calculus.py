@@ -1,8 +1,9 @@
 """Frequency-side operator toolkit.
 
-Sharp-cutoff frequency projectors (Euclidean shells), the Helmholtz-Leray
-projector, the fractional Laplacian, the order -1 smoother |grad|^-1, the
-anti-divergence operator, and the symmetric trace-free tensor product.
+Multipliers on `spectral_field._lattice` (sharp-cutoff Euclidean-shell
+projectors, Helmholtz-Leray, (-Laplace)^theta, |grad|^-1, the
+anti-divergence and Delta^-1 div of a constant vector times a scalar)
+and the symmetric trace-free tensor product.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RankError
-from .spectral_field import SpectralField, _axes, _pointwise_product
+from .spectral_field import SpectralField, _lattice, _pointwise_product
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,9 @@ class FreqBand:
         return FreqBand(1.0)
 
 
-def _lattice(coeffs: np.ndarray):
-    """Wave numbers xi1 (column), xi2 (row) and |xi|^2 of a stored half
-    spectrum."""
-    k1, k2 = (k.astype(float) for k in _axes(coeffs))
-    return k1, k2, k1 ** 2 + k2 ** 2
-
-
 def _band_mask(coeffs: np.ndarray, band: FreqBand) -> np.ndarray:
     """Where the Euclidean |xi| of a stored half spectrum lies in the window."""
-    k2 = _lattice(coeffs)[2]
+    k2 = _lattice(coeffs.shape[-2]).norm2()
     return (k2 >= band.lo ** 2) & (k2 <= band.hi ** 2)
 
 
@@ -56,12 +50,12 @@ def project(field: SpectralField, band: FreqBand) -> SpectralField:
 
 def _leray(c: np.ndarray) -> np.ndarray:
     """`helmholtz` of a vector half spectrum c, in place; returns c."""
-    kx, ky, k2 = _lattice(c)
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
+    kx, ky = lat = _lattice(c.shape[-2])
+    k2 = lat.divisor()
     mean = c[:, 0, 0].copy()
     dot = kx * c[0] + ky * c[1]
-    c[0] -= kx * dot / k2safe
-    c[1] -= ky * dot / k2safe
+    c[0] -= kx * dot / k2
+    c[1] -= ky * dot / k2
     c[:, 0, 0] = mean
     return c
 
@@ -74,27 +68,20 @@ def helmholtz(field: SpectralField) -> SpectralField:
 
 
 def frac_laplacian(field: SpectralField, theta: float) -> SpectralField:
-    """(-Laplace)^theta via the |xi|^(2 theta) multiplier.
-
-    The xi = 0 coefficient maps to 0 for theta > 0 and to itself for
-    theta = 0 (the operator degenerates to the identity).
-    """
+    """(-Laplace)^theta via the |xi|^(2 theta) multiplier: xi = 0 maps to 0
+    for theta > 0, and theta = 0 is the identity (the field itself)."""
     if not (0.0 <= theta <= 1.0):
         raise ConfigError(f"theta must lie in [0, 1], got {theta}")
-    k2 = _lattice(field.coeffs)[2]
     if theta == 0.0:
-        mult = np.ones_like(k2)
-    else:
-        mult = k2 ** theta
-    return SpectralField(field.grid, field.rank, field.coeffs * mult)
+        return field
+    k2 = _lattice(field.storage).norm2()
+    return SpectralField(field.grid, field.rank, field.coeffs * k2 ** theta)
 
 
 def inv_grad(field: SpectralField) -> SpectralField:
     """|grad|^-1: divide nonzero modes by |xi|; the mean is dropped."""
-    k2 = _lattice(field.coeffs)[2]
-    mult = np.zeros_like(k2)
-    nz = k2 > 0
-    mult[nz] = 1.0 / np.sqrt(k2[nz])
+    mult = 1.0 / np.sqrt(_lattice(field.storage).divisor())
+    mult[0, 0] = 0.0
     return SpectralField(field.grid, field.rank, field.coeffs * mult)
 
 
@@ -106,14 +93,25 @@ def anti_divergence(field: SpectralField) -> SpectralField:
     """
     if field.rank != "vector":
         raise RankError("anti-divergence needs a vector field")
-    kx, ky, k2 = _lattice(field.coeffs)
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    f1, f2 = field.coeffs[0], field.coeffs[1]
-    t11 = -1j * (kx * f1 - ky * f2) / k2safe
-    t12 = -1j * (ky * f1 + kx * f2) / k2safe
-    t11[0, 0] = 0.0
-    t12[0, 0] = 0.0
-    return SpectralField(field.grid, "symtensor", np.stack([t11, t12]))
+    kx, ky = lat = _lattice(field.storage)
+    f1, f2 = field.coeffs
+    c = np.empty(field.coeffs.shape, dtype=complex)   # (t11, t12)
+    np.multiply(-1j, kx * f1 - ky * f2, out=c[0])
+    np.multiply(-1j, ky * f1 + kx * f2, out=c[1])
+    c /= lat.divisor()
+    c[:, 0, 0] = 0.0
+    return SpectralField(field.grid, "symtensor", c)
+
+
+def _inv_lap_div_const(f: SpectralField, kvec: np.ndarray) -> SpectralField:
+    """Delta^-1 div (kvec * f) for scalar f and a constant vector kvec."""
+    if f.rank != "scalar":
+        raise RankError("_inv_lap_div_const needs a scalar field")
+    lat = _lattice(f.storage)
+    mult = -1j * (kvec[0] * lat.xi1 + kvec[1] * lat.xi2)
+    mult /= lat.divisor()
+    mult[0, 0] = 0.0
+    return SpectralField(f.grid, "scalar", f.coeffs * mult)
 
 
 # -- trace-free tensor product --------------------------------------------

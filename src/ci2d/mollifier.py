@@ -2,9 +2,9 @@
 temporal kernel, and exact-support smooth switches.
 
 Spatial mollification acts as the Fourier multiplier of the periodized
-2D bump; temporal mollification is a row-normalized discrete convolution
-with the sampled 1D bump and is applied to value and derivative channels
-alike, so the jet calculus commutes with it exactly.
+2D bump on the half lattice; temporal mollification is a row-normalized
+discrete convolution with the sampled 1D bump and is applied to value and
+derivative channels alike, so the jet calculus commutes with it exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PaddingError
-from .spectral_field import SpectralField, _wavenumbers, combine
+from .spectral_field import SpectralField, _lattice, combine
 
 
 def bump1(s: np.ndarray) -> np.ndarray:
@@ -78,16 +78,17 @@ def bump2_hat(u: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _spatial_multiplier(m: int, ell: float) -> np.ndarray:
-    ks = _wavenumbers(m).astype(float)
-    rad = np.hypot(ks[:, None], ks[None, :])
+    """bump2_hat(ell |xi|) on storage m's half lattice, each radius once."""
+    rad = np.hypot(*_lattice(m))
     uniq, inv = np.unique(rad, return_inverse=True)
-    return bump2_hat(ell * uniq)[inv].reshape(m, m)
+    mult = bump2_hat(ell * uniq)[inv].reshape(rad.shape)
+    mult.flags.writeable = False
+    return mult
 
 
 def spatial_mollify(field: SpectralField, ell: float) -> SpectralField:
-    # a half spectrum's columns are the leading columns of the full layout
-    mult = _spatial_multiplier(field.storage, float(ell))[:, :field.coeffs.shape[-1]]
-    return SpectralField(field.grid, field.rank, field.coeffs * mult)
+    return SpectralField(field.grid, field.rank,
+                         field.coeffs * _spatial_multiplier(field.storage, float(ell)))
 
 
 class TemporalKernel:

@@ -16,22 +16,23 @@ Conventions fixed here and relied on everywhere else:
 
 Coefficient arrays may be stored on a smaller internal FFT size than the
 logical grid; zero-padding between sizes is exact, so this is purely a
-memory optimization.  Every field is real and is stored as its
-xi_2 >= 0 half spectrum in rfft2 layout, shape (ncomp, m, m//2 + 1): its
-xi_2 < 0 half is the conjugate mirror c(xi) = conj c(-xi) and is never
-held.  `_fft_size` is the one storage rule, `_resize` the one storage
-helper (pad, cut), `_analysis` the one analysis helper, `_synthesis` the
-one synthesis helper and `_pointwise_product` the one product path.  A
-field keeps the storage its maker gives it: `analyze` fits storage to
-the samples' measured band, products keep their product grid, linear
-maps and sums (`combine`) the widest operand's storage.  Transforms run
-through numpy.fft: analysis by rfft2; synthesis of a half spectrum
-stored below the grid by two single-axis passes (ifftn, then irfftn)
-that skip the all-zero columns, else by irfft2.  `multiply_mode` adds
-the real antipodal pair amp exp(i xi . x) f + c.c. of a single-mode
-shift into a half-spectrum accumulator, each contiguous block of the
-source at its offset in the target; the xi_2 < 0 blocks of the source
-are read as conj c(-xi), so no full-plane copy is made.
+memory optimization.  Every field is real and is stored as its xi_2 >= 0
+half spectrum in rfft2 layout, shape (ncomp, m, m//2 + 1): its xi_2 < 0
+half is the conjugate mirror c(xi) = conj c(-xi) and is never held.
+`_fft_size` is the one storage rule, `_resize` the one storage helper
+(pad, cut), `_analysis` the one analysis helper, `_synthesis` the one
+synthesis helper, `_pointwise_product` the one product path and
+`_lattice` the one wave-number lattice, which every Fourier multiplier
+reads.  A field keeps the storage its maker gives it: `analyze` fits
+storage to the samples' measured band, products keep their product grid,
+linear maps and sums (`combine`) the widest operand's storage.
+Transforms run through numpy.fft: analysis by rfft2; synthesis of a half
+spectrum stored below the grid by two single-axis passes (ifftn, then
+irfftn) that skip the all-zero columns, else by irfft2.  `multiply_mode`
+adds the real antipodal pair amp exp(i xi . x) f + c.c. of a
+single-mode shift into a half-spectrum accumulator, each contiguous
+block of the source at its offset in the target; the xi_2 < 0 blocks of
+the source are read as conj c(-xi), so no full-plane copy is made.
 
 A field whose coefficients are all exactly zero has zero samples and
 zero norms and needs no transform.  `is_zero` tests the coefficients
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import numpy.fft as nfft
@@ -91,15 +93,6 @@ def _fft_size(band: int, n: int) -> int:
     return min(m, n)
 
 
-@lru_cache(maxsize=32)
-def _wavenumbers(m: int) -> np.ndarray:
-    """Integer wave numbers of storage m in FFT order; one read-only
-    array per m, shared by every caller."""
-    ks = nfft.fftfreq(m, 1.0 / m).astype(np.int64)
-    ks.flags.writeable = False
-    return ks
-
-
 def _resize(coeffs: np.ndarray, m_new: int) -> np.ndarray:
     """Half-spectrum coefficients on storage m_new: zero-padded when
     larger, cut to |xi_i| <= m_new/2 - 1 when smaller (the band must fit
@@ -120,11 +113,30 @@ def _zero_coeffs(rank: str, m: int) -> np.ndarray:
     return np.zeros((_RANK_NCOMP[rank], m, m // 2 + 1), dtype=complex)
 
 
-def _axes(coeffs: np.ndarray):
-    """Integer wave numbers xi1 (column) and xi2 (row) of a coefficient
-    array's storage, on the half columns for a half spectrum."""
-    ks = _wavenumbers(coeffs.shape[-2])
-    return ks[:, None], ks[None, :coeffs.shape[-1]]
+class _Lattice(NamedTuple):
+    """Wave numbers of half-spectrum storage m as read-only floats in FFT
+    order: xi1 a column (m, 1), xi2 a row (1, m//2 + 1)."""
+
+    xi1: np.ndarray
+    xi2: np.ndarray
+
+    def norm2(self) -> np.ndarray:
+        """|xi|^2, a fresh plane."""
+        return self.xi1 ** 2 + self.xi2 ** 2
+
+    def divisor(self) -> np.ndarray:
+        """|xi|^2 with 1 at xi = 0, the zero-safe divisor of Delta^-1."""
+        k2 = self.norm2()
+        k2[0, 0] = 1.0
+        return k2
+
+
+@lru_cache(maxsize=32)
+def _lattice(m: int) -> _Lattice:
+    """The one wave-number lattice of storage m; xi1 holds the whole axis."""
+    ks = nfft.fftfreq(m, 1.0 / m)
+    ks.flags.writeable = False
+    return _Lattice(ks[:, None], ks[None, :m // 2 + 1])
 
 
 class SpectralField:
@@ -225,7 +237,7 @@ class SpectralField:
     def mode_magnitudes(self):
         """(|xi| array, summed |coeff|^2 array) over the stored half
         lattice; each xi_2 > 0 column also counts its mirror."""
-        kx, ky = _axes(self.coeffs)
+        kx, ky = _lattice(self.storage)
         mag2 = np.sum(np.abs(self.coeffs) ** 2, axis=0)
         mag2[:, 1:-1] *= 2.0
         return np.hypot(kx, ky), mag2
@@ -267,9 +279,9 @@ def _measure_band(coeffs: np.ndarray) -> int:
     cmax = mag.max()
     if cmax == 0.0:
         return 0
-    k1, k2 = (np.abs(k.ravel()) for k in _axes(coeffs))
+    ks = np.abs(_lattice(coeffs.shape[-2]).xi1[:, 0])
     mask = mag > BAND_RTOL * cmax
-    return int(max(k1[mask.any(axis=1)].max(), k2[mask.any(axis=0)].max()))
+    return int(max(ks[mask.any(axis=1)].max(), ks[:mask.shape[1]][mask.any(axis=0)].max()))
 
 
 # -- spec operations -----------------------------------------------------
@@ -363,20 +375,26 @@ def derive(field: SpectralField, multi_index) -> SpectralField:
     a, b = int(multi_index[0]), int(multi_index[1])
     if a < 0 or b < 0:
         raise ConfigError("derivative orders must be nonnegative")
-    k1, k2 = _axes(field.coeffs)
-    mult = np.ones((k1.size, k2.size), dtype=complex)
-    if a:
-        mult = mult * (1j * k1) ** a
-    if b:
-        mult = mult * (1j * k2) ** b
-    return SpectralField(field.grid, field.rank, field.coeffs * mult)
+    k1, k2 = _lattice(field.storage)
+    return SpectralField(field.grid, field.rank, field.coeffs * ((1j * k1) ** a * (1j * k2) ** b))
+
+
+def gradient(f: SpectralField) -> SpectralField:
+    """Gradient (d1 f, d2 f) of a scalar field."""
+    if f.rank != "scalar":
+        raise RankError("gradient needs a scalar field")
+    k1, k2 = _lattice(f.storage)
+    c = np.empty((2,) + f.coeffs.shape[1:], dtype=complex)
+    np.multiply(1j * k1, f.coeffs[0], out=c[0])
+    np.multiply(1j * k2, f.coeffs[0], out=c[1])
+    return SpectralField(f.grid, "vector", c)
 
 
 def perp_grad(f: SpectralField) -> SpectralField:
     """Rotated gradient (-d2 f, d1 f); always divergence-free."""
     if f.rank != "scalar":
         raise RankError("perp_grad needs a scalar field")
-    k1, k2 = _axes(f.coeffs)
+    k1, k2 = _lattice(f.storage)
     c = np.empty((2,) + f.coeffs.shape[1:], dtype=complex)
     np.multiply(-1j * k2, f.coeffs[0], out=c[0])
     np.multiply(1j * k1, f.coeffs[0], out=c[1])
@@ -384,19 +402,20 @@ def perp_grad(f: SpectralField) -> SpectralField:
 
 
 def divergence(field: SpectralField) -> SpectralField:
-    """Row-wise spectral divergence of a vector or symtensor field."""
-    k1, k2 = _axes(field.coeffs)
-    d1 = 1j * k1
-    d2 = 1j * k2
-    if field.rank == "vector":
-        c = d1 * field.coeffs[0] + d2 * field.coeffs[1]
-        return SpectralField(field.grid, "scalar", c[None])
-    if field.rank == "symtensor":
-        t11, t12 = field.coeffs[0], field.coeffs[1]
-        r1 = d1 * t11 + d2 * t12
-        r2 = d1 * t12 - d2 * t11
-        return SpectralField(field.grid, "vector", np.stack([r1, r2]))
-    raise RankError("divergence needs a vector or symtensor field")
+    """Row-wise spectral divergence of a vector or symtensor field; a
+    symtensor's rows are (t11, t12) and (t12, -t11)."""
+    if field.rank not in ("vector", "symtensor"):
+        raise RankError("divergence needs a vector or symtensor field")
+    d1, d2 = (1j * k for k in _lattice(field.storage))
+    f1, f2 = field.coeffs
+    vector = field.rank == "vector"
+    c = np.empty((1 if vector else 2,) + f1.shape, dtype=complex)
+    np.multiply(d1, f1, out=c[0])
+    c[0] += d2 * f2
+    if not vector:
+        np.multiply(d1, f2, out=c[1])
+        c[1] -= d2 * f1
+    return SpectralField(field.grid, "scalar" if vector else "vector", c)
 
 
 def _magnitude_squared(field: SpectralField) -> np.ndarray:
@@ -482,10 +501,8 @@ def cn_norm(field: SpectralField, order: int) -> float:
     from math import comb
     best = lp_norm(field, np.inf)
     for j in range(1, order + 1):
-        acc = None
-        for a in range(j + 1):
-            d = _magnitude_squared(derive(field, (a, j - a))) * comb(j, a)
-            acc = d if acc is None else acc + d
+        acc = sum(_magnitude_squared(derive(field, (a, j - a))) * comb(j, a)
+                  for a in range(j + 1))
         best = max(best, float(np.sqrt(acc.max())))
     return best
 
@@ -590,9 +607,8 @@ def _shift_loss(src: np.ndarray, xi, n: int) -> float:
     xi pushes past the band of storage n, for a half-spectrum src read as
     in `_add_shifted`."""
     m = src.shape[-2]
-    ks = _wavenumbers(m)
-    out1 = np.abs(ks + int(xi[0])) > n // 2 - 1
-    out2 = np.abs(ks + int(xi[1])) > n // 2 - 1
+    ks = _lattice(m).xi1[:, 0]
+    out1, out2 = (np.abs(ks + int(x)) > n // 2 - 1 for x in xi)
     if not (out1.any() or out2.any()):
         return 0.0
     # half column j >= 1 also sits mirrored at row -xi_1, column -j
@@ -633,11 +649,10 @@ def random_field(grid: Grid2, rank: str, band: int, seed: int,
     rng = np.random.default_rng(seed)
     nc = _RANK_NCOMP[rank]
     m = _fft_size(band, grid.n)
-    ks = _wavenumbers(m)
-    kx, ky = np.meshgrid(ks, ks, indexing="ij")
-    inside = np.maximum(np.abs(kx), np.abs(ky)) <= band
+    kx = _lattice(m).xi1                       # the full plane's rows; kx.T its columns
+    inside = np.maximum(np.abs(kx), np.abs(kx.T)) <= band
     amp = (rng.standard_normal((nc, m, m)) + 1j * rng.standard_normal((nc, m, m)))
-    amp *= inside / (1.0 + np.hypot(kx, ky)) ** decay
+    amp *= inside / (1.0 + np.hypot(kx, kx.T)) ** decay
     # the xi_2 >= 0 half of the symmetrized draw (c(xi) + conj c(-xi)) / 2;
     # index i of an axis mirrors to (m - i) % m, and the Nyquist column stays 0
     mirror = np.roll(np.flip(amp, axis=(-2, -1)), 1, axis=(-2, -1))[..., :m // 2]

@@ -3,7 +3,7 @@ import pytest
 
 from ci2d import (AliasingRisk, DivisibilityError, analyze, dirichlet_kernel,
                   directions, eta, make_grid, perp_grad)
-from ci2d.building_blocks import (WaveParams, eta_band, lattice_vector,
+from ci2d.building_blocks import (WaveParams, _eta_modes, eta_band, lattice_vector,
                                   pair_shell, positive_directions)
 from ci2d.ci_step import _perturbation_slice
 from waves import flow, mode_pair
@@ -58,9 +58,13 @@ def test_dirichlet_kernel_peak_by_direct_summation():
 
 
 def test_eta_band_guard():
+    # oracle: the largest |xi|_inf over every direction's enumerated modes
+    for tup in ((50, 10, 2, 5), (25, 5, 2, 3), (100, 20, 4, 5),
+                (25, 5, 1, 1), (200, 10, 3, 7), (50, 5, 5, 2)):
+        wp = WaveParams(*tup)
+        modes = [xi for k in positive_directions() for xi in _eta_modes(k, wp, 0.0)[0]]
+        assert eta_band(wp) == max(max(abs(x1), abs(x2)) for x1, x2 in modes), tup
     wp = WaveParams(50, 10, 2, 5)
-    # the corner modes r (k +- k_perp) reach |xi|_inf = 7 r lambda sigma / 5
-    assert eta_band(wp) == 7 * wp.r * wp.lam_sigma // 5
     with pytest.raises(AliasingRisk):
         eta(positive_directions()[0], wp, 0.0, make_grid(16))
 

@@ -217,3 +217,109 @@ def test_fused_product_raises_where_an_entry_product_overflows():
         tf_square(f)
     _assert_matches_oracle(sym_tracefree_product(f, h, allow_interpolant=True),
                            _tf_product_oracle(f, h, True))
+
+
+def test_gradient_and_inv_lap_div_const_need_a_scalar():
+    from ci2d.ci_step import _inv_lap_div_const, gradient
+    g = make_grid(16)
+    for rank in ("vector", "symtensor"):
+        f = random_field(g, rank, 5, seed=8)
+        with pytest.raises(RankError):
+            gradient(f)
+        with pytest.raises(RankError):
+            _inv_lap_div_const(f, np.array([0.6, 0.8]))
+
+
+def _full_mollifier(m, ell):
+    """bump2_hat(ell |xi|) on the full m x m plane, each radius once."""
+    from ci2d.mollifier import bump2_hat
+    ks = np.fft.fftfreq(m, 1.0 / m)
+    rad = np.hypot(ks[:, None], ks[None, :])
+    uniq, inv = np.unique(rad, return_inverse=True)
+    return bump2_hat(ell * uniq)[inv].reshape(m, m)
+
+
+def _multiplier_cases():
+    """(name, rank of the input, operator, oracle on (coeffs, xi1, xi2, |xi|^2))."""
+    from ci2d.ci_step import _inv_lap_div_const, gradient
+    from ci2d.mollifier import spatial_mollify
+    from ci2d.spectral_field import derive, perp_grad
+    kvec = np.array([0.6, -0.8])
+
+    def safe(k2):
+        return np.where(k2 == 0.0, 1.0, k2)
+
+    def leray(c, kx, ky, k2):
+        dot = kx * c[0] + ky * c[1]
+        out = np.stack([c[0] - kx * dot / safe(k2), c[1] - ky * dot / safe(k2)])
+        out[:, 0, 0] = c[:, 0, 0]
+        return out
+
+    def anti(c, kx, ky, k2):
+        out = -1j * np.stack([kx * c[0] - ky * c[1], ky * c[0] + kx * c[1]]) / safe(k2)
+        out[:, 0, 0] = 0.0
+        return out
+
+    def ild(c, kx, ky, k2):
+        mult = -1j * (kvec[0] * kx + kvec[1] * ky) / safe(k2)
+        mult[0, 0] = 0.0
+        return c * mult
+
+    cases = [(f"derive{o}", "scalar", lambda f, o=o: derive(f, o),
+              lambda c, kx, ky, k2, o=o: c * (1j ** sum(o) * kx ** o[0] * ky ** o[1]))
+             for o in ((1, 0), (0, 2), (2, 1))]
+    cases += [
+        ("gradient", "scalar", gradient,
+         lambda c, kx, ky, k2: 1j * np.stack([kx * c[0], ky * c[0]])),
+        ("perp_grad", "scalar", perp_grad,
+         lambda c, kx, ky, k2: 1j * np.stack([-ky * c[0], kx * c[0]])),
+        ("divergence_vector", "vector", divergence,
+         lambda c, kx, ky, k2: 1j * (kx * c[0] + ky * c[1])[None]),
+        ("divergence_symtensor", "symtensor", divergence,
+         lambda c, kx, ky, k2: 1j * np.stack([kx * c[0] + ky * c[1], kx * c[1] - ky * c[0]])),
+    ]
+    cases += [(f"frac_laplacian{th}", "vector", lambda f, th=th: frac_laplacian(f, th),
+               lambda c, kx, ky, k2, th=th: c if th == 0.0 else c * k2 ** th)
+              for th in (0.0, 0.4, 1.0)]
+    cases += [
+        ("inv_grad", "vector", inv_grad,
+         lambda c, kx, ky, k2: c * np.divide(1.0, np.sqrt(k2), out=np.zeros_like(k2),
+                                             where=k2 > 0.0)),
+        ("anti_divergence", "vector", anti_divergence, anti),
+        ("helmholtz", "vector", helmholtz, leray),
+        ("project", "vector", lambda f: project(f, FreqBand(1.0, f.storage / 4)),
+         lambda c, kx, ky, k2: c * ((k2 >= 1.0) & (k2 <= (c.shape[-2] / 4) ** 2))),
+        ("inv_lap_div_const", "scalar", lambda f: _inv_lap_div_const(f, kvec), ild),
+        ("spatial_mollify", "symtensor", lambda f: spatial_mollify(f, 0.05),
+         lambda c, kx, ky, k2: c * _full_mollifier(c.shape[-2], 0.05)[:, :c.shape[-1]]),
+    ]
+    return cases
+
+
+MULTIPLIERS = _multiplier_cases()
+
+
+@pytest.mark.parametrize("m", [8, 64, 512])
+@pytest.mark.parametrize("name, rank, op, oracle", MULTIPLIERS, ids=[c[0] for c in MULTIPLIERS])
+def test_multiplier_matches_lattice_formula_bit_for_bit(name, rank, op, oracle, m):
+    # oracle: the multiplier's formula on wave numbers from np.fft.fftfreq;
+    # the comparison folds the sign of a zero (x + 0.0)
+    g = make_grid(m)
+    f = random_field(g, rank, m // 2 - 1, seed=m + len(name), mean_zero=False)
+    assert f.storage == m
+    ks = np.fft.fftfreq(m, 1.0 / m)
+    kx, ky = ks[:, None], ks[None, :m // 2 + 1]
+    want = oracle(np.array(f.coeffs), kx, ky, kx ** 2 + ky ** 2)
+    got = op(f).coeffs
+    assert got.shape == want.shape
+    assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+
+
+@pytest.mark.parametrize("m, ell", [(8, 0.3), (64, 0.05), (512, 0.05), (512, 0.7)])
+def test_half_mollifier_multiplier_is_the_full_planes_leading_columns(m, ell):
+    from ci2d.mollifier import _spatial_multiplier
+    half = _spatial_multiplier(m, ell)
+    assert half.shape == (m, m // 2 + 1)
+    assert np.array_equal(half, _full_mollifier(m, ell)[:, :m // 2 + 1])
+    with pytest.raises(ValueError):
+        half[0, 0] = 0.0

@@ -264,13 +264,12 @@ def test_from_modes_matches_the_full_plane_construction(rank):
 def test_random_field_matches_the_full_plane_construction(rank, mean_zero):
     # the old construction of the same draws, kept here: symmetrize the
     # full plane by its mirror, then keep the half
-    from ci2d.spectral_field import _wavenumbers
     for n, band, seed, decay in ((16, 7, 0, 1.0), (64, 20, 3, 0.0), (128, 40, 5, 1.5)):
         g = make_grid(n)
         nc = 1 if rank == "scalar" else 2
         m = _fft_size(band, n)
         rng = np.random.default_rng(seed)
-        ks = _wavenumbers(m)
+        ks = np.fft.fftfreq(m, 1.0 / m).astype(np.int64)
         kx, ky = np.meshgrid(ks, ks, indexing="ij")
         amp = rng.standard_normal((nc, m, m)) + 1j * rng.standard_normal((nc, m, m))
         amp *= (np.maximum(np.abs(kx), np.abs(ky)) <= band) / (1.0 + np.hypot(kx, ky)) ** decay
@@ -324,6 +323,25 @@ def test_measure_band_matches_index_grid_oracle(m, ncomp, seed):
         tail = rng.uniform(0.0, 1.05, size=(ncomp, int(outside.sum())))
         c[:, outside] = BAND_RTOL * np.abs(c).max() * tail
         assert _measure_band(c) == _band_oracle(c)
+
+@pytest.mark.parametrize("m", [8, 64, 512])
+def test_lattice_is_read_only_and_shared_per_storage(m):
+    from ci2d.spectral_field import _lattice
+    lat = _lattice(m)
+    assert _lattice(m) is lat
+    ks = np.fft.fftfreq(m, 1.0 / m)
+    assert np.array_equal(lat.xi1, ks[:, None])
+    assert np.array_equal(lat.xi2, ks[None, :m // 2 + 1])
+    for axis in lat:                    # the cache holds the two axes only
+        assert axis.size in (m, m // 2 + 1)
+        with pytest.raises(ValueError):
+            axis[0, 0] = 1.0
+    k2 = lat.norm2()
+    assert np.array_equal(k2, ks[:, None] ** 2 + ks[None, :m // 2 + 1] ** 2)
+    assert k2.flags.writeable and lat.norm2() is not k2
+    safe = lat.divisor()
+    assert safe[0, 0] == 1.0 and np.array_equal(safe.ravel()[1:], k2.ravel()[1:])
+
 
 def test_derivative_examples():
     g = make_grid(16)
@@ -388,7 +406,7 @@ def test_cn_norm_grid_sup():
     # analytic sup of cos and its first derivative tensor is 1
     g = make_grid(64)
     cosx = SpectralField.from_modes(g, "scalar", {(1, 0): 0.5, (-1, 0): 0.5})
-    assert abs(cn_norm(cosx, 1) - 1.0) < 1e-3
+    assert abs(cn_norm(cosx, 1) - 1.0) < 1e-12
     assert abs(cn_norm(cosx, 0) - 1.0) < 1e-10
 
 
