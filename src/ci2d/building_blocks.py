@@ -198,25 +198,3 @@ def flow_shell(wp: WaveParams):
             rad = wp.lam * np.hypot(1.0 + s * a, s * b)
             lo, hi = min(lo, rad), max(hi, rad)
     return lo, hi
-
-
-def pair_shell(k: Direction, kp: Direction, wp: WaveParams):
-    """Exact |xi| range of the Fourier support of w_k x w_kp (k+kp != 0)."""
-    l5 = wp.lam // 5
-    ls5 = wp.lam_sigma // 5
-    base = (l5 * (k.five_k[0] + kp.five_k[0]), l5 * (k.five_k[1] + kp.five_k[1]))
-    fa, fap = k.five_k, k.five_k_perp
-    fb, fbp = kp.five_k, kp.five_k_perp
-    r = wp.r
-    lo2, hi2 = None, 0
-    rng = range(-r, r + 1)
-    for a in rng:
-        for b in rng:
-            for ap in rng:
-                for bp in rng:
-                    x1 = base[0] + ls5 * (a * fa[0] + b * fap[0] + ap * fb[0] + bp * fbp[0])
-                    x2 = base[1] + ls5 * (a * fa[1] + b * fap[1] + ap * fb[1] + bp * fbp[1])
-                    q = x1 * x1 + x2 * x2
-                    lo2 = q if lo2 is None else min(lo2, q)
-                    hi2 = max(hi2, q)
-    return float(np.sqrt(lo2)), float(np.sqrt(hi2))

@@ -596,19 +596,19 @@ def _mollconst():
 
 def run_all() -> dict:
     results = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name, fn in REGISTRY:
-        t1 = time.time()
+        t1 = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # property crashes count as failures
             ok, detail = False, f"error: {type(exc).__name__}: {exc}"
         results.append({"name": name, "passed": bool(ok), "detail": detail,
-                        "seconds": round(time.time() - t1, 3)})
+                        "seconds": round(time.perf_counter() - t1, 3)})
     passed = sum(r["passed"] for r in results)
     return {
         "properties": results,
         "n_passed": passed,
         "n_failed": len(results) - passed,
-        "seconds": round(time.time() - t0, 3),
+        "seconds": round(time.perf_counter() - t0, 3),
     }

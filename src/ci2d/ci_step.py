@@ -358,25 +358,28 @@ BLOCK = 1 << 13   # entries per block of `_coefficient_slice`'s weights
 
 def _coefficient_slice(r11, r12, dr11, dr12, phi: float, dphi: float,
                        a_const: float, eps_next: float):
-    """Per-direction coefficient values (and d/dt) on the grid.
+    """Per-direction coefficient values and d/dt on the grid.
 
-    Returns {positive direction: (a, da)} as value arrays; antipodes share
-    the same coefficient by the even symmetry of the weights.  g^2 and
-    d/dt g^2 come from `decompose` at the normalized stress, taken block
-    by block of rows, so its tables and weights live for one block only.
+    Returns {k: a_k} and {k: d/dt a_k} as value arrays over the positive
+    directions; antipodes share the same coefficient by the even symmetry
+    of the weights.  g^2 and d/dt g^2 come from `decompose` at the
+    normalized stress, taken block by block of rows, so its tables and
+    weights live for one block only.
     """
     scale = np.sqrt(a_const * eps_next)
     inv = 1.0 / (a_const * eps_next)
-    out = {k: (np.empty(r11.shape), np.empty(r11.shape)) for k in positive_directions()}
+    a, da = {}, {}
+    for k in positive_directions():
+        a[k], da[k] = np.empty(r11.shape), np.empty(r11.shape)
     step = max(1, BLOCK // r11[0].size)   # whole rows
     for rows in (slice(i, i + step) for i in range(0, len(r11), step)):
         weights = decompose(r11[rows] * inv, r12[rows] * inv, dr11[rows] * inv, dr12[rows] * inv)
-        for k, (a, da) in out.items():
+        for k in a:
             g2, dg2 = weights[k]
             g = np.sqrt(g2)
-            a[rows] = scale * g * phi
-            da[rows] = scale * (g * dphi + phi * dg2 / (2.0 * g))
-    return out
+            a[k][rows] = scale * g * phi
+            da[k][rows] = scale * (g * dphi + phi * dg2 / (2.0 * g))
+    return a, da
 
 
 # -- perturbations -------------------------------------------------------------
@@ -451,9 +454,9 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a: dict, da: dict, t: float
         transport = combine([transport, m_f, _inv_lap_div_const(dm_f, k.k)],
                             [1.0, 1.0, -2.0 / wp.mu])
         del m_f, dm_f
-    fac, nonzero = complex(2.0 / wp.mu), FreqBand.nonzero()
+    fac, nonzero = complex(2.0 / wp.mu), _band_mask(n, FreqBand.nonzero())
     for c in (carrier[:2], carrier[2:]):   # fac * helmholtz(project(.)) in place
-        c *= _band_mask(c, nonzero)
+        c *= nonzero
         _leray(c)
         c *= fac
     w_p, w_c = (np.zeros((2,) + half, dtype=complex) for _ in range(2))
@@ -505,7 +508,7 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a: dict, kernels: dict,
     """
     n = grid.n
     step = wp.lam // 5
-    half_shell = FreqBand.at_least(wp.lam_sigma / 2.0)
+    half_shell = _band_mask(n, FreqBand.at_least(wp.lam_sigma / 2.0))   # `project`'s mask
     dirs = positive_directions()
     accum = np.zeros((n, n))
     clipped = 0.0
@@ -529,30 +532,29 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a: dict, kernels: dict,
                          step * (s1 * k.five_k[1] + s2 * kp.five_k[1]))
                 clipped = max(clipped, _shift_loss(fast, shift, n))
                 _add_shifted(spec, fast, shift, weight)
-            spec *= _band_mask(spec, half_shell)   # `project`, in place
+            spec *= half_shell   # `project`, in place
             prod *= SpectralField(grid, "scalar", spec).values(n)[0]
             accum -= prod
             del prod
     return analyze(grid, accum) + transport, clipped
 
 
-def assemble_stress(node: tuple, pert_slices: dict, pstar: SpectralField,
+def assemble_stress(node: tuple, w: SpectralField, dw: SpectralField, pstar: SpectralField,
                     theta: float, nu: float, t_old: SpectralField):
     """(v, dv, p, R, t_new): the new (v, dv, p, R) of a mollified node
-    (v_ell, dv_ell, p_ell, R_ls, dR_ls) from the assembled forcing, and
-    t_new = tf_square of the new v.  t_old is tf_square(v_ell).
+    (v_ell, dv_ell, p_ell, R_ls, dR_ls) under the perturbation
+    w = w_p + w_c + w_t and its d/dt dw, and t_new = tf_square of the new
+    v.  t_old is tf_square(v_ell).
 
     The forcing is d/dt w + nu (-Lap)^theta w + div(v x w + w x v + w x w)
     + div R_ls; subtracting grad(pstar) and applying the anti-divergence
     gives a stress whose divergence reproduces the forcing exactly, so
-    the updated triple balances by construction.  The parts w_p, w_c, w_t,
-    dw_p, dw_c and dw_t are popped from pert_slices as they are summed, so
-    the caller's dict no longer holds them and none outlives its sum
-    unless the caller holds it elsewhere.
+    the updated triple balances by construction.  No argument is changed.
+    The assembly drops its own references to w, dw and t_old once the
+    forcing is made, so a caller that holds none of them (`_step_node`
+    pops w and dw from its dict into the call) has them released there.
     """
     v_l, dv_l, p_l, R_ls, _ = node
-    w = pert_slices.pop("w_p") + pert_slices.pop("w_c") + pert_slices.pop("w_t")
-    dw = pert_slices.pop("dw_p") + pert_slices.pop("dw_c") + pert_slices.pop("dw_t")
     v_new = v_l + w
     dv_new = dv_l + dw
     t_new = tf_square(v_new, allow_interpolant=True)
@@ -630,22 +632,6 @@ def nsr_residual(state: NSRState) -> dict:
 P_REP = 1.5   # Lebesgue exponent of the stress estimates (7.16)
 
 
-def _node_perturbation(R: SpectralField, dR: SpectralField, t: float, phi: float,
-                       dphi: float, toy: ToyParams):
-    """Coefficients {k: a_k}, kernels {k: (eta_k, mean eta_k^2)} and
-    perturbation slice (with "transport") of the node at time t with
-    R_ls = R, d/dt R_ls = dR and switch values phi, dphi.  The stress
-    samples and d/dt a_k live only until the perturbation has read them."""
-    grid = R.grid
-    coeffs = _coefficient_slice(*R.values(grid.n), *dR.values(grid.n), phi, dphi,
-                                toy.a_const, toy.eps_next)
-    a = {k: c[0] for k, c in coeffs.items()}
-    da = {k: c[1] for k, c in coeffs.items()}
-    del coeffs
-    kernels, pert = _perturbation_slice(grid, toy.wp, a, da, t)
-    return a, kernels, pert
-
-
 def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
                peak: bool = False):
     """New (v, dv, p, R) of a mollified node (v_ell, dv_ell, p_ell, R_ls,
@@ -657,14 +643,20 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
     ones, R is anti_divergence(divergence(R_ls)), dR_ls is not read and
     the dict holds no perturbation sizes; on the plateau (phi >= 1) it
     holds the oscillation cancellation, against samples of R_ls made
-    again.  Everything else the node builds is released as soon as its
-    last scalar is taken: the coefficients and kernels before the
-    assembly, each perturbation part as it is summed, the corrector
-    before the residual.  The mollified residual is taken just before the
-    assembly, which reads the same tf_square(v_ell), and the new residual
-    reads the assembly's tf_square(v), so each is made once.  A scalar
-    that is not finite raises NonFiniteValue, so the node is never
-    returned.
+    again.  An active node reads the coefficients {k: a_k} and
+    {k: d/dt a_k} of `_coefficient_slice` into `_perturbation_slice`, and
+    owns the six parts it returns.  It sums them once, into
+    w = (w_p + w_c) + w_t and dw = (dw_p + dw_c) + dw_t; the peak node's
+    stress groups read that w, that dw_p + dw_c and one w_c + w_t.  Each
+    part is dropped once its norms and sums are taken, and both sums go
+    to `assemble_stress` by pop, so the assembly releases them.
+    Everything else the node builds is released as soon as its last
+    scalar is taken: the coefficients and kernels before the sums, the
+    corrector before the residual.  The mollified residual is taken just
+    before the assembly, which reads the same tf_square(v_ell), and the
+    new residual reads the assembly's tf_square(v), so each is made once.
+    A scalar that is not finite raises NonFiniteValue, so the node is
+    never returned.
     """
     v_l, dv_l, p_l, R_ls, dR_ls = node
     theta, nu = toy.theta, toy.nu
@@ -675,11 +667,18 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
         square = tf_square(v_l, allow_interpolant=True)   # v is v_ell
         rep["moll_res"] = _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu, square)
     else:
-        a, kernels, pert = _node_perturbation(R_ls, dR_ls, t, phi, dphi, toy)
+        grid = v_l.grid
+        a, da = _coefficient_slice(*R_ls.values(), *dR_ls.values(), phi, dphi,
+                                   toy.a_const, toy.eps_next)
+        kernels, pert = _perturbation_slice(grid, toy.wp, a, da, t)   # it empties da
         rep["stream"] = lp_norm(combine([pert["w_p"], pert["w_c"], perp_grad(pert.pop("stream"))],
                                         [1.0, 1.0, -1.0]), 2)
-        pstar, pstar_clipped = _pstar_slice(v_l.grid, toy.wp, a, kernels,
-                                            pert.pop("transport"))
+        for name in ("w_p", "w_c", "w_t", "dw_p"):
+            rep[name] = lp_norm(pert[name], 2)
+        # each sum is made once, in the association (p + c) + t
+        dw_pc = pert.pop("dw_p") + pert.pop("dw_c")
+        pstar, pstar_clipped = _pstar_slice(grid, toy.wp, a, kernels, pert.pop("transport"))
+        rep["clipped"] = max(pert.pop("clipped"), pstar_clipped)
         if phi >= 1.0:
             c11, c12 = reconstruct((k, 2.0 * a_k * a_k * kernels[k][1]) for k, a_k in a.items())
             rv = R_ls.values()   # the samples the coefficients were made from
@@ -689,31 +688,33 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
             del c11, c12
             rep["oscillation_c0"] = float(np.max(np.hypot(rv[0], rv[1])))
             del rv
-        del a, kernels
+        del a, da, kernels
+        w_pc = pert["w_p"] + pert["w_c"]
+        rep["solenoidality"] = max(lp_norm(divergence(w_pc), 2),
+                                   lp_norm(divergence(pert["w_t"]), 2))
+        sums = {"w": w_pc + pert["w_t"]}
+        del w_pc
         if peak:   # stress error groups 7.16a-d, one norm each
-            w = pert["w_p"] + pert["w_c"] + pert["w_t"]
-            rep["lin_time"] = lp_norm(anti_divergence(pert["dw_p"] + pert["dw_c"]), P_REP)
+            w, w_ct = sums["w"], pert["w_c"] + pert["w_t"]
+            rep["lin_time"] = lp_norm(anti_divergence(dw_pc), P_REP)
             rep["lin_dissipation"] = lp_norm(
                 anti_divergence(nu * frac_laplacian(w, theta))
                 + sym_tracefree_product(v_l, w, allow_interpolant=True), P_REP)
-            corr = (sym_tracefree_product(pert["w_c"] + pert["w_t"], w, allow_interpolant=True)
-                    + sym_tracefree_product(pert["w_p"], pert["w_c"] + pert["w_t"],
-                                            allow_interpolant=True))
             # the symmetrized corrector double-counts the plain sum
-            rep["corrector"] = 0.5 * lp_norm(corr, P_REP)
-            osc_force = (divergence(tf_square(pert["w_p"], allow_interpolant=True)
-                                    + R_ls) + pert["dw_t"])
-            rep["oscillation"] = lp_norm(anti_divergence(osc_force - gradient(pstar)), P_REP)
-            del w, corr, osc_force
-        for name in ("w_p", "w_c", "w_t", "dw_p"):
-            rep[name] = lp_norm(pert[name], 2)
-        rep["solenoidality"] = max(lp_norm(divergence(pert["w_p"] + pert["w_c"]), 2),
-                                   lp_norm(divergence(pert["w_t"]), 2))
-        rep["clipped"] = max(pert.pop("clipped"), pstar_clipped)
+            rep["corrector"] = 0.5 * lp_norm(
+                sym_tracefree_product(w_ct, w, allow_interpolant=True)
+                + sym_tracefree_product(pert["w_p"], w_ct, allow_interpolant=True), P_REP)
+            del w, w_ct
+            rep["oscillation"] = lp_norm(anti_divergence(
+                divergence(tf_square(pert["w_p"], allow_interpolant=True) + R_ls)
+                + pert["dw_t"] - gradient(pstar)), P_REP)
+        sums["dw"] = dw_pc + pert.pop("dw_t")
+        del pert, dw_pc
         square = tf_square(v_l, allow_interpolant=True)
         rep["moll_res"] = _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu, square)
-        v, dv, p, R, square = assemble_stress(node, pert, pstar, theta, nu, square)
-        del pert, pstar
+        v, dv, p, R, square = assemble_stress(node, sums.pop("w"), sums.pop("dw"), pstar,
+                                              theta, nu, square)
+        del pstar
         rep["v_increment"] = lp_norm(v - v_l, 2)
     rep["res"] = _slice_residual(v, dv, p, R, theta, nu, square)
     del square

@@ -37,15 +37,15 @@ class FreqBand:
         return FreqBand(1.0)
 
 
-def _band_mask(coeffs: np.ndarray, band: FreqBand) -> np.ndarray:
-    """Where the Euclidean |xi| of a stored half spectrum lies in the window."""
-    k2 = _lattice(coeffs.shape[-2]).norm2()
+def _band_mask(m: int, band: FreqBand) -> np.ndarray:
+    """Where the Euclidean |xi| of a half spectrum on storage m lies in the window."""
+    k2 = _lattice(m).norm2()
     return (k2 >= band.lo ** 2) & (k2 <= band.hi ** 2)
 
 
 def project(field: SpectralField, band: FreqBand) -> SpectralField:
     """Keep the coefficients whose Euclidean |xi| lies in the window."""
-    return SpectralField(field.grid, field.rank, field.coeffs * _band_mask(field.coeffs, band))
+    return SpectralField(field.grid, field.rank, field.coeffs * _band_mask(field.storage, band))
 
 
 def _leray(c: np.ndarray) -> np.ndarray:

@@ -19,12 +19,12 @@ from ci2d import (ConstraintViolation, FreqBand, NSRState, PaperSchedule,
                   init_state, inv_grad, iterate_step, lp_norm, make_grid, mean,
                   multiply, nsr_residual, perp_grad, project, random_field,
                   temporal_cutoff, validate_schedule)
-from ci2d.building_blocks import (WaveParams, lattice_vector, pair_shell,
-                                  positive_directions)
-from ci2d.ci_step import _mollified_nodes, _node_perturbation, _stress_sups
+from ci2d.building_blocks import WaveParams, lattice_vector, positive_directions
+from ci2d.ci_step import (_coefficient_slice, _mollified_nodes, _perturbation_slice,
+                          _stress_sups)
 from ci2d.generators import shear_track, time_grid
 from ci2d.stress_geometry import decompose, reconstruct
-from waves import flow, mode_pair
+from waves import flow, mode_pair, pair_shell
 
 warnings.filterwarnings("ignore", message=".*separation.*")
 
@@ -213,11 +213,13 @@ def test_criterion_06_operator_lemmas():
 
 def _plateau_node(run):
     """Middle plateau node: its index, time, coefficients {k: a_k} and
-    perturbation slice, from the step's own node function."""
-    i, cut = run["plateau"], run["cut"]
+    perturbation slice, from the step's own node functions."""
+    i, cut, toy = run["plateau"], run["cut"], run["toy"]
     t = float(run["times"][i])
-    a_slice, _, pert = _node_perturbation(*run["node"][3:], t, float(cut.values[i]),
-                                          float(cut.dvalues[i]), run["toy"])
+    R, dR = run["node"][3:]
+    a_slice, da = _coefficient_slice(*R.values(), *dR.values(), float(cut.values[i]),
+                                     float(cut.dvalues[i]), toy.a_const, toy.eps_next)
+    _, pert = _perturbation_slice(R.grid, toy.wp, a_slice, da, t)
     return i, t, a_slice, pert
 
 

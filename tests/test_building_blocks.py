@@ -4,7 +4,7 @@ import pytest
 from ci2d import (AliasingRisk, DivisibilityError, analyze, dirichlet_kernel,
                   directions, eta, make_grid, perp_grad)
 from ci2d.building_blocks import (WaveParams, _eta_modes, eta_band, lattice_vector,
-                                  pair_shell, positive_directions)
+                                  positive_directions)
 from ci2d.ci_step import _perturbation_slice
 from waves import flow, mode_pair
 
@@ -95,17 +95,6 @@ def test_flow_derivative_scaling_band(K, N, p):
     double_lam = measure(WaveParams(200, 40, 2, 5))
     for other in (double_r, double_lam):
         assert 0.25 < other / base < 4.0
-
-
-def test_pair_shell_enumeration():
-    wp = WaveParams(200, 40, 1, 5)
-    ds = directions()
-    for a in ds:
-        for b in ds:
-            if (a.five_k[0] + b.five_k[0], a.five_k[1] + b.five_k[1]) == (0, 0):
-                continue
-            lo, hi = pair_shell(a, b, wp)
-            assert wp.lam / 5 <= lo and hi <= 4 * wp.lam
 
 
 @pytest.mark.parametrize("sign", [1, -1])

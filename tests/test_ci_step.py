@@ -6,7 +6,7 @@ from ci2d import (InvalidInput, NSRState, SpectralField, TimeTrack,
                   init_state, iterate_step, lp_norm, make_grid, mean, mollify,
                   multiply, nsr_residual, project, random_field, temporal_cutoff,
                   tf_square, toy_params)
-from ci2d.ci_step import (_coefficient_slice, _mollified_nodes, _node_perturbation,
+from ci2d.ci_step import (_coefficient_slice, _mollified_nodes, _perturbation_slice,
                           _step_node, _stress_sups, _switch_eval, _wave_slice,
                           fd6_channel, mask_intervals, sup_norms, support_mask)
 from ci2d.errors import AliasingRisk, ConfigError, PaddingError
@@ -51,15 +51,16 @@ def _switch_at(moll, cut, i):
 
 def _perturb(moll, cut, toy, i):
     """Stress samples, coefficients {k: (a, da)}, kernels and perturbation
-    slice at node i of a mollified state: the kernels and slice of
-    `_node_perturbation`, and the samples and `_coefficient_slice` it
-    reads, whose a_k it returns."""
+    slice at node i of a mollified state, made as `_step_node` makes them:
+    `_coefficient_slice` on the samples, read by `_perturbation_slice`."""
     R, dR = moll.R.slices[i], moll.R.dslices[i]
     t, phi, dphi = _switch_at(moll, cut, i)
     rv = R.values()
-    coeffs = _coefficient_slice(*rv, *dR.values(), phi, dphi, toy.a_const, toy.eps_next)
-    a, kernels, pert = _node_perturbation(R, dR, t, phi, dphi, toy)
-    assert all(np.array_equal(a[k], coeffs[k][0]) for k in coeffs)
+    a, da = _coefficient_slice(*rv, *dR.values(), phi, dphi, toy.a_const, toy.eps_next)
+    coeffs = {k: (a[k], da[k]) for k in a}
+    kernels, pert = _perturbation_slice(R.grid, toy.wp, a, da, t)
+    # the perturbation takes each d/dt a_k out of da and leaves a as it was
+    assert not da and all(a[k] is coeffs[k][0] for k in coeffs)
     return rv, coeffs, kernels, pert
 
 
@@ -370,8 +371,9 @@ def test_coefficients_flat_stress_is_isotropic():
         random_field(GRID, "vector", 2, seed=4)) for c in chi])
     cut = temporal_cutoff(TIMES, sup_norms(cut_track), 0.05)
     i = int(np.argmax(cut.values))
-    a, _, _ = _node_perturbation(z, z, float(TIMES[i]), float(cut.values[i]),
-                                 float(cut.dvalues[i]), small_toy())
+    toy = small_toy()
+    a, _ = _coefficient_slice(*z.values(), *z.values(), float(cut.values[i]),
+                              float(cut.dvalues[i]), toy.a_const, toy.eps_next)
     # one coefficient per positive direction; the step uses it for the
     # antipode as well
     ks = positive_directions()
@@ -393,7 +395,7 @@ def test_coefficient_slice_matches_per_direction_weights_bitwise():
     r11, r12 = (ae * rng.uniform(-3.0, 3.0, (32, 32)) for _ in range(2))
     r11[0, :5] = ae * np.array([-1.0, 1.0, 0.0, -0.5, 0.5])
     dr11, dr12 = rng.standard_normal((2, 32, 32))
-    a_slice = _coefficient_slice(r11, r12, dr11, dr12, phi, dphi, a_const, eps_next)
+    a_slice, da_slice = _coefficient_slice(r11, r12, dr11, dr12, phi, dphi, a_const, eps_next)
     inv = 1.0 / ae
     g11, g12, dg11, dg12 = r11 * inv, r12 * inv, dr11 * inv, dr12 * inv
     ramp = default_ramp()
@@ -403,7 +405,7 @@ def test_coefficient_slice_matches_per_direction_weights_bitwise():
         dg2 = (W11 * ramp.derivative(s1 * g11) * s1 * dg11
                + W12 * ramp.derivative(s2 * g12) * s2 * dg12)
         g = np.sqrt(g2)
-        a, da = a_slice[k]
+        a, da = a_slice[k], da_slice[k]
         assert np.array_equal(a, np.sqrt(ae) * g * phi)
         assert np.array_equal(da, np.sqrt(ae) * (g * dphi + phi * dg2 / (2.0 * g)))
 
@@ -807,32 +809,116 @@ def test_zero_direction_adds_nothing_and_spends_no_transform(monkeypatch):
 
 # -- assembly and residual ------------------------------------------------------
 
-def test_assemble_stress_public_call():
-    # the exported assembly takes tf_square(v_ell), pops the six summed
-    # parts from the caller's dict and returns the node's new (v, dv, p, R)
-    # and tf_square of the new v, all equal to what the step makes
-    from ci2d import assemble_stress
-    from ci2d.ci_step import _pstar_slice
+def _golden_peak():
+    """The golden configuration's mollified state, cutoff, toy and peak node."""
     state = init_state(build_initial("stream", GRID, TIMES, 1.0, {"seed": 1}), 0.4, 1.0, 1.0)
     toy = small_toy()
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
-    i = int(np.argmax(cut.values))
+    return moll, cut, toy, int(np.argmax(cut.values))
+
+
+def _bits(f):
+    return np.ascontiguousarray(f.coeffs).view(np.uint64)
+
+
+def test_assemble_stress_public_call():
+    # the exported assembly reads the summed perturbation, its d/dt and
+    # tf_square(v_ell), changes none of its arguments, and returns the
+    # node's new (v, dv, p, R) and tf_square of the new v, all equal to
+    # what the step makes, bit for bit
+    from ci2d import assemble_stress
+    from ci2d.ci_step import _pstar_slice
+    moll, cut, toy, i = _golden_peak()
     node = _node(moll, i)
-    t, phi, dphi = _switch_at(moll, cut, i)
-    a, kernels, pert = _node_perturbation(node[3], node[4], t, phi, dphi, toy)
-    pstar, _ = _pstar_slice(GRID, toy.wp, a, kernels, pert["transport"])
-    parts = ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t")
-    assert all(name in pert for name in parts)
-    out = assemble_stress(node, pert, pstar, toy.theta, toy.nu,
-                          tf_square(node[0], allow_interpolant=True))
+    _, coeffs, kernels, pert = _perturb(moll, cut, toy, i)
+    pstar, _ = _pstar_slice(GRID, toy.wp, {k: c[0] for k, c in coeffs.items()}, kernels,
+                            pert["transport"])
+    w = (pert["w_p"] + pert["w_c"]) + pert["w_t"]
+    dw = (pert["dw_p"] + pert["dw_c"]) + pert["dw_t"]
+    t_old = tf_square(node[0], allow_interpolant=True)
+    args = (*node, w, dw, pstar, t_old)
+    held = [(f.coeffs, _bits(f).copy()) for f in args]
+    out = assemble_stress(node, w, dw, pstar, toy.theta, toy.nu, t_old)
     assert len(out) == 5
-    assert not any(name in pert for name in parts)
+    for f, (c, bits) in zip(args, held):
+        assert f.coeffs is c and np.array_equal(_bits(f), bits)
     v, dv, p, R, t_new = out
-    assert np.array_equal(t_new.coeffs, tf_square(v, allow_interpolant=True).coeffs)
-    new, _ = _step_node(node, t, phi, dphi, toy)
-    for got, want in zip((v, dv, p, R), new):
-        assert np.array_equal(got.coeffs, want.coeffs)
+    for peak in (False, True):
+        new, _ = _step_node(node, *_switch_at(moll, cut, i), toy, peak=peak)
+        for got, want in zip((v, dv, p, R), new):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(t_new), _bits(tf_square(new[0], allow_interpolant=True)))
+
+
+def test_peak_stress_groups_match_fresh_sums():
+    # oracle for the peak node's groups 7.16a-d: each group made again from
+    # fresh sums of the perturbation's parts with the public operators,
+    # and `_pstar_slice`'s corrector; the step's values agree bit for bit.
+    # A corrector built with w_c in place of w_c + w_t (the negative
+    # control) differs
+    from ci2d.ci_step import _pstar_slice
+    from ci2d.spectral_field import gradient
+    moll, cut, toy, i = _golden_peak()
+    node = _node(moll, i)
+    v_l, R_ls = node[0], node[3]
+    _, coeffs, kernels, pert = _perturb(moll, cut, toy, i)
+    pstar, _ = _pstar_slice(GRID, toy.wp, {k: c[0] for k, c in coeffs.items()}, kernels,
+                            pert["transport"])
+    _, rep = _step_node(node, *_switch_at(moll, cut, i), toy, peak=True)
+    w_p, w_c, w_t, dw_p, dw_c, dw_t = (pert[name] for name in
+                                       ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"))
+    w = (w_p + w_c) + w_t
+
+    def corrector(w_ct):   # half the symmetrized sum, which counts each term twice
+        return 0.5 * lp_norm(sym_tracefree_product(w_ct, w, allow_interpolant=True)
+                             + sym_tracefree_product(w_p, w_ct, allow_interpolant=True), 1.5)
+
+    want = {
+        "lin_time": lp_norm(anti_divergence(dw_p + dw_c), 1.5),
+        "lin_dissipation": lp_norm(anti_divergence(toy.nu * frac_laplacian(w, toy.theta))
+                                   + sym_tracefree_product(v_l, w, allow_interpolant=True), 1.5),
+        "corrector": corrector(w_c + w_t),
+        "oscillation": lp_norm(anti_divergence(
+            divergence(tf_square(w_p, allow_interpolant=True) + R_ls) + dw_t
+            - gradient(pstar)), 1.5),
+    }
+    assert all(value > 0.0 for value in want.values()), want
+    assert {key: rep[key] for key in want} == want
+    assert corrector(w_c) != rep["corrector"]
+
+
+def test_peak_node_builds_each_sum_once(monkeypatch):
+    # the peak node adds w_p + w_c, (w_p + w_c) + w_t, w_c + w_t,
+    # dw_p + dw_c and (dw_p + dw_c) + dw_t once each, and makes one band
+    # mask in `_perturbation_slice` and one in `_pstar_slice`
+    from ci2d import ci_step
+    moll, cut, toy, i = _golden_peak()
+    parts, adds, masks = {}, [], []
+
+    def perturbation(*args, _f=ci_step._perturbation_slice):
+        kernels, pert = _f(*args)
+        parts.update((name, pert[name]) for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"))
+        return kernels, pert
+
+    def add(a, b, _f=SpectralField.__add__):
+        adds.append((a, b, _f(a, b)))   # held, so no identity is reused
+        return adds[-1][2]
+
+    monkeypatch.setattr(ci_step, "_perturbation_slice", perturbation)
+    monkeypatch.setattr(SpectralField, "__add__", add)
+    monkeypatch.setattr(ci_step, "_band_mask", lambda *a, _f=ci_step._band_mask:
+                        masks.append(1) or _f(*a))
+    _step_node(_node(moll, i), *_switch_at(moll, cut, i), toy, peak=True)
+
+    def count(a, b):
+        return sum(x is a and y is b for x, y, _ in adds)
+
+    (w_pc,) = [s for x, y, s in adds if x is parts["w_p"] and y is parts["w_c"]]
+    (dw_pc,) = [s for x, y, s in adds if x is parts["dw_p"] and y is parts["dw_c"]]
+    assert count(w_pc, parts["w_t"]) == count(parts["w_c"], parts["w_t"]) == 1
+    assert count(dw_pc, parts["dw_t"]) == 1
+    assert len(masks) == 2
 
 
 def test_zero_cutoff_step_keeps_mollified_residual():

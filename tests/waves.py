@@ -72,3 +72,17 @@ def on_grid(full, n):
     out = np.zeros(full.shape[:-2] + (n, n), dtype=complex)
     out[..., ks[:, None], ks[None, :]] = full
     return out
+
+
+def pair_shell(k, kp, wp):
+    """Exact |xi| range of the Fourier support of w_k x w_kp (k + kp != 0),
+    from an enumeration of both kernels' lattice offsets about the summed
+    mode lam (k + kp)."""
+    offs = np.arange(-wp.r, wp.r + 1)
+    a, b, ap, bp = np.meshgrid(offs, offs, offs, offs, indexing="ij")
+    l5, ls5 = wp.lam // 5, wp.lam_sigma // 5
+    x1, x2 = (l5 * (k.five_k[i] + kp.five_k[i])
+              + ls5 * (a * k.five_k[i] + b * k.five_k_perp[i]
+                       + ap * kp.five_k[i] + bp * kp.five_k_perp[i]) for i in (0, 1))
+    q = x1 * x1 + x2 * x2
+    return float(np.sqrt(q.min())), float(np.sqrt(q.max()))
