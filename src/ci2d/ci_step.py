@@ -195,8 +195,9 @@ def _reads(reach, track: TimeTrack):
 
 def _smooth(kern: TemporalKernel, fields, i: int) -> SpectralField:
     """Space-time mollification at node i of one track's fields, held as a
-    list or as a window's {input node: field}."""
-    return kern.apply_fields({j: spatial_mollify(fields[j], kern.ell) for j in kern.row(i)[0]}, i)
+    list or as a window's {input node: field}: the temporal sum over row
+    i, then the spatial multiplier once (the two commute)."""
+    return spatial_mollify(kern.apply_fields(fields, i), kern.ell)
 
 
 def _stress_node(kern: TemporalKernel, i: int, v_ell: SpectralField, R: dict,
@@ -209,8 +210,8 @@ def _stress_node(kern: TemporalKernel, i: int, v_ell: SpectralField, R: dict,
 def _stress_sups(state: NSRState, ell: float) -> tuple:
     """Sup norms of R_ls and of the input R at every node: the first of the
     step's two sweeps.  It reads each slice of v and R once, holds them and
-    the products v x v over the temporal kernel's reach, and keeps one sup
-    per node of each."""
+    the products v x v over the temporal kernel's reach, smooths each
+    track once per node (`_smooth`) and keeps one sup per node of each."""
     kern = _kernel(state, ell)
     R_sups = []
 
@@ -236,7 +237,8 @@ def _mollified_nodes(state: NSRState, ell: float, active):
     reads each input slice at most once and holds the slices, the
     derivative channels (`fd6_channel`'s stencils where the state has
     none) and the products v x v and dv x v only over the temporal
-    kernel's reach; R_ls is made with `_stress_sups`'s arithmetic."""
+    kernel's reach, smooths each track once per node (`_smooth`) and makes
+    R_ls with `_stress_sups`'s arithmetic."""
     kern = _kernel(state, ell)
     rows = kern.reach
     v = _Window(_reads(rows, state.v), lambda j: state.v.slices[j])
@@ -639,35 +641,30 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
     dict of the node's scalars, among them the mollified triple's own
     residual ("moll_res") there.
 
-    Where the switch and its slope vanish, v, dv and p are the mollified
-    ones, R is anti_divergence(divergence(R_ls)), dR_ls is not read and
-    the dict holds no perturbation sizes; on the plateau (phi >= 1) it
-    holds the oscillation cancellation, against samples of R_ls made
-    again.  An active node reads the coefficients {k: a_k} and
-    {k: d/dt a_k} of `_coefficient_slice` into `_perturbation_slice`, and
-    owns the six parts it returns.  It sums them once, into
-    w = (w_p + w_c) + w_t and dw = (dw_p + dw_c) + dw_t; the peak node's
-    stress groups read that w, that dw_p + dw_c and one w_c + w_t.  Each
-    part is dropped once its norms and sums are taken, and both sums go
-    to `assemble_stress` by pop, so the assembly releases them.
-    Everything else the node builds is released as soon as its last
-    scalar is taken: the coefficients and kernels before the sums, the
-    corrector before the residual.  The mollified residual is taken just
-    before the assembly, which reads the same tf_square(v_ell), and the
-    new residual reads the assembly's tf_square(v), so each is made once.
-    A scalar that is not finite raises NonFiniteValue, so the node is
-    never returned.
+    Every node is made by `assemble_stress`.  Where the switch and its
+    slope vanish, it is handed the zero w, dw and corrector: v, dv and p
+    keep the mollified values, R is anti_divergence(divergence(R_ls)),
+    dR_ls is not read and no perturbation size is made.  An active node
+    owns the six parts `_perturbation_slice` makes from
+    `_coefficient_slice`'s {k: a_k} and {k: d/dt a_k} and sums them once,
+    into w = (w_p + w_c) + w_t and dw = (dw_p + dw_c) + dw_t (the peak
+    node's stress groups read these, dw_p + dw_c and one w_c + w_t); on
+    the plateau (phi >= 1) it gauges the oscillation cancellation against
+    samples of R_ls made again.  Each field is dropped at its last use,
+    and both sums go to the assembly by pop, so it releases them.  The
+    mollified residual reads the tf_square(v_ell) that the assembly
+    reads, and the new one the assembly's tf_square(v), so each is made
+    once.  A scalar that is not finite raises NonFiniteValue.
     """
     v_l, dv_l, p_l, R_ls, dR_ls = node
     theta, nu = toy.theta, toy.nu
+    grid = v_l.grid
     rep = {}
-    if phi == 0.0 and dphi == 0.0:
-        v, dv, p = v_l, dv_l, p_l
-        R = anti_divergence(divergence(R_ls))
-        square = tf_square(v_l, allow_interpolant=True)   # v is v_ell
-        rep["moll_res"] = _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu, square)
+    active = phi != 0.0 or dphi != 0.0
+    if not active:   # the zero perturbation and corrector
+        sums = {name: SpectralField.zeros(grid, "vector") for name in ("w", "dw")}
+        pstar = SpectralField.zeros(grid, "scalar")
     else:
-        grid = v_l.grid
         a, da = _coefficient_slice(*R_ls.values(), *dR_ls.values(), phi, dphi,
                                    toy.a_const, toy.eps_next)
         kernels, pert = _perturbation_slice(grid, toy.wp, a, da, t)   # it empties da
@@ -710,11 +707,12 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
                 + pert["dw_t"] - gradient(pstar)), P_REP)
         sums["dw"] = dw_pc + pert.pop("dw_t")
         del pert, dw_pc
-        square = tf_square(v_l, allow_interpolant=True)
-        rep["moll_res"] = _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu, square)
-        v, dv, p, R, square = assemble_stress(node, sums.pop("w"), sums.pop("dw"), pstar,
-                                              theta, nu, square)
-        del pstar
+    square = tf_square(v_l, allow_interpolant=True)
+    rep["moll_res"] = _slice_residual(v_l, dv_l, p_l, R_ls, theta, nu, square)
+    v, dv, p, R, square = assemble_stress(node, sums.pop("w"), sums.pop("dw"), pstar,
+                                          theta, nu, square)
+    del pstar
+    if active:
         rep["v_increment"] = lp_norm(v - v_l, 2)
     rep["res"] = _slice_residual(v, dv, p, R, theta, nu, square)
     del square

@@ -84,7 +84,10 @@ def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
     """Steps the state node by node: the input's dumps are read as the
     step's sweeps reach them, each new node's dumps go into `<out>.partial`
     as soon as the node is made, and the directory becomes `<out>` once the
-    step and its reports are complete."""
+    step and its reports are complete and its verdict passes.  An input
+    whose mollified residual exceeds `tolerances.init_residual` is not a
+    solution and raises InvalidInput; on that, on a failed verdict and on
+    any error `.partial` is removed and an existing `<out>` is kept."""
     from dataclasses import replace
 
     from .ci_step import step_nodes
@@ -105,23 +108,28 @@ def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
                        cfg["mode"], manifest.get("params", {}))
         diags = step_nodes(state, toy, lambda i, v, dv, p, R: write_node(
             tmp_dir, i, state.times[i], v, dv, p, R))
-        tol = float(cfg["tolerances"]["residual"])
-        write_step_csv(os.path.join(tmp_dir, "step_diagnostics.csv"), diags)
-        text = json_report({"residual": diags.residual_report["window_max_rel"],
-                            "support": diags.support, "identities": diags.identities})
-        with open(os.path.join(tmp_dir, "step_report.json"), "w") as fh:
-            fh.write(text)
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir)
-        os.replace(tmp_dir, out_dir)
-    except Exception:
+        moll_res = diags.identities["mollified_residual_rel"]
+        tol = float(cfg["tolerances"]["init_residual"])
+        if not moll_res <= tol:
+            raise InvalidInput(f"input residual {moll_res:.3e} (mollified) exceeds {tol}: "
+                               "the input state is not a solution")
+        resid = diags.residual_report["window_max_rel"]
+        passed = resid <= float(cfg["tolerances"]["residual"]) and all(diags.support.values())
+        if passed:
+            write_step_csv(os.path.join(tmp_dir, "step_diagnostics.csv"), diags)
+            text = json_report({"residual": resid, "support": diags.support,
+                                "identities": diags.identities})
+            with open(os.path.join(tmp_dir, "step_report.json"), "w") as fh:
+                fh.write(text)
+            if os.path.exists(out_dir):
+                shutil.rmtree(out_dir)
+            os.replace(tmp_dir, out_dir)
+    finally:
         if os.path.exists(tmp_dir):
             shutil.rmtree(tmp_dir)
-        raise
-    resid = diags.residual_report["window_max_rel"]
-    print(json.dumps({"state_dir": out_dir, "residual": resid,
+    print(json.dumps({"state_dir": out_dir if passed else None, "residual": resid,
                       "support": diags.support}, indent=1, sort_keys=True))
-    return 0 if resid <= tol and all(diags.support.values()) else 1
+    return 0 if passed else 1
 
 
 def cmd_diagnose(state_dir: str, out_dir: str | None) -> int:

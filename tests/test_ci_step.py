@@ -64,12 +64,21 @@ def _perturb(moll, cut, toy, i):
     return rv, coeffs, kernels, pert
 
 
+def _assert_slices_off(new, moll, i):
+    """The new (v, dv, p, R) of node i hold the mollified v, dv and p and
+    anti_divergence(divergence(R_ls)), coefficient for coefficient."""
+    want = (moll.v.slices[i], moll.v.dslices[i], moll.p.slices[i],
+            anti_divergence(divergence(moll.R.slices[i])))
+    for got, ref in zip(new, want, strict=True):
+        assert np.array_equal(got.coeffs, ref.coeffs), i
+
+
 def _assert_node_off(moll, cut, toy, i):
-    """Node i keeps the mollified v, dv and p, passes R_ls through
-    anti_divergence(divergence(.)) and reports no perturbation sizes."""
-    (v, dv, p, R), rep = _step_node(_node(moll, i), *_switch_at(moll, cut, i), toy)
-    assert v is moll.v.slices[i] and dv is moll.v.dslices[i] and p is moll.p.slices[i]
-    assert np.array_equal(R.coeffs, anti_divergence(divergence(moll.R.slices[i])).coeffs)
+    """Node i keeps the values of the mollified v, dv and p, passes R_ls
+    through anti_divergence(divergence(.)) and reports no perturbation
+    sizes."""
+    new, rep = _step_node(_node(moll, i), *_switch_at(moll, cut, i), toy)
+    _assert_slices_off(new, moll, i)
     assert not {"w_p", "w_c", "w_t", "dw_p"} & rep.keys(), i
 
 
@@ -170,16 +179,22 @@ def test_mollify_requires_padding():
         mollify(small_state(), 0.5)
 
 
-def _whole_state_mollify(state, ell):
+def _whole_state_mollify(state, ell, per_tap=False):
     """(v_l, dv_l, p_l, R_ls, dR_ls) by the whole-state loop: every node of
-    every track smoothed first, then the commutator products combined."""
+    every track smoothed first, in time and then in space (per_tap: every
+    input node in space, then the temporal sums), then the commutator
+    products combined."""
     kern = TemporalKernel(state.times, ell)
     v = state.v if state.v.has_channel() else fd6_channel(state.v)
     R = state.R if state.R.has_channel() else fd6_channel(state.R)
 
     def smooth(fields):
-        spatial = [spatial_mollify(f, ell) for f in fields]
-        return [kern.apply_fields(spatial, i) for i in range(len(state.times))]
+        fields = list(fields)
+        if per_tap:
+            spatial = [spatial_mollify(f, ell) for f in fields]
+            return [kern.apply_fields(spatial, i) for i in range(len(state.times))]
+        return [spatial_mollify(kern.apply_fields(fields, i), ell)
+                for i in range(len(state.times))]
 
     v_l, dv_l, p_l = smooth(v.slices), smooth(v.dslices), smooth(state.p.slices)
     vxv = smooth(tf_square(s, allow_interpolant=True) for s in v.slices)
@@ -212,6 +227,14 @@ def test_mollify_matches_the_whole_state_loop_bitwise(n_t, taps, channels):
     for name, fields, oracle in zip(("v", "dv", "p", "R_ls", "dR_ls"), got, want):
         for i, (f, g) in enumerate(zip(fields, oracle, strict=True)):
             assert np.array_equal(f.coeffs, g.coeffs), (name, i)
+    # the spatial multiplier commutes with the temporal weights: smoothing
+    # each output node once stays within 1e-15 of each track's largest
+    # coefficient of the form that smooths every tap in space first
+    for name, fields, oracle in zip(("v", "dv", "p", "R_ls", "dR_ls"), want,
+                                    _whole_state_mollify(state, 0.05, per_tap=True)):
+        top = max(np.max(np.abs(g.coeffs)) for g in oracle)
+        gap = max(np.max(np.abs((f - g).coeffs)) for f, g in zip(fields, oracle, strict=True))
+        assert gap <= 1e-15 * top, (name, gap, top)
     # the step's first sweep keeps the sups of R_ls and of R, from the
     # same arithmetic
     R_ls_sups, R_sups = _stress_sups(state, 0.05)
@@ -228,6 +251,29 @@ def test_mollify_matches_the_whole_state_loop_bitwise(n_t, taps, channels):
             assert np.array_equal(node[4].coeffs, want[4][i].coeffs), i
         else:
             assert node[4] is None, i
+
+
+def test_each_sweep_smooths_each_output_node_once(monkeypatch):
+    # at n_t = 33 the kernel has three taps, and each sweep applies the
+    # spatial multiplier once per track and output node: v, R and v x v in
+    # `_stress_sups`; v, R, v x v, dv and p, and at an active node dR and
+    # dv x v, in `_mollified_nodes`
+    from ci2d import ci_step
+    times = time_grid(1.0, 0.1, 33)
+    assert TemporalKernel(times, 0.05).weights.size == 3
+    state = init_state(build_initial("stream", make_grid(64), times, 1.0, {"seed": 1}),
+                       0.4, 1.0, 1.0)
+    calls = []
+    monkeypatch.setattr(ci_step, "spatial_mollify", lambda f, ell, _f=ci_step.spatial_mollify:
+                        calls.append(1) or _f(f, ell))
+    _stress_sups(state, 0.05)
+    assert len(calls) == 3 * times.size
+    calls.clear()
+    active = np.zeros(times.size, dtype=bool)
+    active[[1, 2, times.size // 2]] = True
+    for _ in _mollified_nodes(state, 0.05, active):
+        pass
+    assert len(calls) == 5 * times.size + 2 * active.sum()
 
 
 # -- temporal cutoff ----------------------------------------------------------
@@ -469,6 +515,28 @@ def _perturbation_setup(amplitude=0.05, lam=50, sigma_inv=10, n=256):
     moll = mollify(state, toy.ell)
     cut = temporal_cutoff(moll.times, sup_norms(moll.R), toy.ell)
     return state, toy, moll, cut
+
+
+def test_every_node_goes_through_the_assembly(monkeypatch):
+    # the golden configuration's 21-node step assembles each node once; an
+    # inactive node is handed the zero perturbation and corrector, so its
+    # v, dv and p are the mollified ones and its R is
+    # anti_divergence(divergence(R_ls)), coefficient for coefficient
+    from ci2d import ci_step
+    state = init_state(build_initial("stream", GRID, TIMES, 1.0, {"seed": 1}), 0.4, 1.0, 1.0)
+    toy = small_toy()
+    calls = []
+    monkeypatch.setattr(ci_step, "assemble_stress", lambda *a, _f=ci_step.assemble_stress:
+                        calls.append(1) or _f(*a))
+    new, _ = iterate_step(state, toy)
+    assert len(calls) == len(state.times) == 21
+    moll = mollify(state, toy.ell)
+    cut = temporal_cutoff(moll.times, _stress_sups(state, toy.ell)[0], toy.ell)
+    off = np.flatnonzero((cut.values == 0.0) & (cut.dvalues == 0.0))
+    assert 0 < off.size < len(state.times)
+    for i in off:
+        _assert_slices_off((new.v.slices[i], new.v.dslices[i], new.p.slices[i],
+                            new.R.slices[i]), moll, i)
 
 
 def test_perturbations_vanish_without_cutoff():
@@ -818,6 +886,17 @@ def _golden_peak():
     return moll, cut, toy, int(np.argmax(cut.values))
 
 
+def _golden_peak_parts():
+    """`_golden_peak`'s mollified state, cutoff, toy and peak node, with the
+    node's fields, its perturbation parts and `_pstar_slice`'s corrector."""
+    from ci2d.ci_step import _pstar_slice
+    moll, cut, toy, i = _golden_peak()
+    _, coeffs, kernels, pert = _perturb(moll, cut, toy, i)
+    pstar, _ = _pstar_slice(GRID, toy.wp, {k: c[0] for k, c in coeffs.items()}, kernels,
+                            pert["transport"])
+    return moll, cut, toy, i, _node(moll, i), pert, pstar
+
+
 def _bits(f):
     return np.ascontiguousarray(f.coeffs).view(np.uint64)
 
@@ -828,12 +907,7 @@ def test_assemble_stress_public_call():
     # node's new (v, dv, p, R) and tf_square of the new v, all equal to
     # what the step makes, bit for bit
     from ci2d import assemble_stress
-    from ci2d.ci_step import _pstar_slice
-    moll, cut, toy, i = _golden_peak()
-    node = _node(moll, i)
-    _, coeffs, kernels, pert = _perturb(moll, cut, toy, i)
-    pstar, _ = _pstar_slice(GRID, toy.wp, {k: c[0] for k, c in coeffs.items()}, kernels,
-                            pert["transport"])
+    moll, cut, toy, i, node, pert, pstar = _golden_peak_parts()
     w = (pert["w_p"] + pert["w_c"]) + pert["w_t"]
     dw = (pert["dw_p"] + pert["dw_c"]) + pert["dw_t"]
     t_old = tf_square(node[0], allow_interpolant=True)
@@ -857,14 +931,9 @@ def test_peak_stress_groups_match_fresh_sums():
     # and `_pstar_slice`'s corrector; the step's values agree bit for bit.
     # A corrector built with w_c in place of w_c + w_t (the negative
     # control) differs
-    from ci2d.ci_step import _pstar_slice
     from ci2d.spectral_field import gradient
-    moll, cut, toy, i = _golden_peak()
-    node = _node(moll, i)
+    moll, cut, toy, i, node, pert, pstar = _golden_peak_parts()
     v_l, R_ls = node[0], node[3]
-    _, coeffs, kernels, pert = _perturb(moll, cut, toy, i)
-    pstar, _ = _pstar_slice(GRID, toy.wp, {k: c[0] for k, c in coeffs.items()}, kernels,
-                            pert["transport"])
     _, rep = _step_node(node, *_switch_at(moll, cut, i), toy, peak=True)
     w_p, w_c, w_t, dw_p, dw_c, dw_t = (pert[name] for name in
                                        ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"))
@@ -886,6 +955,37 @@ def test_peak_stress_groups_match_fresh_sums():
     assert all(value > 0.0 for value in want.values()), want
     assert {key: rep[key] for key in want} == want
     assert corrector(w_c) != rep["corrector"]
+
+
+def test_peak_stress_groups_sum_to_the_new_stress():
+    # the four groups 7.16a-d sum to the peak node's new R through
+    # antidiv(div(.)), at round-off; their raw tensors do not, since groups
+    # b and c are plain products, not anti-divergences.  A corrector built
+    # with w_c in place of w_c + w_t (the negative control) misses by far
+    from ci2d.spectral_field import combine, gradient
+    moll, cut, toy, i, node, pert, pstar = _golden_peak_parts()
+    v_l, R_ls = node[0], node[3]
+    (_, _, _, R), _ = _step_node(node, *_switch_at(moll, cut, i), toy, peak=True)
+    w_p, w_c, w_t, dw_p, dw_c, dw_t = (pert[name] for name in
+                                       ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"))
+    w = (w_p + w_c) + w_t
+
+    def groups(w_ct):
+        return [anti_divergence(dw_p + dw_c),
+                anti_divergence(toy.nu * frac_laplacian(w, toy.theta))
+                + sym_tracefree_product(v_l, w, allow_interpolant=True),
+                0.5 * (sym_tracefree_product(w_ct, w, allow_interpolant=True)
+                       + sym_tracefree_product(w_p, w_ct, allow_interpolant=True)),
+                anti_divergence(divergence(tf_square(w_p, allow_interpolant=True) + R_ls)
+                                + dw_t - gradient(pstar))]
+
+    def miss(tensors):
+        return lp_norm(combine(tensors, np.ones(len(tensors))) - R, 2) / lp_norm(R, 2)
+
+    exact = groups(w_c + w_t)
+    assert miss([anti_divergence(divergence(g)) for g in exact]) <= 1e-12
+    assert miss(exact) > 1e-3
+    assert miss([anti_divergence(divergence(g)) for g in groups(w_c)]) > 0.1
 
 
 def test_peak_node_builds_each_sum_once(monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ci2d import NSRState, TimeTrack, lp_norm, make_grid, random_field
+from ci2d import NSRState, TimeTrack, analyze, lp_norm, make_grid, random_field
 from ci2d.cli import main
 from ci2d.config import DEFAULT_CONFIG, load_config, schedule_from_config
 from ci2d.errors import ConfigError
@@ -409,6 +409,51 @@ def test_cli_step_guard_mid_stream_leaves_no_output(tmp_path, monkeypatch):
     assert not partial.exists()
     assert [p.name for p in out_dir.iterdir()] == ["sentinel"]
     assert (out_dir / "sentinel").read_text() == "left by an earlier run"
+
+
+@pytest.mark.parametrize("scale, code", [(0.0, 0), (1.0, 3), (20.0, 3)])
+def test_cli_step_refuses_an_input_that_is_not_a_solution(tmp_path, scale, code):
+    # a divergence-free field added to v at the three plateau nodes, with
+    # dv, p and R left as they were, gives an input residual of 1.0e-2
+    # (scale 1) or 0.19 (scale 20); the step used to pass the first (exit 0,
+    # new residual 5.9e-5) and to fail the second (exit 1) but write both.
+    # Its mollified residual exceeds `init_residual`: exit 3, no output.
+    # The unedited state (scale 0) steps as before
+    cfg_path, cfg = _small_cfg(tmp_path, time={"n_t": 9},
+                               toy={"lambda": 10, "sigma_inv": 2, "r": 1, "mu": 5},
+                               initial={"generator": "stream", "seed": 7})
+    assert main(["init", "--config", cfg_path]) == 0
+    x = make_grid(64).nodes()
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    defect = scale * 0.025 * np.stack([2.0 * np.sin(X) * np.sin(2.0 * Y),
+                                       np.cos(X) * np.cos(2.0 * Y)])
+    edited = 0
+    for path in Path(cfg["out"]).glob("v_*.ci2d"):
+        field, header = read_field(str(path))
+        if header["time"] in (0.375, 0.5, 0.625):
+            write_field(str(path), analyze(field.grid, field.values() + defect, "vector"),
+                        header["time"])
+            edited += 1
+    assert edited == 3
+    out_dir = tmp_path / "state1"
+    assert main(["step", "--config", cfg_path, "--state", cfg["out"],
+                 "--out", str(out_dir)]) == code
+    assert out_dir.exists() == (code == 0)
+    assert not (tmp_path / "state1.partial").exists()
+
+
+def test_cli_step_failed_verdict_leaves_out_as_it_was(tmp_path):
+    # a step whose residual exceeds `tolerances.residual` exits 1 and, like
+    # every other failure, leaves an existing `<out>` as it was and no
+    # `.partial`
+    step, out_dir, partial = _initialized_step(tmp_path)
+    assert main(step) == 0
+    (out_dir / "sentinel").write_text("left by an earlier run")
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    _small_cfg(tmp_path, tolerances={"residual": 1e-30})   # rewrites the step's config
+    assert main(step) == 1
+    assert not partial.exists()
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_cli_step_peak_memory(tmp_path):
