@@ -241,12 +241,11 @@ def _plane_wave(n: int, xi) -> np.ndarray:
 
 
 def _one_pair(k, wp: WaveParams, t: float, g):
-    """The step's perturbation slice with a = 1 on direction k and a = 0 on
-    the others: its w_p is eta_k (b_k + c.c.), the real antipodal pair of
-    the flow b_k = i k-perp exp(i lambda k.x), and its stream function
+    """The step's perturbation slice of the one direction k at a = 1: its
+    w_p is eta_k (b_k + c.c.), the real antipodal pair of the flow
+    b_k = i k-perp exp(i lambda k.x), and its stream function
     eta_k (exp(i lambda k.x) + c.c.) / lambda."""
-    return ci_step._perturbation_slice(g, wp, {d: float(d == k) for d in positive_directions()},
-                                       {d: 0.0 for d in positive_directions()}, t)[1]
+    return ci_step._perturbation_slice(g, wp, {k: 1.0}, {k: 0.0}, t)[1]
 
 
 @check("blocks.wave_pair")

@@ -403,7 +403,7 @@ def _wave_slice(k: Direction, wp: WaveParams, t: float, grid: Grid2):
 
 def _perturbation_slice(grid: Grid2, wp: WaveParams, a: dict, da: dict, t: float):
     """Assemble (w_p, w_c, w_t) and their d/dt channels for the time node t
-    from the coefficients {k: a_k} and {k: d/dt a_k}.
+    from {k: a_k} and {k: d/dt a_k}, over the directions of a in a's order.
 
     Multiplication by the single-mode flow/potential is an exact
     coefficient shift, which makes the stream-function identity and both
@@ -416,9 +416,9 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a: dict, da: dict, t: float
     the carriers of w_t and dw_t, with the transport part below), taking
     each direction's entry out of da as it goes, so that only a is held
     when the second adds w_p, w_c and the stream function.  A direction's
-    kernel samples (`_wave_slice`) live only while its terms are added; a
-    direction whose a and da are both all-zero adds nothing and makes no
-    samples.  Returns the kernels {k: (eta_k, mean eta_k^2)} and the
+    kernel samples (`_wave_slice`), the only source of mean eta_k^2, live
+    only while its terms are added.  Returns the kernels
+    {k: (eta_k, mean eta_k^2)} of the directions of a and the
     fields, with the corrector's transport part
     sum_k [a^2 P(eta^2) - (2/mu) `_inv_lap_div_const`(d/dt a^2 P(eta^2), k)]
     ("transport") and the largest energy share a shift drops past the grid
@@ -432,13 +432,8 @@ def _perturbation_slice(grid: Grid2, wp: WaveParams, a: dict, da: dict, t: float
     transport = SpectralField.zeros(grid, "scalar")
     kernels, shifts = {}, {}
     clipped = 0.0
-    for k in positive_directions():
+    for k in a:
         a_k, da_k = a[k], da.pop(k)
-        if not (np.any(a_k) or np.any(da_k)):
-            f = eta(k, wp, t, grid)[0]
-            # mean eta^2 by Parseval, with no samples: it enters only times a_k^2 = 0
-            kernels[k] = (f, (lp_norm(f, 2) / (2.0 * np.pi)) ** 2)
-            continue
         wav = _wave_slice(k, wp, t, grid)
         kernels[k] = (wav["eta"], wav["eta2_mean"])
         shifts[k] = xi = lattice_vector(k.five_k, lam // 5)
@@ -491,7 +486,7 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a: dict, kernels: dict,
     """Pressure corrector absorbing the gradient parts of the oscillation
     terms: the potential products over non-antipodal pairs plus, on the
     diagonal, the kernel-square pieces and the transport sum ("transport"),
-    for the coefficients {k: a_k}.
+    for the coefficients {k: a_k}, over the pairs of directions of a.
 
     A pair of positive directions (k, k') stands for the four sign
     combinations (+-k, +-k'); on the diagonal only (k, k) and (-k, -k)
@@ -502,16 +497,16 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a: dict, kernels: dict,
     block into a xi_2 >= 0 half plane and synthesized as real.  Each
     kernel eta_k of {k: (eta_k, mean eta_k^2)} is synthesized once; every
     pair product, the diagonal included, is analyzed from the kernels'
-    samples on one product grid.  A pair whose coefficient product a_k a_k'
-    is all-zero adds nothing and is skipped, and the kernel of a direction
-    whose a_k is all-zero is not synthesized.
+    samples on one product grid.  A pair whose a_k a_k' is all-zero is
+    skipped and the kernel of a direction whose a_k is all-zero is not
+    synthesized, so a node with phi = 0 but dphi != 0 analyzes no pair.
     Returns the corrector and the largest energy share a clipped shift
     dropped.
     """
     n = grid.n
     step = wp.lam // 5
     half_shell = _band_mask(n, FreqBand.at_least(wp.lam_sigma / 2.0))   # `project`'s mask
-    dirs = positive_directions()
+    dirs = list(a)
     accum = np.zeros((n, n))
     clipped = 0.0
     # one product grid serves every pair: it resolves the widest kernel's
@@ -520,8 +515,7 @@ def _pstar_slice(grid: Grid2, wp: WaveParams, a: dict, kernels: dict,
     m = _product_size(widest, widest, False)
     kernel = {k: kernels[k][0].values(m) for k in dirs if np.any(a[k])}
     for i, k in enumerate(dirs):
-        for j in range(i, len(dirs)):
-            kp = dirs[j]
+        for j, kp in enumerate(dirs[i:], i):
             prod = a[k] * a[kp]
             if not np.any(prod):
                 continue

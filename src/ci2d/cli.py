@@ -24,16 +24,22 @@ GUARD_ERRORS = (AliasingRisk, PaddingError, DerivativeChannelMissing, NonFiniteV
 CONSTRAINT_ERRORS = (ConstraintViolation, DivisibilityError, ConfigError, InvalidInput)
 
 
+def _out_dir(path: str | None) -> str | None:
+    """path, as an output directory: a path that names a file raises ConfigError."""
+    if path and os.path.isfile(path):
+        raise ConfigError(f"output path {path} is a file, not a directory")
+    return path
+
+
 def cmd_check(cfg: dict, out_dir: str | None) -> int:
     from .checks import run_all
-    from .config import schedule_from_config
+    from .config import schedule_from_config, toy_from_config
     from .diagnostics import json_report
 
     if cfg["mode"] == "paper":
         from .param_schedule import validate_schedule
         validate_schedule(schedule_from_config(cfg))
     else:
-        from .config import toy_from_config
         toy = toy_from_config(cfg)
         from .building_blocks import eta_band
         from .spectral_field import make_grid
@@ -55,10 +61,10 @@ def cmd_check(cfg: dict, out_dir: str | None) -> int:
 def cmd_init(cfg: dict, out_dir: str | None) -> int:
     from .ci_step import init_state, nsr_residual
     from .generators import build_initial, time_grid
-    from .spectral_field import make_grid
+    from .spectral_field import divergence, lp_norm, make_grid
     from .state_io import write_state
 
-    out_dir = out_dir or cfg["out"]
+    out_dir = out_dir or _out_dir(cfg["out"])
     grid = make_grid(int(cfg["grid"]["n"]))
     tc = cfg["time"]
     times = time_grid(float(tc["T"]), float(tc["t_pad"]), int(tc["n_t"]))
@@ -70,7 +76,6 @@ def cmd_init(cfg: dict, out_dir: str | None) -> int:
     tol = float(cfg["tolerances"]["init_residual"])
     if not rep["max_rel"] <= tol:
         raise InvalidInput(f"initial residual {rep['max_rel']:.3e} exceeds {tol}")
-    from .spectral_field import divergence, lp_norm
     max_div = max(lp_norm(divergence(s), 2) for s in state.v.slices)
     write_state(out_dir, state, float(tc["t_pad"]), cfg["mode"],
                 {"toy": cfg["toy"], "initial": cfg["initial"],
@@ -99,7 +104,7 @@ def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
         raise ConfigError("stepping runs in toy mode; the exact schedule is a gate only")
     state, manifest = read_state(state_dir)
     toy = toy_from_config(cfg)
-    out_dir = out_dir or (state_dir.rstrip("/") + f"_q{state.q + 1}")
+    out_dir = out_dir or _out_dir(state_dir.rstrip("/") + f"_q{state.q + 1}")
     tmp_dir = out_dir + ".partial"
     if os.path.exists(tmp_dir):
         shutil.rmtree(tmp_dir)
@@ -159,6 +164,7 @@ def main(argv=None) -> int:
     from .config import load_config
     try:
         cfg = load_config(args.config)
+        _out_dir(args.out)
         if args.command == "check":
             return cmd_check(cfg, args.out)
         if args.command == "init":

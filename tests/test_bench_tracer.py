@@ -4,14 +4,21 @@
 deleted or renamed function would crash a traced benchmark run.  The
 tracer is executed from its source (no bytecode is written next to it),
 installed and uninstalled, and every patched reference must come back.
+A traced benchmark round must also run and count its transforms.
 """
 
+import json
+import os
+import shutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -127,3 +134,22 @@ def test_zero_slices_spend_no_transform(shear_state, tmp_path):
                 assert f.is_zero == (i in zero or name == "p")
     finally:
         tracer.uninstall()
+
+
+def test_traced_round_is_correct_and_counts_its_work(tmp_path):
+    # one traced round of the CLI chain, run from a copy of bench/ beside
+    # this checkout's src/, so its trace and work files stay out of the
+    # checkout
+    shutil.copytree(ROOT / "bench", tmp_path / "bench",
+                    ignore=shutil.ignore_patterns(".work", "traces", "results", "__pycache__"))
+    os.symlink(ROOT / "src", tmp_path / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "cli_chain_n256", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    for name in ("fft.transforms", "spectral_field.multiply_mode_calls"):
+        assert result["metrics"][name]["value"] > 0, name

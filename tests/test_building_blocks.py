@@ -5,14 +5,8 @@ from ci2d import (AliasingRisk, DivisibilityError, analyze, dirichlet_kernel,
                   directions, eta, make_grid, perp_grad)
 from ci2d.building_blocks import (WaveParams, _eta_modes, eta_band, lattice_vector,
                                   positive_directions)
-from ci2d.ci_step import _perturbation_slice
+from ci2d.checks import _one_pair
 from waves import flow, mode_pair
-
-
-def _one_pair(k, wp, t, grid):
-    """The step's perturbation slice with a = 1 on direction k, 0 elsewhere."""
-    return _perturbation_slice(grid, wp, {d: float(d == k) for d in positive_directions()},
-                               {d: 0.0 for d in positive_directions()}, t)[1]
 
 
 def test_direction_list():

@@ -834,10 +834,10 @@ def test_node_residuals_are_fresh_slice_residuals():
     assert rep["moll_res"][0] > 0.0 and rep["res"][0] > 0.0   # the peak node's
 
 
-def test_zero_direction_adds_nothing_and_spends_no_transform(monkeypatch):
-    # a direction whose a and da are all-zero makes no samples, analyses or
-    # shifts, and a corrector pair whose a_k a_k' is all-zero no kernel
-    # product; every kernel is still returned
+def test_each_direction_costs_the_same_and_pairs_fill_a_triangle(monkeypatch):
+    # the perturbation makes exactly the directions of a, in a's order, each
+    # at the same transform cost; the corrector analyzes one product per
+    # pair of them, the diagonal included
     import numpy.fft as nfft
     from ci2d import ci_step
     from ci2d.building_blocks import WaveParams
@@ -849,30 +849,71 @@ def test_zero_direction_adds_nothing_and_spends_no_transform(monkeypatch):
                         products.append(1) or _f(x))
     grid, wp, dirs = make_grid(128), WaveParams(25, 5, 2, 3), positive_directions()
 
-    def spend(active):
-        """Transforms of the perturbation and of the corrector, the pair
-        products the corrector analyzed, the kernels, fields and corrector."""
+    def spend(ks):
+        """Transforms of the perturbation, the pair products the corrector
+        analyzed, the kernels, fields and corrector."""
         calls.clear(), products.clear()
-        a = {k: float(k in active) for k in dirs}
-        kernels, pert = ci_step._perturbation_slice(grid, wp, a, {k: 0.0 for k in dirs}, 0.4)
+        a = {k: 1.0 for k in ks}
+        kernels, pert = ci_step._perturbation_slice(grid, wp, a, {k: 0.0 for k in a}, 0.4)
         spent = len(calls)
         pstar = ci_step._pstar_slice(grid, wp, a, kernels, pert["transport"])[0]
-        return spent, len(calls) - spent, len(products), kernels, pert, pstar
+        return spent, len(products), kernels, pert, pstar
 
-    spent, spent_pstar, pairs, kernels, pert, pstar = spend(())
-    assert (spent, spent_pstar, pairs) == (0, 0, 0)
-    assert all(pert[name].is_zero for name in
-               ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t", "stream", "transport"))
-    assert pstar.is_zero and pert["clipped"] == 0.0
-    for k in dirs:   # each kernel, with its mean from the coefficients
-        vals = kernels[k][0].values()[0]
-        assert kernels[k][1] == pytest.approx(float(np.mean(vals * vals)), rel=1e-13)
-    # each active direction spends the same, a zero one nothing; one active
-    # direction makes one pair product, two make three
-    one, two = spend(dirs[:1]), spend(dirs[:2])
-    assert one[0] > 0 and two[0] == 2 * one[0]
-    assert (one[2], two[2]) == (1, 3)
-    assert not one[4]["w_p"].is_zero and not one[5].is_zero
+    singles = [spend([k]) for k in dirs]
+    assert singles[0][0] > 0 and {one[0] for one in singles} == {singles[0][0]}
+    two = spend(dirs[2:0:-1])
+    assert two[0] == 2 * singles[0][0] and list(two[2]) == dirs[2:0:-1]
+    assert (singles[0][1], two[1]) == (1, 3)
+    assert not two[3]["w_p"].is_zero and not two[4].is_zero
+
+
+def test_switch_zero_node_skips_every_corrector_pair(monkeypatch):
+    # at n_t = 82 the shear input's node 23 is active with phi = 0 and
+    # dphi != 0: every a_k is all-zero and every d/dt a_k is not, so the
+    # corrector analyzes no pair product and is the transport part alone,
+    # while d/dt w_p is not zero
+    from itertools import islice
+
+    from ci2d import ci_step
+    from ci2d.ci_step import _pstar_slice
+    times = time_grid(1.0, 0.1, 82)
+    state = init_state(build_initial("shear", GRID, times, 1.0, {}), 0.4, 1.0, 1.0)
+    toy, i = small_toy(), 23
+    cut = temporal_cutoff(times, _stress_sups(state, toy.ell)[0], toy.ell)
+    t, phi, dphi = float(times[i]), float(cut.values[i]), float(cut.dvalues[i])
+    assert phi == 0.0 and dphi != 0.0
+    active = np.arange(times.size) == i
+    node = next(islice(_mollified_nodes(state, toy.ell, active), i, None))
+    a, da = _coefficient_slice(*node[3].values(), *node[4].values(), phi, dphi,
+                               toy.a_const, toy.eps_next)
+    assert not any(np.any(a_k) for a_k in a.values())
+    assert all(np.any(da_k) for da_k in da.values())
+    kernels, pert = _perturbation_slice(GRID, toy.wp, a, da, t)
+    products = []
+    monkeypatch.setattr(ci_step, "_analysis", lambda x, _f=ci_step._analysis:
+                        products.append(1) or _f(x))
+    pstar, clipped = _pstar_slice(GRID, toy.wp, a, kernels, pert["transport"])
+    assert products == [] and clipped == 0.0
+    assert np.array_equal(pstar.coeffs, pert["transport"].coeffs)
+    _, rep = _step_node(node, t, phi, dphi, toy)
+    assert rep["w_p"] == 0.0 and rep["dw_p"] > 0.0
+
+
+def test_five_nodes_without_a_stress_channel_raise_derivative_channel_missing():
+    # a 5-node state whose v carries its channel and whose R carries none:
+    # d/dt R at the active nodes needs the 7-node difference stencil; with
+    # an R channel (here the zero one) the same state steps
+    from ci2d import DerivativeChannelMissing
+    times = time_grid(1.0, 0.1, 3)
+    u = build_initial("shear", GRID, times, 1.0, {})
+    R = [anti_divergence(ds + frac_laplacian(s, 0.4)) + tf_square(s)
+         for s, ds in zip(u.slices, u.dslices)]
+    p = TimeTrack(times, [SpectralField.zeros(GRID, "scalar")] * times.size)
+    with pytest.raises(DerivativeChannelMissing, match="at least 7 nodes"):
+        iterate_step(NSRState(u, p, TimeTrack(times, R), 0.4, 1.0), small_toy())
+    dR = [SpectralField.zeros(GRID, "symtensor")] * times.size
+    new, _ = iterate_step(NSRState(u, p, TimeTrack(times, R, dR), 0.4, 1.0), small_toy())
+    assert len(new.times) == 5
 
 
 # -- assembly and residual ------------------------------------------------------

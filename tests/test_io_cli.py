@@ -169,6 +169,38 @@ def test_cli_guard_exit_codes(tmp_path):
     assert main(["step", "--config", cfg_path]) == 3
 
 
+def test_cli_seven_node_guard_exits_2_and_writes_nothing(tmp_path, capsys):
+    # 3 nodes in [0, T] (5 with padding) cannot carry the 7-node difference
+    # stencil that makes init's d^2/dt^2 channel: exit 2, no state directory
+    cfg_path, cfg = _small_cfg(tmp_path, time={"n_t": 3})
+    assert main(["init", "--config", cfg_path]) == 2
+    assert "need at least 7 nodes for the difference channel" in capsys.readouterr().err
+    assert not os.path.exists(cfg["out"])
+
+
+@pytest.mark.parametrize("command, target", [
+    ("check", "--out"), ("init", "--out"), ("init", "config"),
+    ("step", "--out"), ("step", "default"), ("diagnose", "--out")])
+def test_cli_output_path_that_is_a_file_exits_3(tmp_path, command, target):
+    # an output path that names an existing file is refused before any work
+    # (check's properties, step's nodes) is done: exit 3, the file as it
+    # was and no `.partial`
+    cfg_path, cfg = _small_cfg(tmp_path)
+    args = [command, "--config", cfg_path]
+    if command in ("step", "diagnose"):
+        assert main(["init", "--config", cfg_path]) == 0
+        args += ["--state", cfg["out"]]
+    path = Path(cfg["out"] + "_q1") if target == "default" else tmp_path / "taken"
+    if target == "--out":
+        args += ["--out", str(path)]
+    if target == "config":
+        _small_cfg(tmp_path, out=str(path))   # rewrites the config
+    path.write_bytes(b"not a directory")
+    assert main(args) == 3
+    assert path.read_bytes() == b"not a directory"
+    assert not list(tmp_path.glob("*.partial"))
+
+
 def test_cli_malformed_config_exits_3(tmp_path):
     path = tmp_path / "config.json"
     assert main(["check", "--config", str(tmp_path / "missing.json")]) == 3
