@@ -641,14 +641,16 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
     dR_ls is not read and no perturbation size is made.  An active node
     owns the six parts `_perturbation_slice` makes from
     `_coefficient_slice`'s {k: a_k} and {k: d/dt a_k} and sums them once,
-    into w = (w_p + w_c) + w_t and dw = (dw_p + dw_c) + dw_t (the peak
-    node's stress groups read these, dw_p + dw_c and one w_c + w_t); on
-    the plateau (phi >= 1) it gauges the oscillation cancellation against
-    samples of R_ls made again.  Each field is dropped at its last use,
-    and both sums go to the assembly by pop, so it releases them.  The
-    mollified residual reads the tf_square(v_ell) that the assembly
-    reads, and the new one the assembly's tf_square(v), so each is made
-    once.  A scalar that is not finite raises NonFiniteValue.
+    into w = (w_p + w_c) + w_t and dw = (dw_p + dw_c) + dw_t; the stream
+    identity reads that w_p + w_c, and the peak node's stress groups read
+    w, w_p, dw_p + dw_c and one tf_square(w_p), the corrector group being
+    tf_square(w) - tf_square(w_p).  On the plateau (phi >= 1) it gauges
+    the oscillation cancellation against samples of R_ls made again.  Each
+    field is dropped at its last use, and both sums go to the assembly by
+    pop, so it releases them.  The mollified residual reads the
+    tf_square(v_ell) that the assembly reads, and the new one the
+    assembly's tf_square(v), so each is made once.  A scalar that is not
+    finite raises NonFiniteValue.
     """
     v_l, dv_l, p_l, R_ls, dR_ls = node
     theta, nu = toy.theta, toy.nu
@@ -662,8 +664,6 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
         a, da = _coefficient_slice(*R_ls.values(), *dR_ls.values(), phi, dphi,
                                    toy.a_const, toy.eps_next)
         kernels, pert = _perturbation_slice(grid, toy.wp, a, da, t)   # it empties da
-        rep["stream"] = lp_norm(combine([pert["w_p"], pert["w_c"], perp_grad(pert.pop("stream"))],
-                                        [1.0, 1.0, -1.0]), 2)
         for name in ("w_p", "w_c", "w_t", "dw_p"):
             rep[name] = lp_norm(pert[name], 2)
         # each sum is made once, in the association (p + c) + t
@@ -681,24 +681,23 @@ def _step_node(node: tuple, t: float, phi: float, dphi: float, toy: ToyParams,
             del rv
         del a, da, kernels
         w_pc = pert["w_p"] + pert["w_c"]
+        rep["stream"] = lp_norm(w_pc - perp_grad(pert.pop("stream")), 2)
         rep["solenoidality"] = max(lp_norm(divergence(w_pc), 2),
                                    lp_norm(divergence(pert["w_t"]), 2))
         sums = {"w": w_pc + pert["w_t"]}
         del w_pc
         if peak:   # stress error groups 7.16a-d, one norm each
-            w, w_ct = sums["w"], pert["w_c"] + pert["w_t"]
+            w = sums["w"]
             rep["lin_time"] = lp_norm(anti_divergence(dw_pc), P_REP)
             rep["lin_dissipation"] = lp_norm(
                 anti_divergence(nu * frac_laplacian(w, theta))
                 + sym_tracefree_product(v_l, w, allow_interpolant=True), P_REP)
-            # the symmetrized corrector double-counts the plain sum
-            rep["corrector"] = 0.5 * lp_norm(
-                sym_tracefree_product(w_ct, w, allow_interpolant=True)
-                + sym_tracefree_product(pert["w_p"], w_ct, allow_interpolant=True), P_REP)
-            del w, w_ct
+            # (w_c + w_t) x w + w_p x (w_c + w_t) = w x w - w_p x w_p
+            sq_p = tf_square(pert["w_p"], allow_interpolant=True)
+            rep["corrector"] = lp_norm(tf_square(w, allow_interpolant=True) - sq_p, P_REP)
             rep["oscillation"] = lp_norm(anti_divergence(
-                divergence(tf_square(pert["w_p"], allow_interpolant=True) + R_ls)
-                + pert["dw_t"] - gradient(pstar)), P_REP)
+                divergence(sq_p + R_ls) + pert["dw_t"] - gradient(pstar)), P_REP)
+            del w, sq_p
         sums["dw"] = dw_pc + pert.pop("dw_t")
         del pert, dw_pc
     square = tf_square(v_l, allow_interpolant=True)

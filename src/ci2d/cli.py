@@ -15,6 +15,7 @@ import json
 import os
 import shutil
 import sys
+from contextlib import contextmanager
 
 from .errors import (AliasingRisk, ConfigError, ConstraintViolation,
                      DerivativeChannelMissing, DivisibilityError, InvalidInput,
@@ -29,6 +30,39 @@ def _out_dir(path: str | None) -> str | None:
     if path and os.path.isfile(path):
         raise ConfigError(f"output path {path} is a file, not a directory")
     return path
+
+
+@contextmanager
+def _staged(out_dir: str, *inputs: str):
+    """(`<out>.partial`, publish) to build an output directory in:
+    publish() replaces `<out>` whole with it, and `.partial` is removed on
+    every way out.  Before any work, ConfigError refuses an `<out>` or
+    `.partial` that is a file, an `<out>` that is, or holds, the working
+    directory or an input directory, and a non-empty `<out>` with no
+    manifest.json, which is not a ci2d state."""
+    out_dir = os.path.normpath(out_dir)
+    tmp_dir, out = out_dir + ".partial", os.path.realpath(out_dir)
+    for path in (out_dir, tmp_dir):
+        _out_dir(path)
+    for path in (os.getcwd(), *inputs):
+        if os.path.commonpath([out, os.path.realpath(path)]) == out:
+            raise ConfigError(f"output directory {out_dir} holds {path}")
+    if (os.path.isdir(out) and os.listdir(out)
+            and not os.path.isfile(os.path.join(out, "manifest.json"))):
+        raise ConfigError(f"output directory {out_dir} is not empty and not a ci2d state")
+    if os.path.exists(tmp_dir):
+        shutil.rmtree(tmp_dir)
+
+    def publish():
+        if os.path.exists(out_dir):
+            shutil.rmtree(out_dir)
+        os.replace(tmp_dir, out_dir)
+
+    try:
+        yield tmp_dir, publish
+    finally:
+        if os.path.exists(tmp_dir):
+            shutil.rmtree(tmp_dir)
 
 
 def cmd_check(cfg: dict, out_dir: str | None) -> int:
@@ -59,27 +93,32 @@ def cmd_check(cfg: dict, out_dir: str | None) -> int:
 
 
 def cmd_init(cfg: dict, out_dir: str | None) -> int:
+    """Builds the initial state and writes it as `ci2d step` writes its
+    output (`_staged`): into `<out>.partial`, which replaces `<out>` whole
+    once the state is written, so no file of an earlier state is left."""
     from .ci_step import init_state, nsr_residual
     from .generators import build_initial, time_grid
     from .spectral_field import divergence, lp_norm, make_grid
     from .state_io import write_state
 
-    out_dir = out_dir or _out_dir(cfg["out"])
-    grid = make_grid(int(cfg["grid"]["n"]))
-    tc = cfg["time"]
-    times = time_grid(float(tc["T"]), float(tc["t_pad"]), int(tc["n_t"]))
-    init_cfg = dict(cfg["initial"])
-    gen = init_cfg.pop("generator")
-    u = build_initial(gen, grid, times, float(tc["T"]), init_cfg)
-    state = init_state(u, float(cfg["theta"]), float(cfg["nu"]), float(tc["T"]))
-    rep = nsr_residual(state)
-    tol = float(cfg["tolerances"]["init_residual"])
-    if not rep["max_rel"] <= tol:
-        raise InvalidInput(f"initial residual {rep['max_rel']:.3e} exceeds {tol}")
-    max_div = max(lp_norm(divergence(s), 2) for s in state.v.slices)
-    write_state(out_dir, state, float(tc["t_pad"]), cfg["mode"],
-                {"toy": cfg["toy"], "initial": cfg["initial"],
-                 "tolerances": cfg["tolerances"]})
+    out_dir = out_dir or cfg["out"]
+    with _staged(out_dir) as (tmp_dir, publish):
+        grid = make_grid(int(cfg["grid"]["n"]))
+        tc = cfg["time"]
+        times = time_grid(float(tc["T"]), float(tc["t_pad"]), int(tc["n_t"]))
+        init_cfg = dict(cfg["initial"])
+        gen = init_cfg.pop("generator")
+        u = build_initial(gen, grid, times, float(tc["T"]), init_cfg)
+        state = init_state(u, float(cfg["theta"]), float(cfg["nu"]), float(tc["T"]))
+        rep = nsr_residual(state)
+        tol = float(cfg["tolerances"]["init_residual"])
+        if not rep["max_rel"] <= tol:
+            raise InvalidInput(f"initial residual {rep['max_rel']:.3e} exceeds {tol}")
+        max_div = max(lp_norm(divergence(s), 2) for s in state.v.slices)
+        write_state(tmp_dir, state, float(tc["t_pad"]), cfg["mode"],
+                    {"toy": cfg["toy"], "initial": cfg["initial"],
+                     "tolerances": cfg["tolerances"]})
+        publish()
     print(json.dumps({"state_dir": out_dir, "initial_residual": rep["max_rel"],
                       "max_div": max_div}, indent=1))
     return 0
@@ -88,11 +127,13 @@ def cmd_init(cfg: dict, out_dir: str | None) -> int:
 def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
     """Steps the state node by node: the input's dumps are read as the
     step's sweeps reach them, each new node's dumps go into `<out>.partial`
-    as soon as the node is made, and the directory becomes `<out>` once the
-    step and its reports are complete and its verdict passes.  An input
-    whose mollified residual exceeds `tolerances.init_residual` is not a
-    solution and raises InvalidInput; on that, on a failed verdict and on
-    any error `.partial` is removed and an existing `<out>` is kept."""
+    as soon as the node is made, and the directory replaces `<out>` whole
+    once the step and its reports are complete and its verdict passes
+    (`_staged`, which also refuses, before any sample is read, an `<out>`
+    it must not replace).  An input whose mollified residual exceeds
+    `tolerances.init_residual` is not a solution and raises InvalidInput;
+    on that, on a failed verdict and on any error `.partial` is removed
+    and an existing `<out>` is kept."""
     from dataclasses import replace
 
     from .ci_step import step_nodes
@@ -104,11 +145,8 @@ def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
         raise ConfigError("stepping runs in toy mode; the exact schedule is a gate only")
     state, manifest = read_state(state_dir)
     toy = toy_from_config(cfg)
-    out_dir = out_dir or _out_dir(state_dir.rstrip("/") + f"_q{state.q + 1}")
-    tmp_dir = out_dir + ".partial"
-    if os.path.exists(tmp_dir):
-        shutil.rmtree(tmp_dir)
-    try:
+    out_dir = out_dir or state_dir.rstrip("/") + f"_q{state.q + 1}"
+    with _staged(out_dir, state_dir) as (tmp_dir, publish):
         write_manifest(tmp_dir, replace(state, q=state.q + 1), float(manifest["t_pad"]),
                        cfg["mode"], manifest.get("params", {}))
         diags = step_nodes(state, toy, lambda i, v, dv, p, R: write_node(
@@ -126,12 +164,7 @@ def cmd_step(cfg: dict, state_dir: str, out_dir: str | None) -> int:
                                 "identities": diags.identities})
             with open(os.path.join(tmp_dir, "step_report.json"), "w") as fh:
                 fh.write(text)
-            if os.path.exists(out_dir):
-                shutil.rmtree(out_dir)
-            os.replace(tmp_dir, out_dir)
-    finally:
-        if os.path.exists(tmp_dir):
-            shutil.rmtree(tmp_dir)
+            publish()
     print(json.dumps({"state_dir": out_dir if passed else None, "residual": resid,
                       "support": diags.support}, indent=1, sort_keys=True))
     return 0 if passed else 1

@@ -970,8 +970,10 @@ def test_peak_stress_groups_match_fresh_sums():
     # oracle for the peak node's groups 7.16a-d: each group made again from
     # fresh sums of the perturbation's parts with the public operators,
     # and `_pstar_slice`'s corrector; the step's values agree bit for bit.
-    # A corrector built with w_c in place of w_c + w_t (the negative
-    # control) differs
+    # The corrector group is tf(w) - tf(w_p); half the symmetrized sum
+    # (w_c + w_t) x w + w_p x (w_c + w_t), which counts each term twice,
+    # is the same tensor and agrees at round-off.  tf(w_p + w_c) - tf(w_p),
+    # which leaves out w_t (the negative control), differs
     from ci2d.spectral_field import gradient
     moll, cut, toy, i, node, pert, pstar = _golden_peak_parts()
     v_l, R_ls = node[0], node[3]
@@ -980,22 +982,26 @@ def test_peak_stress_groups_match_fresh_sums():
                                        ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"))
     w = (w_p + w_c) + w_t
 
-    def corrector(w_ct):   # half the symmetrized sum, which counts each term twice
-        return 0.5 * lp_norm(sym_tracefree_product(w_ct, w, allow_interpolant=True)
-                             + sym_tracefree_product(w_p, w_ct, allow_interpolant=True), 1.5)
+    def corrector(w):
+        return lp_norm(tf_square(w, allow_interpolant=True)
+                       - tf_square(w_p, allow_interpolant=True), 1.5)
 
     want = {
         "lin_time": lp_norm(anti_divergence(dw_p + dw_c), 1.5),
         "lin_dissipation": lp_norm(anti_divergence(toy.nu * frac_laplacian(w, toy.theta))
                                    + sym_tracefree_product(v_l, w, allow_interpolant=True), 1.5),
-        "corrector": corrector(w_c + w_t),
+        "corrector": corrector(w),
         "oscillation": lp_norm(anti_divergence(
             divergence(tf_square(w_p, allow_interpolant=True) + R_ls) + dw_t
             - gradient(pstar)), 1.5),
     }
     assert all(value > 0.0 for value in want.values()), want
     assert {key: rep[key] for key in want} == want
-    assert corrector(w_c) != rep["corrector"]
+    w_ct = w_c + w_t
+    two_products = 0.5 * lp_norm(sym_tracefree_product(w_ct, w, allow_interpolant=True)
+                                 + sym_tracefree_product(w_p, w_ct, allow_interpolant=True), 1.5)
+    assert abs(two_products - rep["corrector"]) <= 1e-12 * rep["corrector"]
+    assert abs(corrector(w_p + w_c) - rep["corrector"]) > 0.1 * rep["corrector"]
 
 
 def test_peak_stress_groups_sum_to_the_new_stress():
@@ -1030,36 +1036,58 @@ def test_peak_stress_groups_sum_to_the_new_stress():
 
 
 def test_peak_node_builds_each_sum_once(monkeypatch):
-    # the peak node adds w_p + w_c, (w_p + w_c) + w_t, w_c + w_t,
-    # dw_p + dw_c and (dw_p + dw_c) + dw_t once each, and makes one band
-    # mask in `_perturbation_slice` and one in `_pstar_slice`
-    from ci2d import ci_step
+    # the peak node sums w_p and w_c once (the stream identity and w read
+    # that sum), adds (w_p + w_c) + w_t, dw_p + dw_c and
+    # (dw_p + dw_c) + dw_t once each and never w_c + w_t, and makes one
+    # band mask in `_perturbation_slice` and one in `_pstar_slice`
+    from ci2d import ci_step, spectral_field
     moll, cut, toy, i = _golden_peak()
-    parts, adds, masks = {}, [], []
+    parts, sums, masks = {}, [], []
 
     def perturbation(*args, _f=ci_step._perturbation_slice):
         kernels, pert = _f(*args)
         parts.update((name, pert[name]) for name in ("w_p", "w_c", "w_t", "dw_p", "dw_c", "dw_t"))
         return kernels, pert
 
-    def add(a, b, _f=SpectralField.__add__):
-        adds.append((a, b, _f(a, b)))   # held, so no identity is reused
-        return adds[-1][2]
+    def combine(fields, weights, _f=spectral_field.combine):
+        sums.append((list(fields), _f(fields, weights)))   # held, so no identity is reused
+        return sums[-1][1]
 
     monkeypatch.setattr(ci_step, "_perturbation_slice", perturbation)
-    monkeypatch.setattr(SpectralField, "__add__", add)
+    for module in (spectral_field, ci_step):
+        monkeypatch.setattr(module, "combine", combine)
     monkeypatch.setattr(ci_step, "_band_mask", lambda *a, _f=ci_step._band_mask:
                         masks.append(1) or _f(*a))
     _step_node(_node(moll, i), *_switch_at(moll, cut, i), toy, peak=True)
 
-    def count(a, b):
-        return sum(x is a and y is b for x, y, _ in adds)
+    def count(*operands):   # the sums that read each operand
+        return sum(all(any(f is x for f in fields) for x in operands) for fields, _ in sums)
 
-    (w_pc,) = [s for x, y, s in adds if x is parts["w_p"] and y is parts["w_c"]]
-    (dw_pc,) = [s for x, y, s in adds if x is parts["dw_p"] and y is parts["dw_c"]]
-    assert count(w_pc, parts["w_t"]) == count(parts["w_c"], parts["w_t"]) == 1
-    assert count(dw_pc, parts["dw_t"]) == 1
+    (w_pc,) = [s for fields, s in sums if fields == [parts["w_p"], parts["w_c"]]]
+    (dw_pc,) = [s for fields, s in sums if fields == [parts["dw_p"], parts["dw_c"]]]
+    assert count(parts["w_p"], parts["w_c"]) == count(parts["dw_p"], parts["dw_c"]) == 1
+    assert count(w_pc, parts["w_t"]) == count(dw_pc, parts["dw_t"]) == 1
+    assert count(parts["w_c"], parts["w_t"]) == 0
     assert len(masks) == 2
+
+
+def test_step_node_makes_five_products_at_the_peak_and_two_elsewhere(monkeypatch):
+    # one `_step_node` at the golden peak node: tf(v_ell), the assembly's
+    # tf(v), and at the peak v_ell x w, tf(w_p) and tf(w), each made once
+    from ci2d import fourier_calculus, spectral_field
+    moll, cut, toy, i = _golden_peak()
+    calls = []
+
+    def product(*args, _f=spectral_field._pointwise_product):
+        calls.append(1)
+        return _f(*args)
+
+    for module in (spectral_field, fourier_calculus):
+        monkeypatch.setattr(module, "_pointwise_product", product)
+    for peak, want in ((True, 5), (False, 2)):
+        calls.clear()
+        _step_node(_node(moll, i), *_switch_at(moll, cut, i), toy, peak=peak)
+        assert len(calls) == want, peak
 
 
 def test_zero_cutoff_step_keeps_mollified_residual():

@@ -388,16 +388,109 @@ def _initialized_step(tmp_path):
     return step, out_dir, tmp_path / "state1.partial"
 
 
+def _earlier_output(out_dir):
+    """out_dir as an earlier ci2d state: a manifest.json and a sentinel;
+    returns its files' bytes by name."""
+    out_dir.mkdir()
+    (out_dir / "manifest.json").write_text('{"q": 1}')
+    (out_dir / "sentinel").write_text("left by an earlier run")
+    return _files(out_dir)
+
+
+def _files(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("leftover", ["stale_partial", "existing_out"])
 def test_cli_step_replaces_its_output_whole(tmp_path, leftover):
     step, out_dir, partial = _initialized_step(tmp_path)
-    stale = partial if leftover == "stale_partial" else out_dir
-    stale.mkdir()
-    (stale / "sentinel").write_text("left by an earlier run")
+    if leftover == "existing_out":
+        _earlier_output(out_dir)
+    else:
+        partial.mkdir()
+        (partial / "sentinel").write_text("left by an earlier run")
     assert main(step) == 0
     assert not partial.exists()
     assert sorted(p.name for p in out_dir.iterdir() if p.suffix != ".ci2d") == [
         "manifest.json", "step_diagnostics.csv", "step_report.json"]
+
+
+@pytest.mark.parametrize("command, out", [
+    ("step", "cwd"), ("step", "input_parent"), ("step", "other_files"),
+    ("init", "cwd"), ("init", "other_files")])
+def test_cli_out_that_is_not_a_ci2d_output_exits_3(tmp_path, monkeypatch, command, out):
+    # an `<out>` that is the working directory, that holds the input state
+    # (its parent), or that holds files of no ci2d state is refused before
+    # any work: exit 3 and every file as it was.  (The step used to delete
+    # such an `<out>` before it renamed its output into place.)
+    work = tmp_path / "work"
+    work.mkdir()
+    cfg_path, cfg = _small_cfg(work, time={"n_t": 9})
+    assert main(["init", "--config", cfg_path]) == 0
+    if out == "other_files":
+        target = tmp_path / "other"
+        target.mkdir()
+        (target / "precious.txt").write_text("not a ci2d state")
+    else:
+        target = work
+    if out == "cwd":
+        monkeypatch.chdir(work)
+    args = [command, "--config", cfg_path, "--out", "." if out == "cwd" else str(target)]
+    if command == "step":
+        args += ["--state", cfg["out"]]
+    before = _files(tmp_path)
+    assert main(args) == 3
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, target", [
+    ("step", "--out"), ("step", "default"), ("init", "--out")])
+def test_cli_partial_that_is_a_file_exits_3(tmp_path, command, target):
+    # a `<out>.partial` that exists as a file is refused before any work:
+    # exit 3, the file as it was and no `<out>` (the step used to stop with
+    # NotADirectoryError)
+    cfg_path, cfg = _small_cfg(tmp_path, time={"n_t": 9})
+    assert main(["init", "--config", cfg_path]) == 0
+    out_dir = Path(cfg["out"] + "_q1") if target == "default" else tmp_path / "state1"
+    args = [command, "--config", cfg_path]
+    if command == "step":
+        args += ["--state", cfg["out"]]
+    if target == "--out":
+        args += ["--out", str(out_dir)]
+    partial = Path(str(out_dir) + ".partial")
+    partial.write_bytes(b"not a directory")
+    assert main(args) == 3
+    assert partial.read_bytes() == b"not a directory"
+    assert not out_dir.exists()
+
+
+def test_cli_step_out_with_a_trailing_slash(tmp_path):
+    # `--out state1/` names the directory state1, staged beside it in
+    # state1.partial (the step used to stage inside it, in state1/.partial,
+    # and to stop with FileNotFoundError when it replaced state1)
+    step, out_dir, partial = _initialized_step(tmp_path)
+    assert main(step[:-1] + [str(out_dir) + "/"]) == 0
+    assert read_state(str(out_dir))[1]["q"] == 1
+    assert not partial.exists()
+
+
+def test_cli_init_replaces_a_stepped_state_whole(tmp_path):
+    # `init` over a directory that holds a stepped state with more nodes
+    # and its reports leaves only the new state's files, as a fresh `init`
+    # writes them
+    cfg_path, cfg = _small_cfg(tmp_path, time={"n_t": 17})
+    state1, fresh = tmp_path / "state1", tmp_path / "fresh"
+    assert main(["init", "--config", cfg_path]) == 0
+    assert main(["step", "--config", cfg_path, "--state", cfg["out"],
+                 "--out", str(state1)]) == 0
+    assert main(["diagnose", "--state", str(state1)]) == 0
+    _small_cfg(tmp_path, time={"n_t": 9})   # rewrites the config
+    assert main(["init", "--config", cfg_path, "--out", str(state1)]) == 0
+    assert main(["init", "--config", cfg_path, "--out", str(fresh)]) == 0
+    assert _files(state1) == _files(fresh)
+    assert read_state(str(state1))[1]["q"] == 0
+    assert not Path(str(state1) + ".partial").exists()
 
 
 def test_cli_step_failure_leaves_no_output(tmp_path, monkeypatch):
@@ -421,8 +514,7 @@ def test_cli_step_guard_mid_stream_leaves_no_output(tmp_path, monkeypatch):
     from ci2d.errors import AliasingRisk
 
     step, out_dir, partial = _initialized_step(tmp_path)
-    out_dir.mkdir()
-    (out_dir / "sentinel").write_text("left by an earlier run")
+    before = _earlier_output(out_dir)
     state, _ = read_state(step[step.index("--state") + 1])
     ell = load_config(step[step.index("--config") + 1])["toy"]["ell"]
     cut = ci_step.temporal_cutoff(state.times, ci_step._stress_sups(state, ell)[0], ell)
@@ -439,8 +531,7 @@ def test_cli_step_guard_mid_stream_leaves_no_output(tmp_path, monkeypatch):
     monkeypatch.setattr(ci_step, "_step_node", trip_at_last_active)
     assert main(step) == 2
     assert not partial.exists()
-    assert [p.name for p in out_dir.iterdir()] == ["sentinel"]
-    assert (out_dir / "sentinel").read_text() == "left by an earlier run"
+    assert _files(out_dir) == before
 
 
 @pytest.mark.parametrize("scale, code", [(0.0, 0), (1.0, 3), (20.0, 3)])
@@ -549,12 +640,11 @@ def test_cli_non_finite_sample_exits_3(tmp_path, prefix):
     with pytest.raises(ConfigError, match="not finite"):
         read_field(str(Path(cfg["out"], f"{prefix}_{last:04d}.ci2d")))
     out_dir = tmp_path / "state1"
-    out_dir.mkdir()
-    (out_dir / "sentinel").write_text("left by an earlier run")
+    before = _earlier_output(out_dir)
     assert main(["step", "--config", cfg_path, "--state", cfg["out"],
                  "--out", str(out_dir)]) == 3
     assert not (tmp_path / "state1.partial").exists()
-    assert [p.name for p in out_dir.iterdir()] == ["sentinel"]
+    assert _files(out_dir) == before
     report = tmp_path / "report"
     assert main(["diagnose", "--state", cfg["out"], "--out", str(report)]) == 3
     assert not report.exists()
