@@ -12,8 +12,8 @@ from .fourier_calculus import (FreqBand, anti_divergence, frac_laplacian,
                                helmholtz, inv_grad, project,
                                sym_tracefree_product, tf_square,
                                tracefree_product)
-from .param_schedule import (PaperSchedule, PowerOfA, ToyParams, theta_star,
-                             toy_params, validate_schedule)
+from .param_schedule import (PaperSchedule, ToyParams, theta_star, toy_params,
+                             validate_schedule)
 from .spectral_field import (Grid2, SpectralField, TimeTrack, analyze, cn_norm,
                              derive, divergence, l1_norm, lp_norm, make_grid,
                              mean, multiply, multiply_mode, perp_grad,

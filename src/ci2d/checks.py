@@ -475,7 +475,7 @@ def _tstar():
 @check("schedule.witness_and_mutations")
 def _gate():
     from fractions import Fraction as F
-    witness = dict(theta=F(0), alpha=F(1, 8), B=2561, beta=F(1, 10 ** 9), A=5 ** 8, q=0)
+    witness = dict(theta=F(0), alpha=F(1, 8), B=2561, beta=F(1, 10 ** 9), A=5 ** 8)
     validate_schedule(PaperSchedule(**witness))
     ok = True
     mutations = [
@@ -495,7 +495,6 @@ def _gate():
     sched = PaperSchedule(**witness)
     p = sched.p_holder
     ok &= 1 < p < 2 and (1 - 6 * sched.alpha) * (2 - 2 / p) == sched.alpha
-    ok &= sched.r.exponent * (2 - 2 / p) == sched.alpha * sched.lam(1).exponent
     return bool(ok), "witness accepted, six mutations labeled"
 
 

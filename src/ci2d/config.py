@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -17,8 +18,7 @@ DEFAULT_CONFIG = {
     "time": {"n_t": 17, "T": 1.0, "t_pad": 0.1},
     "toy": {"lambda": 50, "sigma_inv": 10, "r": 2, "mu": 5,
             "ell": 0.05, "A": 5.0, "eps": 0.04},
-    "paper": {"A": 390625, "B": 2561, "alpha": "1/8",
-              "beta": "1/1000000000", "q": 0},
+    "paper": {"A": 390625, "B": 2561, "alpha": "1/8", "beta": "1/1000000000"},
     "initial": {"generator": "shear", "m": 1, "seed": 7},
     "out": "ci2d_out",
     "tolerances": {"residual": 1e-4, "init_residual": 1e-6},
@@ -35,14 +35,27 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def finite_json(text: str, path: str):
+    """The JSON document text, read from path: a number that is not finite
+    (NaN, Infinity or -Infinity, which Python's json accepts, or a literal
+    past the float range) raises ConfigError."""
+    def number(token):
+        val = float(token)
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}: {token} is not a finite number")
+        return val
+    return json.loads(text, parse_constant=number, parse_float=number)
+
+
 def load_config(path: str | None) -> dict:
     """The defaults merged with the JSON object at path; a file that does
-    not load or a value of the wrong type raises ConfigError."""
+    not load, a number that is not finite or a value of the wrong type
+    raises ConfigError."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     try:
         with open(path) as fh:
-            user = json.load(fh)
+            user = finite_json(fh.read(), path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: config does not load ({exc})") from None
     if not isinstance(user, dict):
@@ -82,6 +95,10 @@ def validate_config(cfg: dict) -> None:
             and all(type(x) in (int, float) for x in support) and support[0] < support[1]):
         raise ConfigError(f"config value initial.support must be null or [lo, hi] "
                           f"with lo < hi, got {support!r}")
+    if init.get("seed", 0) < 0:
+        raise ConfigError(f"config value initial.seed must be >= 0, got {init['seed']}")
+    if init.get("m") == 0:
+        raise ConfigError("config value initial.m must be nonzero: sin(0 x2) is the zero field")
     if cfg["mode"] not in ("toy", "paper"):
         raise ConfigError(f"mode must be toy or paper, got {cfg['mode']!r}")
     if not (0.0 <= cfg["theta"] < 1.0):
@@ -119,5 +136,4 @@ def schedule_from_config(cfg: dict) -> PaperSchedule:
         B=int(pc["B"]),
         beta=_fraction(pc, "beta"),
         A=int(pc["A"]),
-        q=int(pc.get("q", 0)),
     )

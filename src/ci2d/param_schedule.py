@@ -1,9 +1,9 @@
 """Exact arithmetic for the iteration's parameter system.
 
 The principal frequency grows as a double exponential lambda_q = A^(B^q),
-so every derived quantity is kept as a rational exponent over the common
-base A and never materialized.  All schedule inequalities are monotone in
-these exponents, which makes the constraint gate exact.
+and eps_q, ell, r, mu and sigma are powers of it.  `validate_schedule`
+writes each schedule inequality on their rational exponents over A and
+never materializes a power, which makes the constraint gate exact.
 
 Desk-scale runs use ToyParams instead: small integers obeying the
 divisibility rules, with the asymptotic separations downgraded to
@@ -36,34 +36,14 @@ def iroot(x: int, n: int) -> int:
         raise ConfigError("iroot needs x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x
+    if x.bit_length() <= n:   # 2 <= x < 2**n
+        return 1
     guess = 1 << (-(-x.bit_length() // n))
     while True:
         nxt = ((n - 1) * guess + x // guess ** (n - 1)) // n
         if nxt >= guess:
             return guess
         guess = nxt
-
-
-@dataclass(frozen=True)
-class PowerOfA:
-    """The exact value A**exponent for a rational exponent."""
-
-    base: int
-    exponent: Fraction
-
-    def _cmp_check(self, other: "PowerOfA"):
-        if self.base != other.base:
-            raise ConfigError("comparing powers of different bases")
-
-    def __lt__(self, other):
-        self._cmp_check(other)
-        return self.exponent < other.exponent
-
-    def __pow__(self, e) -> "PowerOfA":
-        return PowerOfA(self.base, self.exponent * Fraction(e))
-
-    def __repr__(self):
-        return f"{self.base}^({self.exponent})"
 
 
 @dataclass
@@ -80,14 +60,14 @@ class ScheduleReport:
 
 @dataclass(frozen=True)
 class PaperSchedule:
-    """Exact parameter tuple (theta, alpha, B, beta, A, q)."""
+    """Exact parameter tuple (theta, alpha, B, beta, A) that
+    `validate_schedule` decides; the gate's rows hold the exponents."""
 
     theta: Fraction
     alpha: Fraction
     B: int
     beta: Fraction
     A: int
-    q: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "theta", Fraction(self.theta))
@@ -95,39 +75,12 @@ class PaperSchedule:
         object.__setattr__(self, "beta", Fraction(self.beta))
         if not (0 <= self.theta < 1):
             raise ConfigError("theta must lie in [0, 1)")
-        if self.q < 0 or self.B < 1 or self.A < 2:
-            raise ConfigError("need q >= 0, B >= 1, A >= 2")
+        if self.B < 1 or self.A < 2:
+            raise ConfigError("need B >= 1, A >= 2")
 
     @property
     def theta_star(self) -> Fraction:
         return theta_star(self.theta)
-
-    def _pow(self, e) -> PowerOfA:
-        return PowerOfA(self.A, Fraction(e))
-
-    def lam(self, q: int | None = None) -> PowerOfA:
-        q = self.q if q is None else q
-        return self._pow(Fraction(self.B) ** q)
-
-    def eps(self, q: int | None = None) -> PowerOfA:
-        q = self.q if q is None else q
-        return self._pow(-2 * self.beta * Fraction(self.B) ** q)
-
-    @property
-    def ell(self) -> PowerOfA:
-        return self.lam() ** (-20)
-
-    @property
-    def r(self) -> PowerOfA:
-        return self.lam(self.q + 1) ** (1 - 6 * self.alpha)
-
-    @property
-    def mu(self) -> PowerOfA:
-        return self.lam(self.q + 1) ** (1 - 4 * self.alpha)
-
-    @property
-    def sigma(self) -> PowerOfA:
-        return self.lam(self.q + 1) ** (-(1 - 2 * self.alpha))
 
     @property
     def p_holder(self) -> Fraction:
@@ -135,15 +88,20 @@ class PaperSchedule:
 
 
 def _root_in_5n(A: int, alpha: Fraction) -> bool:
-    """Exact check that A**alpha is an integer multiple of 5."""
-    x = A ** alpha.numerator
-    rt = iroot(x, alpha.denominator)
-    return rt ** alpha.denominator == x and rt % 5 == 0
+    """Exact check that A**alpha is an integer multiple of 5, for alpha =
+    num/den > 0 in lowest terms: A**alpha is an integer exactly when A is
+    a perfect den-th power, and in 5N exactly when that root is, so no
+    power A**num is formed."""
+    rt = iroot(A, alpha.denominator)
+    return rt ** alpha.denominator == A and rt % 5 == 0
 
 
 def validate_schedule(s: PaperSchedule) -> ScheduleReport:
     """Evaluate every schedule constraint exactly; raise on any failure.
 
+    A row on powers of A compares exponents divided by B^q, so it holds
+    for every q: lambda_q = A^(B^q), eps_q = lambda_q^(-2 beta), ell =
+    lambda_q^-20, and r, mu, 1/sigma are lambda_(q+1)^(1-6a, 1-4a, 1-2a).
     The raised ConstraintViolation carries the labels of all failed rows
     and the full report, so single-constraint mutations are attributable.
     """

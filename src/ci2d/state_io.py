@@ -33,6 +33,7 @@ import struct
 import numpy as np
 
 from .ci_step import NSRState
+from .config import finite_json
 from .errors import ConfigError
 from .spectral_field import (_RANK_NCOMP, SliceReader, SpectralField, TimeTrack, analyze,
                              make_grid)
@@ -59,14 +60,14 @@ def write_field(path: str, field: SpectralField, time: float = 0.0) -> None:
 
 def _check_header(fh, path: str) -> tuple:
     """(header, sample shape) of an open dump, read up to its payload; a
-    bad magic, a header that does not decode, an unknown rank, a field
-    that is not real or a payload whose byte count differs from the
-    header's raises ConfigError."""
+    bad magic, a header that does not decode or holds a number that is not
+    finite, an unknown rank, a field that is not real or a payload whose
+    byte count differs from the header's raises ConfigError."""
     if fh.read(8) != MAGIC:
         raise ConfigError(f"{path}: not a CI2D field dump")
     try:
         (length,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(length).decode("utf-8"))
+        header = finite_json(fh.read(length).decode("utf-8"), path)
         n, rank, reality = int(header["n"]), header["rank"], header["reality"]
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: header does not decode ({exc})") from None
@@ -139,16 +140,17 @@ _MANIFEST_TYPES = {"T": float, "t_pad": float, "n": int, "n_t": int, "theta": fl
 def read_state(dirpath: str) -> tuple:
     """Returns (NSRState, manifest), whose tracks read each dump's samples
     only when a slice is asked for (`SliceReader`).  Up front, a missing or
-    malformed manifest, a missing dump (a derivative channel may lack every
-    dump, not some), a malformed dump header, or a dump whose grid or rank
-    does not fit the manifest raises ConfigError; a sample that is not
-    finite raises it when its dump is read."""
+    malformed manifest or one with a number that is not finite, a missing
+    dump (a derivative channel may lack every dump, not some), a malformed
+    dump header, or a dump whose grid or rank does not fit the manifest
+    raises ConfigError; a sample that is not finite raises it when its dump
+    is read."""
     path = os.path.join(dirpath, "manifest.json")
     if not os.path.isfile(path):
         raise ConfigError(f"{dirpath}: no manifest.json, not a state directory")
     try:
         with open(path) as fh:
-            manifest = json.load(fh)
+            manifest = finite_json(fh.read(), path)
     except ValueError as exc:
         raise ConfigError(f"{path}: manifest does not parse ({exc})") from None
     fields = manifest if isinstance(manifest, dict) else {}

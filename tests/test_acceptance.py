@@ -281,8 +281,7 @@ def test_criterion_09_end_to_end_step(endtoend):
 
 def test_criterion_10_parameter_gate():
     from fractions import Fraction as F
-    witness = dict(theta=F(0), alpha=F(1, 8), B=2561, beta=F(1, 10 ** 9),
-                   A=5 ** 8, q=0)
+    witness = dict(theta=F(0), alpha=F(1, 8), B=2561, beta=F(1, 10 ** 9), A=5 ** 8)
     validate_schedule(PaperSchedule(**witness))
     mutations = [
         (dict(witness, B=100), "++.1"),

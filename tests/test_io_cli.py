@@ -207,7 +207,8 @@ def test_cli_malformed_config_exits_3(tmp_path):
     for text in ('{"theta": 0.4, "time": {',                 # cut off
                  "[1, 2]",                                  # not an object
                  json.dumps({"time": {"n_t": "9"}}),
-                 json.dumps({"grid": {"n": "x"}})):
+                 json.dumps({"grid": {"n": "x"}}),
+                 '{"nu": 1e400}'):                           # past the float range
         path.write_text(text)
         assert main(["check", "--config", str(path)]) == 3, text
 
@@ -225,6 +226,49 @@ def test_cli_malformed_config_exits_3(tmp_path):
 def test_cli_mistyped_initial_key_exits_3(tmp_path, initial):
     cfg_path, _ = _small_cfg(tmp_path, grid={"n": 16}, initial=initial)
     assert main(["init", "--config", cfg_path]) == 3
+
+
+@pytest.mark.parametrize("initial, key", [
+    ({"generator": "stream", "seed": -1}, "initial.seed"),   # numpy's generator refuses it
+    ({"generator": "shear", "m": 0}, "initial.m"),           # sin(0 x2) is the zero field
+])
+def test_cli_initial_value_out_of_range_exits_3(tmp_path, capsys, initial, key):
+    cfg_path, cfg = _small_cfg(tmp_path, grid={"n": 16}, initial=initial)
+    assert main(["init", "--config", cfg_path]) == 3
+    assert f"config value {key}" in capsys.readouterr().err
+    assert not os.path.exists(cfg["out"])
+
+
+@pytest.mark.parametrize("over", [{"time": {"t_pad": float("inf")}},
+                                  {"time": {"T": float("nan")}}, {"nu": float("nan")}])
+def test_cli_non_finite_config_value_exits_3(tmp_path, capsys, over):
+    # Python's json reads NaN and Infinity; the config refuses them before
+    # any node is built
+    cfg_path, cfg = _small_cfg(tmp_path, **over)
+    assert main(["init", "--config", cfg_path]) == 3
+    assert "is not a finite number" in capsys.readouterr().err
+    assert not os.path.exists(cfg["out"]) and not list(tmp_path.glob("*.partial"))
+
+
+def test_cli_check_accepts_a_paper_q(tmp_path):
+    # the gate decides every q at once, so a config may still carry paper.q
+    cfg_path, _ = _small_cfg(tmp_path, mode="paper", paper={
+        "A": 390625, "B": 2561, "alpha": "1/8", "beta": "1/1000000000", "q": 3})
+    assert main(["check", "--config", cfg_path]) == 0
+
+
+def test_cli_check_alpha_with_a_large_numerator_exits_3_at_once(tmp_path):
+    # A^alpha is tested through the 100000-th root of A, with no power
+    # A^99999 formed: the gate answers within the timeout
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "paper", "paper": {"alpha": "99999/100000"}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run([sys.executable, "-m", "ci2d.cli", "check", "--config", str(path)],
+                         capture_output=True, text=True, timeout=10,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 3
+    labels = run.stderr.strip().split(" at ")[-1].split(", ")
+    assert "7.16+" in labels and "++.3" in labels
 
 
 @pytest.mark.parametrize("paper", [{"alpha": "x"}, {"beta": "1/0"}])
@@ -272,6 +316,32 @@ def test_cli_malformed_state_exits_3(tmp_path):
         manifest.write_text(bad)
         assert main(["diagnose", "--state", cfg["out"]]) == 3
     assert main(["diagnose", "--state", str(tmp_path / "missing")]) == 3
+
+
+@pytest.mark.parametrize("command", ["diagnose", "step"])
+@pytest.mark.parametrize("key, value", [("T", float("nan")), ("t_pad", float("inf"))])
+def test_cli_non_finite_manifest_value_exits_3(tmp_path, command, key, value):
+    cfg_path, cfg = _small_cfg(tmp_path, grid={"n": 32})
+    assert main(["init", "--config", cfg_path]) == 0
+    manifest = Path(cfg["out"], "manifest.json")
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), **{key: value})))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--state", cfg["out"], "--out", str(out)]) == 3
+    assert not out.exists() and not list(tmp_path.glob("*.partial"))
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf")])
+def test_cli_non_finite_dump_header_exits_3(tmp_path, n):
+    cfg_path, cfg = _small_cfg(tmp_path, grid={"n": 32})
+    assert main(["init", "--config", cfg_path]) == 0
+    dump = Path(cfg["out"], "v_0003.ci2d")
+    raw = dump.read_bytes()
+    length = int.from_bytes(raw[8:12], "little")
+    header = json.dumps(dict(json.loads(raw[12:12 + length]), n=n)).encode()
+    dump.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + raw[12 + length:])
+    out = tmp_path / "report"
+    assert main(["diagnose", "--state", cfg["out"], "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_cli_dumps_must_match_manifest_exits_3(tmp_path):

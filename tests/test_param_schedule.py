@@ -2,12 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from ci2d import (PaperSchedule, PowerOfA, theta_star, toy_params,
-                  validate_schedule)
+from ci2d import PaperSchedule, theta_star, toy_params, validate_schedule
 from ci2d.config import schedule_from_config
 from ci2d.errors import ConfigError
+from ci2d.param_schedule import _root_in_5n, iroot
 
-WITNESS = dict(theta=F(0), alpha=F(1, 8), B=2561, beta=F(1, 10 ** 9), A=5 ** 8, q=0)
+WITNESS = dict(theta=F(0), alpha=F(1, 8), B=2561, beta=F(1, 10 ** 9), A=5 ** 8)
 
 
 def test_theta_star_values():
@@ -33,31 +33,33 @@ def test_witness_schedule_passes_exactly():
     assert 2 * F(1, 10 ** 9) * 2561 ** 2 <= F(1, 50)
 
 
-def test_exponent_arithmetic_never_materializes():
-    s = PaperSchedule(**WITNESS)
-    lam1 = s.lam(1)
-    assert lam1.exponent == F(2561)
-    assert s.lam(2) ** 1 == s.lam(2)
-    assert s.eps(1) < s.eps(0)          # amplitudes decrease
-    assert s.ell < s.eps(1)             # exponent -20 * 1 vs tiny negative
-    with pytest.raises(ConfigError):
-        PowerOfA(5, F(3)) < PowerOfA(7, F(3))
-
-
 def test_schedule_config_roundtrip():
     # the config's paper section, as JSON holds it, gives the exact witness
     cfg = {"theta": 0, "paper": {"A": 5 ** 8, "B": 2561, "alpha": "1/8",
-                                 "beta": "1/1000000000", "q": 0}}
+                                 "beta": "1/1000000000"}}
     assert schedule_from_config(cfg) == PaperSchedule(**WITNESS)
     for theta in (0.4, "0.4", "2/5"):
         assert schedule_from_config(dict(cfg, theta=theta)).theta == F(2, 5)
 
 
-def test_wave_exponent_ordering():
-    s = PaperSchedule(**WITNESS)
-    one = PowerOfA(s.A, F(0))
-    assert one < s.r < s.mu
-    assert s.mu.exponent < -s.sigma.exponent < s.lam(1).exponent
+def test_iroot_is_the_floor_root():
+    for x in range(200):
+        for n in range(1, 9):
+            r = iroot(x, n)
+            assert r ** n <= x < (r + 1) ** n, (x, n)
+    assert iroot(5 ** 40, 5) == 5 ** 8 and iroot(5 ** 40 - 1, 5) == 5 ** 8 - 1
+    # a degree past the bit length has the root 1, with no power formed
+    assert iroot(5 ** 8, 10 ** 6) == 1
+
+
+def test_power_of_a_in_5n_matches_the_formed_power():
+    # oracle: A^alpha formed as the den-th root of A^num, on small pairs
+    for A in (5, 10, 25, 125, 5 ** 8, 5 ** 8 + 5, 6 ** 8, 10 ** 8, 15 ** 4):
+        for alpha in (F(1, 8), F(3, 8), F(1, 4), F(2, 3), F(1, 2), F(1)):
+            x = A ** alpha.numerator
+            rt = iroot(x, alpha.denominator)
+            formed = rt ** alpha.denominator == x and rt % 5 == 0
+            assert _root_in_5n(A, alpha) == formed, (A, alpha)
 
 
 def test_toy_params_examples():
